@@ -4,12 +4,11 @@ norms and the convergence-study tooling built on top of them."""
 
 from .assembly import (apply_dirichlet, assemble_interface_load, assemble_stiffness,
                        assemble_volume_load)
-from .geometry import (InterfaceQuadrature, Region, SphericalInterface,
-                       immersed_quadrature)
+from .geometry import InterfaceQuadrature, SphericalInterface, immersed_quadrature
 from .mesh import CellClassification, Mesh, build_uniform_mesh, classify_cells
-from .norms import (ConvergenceRecord, RadialSolution, WeightedNormParams,
-                    discrete_norm, eoc, layer_source_strength, reference_solution,
-                    weight_integral, weighted_error, weighted_errors)
+from .norms import (ConvergenceRecord, RadialSolution, discrete_norm, eoc,
+                    layer_source_strength, reference_solution, weight_integral,
+                    weighted_errors)
 from .potential import green, jump_check, single_layer, surface_samples
 from .quadrature import CellQuadrature, SplitCellQuadrature, gauss_rule, split_cut_cell
 from .solver import SolveReport, cg_solve
@@ -20,12 +19,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "apply_dirichlet", "assemble_interface_load", "assemble_stiffness",
-    "assemble_volume_load", "InterfaceQuadrature", "Region", "SphericalInterface",
+    "assemble_volume_load", "InterfaceQuadrature", "SphericalInterface",
     "immersed_quadrature", "CellClassification", "Mesh", "build_uniform_mesh",
-    "classify_cells", "ConvergenceRecord", "RadialSolution", "WeightedNormParams",
-    "discrete_norm", "eoc", "layer_source_strength", "reference_solution",
-    "weight_integral", "weighted_error", "weighted_errors", "green", "jump_check",
-    "single_layer", "surface_samples", "CellQuadrature", "SplitCellQuadrature",
+    "classify_cells", "ConvergenceRecord", "RadialSolution", "discrete_norm", "eoc",
+    "layer_source_strength", "reference_solution", "weight_integral",
+    "weighted_errors", "green", "jump_check", "single_layer", "surface_samples",
+    "CellQuadrature", "SplitCellQuadrature",
     "gauss_rule", "split_cut_cell", "SolveReport", "cg_solve", "FeSpace",
     "interpolate", "interpolate_outside_layer", "shape_eval", "ConfigError",
     "StudyConfig", "StudyError", "emit_table", "run_study",

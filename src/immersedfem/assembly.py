@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import InterfaceQuadrature
+from .mesh import BOX_TOL
 from .quadrature import CellQuadrature, gauss_rule
 from .space import FeSpace
 
@@ -65,14 +66,25 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
     """Load vector of the surface layer source: entry i = sum over surface
     quadrature of w * f(y) * phi_i(y), accumulated through owner cells.
 
-    Nonzero entries appear only at dofs of cells met by the surface."""
+    The density ``f`` is called once, on the (n, dim) array of quadrature
+    points; it returns either one value per point, shape (n,), or a scalar
+    for a constant density.  Every value must be finite.  Nonzero entries
+    appear only at dofs of cells met by the surface."""
     mesh = space.mesh
     pts, w, owners = quadrature.points, quadrature.weights, quadrature.owner_cell
     low = mesh.cell_lows[owners]
-    inside = np.all(pts >= low - 1e-12, axis=1) & np.all(pts <= low + mesh.edge + 1e-12, axis=1)
+    inside = (np.all(pts >= low - BOX_TOL, axis=1)
+              & np.all(pts <= low + mesh.edge + BOX_TOL, axis=1))
     if not np.all(inside):
         raise ValueError("surface quadrature point lies outside its owner cell")
-    fvals = _evaluate_density(f, pts)
+    fvals = np.asarray(f(pts), dtype=float)
+    if fvals.ndim == 0:
+        fvals = np.full(pts.shape[0], fvals)
+    if fvals.shape != (pts.shape[0],):
+        raise ValueError(f"density must return a scalar or shape ({pts.shape[0]},), "
+                         f"got shape {fvals.shape}")
+    if not np.all(np.isfinite(fvals)):
+        raise ValueError("density values must be finite")
     out = np.zeros(space.n_dofs)
     order = np.argsort(owners, kind="stable")
     cells, starts = np.unique(owners[order], return_index=True)
@@ -85,36 +97,19 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
     return out
 
 
-def _evaluate_density(f, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a surface density, batched when ``f`` supports it.
-
-    A probe call on the first point decides: scalar result means a pointwise
-    density (evaluated in a loop), otherwise the full point array is passed
-    in one call."""
-    if pts.shape[0] == 0:
-        return np.zeros(0)
-    try:
-        pointwise = np.ndim(f(pts[0])) == 0
-    except Exception:
-        pointwise = False
-    if pointwise:
-        return np.array([f(y) for y in pts], dtype=float)
-    values = np.asarray(f(pts), dtype=float)
-    if values.shape != (pts.shape[0],):
-        raise ValueError("batched density must return one value per point")
-    return values
-
-
 def apply_dirichlet(matrix: sp.csr_matrix, rhs: np.ndarray, space: FeSpace, g):
     """Impose u = g on the boundary dofs by symmetric elimination.
 
     Boundary values are nodal interpolants of g; their columns move to the
     right-hand side and the boundary rows/columns become identity, keeping
-    the matrix symmetric positive definite.  Inputs are not modified.
+    the matrix symmetric positive definite.  Inputs are not modified.  Raises
+    ValueError if g is not finite at every boundary dof.
     """
     boundary = space.boundary_dofs
     lifted = np.zeros(space.n_dofs)
     lifted[boundary] = [g(x) for x in space.dof_coords[boundary]]
+    if not np.all(np.isfinite(lifted)):
+        raise ValueError("Dirichlet boundary values must be finite")
     keep = np.ones(space.n_dofs)
     keep[boundary] = 0.0
     keep_diag = sp.diags(keep)

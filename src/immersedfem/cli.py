@@ -12,8 +12,7 @@ import sys
 
 from .study import ConfigError, StudyConfig, StudyError, emit_table, run_study
 
-_INT_KEYS = ("dim", "min_exp", "max_exp", "degree", "quad_points", "cut_depth",
-             "surface_order")
+_INT_KEYS = ("dim", "min_exp", "max_exp", "degree", "quad_points", "cut_depth")
 _FLOAT_KEYS = ("sigma", "cg_tol", "radius")
 _FLOAT_TUPLE_KEYS = ("alphas", "center")
 _STR_KEYS = ("fmt", "out")

@@ -1,8 +1,8 @@
 """Analytic circle/sphere interfaces immersed in the unit box.
 
-Provides the exact distance-to-surface weight, outward normals, inside/outside
-region tests, and a surface quadrature rule whose pieces are split at the
-boundaries of a background grid, so that integrals of piecewise-polynomial
+Provides the exact distance-to-surface weight, outward normals, the
+inside/outside sign test, and a surface quadrature rule whose pieces are split
+at the boundaries of a background grid, so that integrals of piecewise-polynomial
 test functions over the surface keep full quadrature accuracy.
 """
 
@@ -10,25 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .quadrature import gauss_points_1d
 
-#: tolerance for deciding that a point sits exactly on the surface
-ON_SURFACE_TOL = 1e-14
-
 #: default number of Gauss points per arc / per patch direction
 DEFAULT_SURFACE_ORDER = 4
-
-
-class Region(Enum):
-    """Position of a point relative to the closed surface."""
-
-    INTERIOR = -1
-    ON_SURFACE = 0
-    EXTERIOR = 1
 
 
 class SphericalInterface:
@@ -88,14 +76,6 @@ class SphericalInterface:
         if np.any(rho == 0.0):
             raise ValueError("normal direction undefined at the centre")
         return r / rho
-
-    def region(self, point) -> Region:
-        """Classify a single point with tolerance ``ON_SURFACE_TOL``."""
-        rho = float(np.linalg.norm(np.asarray(point, dtype=float) - self.center))
-        s = rho - self.radius
-        if abs(s) <= ON_SURFACE_TOL:
-            return Region.ON_SURFACE
-        return Region.INTERIOR if s < 0.0 else Region.EXTERIOR
 
     def side(self, points) -> np.ndarray:
         """Vectorised sign test: -1 inside, +1 outside (ties count outside)."""
@@ -180,18 +160,7 @@ def immersed_quadrature(interface: SphericalInterface, mesh, order: int = DEFAUL
         points, weights = _circle_rule(interface, mesh.cells_per_axis, order)
     else:
         points, weights = _sphere_rule(interface, mesh.cells_per_axis, order)
-    owners = mesh.locate(points)
-    _check_owners(mesh, points, owners)
-    return InterfaceQuadrature(points=points, weights=weights, owner_cell=owners)
-
-
-def _check_owners(mesh, points, owners):
-    low = mesh.cell_lows[owners]
-    inside = np.all(points >= low - 1e-12, axis=1) & np.all(
-        points <= low + mesh.edge + 1e-12, axis=1
-    )
-    if not np.all(inside):
-        raise ValueError("surface quadrature point escapes its owner cell")
+    return InterfaceQuadrature(points=points, weights=weights, owner_cell=mesh.locate(points))
 
 
 def _circle_rule(interface, n_c, order):

@@ -8,13 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: slack for deciding that a point lies in a closed box (the unit box or a cell)
+BOX_TOL = 1e-12
+
 
 class Mesh:
     """Structured grid of congruent box cells covering [0, 1]^dim.
 
     Vertices sit at i/n per axis; cell k has lexicographic index (first axis
-    fastest) and its vertex tuple lists the 2^dim corners in the same order.
-    ``h_cell`` is the common cell diameter sqrt(dim)/n.
+    fastest) and lower corner ``cell_lows[k]``.  ``h_cell`` is the common cell
+    diameter sqrt(dim)/n.
     """
 
     def __init__(self, dim: int, cells_per_axis: int):
@@ -28,9 +31,7 @@ class Mesh:
         self.h_cell = math.sqrt(dim) / cells_per_axis
         self.n_vertices = (cells_per_axis + 1) ** dim
         self.n_cells = cells_per_axis ** dim
-        self.vertices = _lattice(cells_per_axis + 1, dim) / cells_per_axis
-        self.cells = _cell_vertex_ids(cells_per_axis, dim)
-        self.cell_lows = self.vertices[self.cells[:, 0]]
+        self.cell_lows = _lattice(cells_per_axis, dim) / cells_per_axis
 
     def cell_highs(self) -> np.ndarray:
         return self.cell_lows + self.edge
@@ -38,7 +39,7 @@ class Mesh:
     def locate(self, points) -> np.ndarray:
         """Cell ids containing ``points``; raises if a point leaves the box."""
         points = np.asarray(points, dtype=float)
-        if np.any(points < -1e-12) or np.any(points > 1.0 + 1e-12):
+        if np.any(points < -BOX_TOL) or np.any(points > 1.0 + BOX_TOL):
             raise ValueError("point outside the unit box cannot be located")
         n = self.cells_per_axis
         idx = np.minimum(np.floor(np.clip(points, 0.0, 1.0) * n).astype(int), n - 1)
@@ -96,13 +97,6 @@ def _lattice(n_per_axis: int, dim: int) -> np.ndarray:
     axes = [np.arange(n_per_axis, dtype=float)] * dim
     grids = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([g.ravel(order="F") for g in grids])
-
-
-def _cell_vertex_ids(n: int, dim: int) -> np.ndarray:
-    cell_idx = _lattice(n, dim).astype(int)          # (n^dim, dim)
-    corner = _lattice(2, dim).astype(int)            # (2^dim, dim)
-    idx = cell_idx[:, None, :] + corner[None, :, :]  # (n_cells, 2^dim, dim)
-    return _ravel_index(idx, n + 1)
 
 
 def _ravel_index(idx: np.ndarray, n_per_axis: int) -> np.ndarray:

@@ -29,20 +29,9 @@ def default_norm_points(degree: int) -> int:
     return degree + 3
 
 
-@dataclass
-class WeightedNormParams:
-    """Weight exponent, derivative order, and quadrature configuration."""
-
-    alpha: float
-    m: int = 0
-    quad_points: int | None = None  # per axis; defaults to degree + 3
-    cut_depth: int | None = None    # defaults to 6 (2D) / 4 (3D)
-
-    def __post_init__(self):
-        if not -0.5 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (-1/2, 1/2), got {self.alpha}")
-        if self.m not in (0, 1):
-            raise ValueError(f"derivative order m must be 0 or 1, got {self.m}")
+def _check_alpha(alpha: float) -> None:
+    if not -0.5 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (-1/2, 1/2), got {alpha}")
 
 
 class RadialSolution:
@@ -122,9 +111,39 @@ class ConvergenceRecord:
     alpha: float
     err_l2: float
     err_h1_semi: float
-    err_h1_full: float
     eoc_l2: float | None = None
     eoc_h1: float | None = None
+
+
+def _cell_batches(mesh: Mesh, interface, rule, cut_depth: int | None, cells):
+    """Quadrature batches ``(cells, ref_points, ref_weights, side)`` over ``cells``.
+
+    The cells of a batch share one rule on the reference cell [0, 1]^dim;
+    ``side`` tags every point, cell by cell.  Cells the surface misses come
+    first, as one batch on ``rule`` with the side of each cell centre; then
+    every cut cell is a batch of its own, split by ``split_cut_cell``.  The
+    round trip of a split rule through reference coordinates is exact when
+    the edge is a power of two, as in every study.
+    """
+    if cut_depth is None:
+        cut_depth = default_cut_depth(mesh.dim)
+    low = mesh.cell_lows[cells]
+    cut = interface.cuts_box(low, low + mesh.edge)
+    plain = cells[~cut]
+    if plain.size:
+        centres = mesh.cell_lows[plain] + 0.5 * mesh.edge
+        yield plain, rule.points, rule.weights, np.repeat(interface.side(centres), rule.n_points)
+    for k in np.nonzero(cut)[0]:
+        split = split_cut_cell(low[k], mesh.edge, interface, rule, cut_depth)
+        pts, w, side = split.points_weights()
+        yield cells[k:k + 1], (pts - low[k]) / mesh.edge, w / mesh.edge ** mesh.dim, side
+
+
+def _batch_points(mesh: Mesh, cells, ref_points, ref_weights):
+    """Physical points and weights of a batch, cell by cell."""
+    pts = mesh.cell_lows[cells][:, None, :] + mesh.edge * ref_points[None, :, :]
+    w = np.tile(ref_weights, cells.size) * mesh.edge ** mesh.dim
+    return pts.reshape(-1, mesh.dim), w
 
 
 def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
@@ -132,45 +151,27 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
                     cell_ids=None) -> dict:
     """Weighted L2 and H1-seminorm errors for several exponents at once.
 
-    Returns {(alpha, m): error} for m in {0, 1}.  The quadrature samples and
-    distances are computed once and reused across exponents.  ``cell_ids``
-    restricts the integration to a subset of cells (broken norms).
+    Returns {(alpha, m): error} for m in {0, 1}, each alpha in (-1/2, 1/2).
+    The quadrature samples and distances are computed once and reused across
+    exponents.  ``cell_ids`` restricts the integration to a subset of cells
+    (broken norms).
     """
     alphas = [float(a) for a in alphas]
     for a in alphas:
-        WeightedNormParams(alpha=a)
+        _check_alpha(a)
     mesh = space.mesh
     coeffs = np.asarray(coeffs, dtype=float)
     q = quad_points if quad_points is not None else default_norm_points(space.degree)
-    depth = cut_depth if cut_depth is not None else default_cut_depth(mesh.dim)
-    rule = gauss_rule(mesh.dim, q)
-    values_tab, grads_tab = space.tabulate(rule.points)
-
     cells = np.arange(mesh.n_cells) if cell_ids is None else np.asarray(cell_ids, dtype=int)
-    cut = interface.cuts_box(mesh.cell_lows[cells], mesh.cell_lows[cells] + mesh.edge)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
-
-    plain = cells[~cut]
-    if plain.size:
-        low = mesh.cell_lows[plain]
-        pts = (low[:, None, :] + mesh.edge * rule.points[None, :, :]).reshape(-1, mesh.dim)
-        local = coeffs[space.cell_dofs[plain]]
-        uh = (local @ values_tab.T).ravel()
-        guh = np.einsum("cj,qjk->cqk", local, grads_tab).reshape(-1, mesh.dim) / mesh.edge
-        side = np.repeat(interface.side(low + 0.5 * mesh.edge), rule.n_points)
-        w = np.tile(rule.weights, plain.size) * mesh.edge ** mesh.dim
-        _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh)
-
-    for cell in cells[cut]:
-        split = split_cut_cell(mesh.cell_lows[cell], mesh.edge, interface, rule, depth)
-        pts, w, side = split.points_weights()
-        ref = (pts - mesh.cell_lows[cell]) / mesh.edge
+    for batch, ref, ref_w, side in _cell_batches(mesh, interface, gauss_rule(mesh.dim, q),
+                                                 cut_depth, cells):
+        pts, w = _batch_points(mesh, batch, ref, ref_w)
         values, grads = space.tabulate(ref)
-        local = coeffs[space.cell_dofs[cell]]
-        uh = values @ local
-        guh = np.einsum("j,pjk->pk", local, grads) / mesh.edge
+        local = coeffs[space.cell_dofs[batch]]
+        uh = (local @ values.T).ravel()
+        guh = np.einsum("cj,qjk->cqk", local, grads).reshape(-1, mesh.dim) / mesh.edge
         _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh)
-
     return {key: math.sqrt(value) for key, value in acc.items()}
 
 
@@ -186,33 +187,15 @@ def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
         acc[(a, 1)] += float(np.sum(we1 * weight))
 
 
-def weighted_error(space: FeSpace, coeffs, exact, interface,
-                   params: WeightedNormParams) -> float:
-    """Single weighted error norm: m = 0 gives the weighted L2 norm of the
-    error, m = 1 the weighted H1 seminorm."""
-    errs = weighted_errors(space, coeffs, exact, interface, [params.alpha],
-                           quad_points=params.quad_points, cut_depth=params.cut_depth)
-    return errs[(params.alpha, params.m)]
-
-
 def weight_integral(interface, alpha: float, mesh: Mesh,
                     quad_points: int = 4, cut_depth: int | None = None) -> float:
     """Integral of the weight d(x)^(2*alpha) over the unit box (diagnostic)."""
     if 2.0 * alpha <= -1.0:
         raise ValueError(f"weight exponent 2*alpha must exceed -1, got {2 * alpha}")
-    depth = cut_depth if cut_depth is not None else default_cut_depth(mesh.dim)
-    rule = gauss_rule(mesh.dim, quad_points)
-    cut = interface.cuts_box(mesh.cell_lows, mesh.cell_lows + mesh.edge)
     total = 0.0
-
-    low = mesh.cell_lows[~cut]
-    pts = (low[:, None, :] + mesh.edge * rule.points[None, :, :]).reshape(-1, mesh.dim)
-    w = np.tile(rule.weights, low.shape[0]) * mesh.edge ** mesh.dim
-    total += float(np.sum(w * np.power(interface.distance(pts), 2.0 * alpha)))
-
-    for cell in np.nonzero(cut)[0]:
-        split = split_cut_cell(mesh.cell_lows[cell], mesh.edge, interface, rule, depth)
-        pts, w, _ = split.points_weights()
+    for batch, ref, ref_w, _ in _cell_batches(mesh, interface, gauss_rule(mesh.dim, quad_points),
+                                              cut_depth, np.arange(mesh.n_cells)):
+        pts, w = _batch_points(mesh, batch, ref, ref_w)
         total += float(np.sum(w * np.power(interface.distance(pts), 2.0 * alpha)))
     return total
 
@@ -224,7 +207,7 @@ def discrete_norm(space: FeSpace, coeffs, classification: CellClassification,
 
     At alpha = 0 this is the plain L2 norm (0^0 counts as 1); cells sitting
     on the surface contribute nothing when alpha > 0."""
-    WeightedNormParams(alpha=alpha)
+    _check_alpha(alpha)
     mesh = space.mesh
     rule = gauss_rule(mesh.dim, space.degree + 2)
     values_tab, _ = space.tabulate(rule.points)

@@ -22,13 +22,16 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, max_iter: int | None = None,
     right-hand side.  A zero right-hand side returns the zero vector without
     iterating.  On non-convergence the iterate with the smallest residual is
     returned and the report carries ``converged=False``; the caller decides
-    how to proceed.
+    how to proceed.  A right-hand side with NaN or infinite entries raises
+    ValueError.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if preconditioner not in ("none", "jacobi"):
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
     rhs = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("right-hand side must be finite")
     n = rhs.shape[0]
     if max_iter is None:
         max_iter = 10 * n

@@ -7,12 +7,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assembly import apply_dirichlet, assemble_interface_load, assemble_stiffness
 from .geometry import SphericalInterface, immersed_quadrature
 from .mesh import build_uniform_mesh
-from .norms import (ConvergenceRecord, layer_source_strength, reference_solution,
+from .norms import (ConvergenceRecord, eoc, layer_source_strength, reference_solution,
                     weighted_errors)
 from .solver import cg_solve
 from .space import FeSpace
@@ -51,7 +49,6 @@ class StudyConfig:
     radius: float = 0.2
     fmt: str = "csv"
     out: str | None = None
-    surface_order: int = 4
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -106,19 +103,15 @@ def run_study(config: StudyConfig):
     interface = SphericalInterface(config.center, config.radius)
     exact = reference_solution(interface)
     density = layer_source_strength(interface)
-
-    def density_fn(points):
-        return np.full(np.atleast_2d(points).shape[0], density)
-
     records = []
     previous = {}
     for exponent in range(config.min_exp, config.max_exp + 1):
         n_c = 2 ** exponent
         mesh = build_uniform_mesh(config.dim, n_c)
         space = FeSpace(mesh, config.degree)
-        quad = immersed_quadrature(interface, mesh, order=config.surface_order)
+        quad = immersed_quadrature(interface, mesh)
         stiffness = assemble_stiffness(space)
-        load = assemble_interface_load(space, quad, density_fn)
+        load = assemble_interface_load(space, quad, lambda points: density)
         matrix, rhs = apply_dirichlet(stiffness, load, space, exact.value)
         solution, report = cg_solve(matrix, rhs, tol=config.cg_tol,
                                     preconditioner="jacobi")
@@ -141,19 +134,12 @@ def run_study(config: StudyConfig):
                 alpha=alpha,
                 err_l2=e0,
                 err_h1_semi=e1,
-                err_h1_full=math.hypot(e0, e1),
-                eoc_l2=_rate(prev[0], e0) if prev else None,
-                eoc_h1=_rate(prev[1], e1) if prev else None,
+                eoc_l2=eoc([prev[0], (mesh.h_cell, e0)])[0] if prev else None,
+                eoc_h1=eoc([prev[1], (mesh.h_cell, e1)])[0] if prev else None,
             )
             records.append(record)
-            previous[alpha] = (e0, e1)
+            previous[alpha] = ((mesh.h_cell, e0), (mesh.h_cell, e1))
     return records
-
-
-def _rate(coarse: float, fine: float):
-    if coarse == 0.0 or fine == 0.0:
-        return None
-    return math.log2(coarse / fine)
 
 
 def _num(value: float) -> str:

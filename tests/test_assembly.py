@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from immersedfem import (FeSpace, SphericalInterface, apply_dirichlet,
-                         assemble_interface_load, assemble_stiffness,
+from immersedfem import (FeSpace, InterfaceQuadrature, SphericalInterface,
+                         apply_dirichlet, assemble_interface_load, assemble_stiffness,
                          assemble_volume_load, build_uniform_mesh, cg_solve,
                          gauss_rule, immersed_quadrature, interpolate,
                          reference_solution)
@@ -58,7 +58,7 @@ class TestStiffness:
         space = FeSpace(build_uniform_mesh(2, 8), 1)
         matrix = assemble_stiffness(space)
         asym = (matrix - matrix.T).tocoo()
-        assert np.max(np.abs(asym.data)) if asym.nnz else 0.0 <= 1e-12
+        assert (np.max(np.abs(asym.data)) if asym.nnz else 0.0) <= 1e-12
 
     def test_positive_off_constants(self):
         rng = np.random.default_rng(21)
@@ -116,12 +116,37 @@ class TestInterfaceLoad:
         assert np.sum(load) == pytest.approx(4.0 * math.pi, abs=1e-4)
 
     def test_batched_density_matches_pointwise(self):
+        # oracle by linearity in the density: load(x0 + 2) = load(x0) + 2 load(1)
         mesh = build_uniform_mesh(2, 8)
         space = FeSpace(mesh, 1)
         quad = immersed_quadrature(CIRCLE, mesh)
-        pointwise = assemble_interface_load(space, quad, lambda y: y[0] + 2.0)
         batched = assemble_interface_load(space, quad, lambda y: y[:, 0] + 2.0)
-        assert np.allclose(pointwise, batched, atol=1e-15)
+        linear = assemble_interface_load(space, quad, lambda y: y[:, 0])
+        unit = assemble_interface_load(space, quad, lambda y: 1.0)
+        assert np.allclose(batched, linear + 2.0 * unit, rtol=0.0, atol=1e-14)
+        # a density written for one point at a time is not guessed at
+        with pytest.raises(ValueError):
+            assemble_interface_load(space, quad, lambda y: y[0] + 2.0)
+
+    def test_rejects_non_finite_density(self):
+        mesh = build_uniform_mesh(2, 8)
+        space = FeSpace(mesh, 1)
+        quad = immersed_quadrature(CIRCLE, mesh)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                assemble_interface_load(space, quad,
+                                        lambda y: np.where(y[:, 0] > 0.45, bad, 5.0))
+
+    def test_rejects_point_outside_owner_cell(self):
+        mesh = build_uniform_mesh(2, 4)
+        space = FeSpace(mesh, 1)
+        point = np.array([[0.25 + 1e-13, 0.1]])  # within the box slack of cell 0
+        ok = InterfaceQuadrature(points=point, weights=np.ones(1), owner_cell=np.array([0]))
+        assert np.sum(assemble_interface_load(space, ok, lambda y: 1.0)) == pytest.approx(1.0)
+        far = InterfaceQuadrature(points=np.array([[0.6, 0.6]]), weights=np.ones(1),
+                                  owner_cell=np.array([0]))
+        with pytest.raises(ValueError, match="owner cell"):
+            assemble_interface_load(space, far, lambda y: 1.0)
 
     def test_locality(self):
         # nonzeros are exactly the dofs of cells carrying surface quadrature;
@@ -150,6 +175,14 @@ class TestDirichlet:
             assert dense[i, i] == 1.0
             assert np.all(dense[i, np.arange(space.n_dofs) != i] == 0.0)
             assert np.all(dense[np.arange(space.n_dofs) != i, i] == 0.0)
+
+    def test_rejects_non_finite_data(self):
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        matrix = assemble_stiffness(space)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                apply_dirichlet(matrix, np.zeros(space.n_dofs), space,
+                                lambda x: bad if x[0] == 0.0 else 0.0)
 
     def test_symmetry_preserved(self):
         space = FeSpace(build_uniform_mesh(2, 6), 1)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from immersedfem import (Region, SphericalInterface, build_uniform_mesh,
-                         immersed_quadrature)
+from immersedfem import SphericalInterface, build_uniform_mesh, immersed_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -32,10 +31,10 @@ class TestInterface:
         with pytest.raises(ValueError):
             CIRCLE.normal([0.3, 0.3])
 
-    def test_region_examples(self):
-        assert CIRCLE.region([0.3, 0.3]) is Region.INTERIOR
-        assert CIRCLE.region([1.0, 1.0]) is Region.EXTERIOR
-        assert CIRCLE.region([0.5, 0.3]) is Region.ON_SURFACE
+    def test_side_examples(self):
+        # -1 inside, +1 outside; a point on the surface counts outside
+        points = [[0.3, 0.3], [1.0, 1.0], [0.5, 0.3]]
+        assert CIRCLE.side(points).tolist() == [-1, 1, 1]
 
     def test_constructor_rejects_boundary_contact(self):
         with pytest.raises(ValueError):

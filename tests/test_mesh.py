@@ -14,8 +14,8 @@ def test_smallest_grid():
     mesh = build_uniform_mesh(2, 1)
     assert mesh.n_cells == 1
     assert mesh.n_vertices == 4
-    corners = {tuple(v) for v in mesh.vertices}
-    assert corners == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+    assert mesh.cell_lows.tolist() == [[0.0, 0.0]]
+    assert mesh.cell_highs().tolist() == [[1.0, 1.0]]
 
 
 def test_counts_3d():
@@ -30,12 +30,13 @@ def test_cell_diameter():
 
 
 def test_vertex_coordinates_exact():
+    # cell corners sit exactly at i/n, first axis fastest
     mesh = build_uniform_mesh(2, 3)
-    for i in range(4):
-        for j in range(4):
-            vid = i + 4 * j
-            assert mesh.vertices[vid, 0] == i / 3
-            assert mesh.vertices[vid, 1] == j / 3
+    for i in range(3):
+        for j in range(3):
+            cell = i + 3 * j
+            assert mesh.cell_lows[cell, 0] == i / 3
+            assert mesh.cell_lows[cell, 1] == j / 3
 
 
 def test_cells_partition_unit_square():

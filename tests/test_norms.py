@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from immersedfem import (FeSpace, SphericalInterface, WeightedNormParams,
-                         build_uniform_mesh, classify_cells, discrete_norm, eoc,
-                         interpolate, reference_solution, weight_integral,
-                         weighted_error, weighted_errors)
+from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
+                         classify_cells, discrete_norm, eoc, interpolate,
+                         reference_solution, weight_integral, weighted_errors)
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
@@ -43,14 +44,18 @@ class BilinearField:
 
 class TestParams:
     def test_alpha_range(self):
-        WeightedNormParams(alpha=0.49)
-        WeightedNormParams(alpha=-0.49)
-        with pytest.raises(ValueError):
-            WeightedNormParams(alpha=0.5)
-        with pytest.raises(ValueError):
-            WeightedNormParams(alpha=-0.6)
-        with pytest.raises(ValueError):
-            WeightedNormParams(alpha=0.0, m=2)
+        # both weighted norms accept exactly the exponents in (-1/2, 1/2)
+        space = FeSpace(build_uniform_mesh(2, 2), 1)
+        cls = classify_cells(space.mesh, CIRCLE, math.sqrt(2.0))
+        zero = np.zeros(space.n_dofs)
+        for alpha in (0.49, -0.49):
+            weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [alpha])
+            discrete_norm(space, zero, cls, alpha)
+        for alpha in (0.5, -0.5, -0.6):
+            with pytest.raises(ValueError):
+                weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [0.0, alpha])
+            with pytest.raises(ValueError):
+                discrete_norm(space, zero, cls, alpha)
 
 
 class TestExactSolutions:
@@ -96,8 +101,7 @@ class TestWeightedError:
         for n in (8, 16, 32):
             space = FeSpace(build_uniform_mesh(2, n), 1)
             coeffs = interpolate(space, exact.value)
-            params = WeightedNormParams(alpha=0.0, m=0)
-            errors.append(weighted_error(space, coeffs, exact, FAR, params))
+            errors.append(weighted_errors(space, coeffs, exact, FAR, [0.0])[(0.0, 0)])
         rates = [math.log2(a / b) for a, b in zip(errors[:-1], errors[1:])]
         assert all(1.85 <= r <= 2.15 for r in rates)
 
@@ -105,18 +109,15 @@ class TestWeightedError:
         field = BilinearField()
         space = FeSpace(build_uniform_mesh(2, 4), 1)
         coeffs = interpolate(space, field.value)
-        for alpha in (0.0, 0.3, 0.49):
-            for m in (0, 1):
-                params = WeightedNormParams(alpha=alpha, m=m)
-                err = weighted_error(space, coeffs, field, CIRCLE, params)
-                assert err <= 1e-13
+        errs = weighted_errors(space, coeffs, field, CIRCLE, [0.0, 0.3, 0.49])
+        assert len(errs) == 6
+        assert max(errs.values()) <= 1e-13
 
     def test_constant_one_recovers_domain_measure(self):
         # error field == 1 with alpha = 0 integrates the unit box
         space = FeSpace(build_uniform_mesh(2, 4), 1)
         zero = np.zeros(space.n_dofs)
-        params = WeightedNormParams(alpha=0.0, m=0)
-        err = weighted_error(space, zero, ConstantField(1.0), CIRCLE, params)
+        err = weighted_errors(space, zero, ConstantField(1.0), CIRCLE, [0.0])[(0.0, 0)]
         assert err == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_robustness(self):
@@ -149,6 +150,42 @@ class TestWeightedError:
         assert max_dist == pytest.approx(math.hypot(0.7, 0.7) - 0.2, abs=1e-14)
         errs = weighted_errors(space, coeffs, exact, CIRCLE, [0.0, 0.25])
         assert errs[(0.25, 0)] <= max_dist**0.25 * errs[(0.0, 0)] * (1.0 + 1e-12)
+
+
+@st.composite
+def grid_circles(draw):
+    """A grid with n in {4, 8, 16} and a circle inside the unit box that is
+    generic, passes through the grid vertex nearest its centre, or is tangent
+    to the grid line nearest its centre."""
+    n = draw(st.sampled_from([4, 8, 16]))
+    center = np.array([draw(st.floats(0.2, 0.8)), draw(st.floats(0.2, 0.8))])
+    kind = draw(st.sampled_from(["generic", "vertex", "tangent"]))
+    if kind == "generic":
+        radius = draw(st.floats(0.01, 0.19))
+    elif kind == "vertex":
+        radius = float(np.linalg.norm(np.round(center * n) / n - center))
+    else:
+        axis = draw(st.integers(0, 1))
+        radius = abs(round(center[axis] * n) / n - center[axis])
+    assume(0.01 <= radius < min(np.min(center), np.min(1.0 - center)) - 1e-9)
+    return build_uniform_mesh(2, n), SphericalInterface(center, radius)
+
+
+class TestCellBatches:
+    """Unit integrands through the plain and cut-cell quadrature batches."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_circles(), st.data())
+    def test_unit_integrands_on_degenerate_circles(self, mesh_circle, data):
+        mesh, circle = mesh_circle
+        assert weight_integral(circle, 0.0, mesh) == pytest.approx(1.0, abs=1e-13)
+        cells = sorted(data.draw(st.sets(st.integers(0, mesh.n_cells - 1), min_size=1)))
+        space = FeSpace(mesh, 1)
+        errs = weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), circle,
+                               [0.0], cell_ids=cells)
+        expected = math.sqrt(len(cells) * mesh.edge ** mesh.dim)
+        assert errs[(0.0, 0)] == pytest.approx(expected, rel=1e-13)
+        assert errs[(0.0, 1)] == 0.0
 
 
 class TestWeightIntegral:
@@ -196,8 +233,8 @@ class TestDiscreteNorm:
         coeffs = rng.standard_normal(space.n_dofs)
         value = discrete_norm(space, coeffs, cls, 0.0)
         # independent path: weighted error of u_h against the zero field
-        params = WeightedNormParams(alpha=0.0, m=0)
-        plain_l2 = weighted_error(space, coeffs, ConstantField(0.0), CIRCLE, params)
+        plain_l2 = weighted_errors(space, coeffs, ConstantField(0.0), CIRCLE,
+                                   [0.0])[(0.0, 0)]
         assert value == pytest.approx(plain_l2, abs=1e-12)
 
     def test_zero_function(self):

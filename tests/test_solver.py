@@ -93,3 +93,6 @@ def test_rejects_bad_arguments():
         cg_solve(matrix, np.ones(3), tol=0.0)
     with pytest.raises(ValueError):
         cg_solve(matrix, np.ones(3), preconditioner="ilu")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            cg_solve(matrix, np.array([1.0, bad, 0.0]))
