@@ -13,7 +13,7 @@ import sys
 from .study import ConfigError, StudyConfig, StudyError, emit_table, run_study
 
 _INT_KEYS = ("dim", "min_exp", "max_exp", "degree", "quad_points", "cut_depth")
-_FLOAT_KEYS = ("sigma", "cg_tol", "radius")
+_FLOAT_KEYS = ("cg_tol", "radius")
 _FLOAT_TUPLE_KEYS = ("alphas", "center")
 _STR_KEYS = ("fmt", "out")
 
@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alphas", type=_float_tuple,
                         help="comma list of weight exponents in [0, 0.5)")
     parser.add_argument("--degree", type=int, help="polynomial degree (default 1)")
-    parser.add_argument("--sigma", type=float,
-                        help="layer width factor (default sqrt(dim))")
     parser.add_argument("--cg-tol", type=float, dest="cg_tol",
                         help="relative CG tolerance (default 1e-10)")
     parser.add_argument("--quad-points", type=int, dest="quad_points",

@@ -18,6 +18,11 @@ from .quadrature import gauss_rule, split_cut_cell
 from .space import FeSpace
 
 
+#: uncut cells per quadrature batch of the error pass; bounds the number of
+#: points, and so the memory, one batch holds on fine grids
+PLAIN_BATCH_CELLS = 4096
+
+
 def default_cut_depth(dim: int) -> int:
     # bisecting a cut cell costs O(2^((dim-1)*depth)) leaves, so 3D uses a
     # shallower default; the mis-attributed sliver shrinks like 2^-depth and
@@ -120,19 +125,21 @@ def _cell_batches(mesh: Mesh, interface, rule, cut_depth: int | None, cells):
 
     The cells of a batch share one rule on the reference cell [0, 1]^dim;
     ``side`` tags every point, cell by cell.  Cells the surface misses come
-    first, as one batch on ``rule`` with the side of each cell centre; then
-    every cut cell is a batch of its own, split by ``split_cut_cell``.  The
-    round trip of a split rule through reference coordinates is exact when
-    the edge is a power of two, as in every study.
+    first, in batches of at most ``PLAIN_BATCH_CELLS`` cells on ``rule`` with
+    the side of each cell centre; then every cut cell is a batch of its own,
+    split by ``split_cut_cell``.  The round trip of a split rule through
+    reference coordinates is exact when the edge is a power of two, as in
+    every study.
     """
     if cut_depth is None:
         cut_depth = default_cut_depth(mesh.dim)
     low = mesh.cell_lows[cells]
     cut = interface.cuts_box(low, low + mesh.edge)
     plain = cells[~cut]
-    if plain.size:
-        centres = mesh.cell_lows[plain] + 0.5 * mesh.edge
-        yield plain, rule.points, rule.weights, np.repeat(interface.side(centres), rule.n_points)
+    for start in range(0, plain.size, PLAIN_BATCH_CELLS):
+        block = plain[start:start + PLAIN_BATCH_CELLS]
+        centres = mesh.cell_lows[block] + 0.5 * mesh.edge
+        yield block, rule.points, rule.weights, np.repeat(interface.side(centres), rule.n_points)
     for k in np.nonzero(cut)[0]:
         split = split_cut_cell(low[k], mesh.edge, interface, rule, cut_depth)
         pts, w, side = split.points_weights()

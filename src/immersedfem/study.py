@@ -4,7 +4,6 @@ the records as CSV or markdown tables."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .assembly import apply_dirichlet, assemble_interface_load, assemble_stiffness
@@ -12,7 +11,7 @@ from .geometry import SphericalInterface, immersed_quadrature
 from .mesh import build_uniform_mesh
 from .norms import (ConvergenceRecord, eoc, layer_source_strength, reference_solution,
                     weighted_errors)
-from .solver import cg_solve
+from .solver import cg_solve, multigrid_preconditioner
 from .space import FeSpace
 
 CSV_HEADER = ("dim,n_cells_per_axis,h,n_dofs,alpha,"
@@ -32,8 +31,8 @@ class StudyConfig:
     """Parameters of a convergence study over meshes n_c = 2^min_exp ... 2^max_exp.
 
     Unset fields fall back to dimension-dependent defaults: levels 8..256 in
-    2D and 4..32 in 3D, sigma = sqrt(dim), error quadrature of degree + 3
-    points per axis, and the dimension's cut-cell bisection depth.
+    2D and 4..32 in 3D, error quadrature of degree + 3 points per axis, and
+    the dimension's cut-cell bisection depth.
     """
 
     dim: int = 2
@@ -41,7 +40,6 @@ class StudyConfig:
     max_exp: int | None = None
     alphas: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.49)
     degree: int = 1
-    sigma: float | None = None
     cg_tol: float = 1e-10
     quad_points: int | None = None
     cut_depth: int | None = None
@@ -69,10 +67,6 @@ class StudyConfig:
         self.alphas = alphas
         if self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
-        if self.sigma is None:
-            self.sigma = math.sqrt(self.dim)
-        if self.sigma <= 0.0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.cg_tol <= 0.0:
             raise ConfigError(f"cg-tol must be positive, got {self.cg_tol}")
         if self.quad_points is not None and self.quad_points < 1:
@@ -97,8 +91,9 @@ def run_study(config: StudyConfig):
 
     Each level assembles the layer-source problem with the constant jump
     density of the reference solution and its trace as Dirichlet data, solves
-    with Jacobi-preconditioned CG, and evaluates both weighted error norms
-    for every exponent.  Raises StudyError if CG fails to converge.
+    with CG preconditioned by a geometric multigrid V-cycle, and evaluates
+    both weighted error norms for every exponent.  Raises StudyError if CG
+    fails to converge.
     """
     interface = SphericalInterface(config.center, config.radius)
     exact = reference_solution(interface)
@@ -114,7 +109,7 @@ def run_study(config: StudyConfig):
         load = assemble_interface_load(space, quad, lambda points: density)
         matrix, rhs = apply_dirichlet(stiffness, load, space, exact.value)
         solution, report = cg_solve(matrix, rhs, tol=config.cg_tol,
-                                    preconditioner="jacobi")
+                                    preconditioner=multigrid_preconditioner(matrix, space))
         if not report.converged:
             raise StudyError(
                 f"CG failed at n_c = {n_c}: residual {report.final_relative_residual:.3e} "

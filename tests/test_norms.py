@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
                          classify_cells, discrete_norm, eoc, interpolate,
                          reference_solution, weight_integral, weighted_errors)
+from immersedfem.norms import PLAIN_BATCH_CELLS
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
@@ -186,6 +187,17 @@ class TestCellBatches:
         expected = math.sqrt(len(cells) * mesh.edge ** mesh.dim)
         assert errs[(0.0, 0)] == pytest.approx(expected, rel=1e-13)
         assert errs[(0.0, 1)] == 0.0
+
+    def test_unit_integrand_over_several_plain_batches(self):
+        mesh = build_uniform_mesh(2, 128)
+        rng = np.random.default_rng(9)
+        cells = np.sort(rng.choice(mesh.n_cells, size=12000, replace=False))
+        assert cells.size > 2 * PLAIN_BATCH_CELLS
+        space = FeSpace(mesh, 1)
+        errs = weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE,
+                               [0.0], cell_ids=cells)
+        assert errs[(0.0, 0)] == pytest.approx(math.sqrt(cells.size * mesh.edge ** 2),
+                                               rel=1e-13)
 
 
 class TestWeightIntegral:

@@ -14,7 +14,6 @@ class TestConfig:
         cfg = StudyConfig()
         assert cfg.dim == 2
         assert (cfg.min_exp, cfg.max_exp) == (3, 8)
-        assert cfg.sigma == pytest.approx(math.sqrt(2.0))
         assert cfg.center == (0.3, 0.3)
         cfg3 = StudyConfig(dim=3)
         assert (cfg3.min_exp, cfg3.max_exp) == (2, 5)
@@ -175,6 +174,9 @@ class TestCli:
         stale = tmp_path / "stale.cfg"  # the surface rule order is not configurable
         stale.write_text("surface_order = 4\n", encoding="utf-8")
         assert main(["--config", str(stale)]) == 1
+        unused = tmp_path / "unused.cfg"  # the layer width never entered the study
+        unused.write_text("sigma = 1.5\n", encoding="utf-8")
+        assert main(["--config", str(unused)]) == 1
         noisy = tmp_path / "noisy.cfg"
         noisy.write_text("dim 2\n", encoding="utf-8")
         assert main(["--config", str(noisy)]) == 1
