@@ -1,8 +1,8 @@
 """Assembly of the Poisson stiffness form, volume loads, the surface layer
 load that carries the flux-jump data, and symmetric Dirichlet elimination.
 
-All cell loops accumulate in ascending cell-id order, so serial assembly is
-bitwise deterministic.
+Every scatter adds cell contributions in ascending cell-id order, so serial
+assembly is bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ from .geometry import InterfaceQuadrature
 from .mesh import BOX_TOL
 from .quadrature import CellQuadrature, gauss_rule
 from .space import FeSpace
+
+#: surface quadrature points the interface load tabulates at once (more only
+#: when one cell holds more); bounds the memory of its shape tables
+LOAD_CHUNK_POINTS = 16384
 
 
 def default_assembly_rule(space: FeSpace) -> CellQuadrature:
@@ -85,16 +89,23 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
                          f"got shape {fvals.shape}")
     if not np.all(np.isfinite(fvals)):
         raise ValueError("density values must be finite")
-    out = np.zeros(space.n_dofs)
+    # cells with the same number of points are summed together, with the
+    # same matrix product per cell as a cell-by-cell loop, so the load keeps
+    # its bits; one scatter then adds the cells in ascending order
     order = np.argsort(owners, kind="stable")
-    cells, starts = np.unique(owners[order], return_index=True)
-    bounds = np.append(starts, order.size)
-    for k, cell in enumerate(cells):
-        sel = order[bounds[k]:bounds[k + 1]]
-        ref = (pts[sel] - mesh.cell_lows[cell]) / mesh.edge
-        values, _ = space.tabulate(ref)
-        out[space.cell_dofs[cell]] += (w[sel] * fvals[sel]) @ values
-    return out
+    cells, starts, counts = np.unique(owners[order], return_index=True, return_counts=True)
+    scaled = w * fvals
+    local = np.empty((cells.size, space.cell_dofs.shape[1]))
+    for k in np.unique(counts):
+        same = np.nonzero(counts == k)[0]
+        step = max(1, LOAD_CHUNK_POINTS // k)
+        for first in range(0, same.size, step):
+            group = same[first:first + step]
+            idx = order[starts[group][:, None] + np.arange(k)]  # (cells, k) point ids
+            values, _ = space.tabulate((pts[idx] - low[idx]) / mesh.edge)
+            local[group] = (scaled[idx][:, None, :] @ values)[:, 0]
+    return np.bincount(space.cell_dofs[cells].ravel(), weights=local.ravel(),
+                       minlength=space.n_dofs)
 
 
 def apply_dirichlet(matrix: sp.csr_matrix, rhs: np.ndarray, space: FeSpace, g):

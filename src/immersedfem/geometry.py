@@ -19,6 +19,15 @@ from .quadrature import gauss_points_1d
 DEFAULT_SURFACE_ORDER = 4
 
 
+def _length(vectors) -> np.ndarray:
+    """Euclidean length over the last axis: squared components summed in axis
+    order, then the root; bitwise equal to ``np.linalg.norm(v, axis=-1)``."""
+    squares = vectors[..., 0] ** 2
+    for axis in range(1, vectors.shape[-1]):
+        squares = squares + vectors[..., axis] ** 2
+    return np.sqrt(squares)
+
+
 class SphericalInterface:
     """Circle (2D) or sphere (3D) with centre ``c`` and radius ``R``.
 
@@ -65,14 +74,13 @@ class SphericalInterface:
     def distance(self, points) -> np.ndarray | float:
         """Exact distance from ``points`` (shape (..., dim)) to the surface."""
         points = np.asarray(points, dtype=float)
-        rho = np.linalg.norm(points - self.center, axis=-1)
-        return np.abs(rho - self.radius)
+        return np.abs(_length(points - self.center) - self.radius)
 
     def normal(self, points) -> np.ndarray:
         """Unit outward normal (pointing away from the enclosed region)."""
         points = np.asarray(points, dtype=float)
         r = points - self.center
-        rho = np.linalg.norm(r, axis=-1, keepdims=True)
+        rho = _length(r)[..., None]
         if np.any(rho == 0.0):
             raise ValueError("normal direction undefined at the centre")
         return r / rho
@@ -80,8 +88,7 @@ class SphericalInterface:
     def side(self, points) -> np.ndarray:
         """Vectorised sign test: -1 inside, +1 outside (ties count outside)."""
         points = np.asarray(points, dtype=float)
-        rho = np.linalg.norm(points - self.center, axis=-1)
-        return np.where(rho < self.radius, -1, 1)
+        return np.where(_length(points - self.center) < self.radius, -1, 1)
 
     def center_distance_range_over_box(self, low, high):
         """Range of |x - c| over axis-aligned boxes [low, high].
@@ -92,9 +99,8 @@ class SphericalInterface:
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
         nearest = np.clip(self.center, low, high)
-        t_min = np.linalg.norm(nearest - self.center, axis=-1)
-        farthest = np.maximum(np.abs(low - self.center), np.abs(high - self.center))
-        t_max = np.linalg.norm(farthest, axis=-1)
+        t_min = _length(nearest - self.center)
+        t_max = _length(np.maximum(np.abs(low - self.center), np.abs(high - self.center)))
         return t_min, t_max
 
     def distance_range_over_box(self, low, high):

@@ -1,9 +1,12 @@
 """Distance-weighted error norms and empirical convergence orders.
 
 The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
-to the interface.  Cells crossed by the interface are integrated with a
-recursively split rule whose sub-boxes carry a side tag, so the piecewise
-exact solution is always evaluated on a single branch per quadrature point.
+to the interface.  They are integrated over boxes that all carry one tensor
+rule: every cell the interface misses is a box, and every cell it crosses is
+bisected into sub-boxes that carry a side tag, so the piecewise exact solution
+is always evaluated on a single branch per quadrature point.  On a sub-box the
+FE function is the cell polynomial restricted to it, so the shape functions
+are tabulated once, on the reference rule.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _length
 from .mesh import Mesh, CellClassification
 from .quadrature import gauss_rule, split_cut_cell
 from .space import FeSpace
 
 
-#: uncut cells per quadrature batch of the error pass; bounds the number of
-#: points, and so the memory, one batch holds on fine grids
+#: boxes per quadrature batch of the error pass; bounds the number of points,
+#: and so the memory, one batch holds on fine grids
 PLAIN_BATCH_CELLS = 4096
 
 
@@ -57,7 +61,7 @@ class RadialSolution:
     def values(self, points, side=None) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         outer = self._outer_mask(points, side)
-        rho = np.linalg.norm(points - self.interface.center, axis=-1)
+        rho = _length(points - self.interface.center)
         out = np.full(points.shape[0], self._inner_value)
         out[outer] = self._outer_value(rho[outer])
         return out
@@ -66,7 +70,7 @@ class RadialSolution:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         outer = self._outer_mask(points, side)
         r = points - self.interface.center
-        rho = np.linalg.norm(r, axis=-1)
+        rho = _length(r)
         grad = np.zeros_like(points)
         grad[outer] = (self._outer_slope(rho[outer]) / rho[outer])[:, None] * r[outer]
         return grad
@@ -121,15 +125,14 @@ class ConvergenceRecord:
 
 
 def _cell_batches(mesh: Mesh, interface, rule, cut_depth: int | None, cells):
-    """Quadrature batches ``(cells, ref_points, ref_weights, side)`` over ``cells``.
+    """Integration boxes ``(cells, lows, sizes, sides)`` over ``cells``.
 
-    The cells of a batch share one rule on the reference cell [0, 1]^dim;
-    ``side`` tags every point, cell by cell.  Cells the surface misses come
-    first, in batches of at most ``PLAIN_BATCH_CELLS`` cells on ``rule`` with
-    the side of each cell centre; then every cut cell is a batch of its own,
-    split by ``split_cut_cell``.  The round trip of a split rule through
-    reference coordinates is exact when the edge is a power of two, as in
-    every study.
+    Every entry is one box: its cell, low corner, edge length and side tag.
+    All boxes carry ``rule`` scaled to the box, so its points are
+    ``low + size * rule.points``.  Cells the surface misses come first, each
+    a box of edge ``mesh.edge`` with the side of its centre; then the leaves
+    of every cut cell, split together by one ``split_cut_cell`` call.  Both
+    come in blocks of at most ``PLAIN_BATCH_CELLS`` boxes.
     """
     if cut_depth is None:
         cut_depth = default_cut_depth(mesh.dim)
@@ -138,19 +141,16 @@ def _cell_batches(mesh: Mesh, interface, rule, cut_depth: int | None, cells):
     plain = cells[~cut]
     for start in range(0, plain.size, PLAIN_BATCH_CELLS):
         block = plain[start:start + PLAIN_BATCH_CELLS]
-        centres = mesh.cell_lows[block] + 0.5 * mesh.edge
-        yield block, rule.points, rule.weights, np.repeat(interface.side(centres), rule.n_points)
-    for k in np.nonzero(cut)[0]:
-        split = split_cut_cell(low[k], mesh.edge, interface, rule, cut_depth)
-        pts, w, side = split.points_weights()
-        yield cells[k:k + 1], (pts - low[k]) / mesh.edge, w / mesh.edge ** mesh.dim, side
-
-
-def _batch_points(mesh: Mesh, cells, ref_points, ref_weights):
-    """Physical points and weights of a batch, cell by cell."""
-    pts = mesh.cell_lows[cells][:, None, :] + mesh.edge * ref_points[None, :, :]
-    w = np.tile(ref_weights, cells.size) * mesh.edge ** mesh.dim
-    return pts.reshape(-1, mesh.dim), w
+        lows = mesh.cell_lows[block]
+        yield (block, lows, np.full(block.size, mesh.edge),
+               interface.side(lows + 0.5 * mesh.edge))
+    if not np.any(cut):
+        return
+    split = split_cut_cell(low[cut], mesh.edge, interface, rule, cut_depth)
+    owners = cells[cut][split.parent]
+    for start in range(0, split.n_leaves, PLAIN_BATCH_CELLS):
+        block = slice(start, start + PLAIN_BATCH_CELLS)
+        yield owners[block], split.lows[block], split.sizes[block], split.sides[block]
 
 
 def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
@@ -169,16 +169,22 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
     mesh = space.mesh
     coeffs = np.asarray(coeffs, dtype=float)
     q = quad_points if quad_points is not None else default_norm_points(space.degree)
+    rule = gauss_rule(mesh.dim, q)
+    values, grads = space.tabulate(rule.points)
+    # (n_loc, n_q * dim): one product gives every reference gradient of a box
+    grads = grads.transpose(1, 0, 2).reshape(grads.shape[1], -1)
     cells = np.arange(mesh.n_cells) if cell_ids is None else np.asarray(cell_ids, dtype=int)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
-    for batch, ref, ref_w, side in _cell_batches(mesh, interface, gauss_rule(mesh.dim, q),
-                                                 cut_depth, cells):
-        pts, w = _batch_points(mesh, batch, ref, ref_w)
-        values, grads = space.tabulate(ref)
+    for batch, lows, sizes, side in _cell_batches(mesh, interface, rule, cut_depth, cells):
+        pts, w = rule.on_boxes(lows, sizes)
         local = coeffs[space.cell_dofs[batch]]
+        if np.any(sizes != mesh.edge):
+            local = space.restrict(local, (lows - mesh.cell_lows[batch]) / mesh.edge,
+                                   sizes / mesh.edge)
         uh = (local @ values.T).ravel()
-        guh = np.einsum("cj,qjk->cqk", local, grads).reshape(-1, mesh.dim) / mesh.edge
-        _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh)
+        guh = ((local @ grads) / sizes[:, None]).reshape(-1, mesh.dim)
+        _accumulate(acc, alphas, interface, exact, pts, w, np.repeat(side, rule.n_points),
+                    uh, guh)
     return {key: math.sqrt(value) for key, value in acc.items()}
 
 
@@ -199,10 +205,11 @@ def weight_integral(interface, alpha: float, mesh: Mesh,
     """Integral of the weight d(x)^(2*alpha) over the unit box (diagnostic)."""
     if 2.0 * alpha <= -1.0:
         raise ValueError(f"weight exponent 2*alpha must exceed -1, got {2 * alpha}")
+    rule = gauss_rule(mesh.dim, quad_points)
     total = 0.0
-    for batch, ref, ref_w, _ in _cell_batches(mesh, interface, gauss_rule(mesh.dim, quad_points),
-                                              cut_depth, np.arange(mesh.n_cells)):
-        pts, w = _batch_points(mesh, batch, ref, ref_w)
+    for _, lows, sizes, _ in _cell_batches(mesh, interface, rule, cut_depth,
+                                           np.arange(mesh.n_cells)):
+        pts, w = rule.on_boxes(lows, sizes)
         total += float(np.sum(w * np.power(interface.distance(pts), 2.0 * alpha)))
     return total
 

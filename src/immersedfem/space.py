@@ -41,25 +41,27 @@ def shape_eval(degree: int, ref_points):
 
     The basis is the tensor product of 1D Lagrange polynomials on equispaced
     nodes, ordered lexicographically with the first axis fastest; values sum
-    to one and gradients sum to zero at every point.
+    to one and gradients sum to zero at every point.  Both are products of 1D
+    tables gathered per local dof: values multiply the axes in ascending
+    order, and the gradient along axis k takes the derivative factor first,
+    then the other axes in ascending order.
     """
     ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
     dim = ref_points.shape[-1]
-    vals1d, ders1d = zip(*(_lagrange_1d(degree, ref_points[..., k]) for k in range(dim)))
-    n1 = degree + 1
-    n_loc = n1 ** dim
-    local = _lattice(n1, dim).astype(int)  # (n_loc, dim), first axis fastest
-    values = np.ones(ref_points.shape[:-1] + (n_loc,))
-    grads = np.zeros(ref_points.shape[:-1] + (n_loc, dim))
-    for j in range(n_loc):
-        for k in range(dim):
-            values[..., j] = values[..., j] * vals1d[k][..., local[j, k]]
-        for k in range(dim):
-            g = ders1d[k][..., local[j, k]]
-            for other in range(dim):
-                if other != k:
-                    g = g * vals1d[other][..., local[j, other]]
-            grads[..., j, k] = g
+    local = _lattice(degree + 1, dim).astype(int)  # (n_loc, dim), first axis fastest
+    vals, ders = zip(*(_lagrange_1d(degree, ref_points[..., k]) for k in range(dim)))
+    tables = [vals[k][..., local[:, k]] for k in range(dim)]
+    # C order: the layout decides how BLAS sums the products callers form
+    values = np.ones(ref_points.shape[:-1] + (local.shape[0],))
+    for table in tables:
+        values *= table
+    grads = np.empty(values.shape + (dim,))
+    for k in range(dim):
+        g = ders[k][..., local[:, k]]
+        for other in range(dim):
+            if other != k:
+                g = g * tables[other]
+        grads[..., k] = g
     return values, grads
 
 
@@ -96,6 +98,23 @@ class FeSpace:
     def tabulate(self, ref_points):
         """Shape values/gradients of this space at reference points."""
         return shape_eval(self.degree, ref_points)
+
+    def restrict(self, local, offsets, scales) -> np.ndarray:
+        """Coefficients (m, n_loc) of cell polynomials ``local`` restricted to
+        the sub-boxes ``offsets[b] + scales[b] * [0, 1]^dim`` of their cells'
+        reference coordinates: the values at the sub-box nodes, exact for
+        Q^degree, as a Kronecker product of 1D restriction matrices."""
+        offsets = np.asarray(offsets, dtype=float)
+        scales = np.asarray(scales, dtype=float)
+        dim = offsets.shape[1]
+        idx = _lattice(self.degree + 1, dim).astype(int)
+        nodes = np.arange(self.degree + 1) / self.degree
+        restriction = 1.0
+        for k in range(dim):
+            # (m, node, basis): 1D basis at the sub-box nodes along axis k
+            r1d, _ = _lagrange_1d(self.degree, offsets[:, k, None] + scales[:, None] * nodes)
+            restriction = restriction * r1d[:, idx[:, k, None], idx[None, :, k]]
+        return np.einsum("bji,bi->bj", restriction, local)
 
     def evaluate(self, coeffs, points) -> np.ndarray:
         """FE function values at arbitrary points of the unit box."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from immersedfem import assembly
 from immersedfem import (FeSpace, InterfaceQuadrature, SphericalInterface,
                          apply_dirichlet, assemble_interface_load, assemble_stiffness,
                          assemble_volume_load, build_uniform_mesh, cg_solve,
@@ -147,6 +148,36 @@ class TestInterfaceLoad:
                                   owner_cell=np.array([0]))
         with pytest.raises(ValueError, match="owner cell"):
             assemble_interface_load(space, far, lambda y: 1.0)
+
+    @pytest.mark.parametrize("interface, n, degree", [
+        (CIRCLE, 16, 1), (CIRCLE, 8, 3), (SPHERE, 4, 1), (SPHERE, 4, 2)])
+    def test_scatter_matches_owner_cell_loop(self, interface, n, degree):
+        # oracle: tabulate each owner cell's points and add its local vector
+        mesh = build_uniform_mesh(interface.dim, n)
+        space = FeSpace(mesh, degree)
+        quad = immersed_quadrature(interface, mesh)
+        density = lambda y: 1.0 + y[:, 0] ** 2  # noqa: E731
+        want = np.zeros(space.n_dofs)
+        f = density(quad.points)
+        for cell in np.unique(quad.owner_cell):
+            sel = quad.owner_cell == cell
+            values, _ = space.tabulate((quad.points[sel] - mesh.cell_lows[cell]) / mesh.edge)
+            want[space.cell_dofs[cell]] += (quad.weights[sel] * f[sel]) @ values
+        got = assemble_interface_load(space, quad, density)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # serial runs are deterministic down to the last bit
+        assert got.tobytes() == assemble_interface_load(space, quad, density).tobytes()
+
+    def test_chunk_size_does_not_change_the_load(self, monkeypatch):
+        # each cell is summed on its own, so splitting the tabulation into
+        # chunks of a few cells leaves every bit of the load in place
+        mesh = build_uniform_mesh(2, 16)
+        space = FeSpace(mesh, 2)
+        quad = immersed_quadrature(CIRCLE, mesh)
+        whole = assemble_interface_load(space, quad, lambda y: 1.0 + y[:, 1])
+        monkeypatch.setattr(assembly, "LOAD_CHUNK_POINTS", 8)
+        chunked = assemble_interface_load(space, quad, lambda y: 1.0 + y[:, 1])
+        assert chunked.tobytes() == whole.tobytes()
 
     def test_locality(self):
         # nonzeros are exactly the dofs of cells carrying surface quadrature;

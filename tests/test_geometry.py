@@ -16,6 +16,20 @@ class TestInterface:
         assert CIRCLE.distance(on_surface) == pytest.approx(0.0, abs=1e-15)
         assert CIRCLE.distance([0.7, 0.3]) == pytest.approx(0.2, abs=1e-15)
 
+    @pytest.mark.parametrize("interface", [CIRCLE, SPHERE])
+    def test_radius_bitwise_equal_to_linalg_norm(self, interface):
+        rng = np.random.default_rng(interface.dim)
+        pts = rng.uniform(0.0, 1.0, size=(1000, interface.dim))
+        rho = np.linalg.norm(pts - interface.center, axis=-1)
+        assert np.array_equal(interface.distance(pts), np.abs(rho - interface.radius))
+        assert np.array_equal(interface.side(pts), np.where(rho < interface.radius, -1, 1))
+        low, high = pts, pts + rng.uniform(0.0, 0.1, size=pts.shape)
+        t_min, t_max = interface.center_distance_range_over_box(low, high)
+        nearest = np.clip(interface.center, low, high)
+        farthest = np.maximum(np.abs(low - interface.center), np.abs(high - interface.center))
+        assert np.array_equal(t_min, np.linalg.norm(nearest - interface.center, axis=-1))
+        assert np.array_equal(t_max, np.linalg.norm(farthest, axis=-1))
+
     def test_normal_examples(self):
         assert np.allclose(CIRCLE.normal([0.5, 0.3]), [1.0, 0.0])
         assert np.allclose(CIRCLE.normal([0.3, 0.1]), [0.0, -1.0])

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
-                         classify_cells, discrete_norm, eoc, interpolate,
-                         reference_solution, weight_integral, weighted_errors)
+                         classify_cells, discrete_norm, eoc, gauss_rule, interpolate,
+                         reference_solution, split_cut_cell, weight_integral,
+                         weighted_errors)
 from immersedfem.norms import PLAIN_BATCH_CELLS
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -290,3 +291,54 @@ class TestEoc:
 
     def test_zero_error_yields_absent_rate(self):
         assert eoc([(0.5, 0.4), (0.25, 0.0)]) == [None]
+
+
+def brute_force_errors(space, coeffs, exact, interface, alphas, q, depth, cells):
+    """Weighted errors summed point by point: every cell on the tensor rule,
+    every cut cell split on its own, the FE function from ``FeSpace.evaluate``
+    and ``evaluate_gradient`` at physical points (test oracle)."""
+    mesh = space.mesh
+    rule = gauss_rule(mesh.dim, q)
+    acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
+    for cell in cells:
+        low = mesh.cell_lows[cell]
+        if interface.cuts_box(low, low + mesh.edge):
+            pts, w, side = split_cut_cell(low, mesh.edge, interface, rule, depth).points_weights()
+        else:
+            pts = low + mesh.edge * rule.points
+            w = rule.weights * mesh.edge ** mesh.dim
+            side = np.repeat(interface.side(low + 0.5 * mesh.edge), rule.n_points)
+        e0 = exact.values(pts, side=side) - space.evaluate(coeffs, pts)
+        e1 = exact.gradients(pts, side=side) - space.evaluate_gradient(coeffs, pts)
+        d = interface.distance(pts)
+        for a in alphas:
+            acc[(a, 0)] += float(np.sum(w * d ** (2 * a) * e0**2))
+            acc[(a, 1)] += float(np.sum(w * d ** (2 * a) * np.sum(e1**2, axis=-1)))
+    return {key: math.sqrt(value) for key, value in acc.items()}
+
+
+class TestErrorPassOracle:
+    """The box pass, with cut-cell coefficients restricted to each leaf,
+    against point-by-point evaluation of the FE function."""
+
+    @pytest.mark.parametrize("dim, degree, n, depth", [
+        (2, 1, 8, 6), (2, 2, 8, 6), (2, 3, 8, 6), (2, 1, 6, 6), (2, 2, 6, 5),
+        (3, 1, 4, 3), (3, 2, 4, 3), (3, 1, 6, 3),
+    ])
+    def test_matches_pointwise_evaluation(self, dim, degree, n, depth):
+        interface = SphericalInterface((0.3,) * dim, 0.2)
+        exact = reference_solution(interface)
+        space = FeSpace(build_uniform_mesh(dim, n), degree)
+        rng = np.random.default_rng(10 * dim + degree + n)
+        coeffs = rng.standard_normal(space.n_dofs)
+        alphas = [0.0, 0.3, -0.4]
+        q = degree + 3
+        subset = np.sort(rng.choice(space.mesh.n_cells, size=space.mesh.n_cells // 2,
+                                    replace=False))
+        for cell_ids in (None, subset):
+            cells = np.arange(space.mesh.n_cells) if cell_ids is None else subset
+            got = weighted_errors(space, coeffs, exact, interface, alphas,
+                                  cut_depth=depth, cell_ids=cell_ids)
+            want = brute_force_errors(space, coeffs, exact, interface, alphas, q, depth, cells)
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key

@@ -135,3 +135,26 @@ class TestSplitCutCell:
                     inside = np.linalg.norm(pts - SPHERE.center, axis=1) < SPHERE.radius
                     volume += float(np.sum(w[inside]))
         assert volume == pytest.approx(4.0 / 3.0 * math.pi * 0.2**3, abs=1e-4)
+
+
+class TestBatchedSplit:
+    @pytest.mark.parametrize("interface, n", [(CIRCLE, 8), (CIRCLE, 6), (SPHERE, 4)])
+    def test_matches_one_cell_at_a_time(self, interface, n):
+        # every cell of the grid, cut or not, split in one call and one by one
+        dim = interface.dim
+        ticks = np.arange(n) / n
+        lows = np.stack(np.meshgrid(*([ticks] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+        rule = gauss_rule(dim, 2)
+        depth = 5 if dim == 2 else 3
+        batch = split_cut_cell(lows, 1.0 / n, interface, rule, depth)
+        assert np.all(np.diff(batch.parent) >= 0)
+        assert np.count_nonzero(batch.cut) > 0
+        total = 0
+        for k, low in enumerate(lows):
+            single = split_cut_cell(low, 1.0 / n, interface, rule, depth)
+            mine = batch.parent == k
+            assert np.array_equal(single.parent, np.zeros(single.n_leaves, dtype=int))
+            for field in ("lows", "sizes", "sides", "cut"):
+                assert np.array_equal(getattr(batch, field)[mine], getattr(single, field)), field
+            total += single.n_leaves
+        assert batch.n_leaves == total

@@ -6,12 +6,49 @@ import pytest
 from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
                          classify_cells, interpolate, interpolate_outside_layer,
                          reference_solution, shape_eval, weighted_errors)
+from immersedfem.mesh import _lattice
+from immersedfem.space import _lagrange_1d
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
 
 
+def loop_shape_eval(degree, ref_points):
+    """Shape values and gradients built one local dof at a time, factor by
+    factor: values multiply the axes in ascending order, the gradient along
+    axis k takes the derivative factor first (test oracle)."""
+    ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
+    dim = ref_points.shape[-1]
+    vals1d, ders1d = zip(*(_lagrange_1d(degree, ref_points[..., k]) for k in range(dim)))
+    local = _lattice(degree + 1, dim).astype(int)
+    values = np.ones(ref_points.shape[:-1] + (local.shape[0],))
+    grads = np.zeros(ref_points.shape[:-1] + (local.shape[0], dim))
+    for j in range(local.shape[0]):
+        for k in range(dim):
+            values[..., j] = values[..., j] * vals1d[k][..., local[j, k]]
+        for k in range(dim):
+            g = ders1d[k][..., local[j, k]]
+            for other in range(dim):
+                if other != k:
+                    g = g * vals1d[other][..., local[j, other]]
+            grads[..., j, k] = g
+    return values, grads
+
+
 class TestShapeFunctions:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_bitwise_equal_to_loop_oracle(self, dim, degree):
+        nodes = _lattice(degree + 1, dim) / degree
+        random = np.random.default_rng(dim * degree).uniform(0.0, 1.0, size=(50, dim))
+        for pts in (nodes, random, random.reshape(5, 10, dim)):
+            values, grads = shape_eval(degree, pts)
+            want_values, want_grads = loop_shape_eval(degree, pts)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(grads, want_grads)
+            # the memory order decides how BLAS sums products with these tables
+            assert values.flags.c_contiguous and grads.flags.c_contiguous
+
     def test_q1_kronecker_at_corner(self):
         values, _ = shape_eval(1, [[0.0, 0.0]])
         assert np.allclose(values[0], [1.0, 0.0, 0.0, 0.0])
@@ -38,6 +75,24 @@ class TestShapeFunctions:
 
 
 class TestFeSpace:
+    @pytest.mark.parametrize("dim, degree", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_restriction_reproduces_cell_polynomial(self, dim, degree):
+        # on the sub-box offset + scale * [0,1]^dim the restricted coefficients
+        # give the same values as the cell coefficients at the mapped points
+        space = FeSpace(build_uniform_mesh(dim, 2), degree)
+        rng = np.random.default_rng(3 + dim + degree)
+        local = rng.standard_normal((6, (degree + 1) ** dim))
+        scales = 0.5 ** rng.integers(0, 5, size=6)
+        offsets = rng.uniform(0.0, 1.0, size=(6, dim)) * (1.0 - scales)[:, None]
+        restricted = space.restrict(local, offsets, scales)
+        pts = rng.uniform(0.0, 1.0, size=(20, dim))
+        values, _ = shape_eval(degree, pts)
+        for b in range(6):
+            cell_values, _ = shape_eval(degree, offsets[b] + scales[b] * pts)
+            assert np.allclose(restricted[b] @ values.T, local[b] @ cell_values.T,
+                               rtol=0.0, atol=1e-13)
+        assert np.array_equal(space.restrict(local, np.zeros((6, dim)), np.ones(6)), local)
+
     def test_dof_count(self):
         for degree in (1, 2):
             for n in (2, 4):
