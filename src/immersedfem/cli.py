@@ -12,7 +12,7 @@ import sys
 
 from .study import ConfigError, StudyConfig, StudyError, emit_table, run_study
 
-_INT_KEYS = ("dim", "min_exp", "max_exp", "degree", "quad_points", "cut_depth")
+_INT_KEYS = ("dim", "min_exp", "max_exp", "degree", "quad_points")
 _FLOAT_KEYS = ("cg_tol", "radius")
 _FLOAT_TUPLE_KEYS = ("alphas", "center")
 _STR_KEYS = ("fmt", "out")
@@ -47,11 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of weight exponents in [0, 0.5)")
     parser.add_argument("--degree", type=int, help="polynomial degree (default 1)")
     parser.add_argument("--cg-tol", type=float, dest="cg_tol",
-                        help="relative CG tolerance (default 1e-10)")
+                        help="relative CG tolerance (default 1e-12)")
     parser.add_argument("--quad-points", type=int, dest="quad_points",
-                        help="error-quadrature points per axis (default degree + 3)")
-    parser.add_argument("--cut-depth", type=int, dest="cut_depth",
-                        help="bisection depth on cut cells (default 6 in 2D, 4 in 3D)")
+                        help="error-quadrature points per axis, twice that per piece "
+                             "near the interface (default degree + 3)")
     parser.add_argument("--center", type=_float_tuple,
                         help="interface centre, e.g. 0.3,0.3 (default 0.3 per axis)")
     parser.add_argument("--radius", type=float, help="interface radius (default 0.2)")
@@ -80,6 +79,8 @@ def parse_config_file(path: str) -> dict:
         value = value.strip()
         if key == "format":
             key = "fmt"
+        if key not in _INT_KEYS + _FLOAT_KEYS + _FLOAT_TUPLE_KEYS + _STR_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             if key in _INT_KEYS:
                 values[key] = int(value)
@@ -87,10 +88,8 @@ def parse_config_file(path: str) -> dict:
                 values[key] = float(value)
             elif key in _FLOAT_TUPLE_KEYS:
                 values[key] = _float_tuple(value)
-            elif key in _STR_KEYS:
-                values[key] = value
             else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = value
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
@@ -113,8 +112,12 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

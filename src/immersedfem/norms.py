@@ -1,12 +1,13 @@
 """Distance-weighted error norms and empirical convergence orders.
 
 The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
-to the interface.  They are integrated over boxes that all carry one tensor
-rule: every cell the interface misses is a box, and every cell it crosses is
-bisected into sub-boxes that carry a side tag, so the piecewise exact solution
-is always evaluated on a single branch per quadrature point.  On a sub-box the
-FE function is the cell polynomial restricted to it, so the shape functions
-are tabulated once, on the reference rule.
+to the interface.  Cells farther than one cell width from the interface carry
+one tensor rule, on which the shape functions are tabulated once.  Every other
+cell carries the height-function rule of ``quadrature.split_cut_cell``: its
+pieces never cross the surface and carry a side tag, so the piecewise exact
+solution is always evaluated on a single branch per quadrature point, and
+they are graded toward the surface, where d^(2*alpha) is singular.  The shape
+functions are tabulated at those points in bounded blocks.
 """
 
 from __future__ import annotations
@@ -22,16 +23,10 @@ from .quadrature import gauss_rule, split_cut_cell
 from .space import FeSpace
 
 
-#: boxes per quadrature batch of the error pass; bounds the number of points,
-#: and so the memory, one batch holds on fine grids
+#: cells per quadrature block of the error pass away from the surface, and
+#: points per block near it; they bound the memory one block holds
 PLAIN_BATCH_CELLS = 4096
-
-
-def default_cut_depth(dim: int) -> int:
-    # bisecting a cut cell costs O(2^((dim-1)*depth)) leaves, so 3D uses a
-    # shallower default; the mis-attributed sliver shrinks like 2^-depth and
-    # scales with the same power of h as the layer error itself
-    return 6 if dim == 2 else 4
+NEAR_BATCH_POINTS = 32768
 
 
 def default_norm_points(degree: int) -> int:
@@ -124,44 +119,51 @@ class ConvergenceRecord:
     eoc_h1: float | None = None
 
 
-def _cell_batches(mesh: Mesh, interface, rule, cut_depth: int | None, cells):
-    """Integration boxes ``(cells, lows, sizes, sides)`` over ``cells``.
+def _cell_batches(mesh: Mesh, interface, rule, cells):
+    """Quadrature blocks ``(owners, points, weights, sides, ref)`` over ``cells``.
 
-    Every entry is one box: its cell, low corner, edge length and side tag.
-    All boxes carry ``rule`` scaled to the box, so its points are
-    ``low + size * rule.points``.  Cells the surface misses come first, each
-    a box of edge ``mesh.edge`` with the side of its centre; then the leaves
-    of every cut cell, split together by one ``split_cut_cell`` call.  Both
-    come in blocks of at most ``PLAIN_BATCH_CELLS`` boxes.
+    Cells farther than one cell width from the surface come first, in blocks
+    of ``PLAIN_BATCH_CELLS`` cells on ``rule`` with the side of their centre;
+    ``owners`` lists the cells and ``ref`` is None.  The other cells carry
+    ``split_cut_cell`` with twice the rule's points per piece, as its grading
+    triples the degree of a polynomial integrand, in blocks of at most
+    ``NEAR_BATCH_POINTS`` points; ``owners`` names each point's cell and
+    ``ref`` holds its reference coordinates.
     """
-    if cut_depth is None:
-        cut_depth = default_cut_depth(mesh.dim)
     low = mesh.cell_lows[cells]
-    cut = interface.cuts_box(low, low + mesh.edge)
-    plain = cells[~cut]
+    d_min, _ = interface.distance_range_over_box(low, low + mesh.edge)
+    near = d_min <= mesh.edge
+    plain = cells[~near]
     for start in range(0, plain.size, PLAIN_BATCH_CELLS):
         block = plain[start:start + PLAIN_BATCH_CELLS]
         lows = mesh.cell_lows[block]
-        yield (block, lows, np.full(block.size, mesh.edge),
-               interface.side(lows + 0.5 * mesh.edge))
-    if not np.any(cut):
-        return
-    split = split_cut_cell(low[cut], mesh.edge, interface, rule, cut_depth)
-    owners = cells[cut][split.parent]
-    for start in range(0, split.n_leaves, PLAIN_BATCH_CELLS):
-        block = slice(start, start + PLAIN_BATCH_CELLS)
-        yield owners[block], split.lows[block], split.sizes[block], split.sides[block]
+        pts, w = rule.on_boxes(lows, mesh.edge)
+        sides = np.repeat(interface.side(lows + 0.5 * mesh.edge), rule.n_points)
+        yield block, pts, w, sides, None
+    near = cells[near]
+    points = 2 * rule.points_per_axis
+    step = max(1, NEAR_BATCH_POINTS // points ** mesh.dim)
+    for start in range(0, near.size, step):
+        block = near[start:start + step]
+        parent, pts, w, sides = split_cut_cell(mesh.cell_lows[block], mesh.edge, interface,
+                                               points)
+        owners = block[parent]
+        ref = (pts - mesh.cell_lows[owners]) / mesh.edge
+        for first in range(0, w.size, NEAR_BATCH_POINTS):
+            part = slice(first, first + NEAR_BATCH_POINTS)
+            yield owners[part], pts[part], w[part], sides[part], ref[part]
 
 
 def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
-                    quad_points: int | None = None, cut_depth: int | None = None,
-                    cell_ids=None) -> dict:
+                    quad_points: int | None = None, cell_ids=None) -> dict:
     """Weighted L2 and H1-seminorm errors for several exponents at once.
 
     Returns {(alpha, m): error} for m in {0, 1}, each alpha in (-1/2, 1/2).
     The quadrature samples and distances are computed once and reused across
-    exponents.  ``cell_ids`` restricts the integration to a subset of cells
-    (broken norms).
+    exponents.  ``quad_points`` is the tensor rule's points per axis on cells
+    away from the surface; cells near it take twice as many per piece.
+    ``cell_ids`` restricts the integration to a subset of cells (broken
+    norms).
     """
     alphas = [float(a) for a in alphas]
     for a in alphas:
@@ -171,20 +173,20 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
     q = quad_points if quad_points is not None else default_norm_points(space.degree)
     rule = gauss_rule(mesh.dim, q)
     values, grads = space.tabulate(rule.points)
-    # (n_loc, n_q * dim): one product gives every reference gradient of a box
+    # (n_loc, n_q * dim): one product gives every reference gradient of a cell
     grads = grads.transpose(1, 0, 2).reshape(grads.shape[1], -1)
     cells = np.arange(mesh.n_cells) if cell_ids is None else np.asarray(cell_ids, dtype=int)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
-    for batch, lows, sizes, side in _cell_batches(mesh, interface, rule, cut_depth, cells):
-        pts, w = rule.on_boxes(lows, sizes)
-        local = coeffs[space.cell_dofs[batch]]
-        if np.any(sizes != mesh.edge):
-            local = space.restrict(local, (lows - mesh.cell_lows[batch]) / mesh.edge,
-                                   sizes / mesh.edge)
-        uh = (local @ values.T).ravel()
-        guh = ((local @ grads) / sizes[:, None]).reshape(-1, mesh.dim)
-        _accumulate(acc, alphas, interface, exact, pts, w, np.repeat(side, rule.n_points),
-                    uh, guh)
+    for owners, pts, w, sides, ref in _cell_batches(mesh, interface, rule, cells):
+        local = coeffs[space.cell_dofs[owners]]
+        if ref is None:
+            uh = (local @ values.T).ravel()
+            guh = ((local @ grads) / mesh.edge).reshape(-1, mesh.dim)
+        else:
+            at_values, at_grads = space.tabulate(ref)
+            uh = np.einsum("pj,pj->p", at_values, local)
+            guh = np.einsum("pj,pjk->pk", local, at_grads) / mesh.edge
+        _accumulate(acc, alphas, interface, exact, pts, w, sides, uh, guh)
     return {key: math.sqrt(value) for key, value in acc.items()}
 
 
@@ -195,22 +197,24 @@ def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
     we1 = w * np.sum(e1**2, axis=-1)
     d = interface.distance(pts)
     for a in alphas:
-        weight = np.power(d, 2.0 * a) if a != 0.0 else 1.0
+        weight = _distance_weight(d, a) if a != 0.0 else 1.0
         acc[(a, 0)] += float(np.sum(we0 * weight))
         acc[(a, 1)] += float(np.sum(we1 * weight))
 
 
-def weight_integral(interface, alpha: float, mesh: Mesh,
-                    quad_points: int = 4, cut_depth: int | None = None) -> float:
+def _distance_weight(d, alpha: float) -> np.ndarray:
+    """d^(2 alpha), 0 where d rounds to zero (only at pieces of rounding size)."""
+    return np.power(d, 2.0 * alpha, out=np.zeros_like(d), where=d > 0.0)
+
+
+def weight_integral(interface, alpha: float, mesh: Mesh, quad_points: int = 4) -> float:
     """Integral of the weight d(x)^(2*alpha) over the unit box (diagnostic)."""
     if 2.0 * alpha <= -1.0:
         raise ValueError(f"weight exponent 2*alpha must exceed -1, got {2 * alpha}")
     rule = gauss_rule(mesh.dim, quad_points)
     total = 0.0
-    for _, lows, sizes, _ in _cell_batches(mesh, interface, rule, cut_depth,
-                                           np.arange(mesh.n_cells)):
-        pts, w = rule.on_boxes(lows, sizes)
-        total += float(np.sum(w * np.power(interface.distance(pts), 2.0 * alpha)))
+    for _, pts, w, _, _ in _cell_batches(mesh, interface, rule, np.arange(mesh.n_cells)):
+        total += float(np.sum(w * _distance_weight(interface.distance(pts), alpha)))
     return total
 
 

@@ -1,11 +1,36 @@
-"""Gauss-Legendre rules on reference cells and recursively split rules for
-cells crossed by the interface, where integrands are only piecewise smooth."""
+"""Gauss-Legendre rules on reference cells, and one height-function rule for
+cells near a circle or sphere.
+
+The height-function rule is Saye's dimension reduction (R. I. Saye, SIAM J.
+Sci. Comput. 37(2), A993-A1019, 2015) for concentric spheres.  Each box takes
+a height axis k on which the sphere normal stays bounded away from zero; cut
+boxes with no such axis are bisected.  Along a line in direction k the sphere
+has at most two roots, in closed form, and the integral over the line is
+smooth in the other coordinates except where a root crosses a face x_k =
+const or two roots merge: on circles concentric with the sphere, so the face
+integral recurses on the same kind of roots, down to one dimension.  Every
+level splits its lines at the roots and grades the Gauss points of a piece
+toward the roots that end it or lie within one piece length beyond it, which
+resolves the weights d^(2 alpha) and the square roots where roots merge.  The
+surface rule takes the sphere's roots on the lines of the same face rule.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+#: a cut box's height axis k must keep |n_k| >= HEIGHT_MIN for the sphere
+#: normal n over the whole box, or the box is bisected; below 1/sqrt(3), so
+#: small enough boxes always have one
+HEIGHT_MIN = 0.4
+#: powers m of the grading t = t* + (end - t*) s^m of a piece toward a root
+#: t*: along the height axis, toward the sphere, d^(2 alpha) turns into
+#: s^(2 alpha m + m - 1); on the face levels m = 2 turns the square root at an
+#: outline into a polynomial and leaves (t* - low)^(1 + 2 alpha) smooth enough
+HEIGHT_GRADING = 3
+FACE_GRADING = 2
 
 
 def gauss_points_1d(n: int):
@@ -33,12 +58,12 @@ class CellQuadrature:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def on_boxes(self, lows, sizes):
+    def on_boxes(self, lows, size: float):
         """The rule scaled to cubes ``low + size * [0, 1]^dim``: points
         (n_box * n_q, dim), box by box, and weights (n_box * n_q,)."""
-        pts = lows[:, None, :] + sizes[:, None, None] * self.points[None, :, :]
-        w = self.weights[None, :] * sizes[:, None] ** self.dim
-        return pts.reshape(-1, self.dim), w.reshape(-1)
+        pts = lows[:, None, :] + size * self.points[None, :, :]
+        w = np.tile(self.weights * size ** self.dim, lows.shape[0])
+        return pts.reshape(-1, self.dim), w
 
 
 def gauss_rule(dim: int, points_per_axis: int) -> CellQuadrature:
@@ -57,94 +82,176 @@ def gauss_rule(dim: int, points_per_axis: int) -> CellQuadrature:
                           points=points, weights=weights)
 
 
-@dataclass(frozen=True)
-class SplitCellQuadrature:
-    """Recursively bisected rule for cells crossed by the interface.
+def split_cut_cell(cell_low, cell_size: float, interface, points: int):
+    """Volume rule with ``points`` Gauss points per piece on cells of edge
+    ``cell_size`` near ``interface``.
 
-    Leaves produced before the depth limit lie entirely on one side of the
-    surface; leaves forced at ``max_depth`` may still be cut and carry the
-    side of their centre (``cut`` marks them).  ``parent`` names the split
-    cell of each leaf, by its row in the lows given to ``split_cut_cell``.
-    Each leaf is integrated with the base rule scaled to the sub-box, so the
-    leaf volumes of a cell add up to its volume exactly.
+    ``cell_low`` is the low corner of one cell, shape (dim,), or of m cells,
+    shape (m, dim).  Returns ``(parent, pts, weights, sides)``: the row of
+    ``cell_low`` of each point (ascending), the points, their weights and
+    their side of the surface (-1 inside, +1 outside).  No piece crosses the
+    surface, and from two points on the weights of a cell add up to its
+    volume.
     """
-
-    lows: np.ndarray    # (n_leaf, dim)
-    sizes: np.ndarray   # (n_leaf,) edge length of each sub-box
-    sides: np.ndarray   # (n_leaf,) -1 interior, +1 exterior
-    cut: np.ndarray     # (n_leaf,) True where the leaf was forced at max_depth
-    parent: np.ndarray  # (n_leaf,) row of the split cell in the given lows
-    rule: CellQuadrature
-    max_depth: int
-
-    @property
-    def n_leaves(self) -> int:
-        return self.lows.shape[0]
-
-    def points_weights(self):
-        """Expanded rule: (points (n, dim), weights (n,), side per point).
-
-        Weights include the sub-box volumes, so summing them gives the total
-        volume of the split cells; sides repeat each leaf's tag over its
-        quadrature points.
-        """
-        pts, w = self.rule.on_boxes(self.lows, self.sizes)
-        return pts, w, np.repeat(self.sides, self.rule.n_points)
+    parent, frame, x, w, a, b, ck, root = _face_rules(cell_low, cell_size, interface,
+                                                      points, weighted=True)
+    roots = np.column_stack([ck - root, ck + root])
+    line, t, wt, mid = _gauss_pieces(a, b, roots, np.ones(2, dtype=bool), points,
+                                     HEIGHT_GRADING)
+    inside = (roots[line, 0] < mid) & (mid < roots[line, 1])
+    pts = _unpermute(np.column_stack([x[line], t]), frame[line])
+    return parent[line], pts, w[line] * wt, np.where(inside, -1, 1)
 
 
-def split_cut_cell(cell_low, cell_size: float, interface, base_rule: CellQuadrature,
-                   max_depth: int) -> SplitCellQuadrature:
-    """Bisect cells recursively until sub-boxes clear the interface.
+def surface_rule(cell_low, cell_size: float, interface, points: int):
+    """Surface rule on the part of ``interface`` inside the given cells.
 
-    ``cell_low`` is the low corner of one cell, shape (dim,), or of m cells
-    of edge ``cell_size``, shape (m, dim); all of them are bisected together,
-    depth by depth.  A sub-box becomes a leaf once its closed box no longer
-    meets the surface (its exact distance range excludes the radius) or the
-    depth limit is reached.  Leaves are listed cell by cell in the order of
-    ``cell_low``; within a cell by depth, and children in lexicographic
-    corner order, so the leaves of each cell are those of a split of that
-    cell alone and the sequence is deterministic.
+    Same arguments as ``split_cut_cell``; returns ``(parent, pts, weights)``.
+    The points are the sphere's roots t* in [low, high) of the height axis on
+    the lines of the face rule, weighted by the surface Jacobian R / |t* - c_k|.
     """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    parent, frame, x, w, a, b, ck, root = _face_rules(cell_low, cell_size, interface,
+                                                      points, weighted=False)
+    roots = np.column_stack([ck - root, ck + root])
+    line, which = np.nonzero((roots >= a[:, None]) & (roots < b[:, None])
+                             & (root > 0.0)[:, None])
+    pts = _unpermute(np.column_stack([x[line], roots[line, which]]), frame[line])
+    return parent[line], pts, w[line] * interface.radius / root[line]
+
+
+def _root(disc):
+    """sqrt(disc) where disc >= 0, NaN where the line misses the circle."""
+    return np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+
+
+def _face_rules(cell_low, cell_size, interface, points, weighted):
+    """Height boxes of the cells and the rule on their faces.
+
+    Every box is put in a frame whose last axis is its height axis.  Face
+    level k is cut at the circles of level k + 1 on the faces x_k = low and
+    high (sections) and at their outlines, where two roots merge.  Pieces
+    are graded toward outlines, and toward the sphere's own sections when
+    ``weighted``: there the integral of d^(2 alpha) goes like (t* - low)^(1 +
+    2 alpha), while deeper sections only leave kinks.  Returns per face
+    point: its box's cell row, the frame (the physical axis of each frame
+    axis), the face coordinates x and weight, the height range [a, b], the
+    centre's height coordinate c_k and the sphere's half chord |t* - c_k|.
+    """
+    if points < 1:
+        raise ValueError(f"need at least one point per piece, got {points}")
     lows = np.atleast_2d(np.asarray(cell_low, dtype=float))
     dim = lows.shape[1]
-    offsets = _corner_offsets(dim)
+    parent, lows, sizes, axis = _height_boxes(lows, float(cell_size), interface)
+    others = np.array([[j for j in range(dim) if j != k] for k in range(dim)], dtype=int)
+    frame = np.column_stack([others[axis], axis])
+    lows = np.take_along_axis(lows, frame, axis=1)
+    centers = interface.center[frame]
+    # squared radii (boxes, circles) per level and which circles grade
+    radii = [None] * (dim - 1) + [np.full((lows.shape[0], 1), interface.radius ** 2)]
+    graded = [None] * (dim - 1) + [np.ones(1, dtype=bool)]
+    for k in range(dim - 1, 0, -1):
+        below = (lows[:, k] - centers[:, k])[:, None] ** 2
+        above = (lows[:, k] + sizes - centers[:, k])[:, None] ** 2
+        radii[k - 1] = np.concatenate([radii[k] - below, radii[k] - above, radii[k]], axis=1)
+        sections = np.full(radii[k].shape[1], weighted and k == dim - 1)
+        graded[k - 1] = np.concatenate([sections, sections, np.ones_like(sections)])
+    box = np.arange(lows.shape[0])
+    x = np.empty((lows.shape[0], 0))
+    w = np.ones(lows.shape[0])
+    for k in range(dim):
+        a = lows[box, k]
+        ck = centers[box, k][:, None]
+        root = _root(radii[k][box] - np.sum((x - centers[box, :k]) ** 2, axis=1)[:, None])
+        if k == dim - 1:
+            return parent[box], frame[box], x, w, a, a + sizes[box], ck[:, 0], root[:, 0]
+        line, t, wt, _ = _gauss_pieces(a, a + sizes[box], np.hstack([ck - root, ck + root]),
+                                       np.tile(graded[k], 2), points, FACE_GRADING)
+        box, x, w = box[line], np.column_stack([x[line], t]), w[line] * wt
 
+
+def _height_boxes(lows, size, interface):
+    """Boxes with a height axis covering the cells ``low + size [0, 1]^dim``.
+
+    On a box, |n_k| >= min|x_k - c_k| / sqrt(min|x_k - c_k|^2 + max|x' - c'|^2)
+    exactly, since the two extrema are taken over independent coordinates.
+    The axis with the largest bound is taken; cut boxes whose bound stays
+    below HEIGHT_MIN are bisected.  Returns the cell row, low corner, edge
+    and height axis of every box, cell by cell.
+    """
+    dim = lows.shape[1]
+    c = interface.center
+    offsets = np.stack(np.meshgrid(*([[0.0, 1.0]] * dim), indexing="ij"),
+                       axis=-1).reshape(-1, dim)
     parent = np.arange(lows.shape[0])
-    size = float(cell_size)
-    leaf_lows, leaf_sizes, leaf_sides, leaf_cut, leaf_parent = [], [], [], [], []
-    for depth in range(max_depth + 1):
-        high = lows + size
-        is_cut = interface.cuts_box(lows, high)
-        done = ~is_cut if depth < max_depth else np.ones(len(lows), dtype=bool)
-        if np.any(done):
-            centers = lows[done] + 0.5 * size
-            leaf_lows.append(lows[done])
-            leaf_sizes.append(np.full(int(done.sum()), size))
-            leaf_sides.append(interface.side(centers))
-            leaf_cut.append(is_cut[done])
-            leaf_parent.append(parent[done])
-        lows, parent = lows[~done], parent[~done]
-        if lows.shape[0] == 0:
-            break
-        size *= 0.5
-        lows = (lows[:, None, :] + size * offsets[None, :, :]).reshape(-1, dim)
-        parent = np.repeat(parent, offsets.shape[0])
-
-    parent = np.concatenate(leaf_parent)
+    sizes = np.full(lows.shape[0], size)
+    done = []
+    while lows.shape[0]:
+        high = lows + sizes[:, None]
+        near = np.abs(np.clip(c, lows, high) - c)
+        far = np.maximum(np.abs(lows - c), np.abs(high - c)) ** 2
+        bound = near / np.sqrt(near ** 2 + far.sum(axis=1, keepdims=True) - far)
+        axis = np.argmax(bound, axis=1)
+        ok = (bound.max(axis=1) >= HEIGHT_MIN) | ~interface.cuts_box(lows, high)
+        done.append((parent[ok], lows[ok], sizes[ok], axis[ok]))
+        half = 0.5 * sizes[~ok]
+        lows = (lows[~ok][:, None, :] + half[:, None, None] * offsets).reshape(-1, dim)
+        sizes = np.repeat(half, offsets.shape[0])
+        parent = np.repeat(parent[~ok], offsets.shape[0])
+    parent, lows, sizes, axis = (np.concatenate(f) for f in zip(*done))
     order = np.argsort(parent, kind="stable")
-    return SplitCellQuadrature(
-        lows=np.concatenate(leaf_lows)[order],
-        sizes=np.concatenate(leaf_sizes)[order],
-        sides=np.concatenate(leaf_sides)[order],
-        cut=np.concatenate(leaf_cut)[order],
-        parent=parent[order],
-        rule=base_rule,
-        max_depth=max_depth,
-    )
+    return parent[order], lows[order], sizes[order], axis[order]
 
 
-def _corner_offsets(dim: int) -> np.ndarray:
-    grids = np.meshgrid(*([np.array([0.0, 1.0])] * dim), indexing="ij")
-    return np.column_stack([g.ravel(order="F") for g in grids])
+def _gauss_pieces(lo, hi, roots, graded, points, power):
+    """Gauss points on the lines [lo, hi] split at their roots.
+
+    ``roots`` (m, K) holds the candidate roots of each line, NaN where absent.
+    A piece is graded toward the nearest root of the columns ``graded`` (K,)
+    at or within one piece length beyond each of its ends; a piece graded at
+    both ends is halved first, and grading uses ``power``.  Returns line,
+    coordinate, weight and the midpoint of the point's piece.
+    """
+    inner = np.where((roots > lo[:, None]) & (roots < hi[:, None]), roots, hi[:, None])
+    cuts = np.sort(np.concatenate([lo[:, None], inner, hi[:, None]], axis=1), axis=1)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    length = b - a
+    r = np.where(graded, roots, np.nan)[:, None, :]
+    left = np.max(np.where((r <= a[..., None]) & (r >= (a - length)[..., None]), r, -np.inf),
+                  axis=-1)
+    right = np.min(np.where((r >= b[..., None]) & (r <= (b + length)[..., None]), r, np.inf),
+                   axis=-1)
+    has_left, has_right = np.isfinite(left), np.isfinite(right)
+    both = has_left & has_right
+    mid = np.where(both, 0.5 * (a + b), b)
+    # (line, piece, half): the first half ends at the midpoint only when both
+    # ends are graded, and the second half exists only then
+    starts = np.stack([a, mid], axis=-1)
+    ends = np.stack([mid, b], axis=-1)
+    anchors = np.stack([np.where(has_left, left, right), right], axis=-1)
+    keep = np.stack([length > 0.0, both & (length > 0.0)], axis=-1)
+    line = np.broadcast_to(np.arange(lo.shape[0])[:, None, None], keep.shape)[keep]
+    start, end, anchor = starts[keep], ends[keep], anchors[keep]
+
+    xi, omega = gauss_points_1d(points)
+    t = start[:, None] + (end - start)[:, None] * xi
+    w = (end - start)[:, None] * omega
+    bent = np.isfinite(anchor)
+    g0, g1, ga = start[bent], end[bent], anchor[bent]
+    from_start = ga <= g0
+    near = np.where(from_start, g0, g1)
+    far = np.where(from_start, g1, g0)
+    span = far - ga
+    s0 = ((near - ga) / span) ** (1.0 / power)
+    s = s0[:, None] + (1.0 - s0)[:, None] * xi
+    t[bent] = ga[:, None] + span[:, None] * s ** power
+    w[bent] = ((1.0 - s0) * power * np.abs(span))[:, None] * omega * s ** (power - 1)
+    n = xi.size
+    return (np.repeat(line, n), t.ravel(), w.ravel(),
+            np.repeat(0.5 * (start + end), n))
+
+
+def _unpermute(pts, frame):
+    """Points from each box's frame back to physical axes."""
+    out = np.empty_like(pts)
+    np.put_along_axis(out, frame, pts, axis=1)
+    return out

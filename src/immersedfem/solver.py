@@ -37,8 +37,8 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, max_iter: int | None = None,
     how to proceed.  A right-hand side with NaN or infinite entries raises
     ValueError.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not callable(preconditioner) and preconditioner not in ("none", "jacobi"):
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
     rhs = np.asarray(rhs, dtype=float)

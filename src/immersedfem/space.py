@@ -99,23 +99,6 @@ class FeSpace:
         """Shape values/gradients of this space at reference points."""
         return shape_eval(self.degree, ref_points)
 
-    def restrict(self, local, offsets, scales) -> np.ndarray:
-        """Coefficients (m, n_loc) of cell polynomials ``local`` restricted to
-        the sub-boxes ``offsets[b] + scales[b] * [0, 1]^dim`` of their cells'
-        reference coordinates: the values at the sub-box nodes, exact for
-        Q^degree, as a Kronecker product of 1D restriction matrices."""
-        offsets = np.asarray(offsets, dtype=float)
-        scales = np.asarray(scales, dtype=float)
-        dim = offsets.shape[1]
-        idx = _lattice(self.degree + 1, dim).astype(int)
-        nodes = np.arange(self.degree + 1) / self.degree
-        restriction = 1.0
-        for k in range(dim):
-            # (m, node, basis): 1D basis at the sub-box nodes along axis k
-            r1d, _ = _lagrange_1d(self.degree, offsets[:, k, None] + scales[:, None] * nodes)
-            restriction = restriction * r1d[:, idx[:, k, None], idx[None, :, k]]
-        return np.einsum("bji,bi->bj", restriction, local)
-
     def evaluate(self, coeffs, points) -> np.ndarray:
         """FE function values at arbitrary points of the unit box."""
         points = np.atleast_2d(np.asarray(points, dtype=float))

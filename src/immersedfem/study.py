@@ -4,6 +4,7 @@ the records as CSV or markdown tables."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .assembly import apply_dirichlet, assemble_interface_load, assemble_stiffness
@@ -31,8 +32,10 @@ class StudyConfig:
     """Parameters of a convergence study over meshes n_c = 2^min_exp ... 2^max_exp.
 
     Unset fields fall back to dimension-dependent defaults: levels 8..256 in
-    2D and 4..32 in 3D, error quadrature of degree + 3 points per axis, and
-    the dimension's cut-cell bisection depth.
+    2D and 4..32 in 3D, and error quadrature of degree + 3 points per axis
+    (twice that per piece on cells near the interface).  ``cg_tol`` of 1e-12
+    leaves the weighted errors within 1e-8 of a direct solve.  All numbers
+    must be finite, and the exponents distinct.
     """
 
     dim: int = 2
@@ -40,9 +43,8 @@ class StudyConfig:
     max_exp: int | None = None
     alphas: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.49)
     degree: int = 1
-    cg_tol: float = 1e-10
+    cg_tol: float = 1e-12
     quad_points: int | None = None
-    cut_depth: int | None = None
     center: tuple | None = None
     radius: float = 0.2
     fmt: str = "csv"
@@ -64,22 +66,24 @@ class StudyConfig:
             raise ConfigError("need at least one alpha")
         if any(not 0.0 <= a < 0.5 for a in alphas):
             raise ConfigError(f"alphas must lie in [0, 0.5), got {alphas}")
+        if len(set(alphas)) != len(alphas):
+            raise ConfigError(f"alphas must be distinct, got {alphas}")
         self.alphas = alphas
         if self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
-        if self.cg_tol <= 0.0:
-            raise ConfigError(f"cg-tol must be positive, got {self.cg_tol}")
+        if not 0.0 < self.cg_tol < math.inf:
+            raise ConfigError(f"cg-tol must be positive and finite, got {self.cg_tol}")
         if self.quad_points is not None and self.quad_points < 1:
             raise ConfigError("quad-points must be >= 1")
-        if self.cut_depth is not None and self.cut_depth < 0:
-            raise ConfigError("cut-depth must be >= 0")
         if self.center is None:
             self.center = (0.3,) * self.dim
         self.center = tuple(float(c) for c in self.center)
         if len(self.center) != self.dim:
             raise ConfigError(f"center must have {self.dim} coordinates")
-        if self.radius <= 0.0:
-            raise ConfigError(f"radius must be positive, got {self.radius}")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ConfigError(f"center must be finite, got {self.center}")
+        if not 0.0 < self.radius < math.inf:
+            raise ConfigError(f"radius must be positive and finite, got {self.radius}")
         if any(c - self.radius <= 0.0 or c + self.radius >= 1.0 for c in self.center):
             raise ConfigError("interface must lie strictly inside the unit box")
         if self.fmt not in ("csv", "markdown"):
@@ -116,8 +120,7 @@ def run_study(config: StudyConfig):
                 f"after {report.iterations} iterations"
             )
         errors = weighted_errors(space, solution, exact, interface, config.alphas,
-                                 quad_points=config.quad_points,
-                                 cut_depth=config.cut_depth)
+                                 quad_points=config.quad_points)
         for alpha in config.alphas:
             e0, e1 = errors[(alpha, 0)], errors[(alpha, 1)]
             prev = previous.get(alpha)

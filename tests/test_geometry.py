@@ -57,6 +57,10 @@ class TestInterface:
             SphericalInterface((0.5, 0.5), 0.5)  # touches all faces
         with pytest.raises(ValueError):
             SphericalInterface((0.5, 0.5), 0.0)
+        with pytest.raises(ValueError):
+            SphericalInterface((math.nan, math.nan), 0.2)
+        with pytest.raises(ValueError):
+            SphericalInterface((0.5, 0.5), math.nan)
         # far outside is fine: positive gap on the other side
         SphericalInterface((10.0, 10.0), 0.2)
 

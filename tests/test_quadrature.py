@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from immersedfem import SphericalInterface, gauss_rule, split_cut_cell
+from immersedfem import (SphericalInterface, build_uniform_mesh, gauss_rule,
+                         immersed_quadrature, split_cut_cell)
+from immersedfem.quadrature import surface_rule
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -61,40 +65,33 @@ def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         gauss_rule(2, 0)
     with pytest.raises(ValueError):
-        split_cut_cell((0.0, 0.0), 0.25, CIRCLE, gauss_rule(2, 2), -1)
+        split_cut_cell((0.0, 0.0), 0.25, CIRCLE, 0)
+
+
+def inside_measure(pts, w, interface):
+    inside = np.linalg.norm(pts - interface.center, axis=1) < interface.radius
+    return float(np.sum(w[inside]))
 
 
 class TestSplitCutCell:
     def test_uncut_cell_is_single_leaf(self):
-        rule = gauss_rule(2, 3)
-        split = split_cut_cell((0.75, 0.75), 0.25, CIRCLE, rule, 6)
-        assert split.n_leaves == 1
-        assert split.sides[0] == 1
-        pts, w, _ = split.points_weights()
-        ref = (pts - np.array([0.75, 0.75])) / 0.25
-        assert np.allclose(ref, rule.points)
-        assert np.allclose(w, rule.weights * 0.25**2)
+        # a cell the surface misses lies on one side, with its whole volume
+        parent, pts, w, sides = split_cut_cell((0.75, 0.75), 0.25, CIRCLE, 4)
+        assert np.all(parent == 0) and np.all(sides == 1)
+        assert np.all((pts >= 0.75) & (pts <= 1.0))
+        assert np.sum(w) == pytest.approx(0.25**2, rel=1e-14)
 
     def test_cell_inside_surface_is_single_interior_leaf(self):
         small = SphericalInterface((0.3, 0.3), 0.29)
-        split = split_cut_cell((0.25, 0.25), 0.125, small, gauss_rule(2, 2), 6)
-        assert split.n_leaves == 1
-        assert split.sides[0] == -1
+        _, _, w, sides = split_cut_cell((0.25, 0.25), 0.125, small, 4)
+        assert np.all(sides == -1)
+        assert np.sum(w) == pytest.approx(0.125**2, rel=1e-14)
 
     def test_volume_preserved(self):
-        rule = gauss_rule(2, 3)
-        for depth in (0, 3, 6):
-            split = split_cut_cell((0.25, 0.25), 0.25, CIRCLE, rule, depth)
-            _, w, _ = split.points_weights()
+        # two points per piece integrate the grading's Jacobian s^2 exactly
+        for points in (2, 4, 8):
+            _, _, w, _ = split_cut_cell((0.25, 0.25), 0.25, CIRCLE, points)
             assert np.sum(w) == pytest.approx(0.25**2, rel=1e-14)
-
-    def test_leaves_below_depth_limit_are_uncut(self):
-        split = split_cut_cell((0.25, 0.25), 0.25, CIRCLE, gauss_rule(2, 2), 5)
-        clear = ~split.cut
-        lo = split.lows[clear]
-        hi = lo + split.sizes[clear][:, None]
-        assert not np.any(CIRCLE.cuts_box(lo, hi))
-        assert np.all(split.sizes[split.cut] == 0.25 / 2**5)
 
     def test_cut_area_against_pixel_oracle(self):
         # oracle: 2000 x 2000 pixel count of the interior within the cell
@@ -104,37 +101,61 @@ class TestSplitCutCell:
         inside = np.linalg.norm(pixels - CIRCLE.center, axis=1) < CIRCLE.radius
         oracle = inside.mean() * 0.25**2
 
-        split = split_cut_cell((0.25, 0.25), 0.25, CIRCLE, gauss_rule(2, 3), 8)
-        pts, w, _ = split.points_weights()
-        indicator = np.linalg.norm(pts - CIRCLE.center, axis=1) < CIRCLE.radius
-        area = float(np.sum(w[indicator]))
-        assert area == pytest.approx(oracle, abs=1e-4)
+        _, pts, w, sides = split_cut_cell((0.25, 0.25), 0.25, CIRCLE, 4)
+        assert np.array_equal(sides < 0, np.linalg.norm(pts - CIRCLE.center, axis=1) < 0.2)
+        assert inside_measure(pts, w, CIRCLE) == pytest.approx(oracle, abs=1e-5)
 
     def test_disk_area_over_all_cells(self):
-        mesh_edges = 0.25
-        area = 0.0
-        rule = gauss_rule(2, 2)
-        for i in range(4):
-            for j in range(4):
-                low = np.array([i, j]) * mesh_edges
-                split = split_cut_cell(low, mesh_edges, CIRCLE, rule, 8)
-                pts, w, _ = split.points_weights()
-                inside = np.linalg.norm(pts - CIRCLE.center, axis=1) < CIRCLE.radius
-                area += float(np.sum(w[inside]))
-        assert area == pytest.approx(math.pi * 0.2**2, abs=1e-4)
+        ticks = np.arange(4) * 0.25
+        lows = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+        _, pts, w, _ = split_cut_cell(lows, 0.25, CIRCLE, 8)
+        assert inside_measure(pts, w, CIRCLE) == pytest.approx(math.pi * 0.2**2, rel=1e-10)
 
     def test_ball_volume_over_all_cells(self):
-        rule = gauss_rule(3, 1)
-        volume = 0.0
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    low = np.array([i, j, k]) * 0.25
-                    split = split_cut_cell(low, 0.25, SPHERE, rule, 8)
-                    pts, w, _ = split.points_weights()
-                    inside = np.linalg.norm(pts - SPHERE.center, axis=1) < SPHERE.radius
-                    volume += float(np.sum(w[inside]))
-        assert volume == pytest.approx(4.0 / 3.0 * math.pi * 0.2**3, abs=1e-4)
+        ticks = np.arange(4) * 0.25
+        lows = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        _, pts, w, _ = split_cut_cell(lows, 0.25, SPHERE, 8)
+        assert inside_measure(pts, w, SPHERE) == pytest.approx(4.0 / 3.0 * math.pi * 0.2**3,
+                                                               rel=1e-10)
+
+
+def disk_box_area(center, r, low, high):
+    """Closed-form area of the disk |x - center| < r inside the box [low, high]
+    (test oracle): the part below height y of the disk's strip x0 < x < x1
+    is the strip integral of h + clip(y, -h, h) with h(s) = sqrt(r^2 - s^2),
+    and sqrt integrates in closed form."""
+    def prim(s):
+        s = np.clip(s, -r, r)
+        return 0.5 * (s * np.sqrt(r * r - s * s) + r * r * np.arcsin(s / r))
+
+    x0, x1 = low[0] - center[0], high[0] - center[0]
+    full = prim(x1) - prim(x0)
+
+    def below(y):
+        a = math.sqrt(max(r * r - y * y, 0.0))
+        lo, hi = max(x0, -a), min(x1, a)
+        width, chord = (hi - lo, prim(hi) - prim(lo)) if hi > lo else (0.0, 0.0)
+        return full + y * width + math.copysign(full - chord, y)
+
+    return below(high[1] - center[1]) - below(low[1] - center[1])
+
+
+@pytest.mark.parametrize("center, radius, n", [
+    ((0.3, 0.3), 0.2, 8),                            # tangent to x = 0.5 and y = 0.5
+    ((0.5, 0.4375), 0.0625, 16),                     # centre on a vertex, radius one cell
+    ((0.41, 0.37), math.hypot(0.035, 0.005), 8),     # through the vertex (0.375, 0.375)
+])
+def test_cut_areas_against_closed_form(center, radius, n):
+    circle = SphericalInterface(center, radius)
+    mesh = build_uniform_mesh(2, n)
+    cut = np.nonzero(circle.cuts_box(mesh.cell_lows, mesh.cell_lows + mesh.edge))[0]
+    parent, _, w, sides = split_cut_cell(mesh.cell_lows[cut], mesh.edge, circle, 8)
+    area = np.bincount(parent, weights=w * (sides < 0), minlength=cut.size)
+    for k, cell in enumerate(cut):
+        low = mesh.cell_lows[cell]
+        exact = disk_box_area(circle.center, radius, low, low + mesh.edge)
+        assert abs(area[k] - exact) <= 1e-10 * mesh.edge**2
 
 
 class TestBatchedSplit:
@@ -144,17 +165,95 @@ class TestBatchedSplit:
         dim = interface.dim
         ticks = np.arange(n) / n
         lows = np.stack(np.meshgrid(*([ticks] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-        rule = gauss_rule(dim, 2)
-        depth = 5 if dim == 2 else 3
-        batch = split_cut_cell(lows, 1.0 / n, interface, rule, depth)
-        assert np.all(np.diff(batch.parent) >= 0)
-        assert np.count_nonzero(batch.cut) > 0
-        total = 0
+        parent, pts, w, sides = split_cut_cell(lows, 1.0 / n, interface, 3)
+        assert np.all(np.diff(parent) >= 0)
+        assert np.count_nonzero(sides < 0) > 0
         for k, low in enumerate(lows):
-            single = split_cut_cell(low, 1.0 / n, interface, rule, depth)
-            mine = batch.parent == k
-            assert np.array_equal(single.parent, np.zeros(single.n_leaves, dtype=int))
-            for field in ("lows", "sizes", "sides", "cut"):
-                assert np.array_equal(getattr(batch, field)[mine], getattr(single, field)), field
-            total += single.n_leaves
-        assert batch.n_leaves == total
+            single = split_cut_cell(low, 1.0 / n, interface, 3)
+            mine = parent == k
+            assert np.array_equal(single[0], np.zeros(single[0].size, dtype=int))
+            for batched, alone in zip((pts, w, sides), single[1:]):
+                assert np.array_equal(batched[mine], alone)
+
+
+class TestSurfaceRule:
+    @pytest.mark.parametrize("interface, n", [(CIRCLE, 8), (SPHERE, 4)])
+    def test_matches_one_cell_at_a_time(self, interface, n):
+        mesh = build_uniform_mesh(interface.dim, n)
+        quad = immersed_quadrature(interface, mesh)
+        assert np.all(np.diff(quad.owner_cell) >= 0)
+        for cell in np.unique(quad.owner_cell):
+            one = surface_rule(mesh.cell_lows[cell], mesh.edge, interface, 8)
+            mine = quad.owner_cell == cell
+            assert np.array_equal(one[1], quad.points[mine])
+            assert np.array_equal(one[2], quad.weights[mine])
+
+
+def beta(a, b):
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+@st.composite
+def grid_spheres(draw):
+    """A grid with n in {4, 8, 16} and a circle or sphere inside the unit box
+    that is generic, tangent to the grid plane nearest its centre, passes
+    through the grid vertex nearest its centre, or comes within 2e-3 of the
+    box wall."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([4, 8, 16]))
+    center = np.array([draw(st.floats(0.25, 0.75)) for _ in range(dim)])
+    kind = draw(st.sampled_from(["generic", "tangent", "vertex", "wall"]))
+    if kind == "generic":
+        radius = draw(st.floats(0.01, 0.2))
+    elif kind == "tangent":
+        axis = draw(st.integers(0, dim - 1))
+        radius = abs(round(center[axis] * n) / n - center[axis])
+    elif kind == "vertex":
+        radius = float(np.linalg.norm(np.round(center * n) / n - center))
+    else:
+        radius = draw(st.floats(0.05, 0.2))
+        gap = draw(st.floats(1e-6, 2e-3))
+        axis = draw(st.integers(0, dim - 1))
+        center[axis] = draw(st.sampled_from([radius + gap, 1.0 - radius - gap]))
+    assume(0.01 <= radius < min(np.min(center), np.min(1.0 - center)))
+    return build_uniform_mesh(dim, n), SphericalInterface(center, radius)
+
+
+class TestDegenerateGeometry:
+    """The rule on every cell within one cell width of the surface, and a
+    tensor rule on the rest, against closed forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_spheres())
+    def test_measures_and_weighted_moment(self, mesh_sphere):
+        mesh, sphere = mesh_sphere
+        dim, r, c = mesh.dim, sphere.radius, sphere.center
+        lows = mesh.cell_lows
+        d_min, _ = sphere.distance_range_over_box(lows, lows + mesh.edge)
+        near = d_min <= mesh.edge
+        parent, pts, w, sides = split_cut_cell(lows[near], mesh.edge, sphere, 8)
+        starts = np.searchsorted(parent, np.arange(np.count_nonzero(near) + 1))
+        cell_volume = np.array([math.fsum(w[lo:hi]) for lo, hi in zip(starts[:-1], starts[1:])])
+        assert np.max(np.abs(cell_volume / mesh.edge**dim - 1.0)) <= 1e-13
+
+        far_inside = ~near & (sphere.side(lows + 0.5 * mesh.edge) < 0)
+        ball = math.pi * r**2 if dim == 2 else 4.0 / 3.0 * math.pi * r**3
+        volume = np.sum(w[sides < 0]) + np.count_nonzero(far_inside) * mesh.edge**dim
+        assert volume == pytest.approx(ball, rel=1e-8)
+        area = immersed_quadrature(sphere, mesh).total_weight()
+        assert area == pytest.approx(sphere.measure, rel=1e-8)
+
+        rule = gauss_rule(dim, 8)
+        far_pts, far_w = rule.on_boxes(lows[far_inside], mesh.edge)
+        for alpha in (0.1, 0.49):
+            # (R - rho)^(2 alpha) rho^4: the rho^4 smooths the cone of rho at
+            # the centre (rho^2 leaves a rho^3 term, which Gauss points resolve
+            # to about 1e-6 only); the integral is a Beta function in rho / R
+            moment = 0.0
+            for p, weights in ((pts[sides < 0], w[sides < 0]), (far_pts, far_w)):
+                rho = np.linalg.norm(p - c, axis=1)
+                moment += float(np.sum(weights * np.maximum(r - rho, 0.0) ** (2 * alpha)
+                                       * rho**4))
+            shell = 2.0 * math.pi if dim == 2 else 4.0 * math.pi
+            exact = shell * r ** (dim + 4 + 2 * alpha) * beta(dim + 4, 2 * alpha + 1)
+            assert moment == pytest.approx(exact, rel=1e-6)

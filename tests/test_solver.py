@@ -102,6 +102,8 @@ def test_rejects_bad_arguments():
     matrix = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
         cg_solve(matrix, np.ones(3), tol=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        cg_solve(matrix, np.ones(3), tol=np.nan)
     with pytest.raises(ValueError):
         cg_solve(matrix, np.ones(3), preconditioner="ilu")
     space = FeSpace(build_uniform_mesh(2, 6), 1)
@@ -175,8 +177,8 @@ class TestMultigrid:
         assert report.iterations <= 15
 
     def test_errors_match_direct_solve(self):
-        # at tol 1e-12 the algebraic error is far below the 1e-9 bound; at the
-        # study's 1e-10 it moves these errors by up to 2.6e-8 (Jacobi: 1.1e-8)
+        # at the study's tol of 1e-12 the algebraic error is far below the
+        # 1e-9 bound; 1e-10 moved these errors by up to 2.6e-8 (Jacobi: 1.1e-8)
         space, matrix, rhs, interface, exact = study_system(2, 1, 64)
         solution, report = cg_solve(matrix, rhs, tol=1e-12,
                                     preconditioner=multigrid_preconditioner(matrix, space))

@@ -75,24 +75,6 @@ class TestShapeFunctions:
 
 
 class TestFeSpace:
-    @pytest.mark.parametrize("dim, degree", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-    def test_restriction_reproduces_cell_polynomial(self, dim, degree):
-        # on the sub-box offset + scale * [0,1]^dim the restricted coefficients
-        # give the same values as the cell coefficients at the mapped points
-        space = FeSpace(build_uniform_mesh(dim, 2), degree)
-        rng = np.random.default_rng(3 + dim + degree)
-        local = rng.standard_normal((6, (degree + 1) ** dim))
-        scales = 0.5 ** rng.integers(0, 5, size=6)
-        offsets = rng.uniform(0.0, 1.0, size=(6, dim)) * (1.0 - scales)[:, None]
-        restricted = space.restrict(local, offsets, scales)
-        pts = rng.uniform(0.0, 1.0, size=(20, dim))
-        values, _ = shape_eval(degree, pts)
-        for b in range(6):
-            cell_values, _ = shape_eval(degree, offsets[b] + scales[b] * pts)
-            assert np.allclose(restricted[b] @ values.T, local[b] @ cell_values.T,
-                               rtol=0.0, atol=1e-13)
-        assert np.array_equal(space.restrict(local, np.zeros((6, dim)), np.ones(6)), local)
-
     def test_dof_count(self):
         for degree in (1, 2):
             for n in (2, 4):
