@@ -12,36 +12,26 @@ import scipy.sparse as sp
 
 from .geometry import InterfaceQuadrature
 from .mesh import BOX_TOL
-from .quadrature import CellQuadrature, gauss_rule
-from .space import FeSpace
+from .quadrature import gauss_rule
+from .space import FeSpace, _field_values
 
 #: surface quadrature points the interface load tabulates at once (more only
 #: when one cell holds more); bounds the memory of its shape tables
 LOAD_CHUNK_POINTS = 16384
 
 
-def default_assembly_rule(space: FeSpace) -> CellQuadrature:
-    return gauss_rule(space.mesh.dim, space.degree + 2)
-
-
-def assemble_stiffness(space: FeSpace, cell_rule: CellQuadrature | None = None) -> sp.csr_matrix:
+def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     """Stiffness matrix of the gradient form on the whole grid.
 
-    All cells are congruent, so one reference element matrix is computed and
-    scattered; the result is symmetric positive semidefinite with the
-    constants in its kernel (rows sum to zero).  The rule must integrate
-    degree 2*degree - 1 per axis exactly.
+    All cells are congruent, so one reference element matrix is computed
+    with degree + 2 Gauss points per axis and scattered; the result is
+    symmetric positive semidefinite with the constants in its kernel (rows
+    sum to zero).
     """
-    if cell_rule is None:
-        cell_rule = default_assembly_rule(space)
-    if cell_rule.points_per_axis < space.degree:
-        raise ValueError(
-            f"rule with {cell_rule.points_per_axis} points per axis is not exact "
-            f"for the degree-{space.degree} stiffness integrand"
-        )
     mesh = space.mesh
-    _, grads = space.tabulate(cell_rule.points)  # (n_q, n_loc, dim)
-    element = np.einsum("q,qid,qjd->ij", cell_rule.weights, grads, grads)
+    rule = gauss_rule(mesh.dim, space.degree + 2)
+    _, grads = space.tabulate(rule.points)  # (n_q, n_loc, dim)
+    element = np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)
     element = 0.5 * (element + element.T) * mesh.edge ** (mesh.dim - 2)
     n_loc = element.shape[0]
     rows = np.repeat(space.cell_dofs, n_loc, axis=1).ravel()
@@ -51,16 +41,15 @@ def assemble_stiffness(space: FeSpace, cell_rule: CellQuadrature | None = None) 
     return matrix.tocsr()
 
 
-def assemble_volume_load(space: FeSpace, b, cell_rule: CellQuadrature | None = None) -> np.ndarray:
-    """Load vector of the volume source: entry i = integral of b * phi_i."""
-    if cell_rule is None:
-        cell_rule = default_assembly_rule(space)
+def assemble_volume_load(space: FeSpace, b) -> np.ndarray:
+    """Load vector of the volume source: entry i = integral of b * phi_i,
+    with degree + 2 Gauss points per axis; b is called once on all of them."""
     mesh = space.mesh
-    values, _ = space.tabulate(cell_rule.points)  # (n_q, n_loc)
-    pts = mesh.cell_lows[:, None, :] + mesh.edge * cell_rule.points[None, :, :]
-    bvals = np.array([b(x) for x in pts.reshape(-1, mesh.dim)], dtype=float)
-    bvals = bvals.reshape(mesh.n_cells, -1)
-    local = mesh.edge ** mesh.dim * (bvals * cell_rule.weights) @ values
+    rule = gauss_rule(mesh.dim, space.degree + 2)
+    values, _ = space.tabulate(rule.points)  # (n_q, n_loc)
+    pts = mesh.cell_lows[:, None, :] + mesh.edge * rule.points[None, :, :]
+    bvals = _field_values(b, pts.reshape(-1, mesh.dim)).reshape(mesh.n_cells, -1)
+    local = mesh.edge ** mesh.dim * (bvals * rule.weights) @ values
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.cell_dofs, local)
     return out
@@ -71,9 +60,8 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
     quadrature of w * f(y) * phi_i(y), accumulated through owner cells.
 
     The density ``f`` is called once, on the (n, dim) array of quadrature
-    points; it returns either one value per point, shape (n,), or a scalar
-    for a constant density.  Every value must be finite.  Nonzero entries
-    appear only at dofs of cells met by the surface."""
+    points (see ``space._field_values``).  Nonzero entries appear only at
+    dofs of cells met by the surface."""
     mesh = space.mesh
     pts, w, owners = quadrature.points, quadrature.weights, quadrature.owner_cell
     low = mesh.cell_lows[owners]
@@ -81,14 +69,7 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
               & np.all(pts <= low + mesh.edge + BOX_TOL, axis=1))
     if not np.all(inside):
         raise ValueError("surface quadrature point lies outside its owner cell")
-    fvals = np.asarray(f(pts), dtype=float)
-    if fvals.ndim == 0:
-        fvals = np.full(pts.shape[0], fvals)
-    if fvals.shape != (pts.shape[0],):
-        raise ValueError(f"density must return a scalar or shape ({pts.shape[0]},), "
-                         f"got shape {fvals.shape}")
-    if not np.all(np.isfinite(fvals)):
-        raise ValueError("density values must be finite")
+    fvals = _field_values(f, pts)
     # cells with the same number of points are summed together, with the
     # same matrix product per cell as a cell-by-cell loop, so the load keeps
     # its bits; one scatter then adds the cells in ascending order
@@ -111,16 +92,14 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
 def apply_dirichlet(matrix: sp.csr_matrix, rhs: np.ndarray, space: FeSpace, g):
     """Impose u = g on the boundary dofs by symmetric elimination.
 
-    Boundary values are nodal interpolants of g; their columns move to the
-    right-hand side and the boundary rows/columns become identity, keeping
-    the matrix symmetric positive definite.  Inputs are not modified.  Raises
-    ValueError if g is not finite at every boundary dof.
+    Boundary values are nodal interpolants of g, called once on the boundary
+    dof coordinates; their columns move to the right-hand side and the
+    boundary rows/columns become identity, keeping the matrix symmetric
+    positive definite.  Inputs are not modified.
     """
     boundary = space.boundary_dofs
     lifted = np.zeros(space.n_dofs)
-    lifted[boundary] = [g(x) for x in space.dof_coords[boundary]]
-    if not np.all(np.isfinite(lifted)):
-        raise ValueError("Dirichlet boundary values must be finite")
+    lifted[boundary] = _field_values(g, space.dof_coords[boundary])
     keep = np.ones(space.n_dofs)
     keep[boundary] = 0.0
     keep_diag = sp.diags(keep)

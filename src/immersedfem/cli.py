@@ -12,7 +12,7 @@ import sys
 
 from .study import ConfigError, StudyConfig, StudyError, emit_table, run_study
 
-_INT_KEYS = ("dim", "min_exp", "max_exp", "degree", "quad_points")
+_INT_KEYS = ("dim", "min_exp", "max_exp", "degree")
 _FLOAT_KEYS = ("cg_tol", "radius")
 _FLOAT_TUPLE_KEYS = ("alphas", "center")
 _STR_KEYS = ("fmt", "out")
@@ -48,9 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree", type=int, help="polynomial degree (default 1)")
     parser.add_argument("--cg-tol", type=float, dest="cg_tol",
                         help="relative CG tolerance (default 1e-12)")
-    parser.add_argument("--quad-points", type=int, dest="quad_points",
-                        help="error-quadrature points per axis, twice that per piece "
-                             "near the interface (default degree + 3)")
     parser.add_argument("--center", type=_float_tuple,
                         help="interface centre, e.g. 0.3,0.3 (default 0.3 per axis)")
     parser.add_argument("--radius", type=float, help="interface radius (default 0.2)")

@@ -7,7 +7,9 @@ cell carries the height-function rule of ``quadrature.split_cut_cell``: its
 pieces never cross the surface and carry a side tag, so the piecewise exact
 solution is always evaluated on a single branch per quadrature point, and
 they are graded toward the surface, where d^(2*alpha) is singular.  The shape
-functions are tabulated at those points in bounded blocks.
+functions are tabulated at those points in bounded blocks, and the exact
+solution's batched ``values(points, side)`` and ``gradients(points, side)``
+are called once per block on its (n, dim) point array.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ PLAIN_BATCH_CELLS = 4096
 NEAR_BATCH_POINTS = 32768
 
 
-def default_norm_points(degree: int) -> int:
-    return degree + 3
-
-
 def _check_alpha(alpha: float) -> None:
     if not -0.5 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (-1/2, 1/2), got {alpha}")
@@ -44,6 +42,8 @@ class RadialSolution:
     ``outer_value``/``outer_slope`` are vectorised functions of the distance
     to the centre; the gradient is zero inside and radial outside.  Values
     of the two branches agree on the surface, so the field is continuous.
+    ``values``/``gradients`` take (n, dim) points and optional side tags;
+    without tags, points on the surface take the outside branch.
     """
 
     def __init__(self, interface, outer_value, outer_slope, inner_value: float):
@@ -75,13 +75,6 @@ class RadialSolution:
             side = self.interface.side(points)
         side = np.broadcast_to(np.asarray(side), (points.shape[0],))
         return side > 0
-
-    def value(self, x) -> float:
-        """Pointwise value; points on the surface take the outside branch."""
-        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
-
-    def gradient(self, x) -> np.ndarray:
-        return self.gradients(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def reference_solution(interface) -> RadialSolution:
@@ -160,17 +153,17 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
 
     Returns {(alpha, m): error} for m in {0, 1}, each alpha in (-1/2, 1/2).
     The quadrature samples and distances are computed once and reused across
-    exponents.  ``quad_points`` is the tensor rule's points per axis on cells
-    away from the surface; cells near it take twice as many per piece.
-    ``cell_ids`` restricts the integration to a subset of cells (broken
-    norms).
+    exponents.  ``quad_points`` (default degree + 3) is the tensor rule's
+    points per axis on cells away from the surface; cells near it take
+    twice as many per piece.  ``cell_ids`` restricts the integration to a
+    subset of cells (broken norms).
     """
     alphas = [float(a) for a in alphas]
     for a in alphas:
         _check_alpha(a)
     mesh = space.mesh
     coeffs = np.asarray(coeffs, dtype=float)
-    q = quad_points if quad_points is not None else default_norm_points(space.degree)
+    q = quad_points if quad_points is not None else space.degree + 3
     rule = gauss_rule(mesh.dim, q)
     values, grads = space.tabulate(rule.points)
     # (n_loc, n_q * dim): one product gives every reference gradient of a cell

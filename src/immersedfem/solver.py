@@ -24,12 +24,12 @@ class SolveReport:
 
 
 def cg_solve(matrix, rhs, tol: float = 1e-10, max_iter: int | None = None,
-             preconditioner="none", callback=None):
+             preconditioner=None, callback=None):
     """Preconditioned conjugate gradients.
 
-    ``preconditioner`` is ``"none"``, ``"jacobi"`` (the inverse diagonal) or
-    a callable ``r -> M r`` that applies a symmetric positive definite
-    approximation M of the inverse, such as ``multigrid_preconditioner``.
+    ``preconditioner`` is a callable ``r -> M r`` that applies a symmetric
+    positive definite approximation M of the inverse, such as
+    ``multigrid_preconditioner``, or None for the identity.
     Stops once the 2-norm residual drops below ``tol`` relative to the
     right-hand side.  A zero right-hand side returns the zero vector without
     iterating.  On non-convergence the iterate with the smallest residual is
@@ -39,8 +39,6 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, max_iter: int | None = None,
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not callable(preconditioner) and preconditioner not in ("none", "jacobi"):
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side must be finite")
@@ -51,15 +49,7 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, max_iter: int | None = None,
     if rhs_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    if callable(preconditioner):
-        apply_prec = preconditioner
-    elif preconditioner == "jacobi":
-        diag = np.asarray(matrix.diagonal(), dtype=float)
-        inv_diag = 1.0 / np.where(diag == 0.0, 1.0, diag)
-        apply_prec = lambda r: inv_diag * r
-    else:
-        apply_prec = lambda r: r
-
+    apply_prec = preconditioner if preconditioner is not None else (lambda r: r)
     x = np.zeros(n)
     r = rhs.copy()
     z = apply_prec(r)

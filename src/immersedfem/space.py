@@ -1,6 +1,7 @@
 """Continuous tensor-product Lagrange elements on uniform grids: shape
 functions, nodal interpolation, and the interpolant that zeroes every degree
-of freedom trapped inside the interface layer."""
+of freedom trapped inside the interface layer.  Every field the library
+evaluates is called once on an (n, dim) point array, by ``_field_values``."""
 
 from __future__ import annotations
 
@@ -116,9 +117,25 @@ class FeSpace:
         return np.einsum("pj,pjk->pk", local, grads) / self.mesh.edge
 
 
+def _field_values(field, points) -> np.ndarray:
+    """Values of ``field`` at the (n, dim) array ``points``, called once: it
+    returns shape (n,), or a scalar that is broadcast.  Any other shape (a
+    field written for one point at a time) or a non-finite value raises
+    ValueError."""
+    values = np.asarray(field(points), dtype=float)
+    if values.ndim == 0:
+        values = np.full(points.shape[0], values)
+    if values.shape != (points.shape[0],):
+        raise ValueError(f"field must return a scalar or shape ({points.shape[0]},), "
+                         f"got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    return values
+
+
 def interpolate(space: FeSpace, g) -> np.ndarray:
     """Nodal interpolation: coefficient i equals g at dof coordinate i."""
-    return np.array([g(x) for x in space.dof_coords], dtype=float)
+    return _field_values(g, space.dof_coords)
 
 
 def interpolate_outside_layer(space: FeSpace, classification: CellClassification,
@@ -126,11 +143,11 @@ def interpolate_outside_layer(space: FeSpace, classification: CellClassification
     """Nodal interpolation with the interface-layer dofs set to zero.
 
     A dof survives iff it is a node of at least one cell outside the layer;
-    dofs all of whose adjacent cells sit in the layer are zeroed.
+    dofs all of whose adjacent cells sit in the layer are zeroed, and g is
+    called on the surviving dofs only.
     """
     keep = np.zeros(space.n_dofs, dtype=bool)
     keep[space.cell_dofs[classification.out_cells].ravel()] = True
     coeffs = np.zeros(space.n_dofs)
-    kept = np.nonzero(keep)[0]
-    coeffs[kept] = [g(x) for x in space.dof_coords[kept]]
+    coeffs[keep] = _field_values(g, space.dof_coords[keep])
     return coeffs

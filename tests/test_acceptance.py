@@ -98,11 +98,12 @@ def test_criterion_4_oracle_consistency():
             if interface.distance(x) <= 0.05:
                 continue
             value = single_layer(interface, lambda y: density, x)
-            worst = max(worst, abs(value - exact.value(x)) / abs(exact.value(x)))
+            want = exact.values(x)[0]
+            worst = max(worst, abs(value - want) / abs(want))
             checked += 1
-    jump_2d = jump_check(CIRCLE, reference_solution(CIRCLE).value,
+    jump_2d = jump_check(CIRCLE, reference_solution(CIRCLE).values,
                          lambda y: 5.0, fd_step=1e-4)
-    jump_3d = jump_check(SPHERE, reference_solution(SPHERE).value,
+    jump_3d = jump_check(SPHERE, reference_solution(SPHERE).values,
                          lambda y: 25.0, fd_step=1e-4)
     ok = worst <= 1e-3 and jump_2d < 1e-2 and jump_3d < 1e-2
     report("4 (potential oracle)", ok,
@@ -161,7 +162,7 @@ def test_criterion_7a_masked_interpolant_without_layer():
     mesh = build_uniform_mesh(2, 8)
     space = FeSpace(mesh, 1)
     cls = classify_cells(mesh, far, math.sqrt(2.0))
-    g = lambda x: math.sin(x[0]) * x[1]
+    g = lambda x: np.sin(x[:, 0]) * x[:, 1]
     same = np.array_equal(interpolate_outside_layer(space, cls, g),
                           interpolate(space, g))
     report("7a (masked interpolant = interpolation, empty layer)", same,
@@ -182,7 +183,7 @@ def test_criterion_7b_masked_interpolant_weighted_rate():
         mesh = build_uniform_mesh(2, n)
         space = FeSpace(mesh, 1)
         cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-        coeffs = interpolate_outside_layer(space, cls, exact.value)
+        coeffs = interpolate_outside_layer(space, cls, exact.values)
         full.append(weighted_errors(space, coeffs, exact, CIRCLE, alphas))
         outside.append(weighted_errors(space, coeffs, exact, CIRCLE, [0.49],
                                        cell_ids=cls.out_cells)[(0.49, 1)])

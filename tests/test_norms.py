@@ -27,9 +27,6 @@ class ConstantField:
     def gradients(self, points, side=None):
         return np.zeros_like(np.atleast_2d(points))
 
-    def value(self, x):
-        return self._value
-
 
 class BilinearField:
     def values(self, points, side=None):
@@ -39,9 +36,6 @@ class BilinearField:
     def gradients(self, points, side=None):
         points = np.atleast_2d(points)
         return np.column_stack([points[:, 1], points[:, 0]])
-
-    def value(self, x):
-        return x[0] * x[1]
 
 
 class TestParams:
@@ -63,15 +57,15 @@ class TestParams:
 class TestExactSolutions:
     def test_2d_values(self):
         exact = reference_solution(CIRCLE)
-        assert exact.value([0.3, 0.3]) == pytest.approx(-math.log(0.2), abs=1e-14)
-        assert exact.value([0.7, 0.3]) == pytest.approx(-math.log(0.4), abs=1e-14)
-        assert np.allclose(exact.gradient([0.3, 0.31]), 0.0)
+        values = exact.values([[0.3, 0.3], [0.7, 0.3]])
+        assert values == pytest.approx([-math.log(0.2), -math.log(0.4)], abs=1e-14)
+        assert np.allclose(exact.gradients([[0.3, 0.31]]), 0.0)
 
     def test_3d_values(self):
         sphere = SphericalInterface((0.3, 0.3, 0.3), 0.2)
         exact = reference_solution(sphere)
-        assert exact.value([0.3, 0.3, 0.3]) == pytest.approx(5.0, abs=1e-12)
-        assert exact.value([0.8, 0.3, 0.3]) == pytest.approx(2.0, abs=1e-12)
+        values = exact.values([[0.3, 0.3, 0.3], [0.8, 0.3, 0.3]])
+        assert values == pytest.approx([5.0, 2.0], abs=1e-12)
 
     def test_continuity_across_surface(self):
         rng = np.random.default_rng(2)
@@ -92,7 +86,7 @@ class TestExactSolutions:
         exact = reference_solution(CIRCLE)
         x = np.array([0.7, 0.3])
         r = x - CIRCLE.center
-        assert np.allclose(exact.gradient(x), -r / np.dot(r, r), atol=1e-14)
+        assert np.allclose(exact.gradients([x])[0], -r / np.dot(r, r), atol=1e-14)
 
 
 class TestWeightedError:
@@ -102,7 +96,7 @@ class TestWeightedError:
         errors = []
         for n in (8, 16, 32):
             space = FeSpace(build_uniform_mesh(2, n), 1)
-            coeffs = interpolate(space, exact.value)
+            coeffs = interpolate(space, exact.values)
             errors.append(weighted_errors(space, coeffs, exact, FAR, [0.0])[(0.0, 0)])
         rates = [math.log2(a / b) for a, b in zip(errors[:-1], errors[1:])]
         assert all(1.85 <= r <= 2.15 for r in rates)
@@ -110,7 +104,7 @@ class TestWeightedError:
     def test_exact_fe_function_gives_zero(self):
         field = BilinearField()
         space = FeSpace(build_uniform_mesh(2, 4), 1)
-        coeffs = interpolate(space, field.value)
+        coeffs = interpolate(space, field.values)
         errs = weighted_errors(space, coeffs, field, CIRCLE, [0.0, 0.3, 0.49])
         assert len(errs) == 6
         assert max(errs.values()) <= 1e-13
@@ -125,7 +119,7 @@ class TestWeightedError:
     def test_quadrature_robustness(self):
         exact = reference_solution(CIRCLE)
         space = FeSpace(build_uniform_mesh(2, 16), 1)
-        coeffs = interpolate(space, exact.value)
+        coeffs = interpolate(space, exact.values)
         for alpha, m in ((0.0, 0), (0.49, 1)):
             base = weighted_errors(space, coeffs, exact, CIRCLE, [alpha],
                                    quad_points=4)[(alpha, m)]
@@ -138,7 +132,7 @@ class TestWeightedError:
         # weighted norm decreases as alpha grows
         exact = reference_solution(CIRCLE)
         space = FeSpace(build_uniform_mesh(2, 16), 1)
-        coeffs = interpolate(space, exact.value)
+        coeffs = interpolate(space, exact.values)
         errs = weighted_errors(space, coeffs, exact, CIRCLE, [0.0, 0.25, 0.49])
         for m in (0, 1):
             assert errs[(0.49, m)] <= errs[(0.25, m)] <= errs[(0.0, m)]
@@ -146,7 +140,7 @@ class TestWeightedError:
     def test_embedding_constant(self):
         exact = reference_solution(CIRCLE)
         space = FeSpace(build_uniform_mesh(2, 16), 1)
-        coeffs = interpolate(space, exact.value)
+        coeffs = interpolate(space, exact.values)
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         max_dist = float(np.max(CIRCLE.distance(corners)))
         assert max_dist == pytest.approx(math.hypot(0.7, 0.7) - 0.2, abs=1e-14)

@@ -53,7 +53,7 @@ class TestSingleLayer:
             if CIRCLE.distance(x) <= 0.05:
                 continue
             value = single_layer(CIRCLE, lambda y: 5.0, x)
-            assert value == pytest.approx(exact.value(x), rel=1e-3)
+            assert value == pytest.approx(exact.values(x)[0], rel=1e-3)
             count += 1
 
     def test_matches_reference_solution_3d(self):
@@ -65,7 +65,7 @@ class TestSingleLayer:
             if SPHERE.distance(x) <= 0.05:
                 continue
             value = single_layer(SPHERE, lambda y: 25.0, x)
-            assert value == pytest.approx(exact.value(x), rel=1e-3)
+            assert value == pytest.approx(exact.values(x)[0], rel=1e-3)
             count += 1
 
     def test_continuity_across_surface(self):
@@ -117,18 +117,18 @@ class TestSingleLayer:
 class TestJumpCheck:
     def test_reference_2d(self):
         exact = reference_solution(CIRCLE)
-        residual = jump_check(CIRCLE, exact.value, lambda y: 5.0, fd_step=1e-4)
+        residual = jump_check(CIRCLE, exact.values, lambda y: 5.0, fd_step=1e-4)
         assert residual < 1e-3
 
     def test_reference_3d(self):
         exact = reference_solution(SPHERE)
-        residual = jump_check(SPHERE, exact.value, lambda y: 25.0, fd_step=1e-4)
+        residual = jump_check(SPHERE, exact.values, lambda y: 25.0, fd_step=1e-4)
         assert residual < 1e-2
 
     def test_globally_smooth_function_has_no_jump(self):
-        residual = jump_check(CIRCLE, lambda x: x[0], lambda y: 0.0, fd_step=1e-4)
+        residual = jump_check(CIRCLE, lambda x: x[:, 0], lambda y: 0.0, fd_step=1e-4)
         assert residual < 1e-10
 
     def test_rejects_large_step(self):
         with pytest.raises(ValueError):
-            jump_check(CIRCLE, lambda x: x[0], lambda y: 0.0, fd_step=0.1)
+            jump_check(CIRCLE, lambda x: x[:, 0], lambda y: 0.0, fd_step=0.1)

@@ -73,21 +73,6 @@ def test_monotone_energy_error():
         assert all(b <= a + 1e-12 * abs(a) for a, b in zip(energies[:-1], energies[1:]))
 
 
-def test_jacobi_matches_unpreconditioned():
-    rng = np.random.default_rng(23)
-    matrix = random_spd(rng, 40)
-    # scale rows/cols to make the diagonal non-trivial
-    d = sp.diags(rng.uniform(0.5, 10.0, size=40))
-    matrix = (d @ matrix @ d).tocsr()
-    rhs = rng.standard_normal(40)
-    tol = 1e-11
-    plain, rep1 = cg_solve(matrix, rhs, tol=tol)
-    jacobi, rep2 = cg_solve(matrix, rhs, tol=tol, preconditioner="jacobi")
-    assert rep1.converged and rep2.converged
-    scale = np.linalg.norm(plain)
-    assert np.linalg.norm(plain - jacobi) <= 10.0 * tol * max(scale, 1.0) * 100
-
-
 def test_nonconvergence_reported():
     rng = np.random.default_rng(5)
     matrix = random_spd(rng, 30)
@@ -104,8 +89,6 @@ def test_rejects_bad_arguments():
         cg_solve(matrix, np.ones(3), tol=0.0)
     with pytest.raises(ValueError, match="finite"):
         cg_solve(matrix, np.ones(3), tol=np.nan)
-    with pytest.raises(ValueError):
-        cg_solve(matrix, np.ones(3), preconditioner="ilu")
     space = FeSpace(build_uniform_mesh(2, 6), 1)
     with pytest.raises(ValueError, match="power-of-two"):
         multigrid_preconditioner(assemble_stiffness(space), space)
@@ -122,7 +105,7 @@ def study_system(dim, degree, cells):
     space = FeSpace(mesh, degree)
     load = assemble_interface_load(space, immersed_quadrature(interface, mesh),
                                    lambda y: layer_source_strength(interface))
-    matrix, rhs = apply_dirichlet(assemble_stiffness(space), load, space, exact.value)
+    matrix, rhs = apply_dirichlet(assemble_stiffness(space), load, space, exact.values)
     return space, matrix, rhs, interface, exact
 
 

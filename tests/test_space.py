@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
-                         classify_cells, interpolate, interpolate_outside_layer,
-                         reference_solution, shape_eval, weighted_errors)
+from immersedfem import (FeSpace, SphericalInterface, apply_dirichlet,
+                         assemble_interface_load, assemble_stiffness, assemble_volume_load,
+                         build_uniform_mesh, classify_cells, immersed_quadrature,
+                         interpolate, interpolate_outside_layer, jump_check,
+                         reference_solution, shape_eval, single_layer, weighted_errors)
 from immersedfem.mesh import _lattice
 from immersedfem.space import _lagrange_1d
 
@@ -102,7 +104,7 @@ class TestInterpolation:
     def test_linear_reproduced_pointwise(self):
         rng = np.random.default_rng(5)
         space = FeSpace(build_uniform_mesh(2, 4), 1)
-        g = lambda x: 0.3 * x[0] - 1.7 * x[1] + 0.25
+        g = lambda x: 0.3 * x[:, 0] - 1.7 * x[:, 1] + 0.25
         coeffs = interpolate(space, g)
         pts = rng.uniform(0.0, 1.0, size=(10, 2))
         values = space.evaluate(coeffs, pts)
@@ -111,14 +113,14 @@ class TestInterpolation:
 
     def test_bilinear_reproduced(self):
         space = FeSpace(build_uniform_mesh(2, 3), 1)
-        coeffs = interpolate(space, lambda x: x[0] * x[1])
+        coeffs = interpolate(space, lambda x: x[:, 0] * x[:, 1])
         pts = np.array([[0.1, 0.9], [0.37, 0.42], [0.99, 0.01]])
         assert np.allclose(space.evaluate(coeffs, pts), pts[:, 0] * pts[:, 1],
                            atol=1e-14)
 
     def test_gradient_evaluation(self):
         space = FeSpace(build_uniform_mesh(2, 4), 1)
-        coeffs = interpolate(space, lambda x: 2.0 * x[0] - x[1])
+        coeffs = interpolate(space, lambda x: 2.0 * x[:, 0] - x[:, 1])
         grads = space.evaluate_gradient(coeffs, [[0.3, 0.6], [0.8, 0.1]])
         assert np.allclose(grads, [[2.0, -1.0], [2.0, -1.0]], atol=1e-12)
 
@@ -128,7 +130,7 @@ class TestLayerMaskedInterpolation:
         mesh = build_uniform_mesh(2, 4)
         space = FeSpace(mesh, 1)
         cls = classify_cells(mesh, FAR, 2.0)
-        g = lambda x: math.sin(x[0]) + x[1]
+        g = lambda x: np.sin(x[:, 0]) + x[:, 1]
         assert np.array_equal(interpolate_outside_layer(space, cls, g),
                               interpolate(space, g))
 
@@ -156,8 +158,8 @@ class TestLayerMaskedInterpolation:
         mesh = build_uniform_mesh(2, 8)
         space = FeSpace(mesh, 1)
         cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-        g1 = lambda x: math.sin(3.0 * x[0]) * x[1]
-        g2 = lambda x: x[0] ** 2 - 0.5 * x[1]
+        g1 = lambda x: np.sin(3.0 * x[:, 0]) * x[:, 1]
+        g2 = lambda x: x[:, 0] ** 2 - 0.5 * x[:, 1]
         combo = lambda x: 2.5 * g1(x) + g2(x)
         lhs = interpolate_outside_layer(space, cls, combo)
         rhs = (2.5 * interpolate_outside_layer(space, cls, g1)
@@ -175,7 +177,7 @@ class TestLayerMaskedInterpolation:
             mesh = build_uniform_mesh(2, n)
             space = FeSpace(mesh, degree)
             cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-            coeffs = interpolate_outside_layer(space, cls, exact.value)
+            coeffs = interpolate_outside_layer(space, cls, exact.values)
             errs = weighted_errors(space, coeffs, exact, CIRCLE, [0.0],
                                    cell_ids=cls.out_cells)
             errors.append(errs[(0.0, 1)])
@@ -193,7 +195,7 @@ class TestLayerMaskedInterpolation:
             mesh = build_uniform_mesh(2, n)
             space = FeSpace(mesh, 1)
             cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-            coeffs = interpolate_outside_layer(space, cls, exact.value)
+            coeffs = interpolate_outside_layer(space, cls, exact.values)
             full = weighted_errors(space, coeffs, exact, CIRCLE, [0.49])
             out = weighted_errors(space, coeffs, exact, CIRCLE, [0.49],
                                   cell_ids=cls.out_cells)
@@ -203,3 +205,57 @@ class TestLayerMaskedInterpolation:
         assert all(abs(r) < 0.2 for r in flat_rates)
         out_rates = [math.log2(a / b) for a, b in zip(restricted[:-1], restricted[1:])]
         assert all(r >= 0.8 for r in out_rates)
+
+
+class CountingField:
+    """Batched test field: records the shape of each call and returns
+    ``result(points)``, by default 1 + x_0 at every point."""
+
+    def __init__(self, result=lambda points: 1.0 + points[:, 0]):
+        self.shapes = []
+        self._result = result
+
+    def __call__(self, points):
+        self.shapes.append(np.shape(points))
+        return self._result(points)
+
+
+def _field_consumers():
+    mesh = build_uniform_mesh(2, 8)
+    space = FeSpace(mesh, 1)
+    cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
+    quad = immersed_quadrature(CIRCLE, mesh)
+    stiffness = assemble_stiffness(space)
+    return {
+        "interpolate": lambda g: interpolate(space, g),
+        "interpolate_outside_layer": lambda g: interpolate_outside_layer(space, cls, g),
+        "apply_dirichlet": lambda g: apply_dirichlet(stiffness, np.zeros(space.n_dofs),
+                                                     space, g),
+        "assemble_volume_load": lambda g: assemble_volume_load(space, g),
+        "assemble_interface_load": lambda g: assemble_interface_load(space, quad, g),
+        "single_layer": lambda g: single_layer(CIRCLE, g, [0.8, 0.8]),
+        "jump_check": lambda g: jump_check(CIRCLE, g, lambda y: 0.0),
+    }
+
+
+class TestFieldContract:
+    @pytest.mark.parametrize("consumer", sorted(_field_consumers()))
+    def test_one_batched_call_and_checked_result(self, consumer):
+        run = _field_consumers()[consumer]
+        field = CountingField()
+        run(field)
+        assert len(field.shapes) == 1
+        n, dim = field.shapes[0]
+        assert n > 0 and dim == 2
+        # a field written for one point at a time, and one NaN among the values
+        for bad in (lambda points: points[0] + 1.0,
+                    lambda points: np.append(np.ones(len(points) - 1), np.nan)):
+            with pytest.raises(ValueError):
+                run(CountingField(bad))
+
+    def test_interpolation_matches_pointwise_loop(self):
+        # oracle: the exact solution called at one dof coordinate at a time
+        space = FeSpace(build_uniform_mesh(2, 64), 2)
+        exact = reference_solution(CIRCLE)
+        want = np.array([exact.values(x[None, :])[0] for x in space.dof_coords])
+        assert interpolate(space, exact.values).tobytes() == want.tobytes()

@@ -131,7 +131,7 @@ class TestRunStudy:
             space = FeSpace(build_uniform_mesh(2, n_c), 1)
             load = assemble_interface_load(space, immersed_quadrature(interface, space.mesh),
                                            lambda points: density)
-            matrix, rhs = apply_dirichlet(assemble_stiffness(space), load, space, exact.value)
+            matrix, rhs = apply_dirichlet(assemble_stiffness(space), load, space, exact.values)
             errors = weighted_errors(space, splu(matrix.tocsc()).solve(rhs), exact,
                                      interface, config.alphas)
             for r in (r for r in records if r.n_cells_per_axis == n_c):
@@ -280,6 +280,9 @@ class TestCli:
         depth = tmp_path / "depth.cfg"  # the cut-cell rule has no depth to set
         depth.write_text("cut_depth = 4\n", encoding="utf-8")
         assert main(["--config", str(depth)]) == 1
+        quad = tmp_path / "quad.cfg"  # the error quadrature is not configurable
+        quad.write_text("quad_points = 4\n", encoding="utf-8")
+        assert main(["--config", str(quad)]) == 1
         assert "unknown key" in capsys.readouterr().err
         noisy = tmp_path / "noisy.cfg"
         noisy.write_text("dim 2\n", encoding="utf-8")
