@@ -102,7 +102,12 @@ def apply_dirichlet(matrix: sp.csr_matrix, rhs: np.ndarray, space: FeSpace, g):
     lifted[boundary] = _field_values(g, space.dof_coords[boundary])
     keep = np.ones(space.n_dofs)
     keep[boundary] = 0.0
-    keep_diag = sp.diags(keep)
-    eliminated = keep_diag @ matrix @ keep_diag + sp.diags(1.0 - keep)
+    # bit for bit diag(keep) A diag(keep) + diag(1 - keep), without its products
+    on_boundary = keep == 0.0
+    eliminated = matrix.tocsr(copy=True)
+    eliminated.data[np.repeat(on_boundary, np.diff(eliminated.indptr))
+                    | on_boundary[eliminated.indices]] = 0.0
+    eliminated[boundary, boundary] = 1.0
+    eliminated.eliminate_zeros()
     new_rhs = keep * (rhs - matrix @ lifted) + (1.0 - keep) * lifted
-    return eliminated.tocsr(), new_rhs
+    return eliminated, new_rhs

@@ -6,10 +6,11 @@ one tensor rule, on which the shape functions are tabulated once.  Every other
 cell carries the height-function rule of ``quadrature.split_cut_cell``: its
 pieces never cross the surface and carry a side tag, so the piecewise exact
 solution is always evaluated on a single branch per quadrature point, and
-they are graded toward the surface, where d^(2*alpha) is singular.  The shape
-functions are tabulated at those points in bounded blocks, and the exact
-solution's batched ``values(points, side)`` and ``gradients(points, side)``
-are called once per block on its (n, dim) point array.
+they are graded toward the surface, where d^(2*alpha) is singular.  The FE
+function is evaluated at those points by sum factorisation, from 1D tables
+only, in bounded blocks, and the exact solution's batched ``values(points,
+side)`` and ``gradients(points, side)`` are called once per block on its
+(n, dim) point array.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .geometry import _length
 from .mesh import Mesh, CellClassification
 from .quadrature import gauss_rule, split_cut_cell
-from .space import FeSpace
+from .space import FeSpace, _sum_factorised
 
 
 #: cells per quadrature block of the error pass away from the surface, and
@@ -56,19 +57,15 @@ class RadialSolution:
     def values(self, points, side=None) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         outer = self._outer_mask(points, side)
-        rho = _length(points - self.interface.center)
-        out = np.full(points.shape[0], self._inner_value)
-        out[outer] = self._outer_value(rho[outer])
-        return out
+        rho = np.where(outer, _length(points - self.interface.center), 1.0)
+        return np.where(outer, self._outer_value(rho), self._inner_value)
 
     def gradients(self, points, side=None) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         outer = self._outer_mask(points, side)
         r = points - self.interface.center
-        rho = _length(r)
-        grad = np.zeros_like(points)
-        grad[outer] = (self._outer_slope(rho[outer]) / rho[outer])[:, None] * r[outer]
-        return grad
+        rho = np.where(outer, _length(r), 1.0)
+        return np.where(outer[:, None], (self._outer_slope(rho) / rho)[:, None] * r, 0.0)
 
     def _outer_mask(self, points, side):
         if side is None:
@@ -176,9 +173,8 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
             uh = (local @ values.T).ravel()
             guh = ((local @ grads) / mesh.edge).reshape(-1, mesh.dim)
         else:
-            at_values, at_grads = space.tabulate(ref)
-            uh = np.einsum("pj,pj->p", at_values, local)
-            guh = np.einsum("pj,pjk->pk", local, at_grads) / mesh.edge
+            uh, guh = _sum_factorised(space.degree, local, ref)
+            guh = guh / mesh.edge
         _accumulate(acc, alphas, interface, exact, pts, w, sides, uh, guh)
     return {key: math.sqrt(value) for key, value in acc.items()}
 

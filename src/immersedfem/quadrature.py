@@ -99,7 +99,7 @@ def split_cut_cell(cell_low, cell_size: float, interface, points: int):
     line, t, wt, mid = _gauss_pieces(a, b, roots, np.ones(2, dtype=bool), points,
                                      HEIGHT_GRADING)
     inside = (roots[line, 0] < mid) & (mid < roots[line, 1])
-    pts = _unpermute(np.column_stack([x[line], t]), frame[line])
+    pts = _unpermute(x, frame, line, t)
     return parent[line], pts, w[line] * wt, np.where(inside, -1, 1)
 
 
@@ -115,7 +115,7 @@ def surface_rule(cell_low, cell_size: float, interface, points: int):
     roots = np.column_stack([ck - root, ck + root])
     line, which = np.nonzero((roots >= a[:, None]) & (roots < b[:, None])
                              & (root > 0.0)[:, None])
-    pts = _unpermute(np.column_stack([x[line], roots[line, which]]), frame[line])
+    pts = _unpermute(x, frame, line, roots[line, which])
     return parent[line], pts, w[line] * interface.radius / root[line]
 
 
@@ -250,8 +250,11 @@ def _gauss_pieces(lo, hi, roots, graded, points, power):
             np.repeat(0.5 * (start + end), n))
 
 
-def _unpermute(pts, frame):
-    """Points from each box's frame back to physical axes."""
-    out = np.empty_like(pts)
-    np.put_along_axis(out, frame, pts, axis=1)
-    return out
+def _unpermute(x, frame, line, t):
+    """Points at height ``t`` on the face lines ``line``, in physical axes; the
+    face coordinates ``x`` go back through each frame once per line."""
+    faces = np.empty((x.shape[0], frame.shape[1]))
+    np.put_along_axis(faces, frame[:, :-1], x, axis=1)
+    pts = faces[line]
+    pts[np.arange(line.size), frame[line, -1]] = t
+    return pts

@@ -66,6 +66,34 @@ def shape_eval(degree: int, ref_points):
     return values, grads
 
 
+def _sum_factorised(degree: int, local, ref):
+    """Values and reference gradients at the points ``ref`` (n, dim) of the
+    functions with local coefficients ``local`` (n, n_loc), one per point.
+
+    Sum factorisation: the coefficients are contracted with the 1D value and
+    derivative tables of one axis at a time, first axis first, so no
+    (n, n_loc) shape table is formed.
+    """
+    n, dim = ref.shape
+    p = degree + 1
+
+    def contract(coeffs, table):
+        total = coeffs[..., 0] * table[..., 0]
+        for a in range(1, p):
+            total += coeffs[..., a] * table[..., a]
+        return total
+
+    # C order puts the first local axis, which runs fastest, last
+    value = local.reshape((n,) + (p,) * dim)
+    grads = []
+    for k in range(dim):
+        vals, ders = (t.reshape((n,) + (1,) * (dim - 1 - k) + (p,))
+                      for t in _lagrange_1d(degree, ref[:, k]))
+        grads = [contract(g, vals) for g in grads] + [contract(value, ders)]
+        value = contract(value, vals)
+    return value, np.stack(grads, axis=-1)
+
+
 class FeSpace:
     """Continuous piecewise Q^degree space with nodal degrees of freedom.
 
@@ -102,19 +130,16 @@ class FeSpace:
 
     def evaluate(self, coeffs, points) -> np.ndarray:
         """FE function values at arbitrary points of the unit box."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        cells = self.mesh.locate(points)
-        ref = (points - self.mesh.cell_lows[cells]) / self.mesh.edge
-        values, _ = self.tabulate(ref)
-        return np.einsum("pj,pj->p", values, np.asarray(coeffs)[self.cell_dofs[cells]])
+        return self._at_points(coeffs, points)[0]
 
     def evaluate_gradient(self, coeffs, points) -> np.ndarray:
+        return self._at_points(coeffs, points)[1] / self.mesh.edge
+
+    def _at_points(self, coeffs, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.mesh.locate(points)
         ref = (points - self.mesh.cell_lows[cells]) / self.mesh.edge
-        _, grads = self.tabulate(ref)
-        local = np.asarray(coeffs)[self.cell_dofs[cells]]
-        return np.einsum("pj,pjk->pk", local, grads) / self.mesh.edge
+        return _sum_factorised(self.degree, np.asarray(coeffs)[self.cell_dofs[cells]], ref)
 
 
 def _field_values(field, points) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from immersedfem import assembly
 from immersedfem import (FeSpace, InterfaceQuadrature, SphericalInterface,
@@ -217,6 +218,23 @@ class TestDirichlet:
                                   lambda x: x[:, 0])
         asym = (elim - elim.T).tocoo()
         assert (np.max(np.abs(asym.data)) if asym.nnz else 0.0) <= 1e-12
+
+    @pytest.mark.parametrize("dim, degree, n", [(2, 2, 16), (3, 1, 8)])
+    def test_bitwise_equal_to_product_formula(self, dim, degree, n):
+        space = FeSpace(build_uniform_mesh(dim, n), degree)
+        matrix = assemble_stiffness(space)
+        rhs = np.random.default_rng(dim + degree).standard_normal(space.n_dofs)
+        g = lambda x: np.sin(3.0 * x[:, 0]) + x[:, -1]
+        elim, new_rhs = apply_dirichlet(matrix, rhs, space, g)
+        # oracle: diag(keep) A diag(keep) + diag(1 - keep), with the boundary
+        # columns of the lifted data moved to the right-hand side
+        keep = np.ones(space.n_dofs)
+        keep[space.boundary_dofs] = 0.0
+        lifted = (1.0 - keep) * g(space.dof_coords)
+        want = (sp.diags(keep) @ matrix @ sp.diags(keep) + sp.diags(1.0 - keep)).tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(elim, name), getattr(want, name)), name
+        assert np.array_equal(new_rhs, keep * (rhs - matrix @ lifted) + (1.0 - keep) * lifted)
 
     def test_linear_data_reproduced_by_solve(self):
         # discrete harmonic extension of linear data is the linear itself

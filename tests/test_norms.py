@@ -82,6 +82,19 @@ class TestExactSolutions:
             outer = exact.values(on_surface, side=np.full(100, 1))
             assert np.max(np.abs(inner - outer)) <= 1e-12
 
+    @pytest.mark.parametrize("interface, inner", [
+        (CIRCLE, -math.log(0.2)), (SphericalInterface((0.3, 0.3, 0.3), 0.2), 1.0 / 0.2)],
+        ids=["circle", "sphere"])
+    def test_inner_branch_at_the_centre(self, interface, inner):
+        # the outer branch is singular at the centre and must not be evaluated
+        exact = reference_solution(interface)
+        centre = interface.center[None, :]
+        with np.errstate(all="raise"):
+            values = exact.values(centre, side=-1)
+            grads = exact.gradients(centre, side=-1)
+        assert np.array_equal(values, [inner])
+        assert np.array_equal(grads, np.zeros((1, interface.dim)))
+
     def test_outside_gradient_formula(self):
         exact = reference_solution(CIRCLE)
         x = np.array([0.7, 0.3])
@@ -323,8 +336,8 @@ def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
 
 class TestErrorPassOracle:
     """The blocked pass, with shared shape tables away from the surface and
-    tabulation at the points of the height-function rule near it, against
-    point-by-point evaluation of the FE function."""
+    sum factorisation at the points of the height-function rule near it,
+    against point-by-point evaluation of the FE function."""
 
     @pytest.mark.parametrize("dim, degree, n, q", [
         (2, 1, 8, 6), (2, 2, 8, 6), (2, 3, 8, 6), (2, 1, 6, 6), (2, 2, 6, 5),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from immersedfem import (SphericalInterface, build_uniform_mesh, gauss_rule,
                          immersed_quadrature, split_cut_cell)
+from immersedfem import quadrature
 from immersedfem.quadrature import surface_rule
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -175,6 +176,24 @@ class TestBatchedSplit:
             for batched, alone in zip((pts, w, sides), single[1:]):
                 assert np.array_equal(batched[mine], alone)
 
+    def test_points_in_their_cells_3d(self):
+        mesh = build_uniform_mesh(3, 8)
+        d_min, _ = SPHERE.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+        lows = mesh.cell_lows[d_min <= mesh.edge]
+        parent, pts, _, _ = split_cut_cell(lows, mesh.edge, SPHERE, 4)
+        assert np.all((pts >= lows[parent]) & (pts <= lows[parent] + mesh.edge))
+        # the same lines as split_cut_cell: each point keeps its line's face
+        # coordinates, and its height coordinate lies in the line's range
+        _, frame, x, _, a, b, ck, root = quadrature._face_rules(lows, mesh.edge, SPHERE, 4,
+                                                                weighted=True)
+        line, t, _, _ = quadrature._gauss_pieces(a, b, np.column_stack([ck - root, ck + root]),
+                                                 np.ones(2, dtype=bool), 4,
+                                                 quadrature.HEIGHT_GRADING)
+        height = np.take_along_axis(pts, frame[line, -1:], axis=1)[:, 0]
+        assert np.array_equal(height, t)
+        assert np.all((a[line] <= height) & (height <= b[line]))
+        assert np.array_equal(np.take_along_axis(pts, frame[line, :-1], axis=1), x[line])
+
 
 class TestSurfaceRule:
     @pytest.mark.parametrize("interface, n", [(CIRCLE, 8), (SPHERE, 4)])
@@ -223,7 +242,7 @@ class TestDegenerateGeometry:
     """The rule on every cell within one cell width of the surface, and a
     tensor rule on the rest, against closed forms."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(grid_spheres())
     def test_measures_and_weighted_moment(self, mesh_sphere):
         mesh, sphere = mesh_sphere

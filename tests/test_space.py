@@ -9,7 +9,7 @@ from immersedfem import (FeSpace, SphericalInterface, apply_dirichlet,
                          interpolate, interpolate_outside_layer, jump_check,
                          reference_solution, shape_eval, single_layer, weighted_errors)
 from immersedfem.mesh import _lattice
-from immersedfem.space import _lagrange_1d
+from immersedfem.space import _lagrange_1d, _sum_factorised
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
@@ -74,6 +74,24 @@ class TestShapeFunctions:
             nodes = np.array([[x, y] for y in nodes1d for x in nodes1d])
             values, _ = shape_eval(degree, nodes)
             assert np.allclose(values, np.eye(len(nodes)), atol=1e-13)
+
+
+class TestSumFactorisation:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_matches_shape_tables(self, dim, degree):
+        # nodes (corners included), points on every face and interior points
+        rng = np.random.default_rng(7 * dim + degree)
+        faces = rng.uniform(0.0, 1.0, size=(2 * dim, 6, dim))
+        for k in range(dim):
+            faces[2 * k, :, k], faces[2 * k + 1, :, k] = 0.0, 1.0
+        ref = np.vstack([_lattice(degree + 1, dim) / degree, faces.reshape(-1, dim),
+                         rng.uniform(0.0, 1.0, size=(40, dim))])
+        local = rng.uniform(-1.0, 1.0, size=(ref.shape[0], (degree + 1) ** dim))
+        values, grads = shape_eval(degree, ref)
+        got_values, got_grads = _sum_factorised(degree, local, ref)
+        assert np.max(np.abs(got_values - np.einsum("pj,pj->p", values, local))) <= 1e-14
+        assert np.max(np.abs(got_grads - np.einsum("pj,pjk->pk", local, grads))) <= 1e-14
 
 
 class TestFeSpace:
