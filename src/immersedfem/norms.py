@@ -6,11 +6,11 @@ one tensor rule, on which the shape functions are tabulated once.  Every other
 cell carries the height-function rule of ``quadrature.split_cut_cell``: its
 pieces never cross the surface and carry a side tag, so the piecewise exact
 solution is always evaluated on a single branch per quadrature point, and
-they are graded toward the surface, where d^(2*alpha) is singular.  The FE
-function is evaluated at those points by sum factorisation, from 1D tables
-only, in bounded blocks, and the exact solution's batched ``values(points,
-side)`` and ``gradients(points, side)`` are called once per block on its
-(n, dim) point array.
+they are graded toward the surface, where d^(2*alpha) is singular.  There
+the FE function is evaluated line by line, in runs of whole lines: the face
+axes once per line of the rule, the height axis per point.  The exact
+solution's batched ``values(points, side)`` and ``gradients(points, side)``
+are called once per block or run on its (n, dim) point array.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import numpy as np
 
 from .geometry import _length
 from .mesh import Mesh, CellClassification
-from .quadrature import gauss_rule, split_cut_cell
-from .space import FeSpace, _sum_factorised
+# split_cut_cell is not called here, but perfbench/tracer.py wraps it by this name
+from .quadrature import gauss_rule, split_cut_cell, _line_rule, _unpermute  # noqa: F401
+from .space import FeSpace, _line_sum_factorised
 
 
 #: cells per quadrature block of the error pass away from the surface, and
@@ -110,15 +111,15 @@ class ConvergenceRecord:
 
 
 def _cell_batches(mesh: Mesh, interface, rule, cells):
-    """Quadrature blocks ``(owners, points, weights, sides, ref)`` over ``cells``.
+    """Quadrature blocks ``(owners, points, weights, sides, lines)`` over ``cells``.
 
     Cells farther than one cell width from the surface come first, in blocks
     of ``PLAIN_BATCH_CELLS`` cells on ``rule`` with the side of their centre;
-    ``owners`` lists the cells and ``ref`` is None.  The other cells carry
-    ``split_cut_cell`` with twice the rule's points per piece, as its grading
-    triples the degree of a polynomial integrand, in blocks of at most
-    ``NEAR_BATCH_POINTS`` points; ``owners`` names each point's cell and
-    ``ref`` holds its reference coordinates.
+    ``owners`` lists the cells and ``lines`` is None.  The other cells carry
+    the height-function rule with twice the rule's points per piece, as its
+    grading triples the degree of a polynomial integrand, in runs of whole
+    lines of at most ``NEAR_BATCH_POINTS`` points; ``owners`` names each
+    line's cell and ``lines`` the other ``_line_sum_factorised`` arguments.
     """
     low = mesh.cell_lows[cells]
     d_min, _ = interface.distance_range_over_box(low, low + mesh.edge)
@@ -135,13 +136,23 @@ def _cell_batches(mesh: Mesh, interface, rule, cells):
     step = max(1, NEAR_BATCH_POINTS // points ** mesh.dim)
     for start in range(0, near.size, step):
         block = near[start:start + step]
-        parent, pts, w, sides = split_cut_cell(mesh.cell_lows[block], mesh.edge, interface,
-                                               points)
+        parent, frame, x, line, t, w, sides = _line_rule(mesh.cell_lows[block], mesh.edge,
+                                                         interface, points)
         owners = block[parent]
-        ref = (pts - mesh.cell_lows[owners]) / mesh.edge
-        for first in range(0, w.size, NEAR_BATCH_POINTS):
-            part = slice(first, first + NEAR_BATCH_POINTS)
-            yield owners[part], pts[part], w[part], sides[part], ref[part]
+        lows = np.take_along_axis(mesh.cell_lows[owners], frame, axis=1)
+        face_ref = (x - lows[:, :-1]) / mesh.edge
+        # the first point of every line, and one past the last
+        bounds = np.searchsorted(line, np.arange(owners.size + 1))
+        first = 0
+        while first < owners.size:
+            last = max(first + 1, np.searchsorted(bounds, bounds[first] + NEAR_BATCH_POINTS,
+                                                  side="right") - 1)
+            part, lines = slice(bounds[first], bounds[last]), slice(first, last)
+            on = line[part] - first
+            t_ref = (t[part] - lows[line[part], -1]) / mesh.edge
+            yield (owners[lines], _unpermute(x[lines], frame[lines], on, t[part]), w[part],
+                   sides[part], (frame[lines], face_ref[lines], on, t_ref))
+            first = last
 
 
 def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
@@ -167,13 +178,13 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
     grads = grads.transpose(1, 0, 2).reshape(grads.shape[1], -1)
     cells = np.arange(mesh.n_cells) if cell_ids is None else np.asarray(cell_ids, dtype=int)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
-    for owners, pts, w, sides, ref in _cell_batches(mesh, interface, rule, cells):
+    for owners, pts, w, sides, lines in _cell_batches(mesh, interface, rule, cells):
         local = coeffs[space.cell_dofs[owners]]
-        if ref is None:
+        if lines is None:
             uh = (local @ values.T).ravel()
             guh = ((local @ grads) / mesh.edge).reshape(-1, mesh.dim)
         else:
-            uh, guh = _sum_factorised(space.degree, local, ref)
+            uh, guh = _line_sum_factorised(space.degree, local, *lines)
             guh = guh / mesh.edge
         _accumulate(acc, alphas, interface, exact, pts, w, sides, uh, guh)
     return {key: math.sqrt(value) for key, value in acc.items()}
@@ -183,7 +194,8 @@ def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
     e0 = exact.values(pts, side=side) - uh
     e1 = exact.gradients(pts, side=side) - guh
     we0 = w * e0**2
-    we1 = w * np.sum(e1**2, axis=-1)
+    # squares summed in axis order, as ``geometry._length`` does
+    we1 = w * sum((e1[:, k] ** 2 for k in range(1, e1.shape[1])), e1[:, 0] ** 2)
     d = interface.distance(pts)
     for a in alphas:
         weight = _distance_weight(d, a) if a != 0.0 else 1.0

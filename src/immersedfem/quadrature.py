@@ -93,14 +93,21 @@ def split_cut_cell(cell_low, cell_size: float, interface, points: int):
     surface, and from two points on the weights of a cell add up to its
     volume.
     """
+    parent, frame, x, line, t, w, sides = _line_rule(cell_low, cell_size, interface, points)
+    return parent[line], _unpermute(x, frame, line, t), w, sides
+
+
+def _line_rule(cell_low, cell_size, interface, points):
+    """``split_cut_cell`` per line: the row of ``cell_low``, the frame (the
+    physical axis of each frame axis, height last) and the face coordinates
+    in frame order; and per point, by line: line, height t, weight, side."""
     parent, frame, x, w, a, b, ck, root = _face_rules(cell_low, cell_size, interface,
                                                       points, weighted=True)
     roots = np.column_stack([ck - root, ck + root])
     line, t, wt, mid = _gauss_pieces(a, b, roots, np.ones(2, dtype=bool), points,
                                      HEIGHT_GRADING)
     inside = (roots[line, 0] < mid) & (mid < roots[line, 1])
-    pts = _unpermute(x, frame, line, t)
-    return parent[line], pts, w[line] * wt, np.where(inside, -1, 1)
+    return parent, frame, x, line, t, w[line] * wt, np.where(inside, -1, 1)
 
 
 def surface_rule(cell_low, cell_size: float, interface, points: int):
@@ -161,7 +168,8 @@ def _face_rules(cell_low, cell_size, interface, points, weighted):
     for k in range(dim):
         a = lows[box, k]
         ck = centers[box, k][:, None]
-        root = _root(radii[k][box] - np.sum((x - centers[box, :k]) ** 2, axis=1)[:, None])
+        squares = sum(((x[:, j] - centers[box, j]) ** 2 for j in range(k)), np.zeros(box.size))
+        root = _root(radii[k][box] - squares[:, None])
         if k == dim - 1:
             return parent[box], frame[box], x, w, a, a + sizes[box], ck[:, 0], root[:, 0]
         line, t, wt, _ = _gauss_pieces(a, a + sizes[box], np.hstack([ck - root, ck + root]),
@@ -215,11 +223,10 @@ def _gauss_pieces(lo, hi, roots, graded, points, power):
     cuts = np.sort(np.concatenate([lo[:, None], inner, hi[:, None]], axis=1), axis=1)
     a, b = cuts[:, :-1], cuts[:, 1:]
     length = b - a
-    r = np.where(graded, roots, np.nan)[:, None, :]
-    left = np.max(np.where((r <= a[..., None]) & (r >= (a - length)[..., None]), r, -np.inf),
-                  axis=-1)
-    right = np.min(np.where((r >= b[..., None]) & (r <= (b + length)[..., None]), r, np.inf),
-                   axis=-1)
+    left, right = np.full(a.shape, -np.inf), np.full(a.shape, np.inf)
+    for r in roots[:, graded].T[:, :, None]:
+        left = np.maximum(left, np.where((r <= a) & (r >= a - length), r, -np.inf))
+        right = np.minimum(right, np.where((r >= b) & (r <= b + length), r, np.inf))
     has_left, has_right = np.isfinite(left), np.isfinite(right)
     both = has_left & has_right
     mid = np.where(both, 0.5 * (a + b), b)

@@ -11,30 +11,28 @@ from .mesh import Mesh, CellClassification, _lattice, _ravel_index
 
 
 def _lagrange_1d(degree: int, x: np.ndarray):
-    """Values and derivatives of the 1D Lagrange basis on nodes k/degree."""
+    """Values and derivatives of the 1D Lagrange basis on nodes k/degree, for
+    all basis functions at once; products take their factors x - node_b, and
+    derivatives their terms, in ascending b, as a loop per function would."""
     x = np.asarray(x, dtype=float)
-    nodes = np.arange(degree + 1) / degree if degree > 0 else np.zeros(1)
     n = degree + 1
-    values = np.ones(x.shape + (n,))
-    derivs = np.zeros(x.shape + (n,))
-    for a in range(n):
-        denom = np.prod([nodes[a] - nodes[b] for b in range(n) if b != a])
-        num = np.ones_like(x)
-        for b in range(n):
-            if b != a:
-                num = num * (x - nodes[b])
-        values[..., a] = num / denom
-        der = np.zeros_like(x)
-        for b in range(n):
-            if b == a:
-                continue
-            term = np.ones_like(x)
-            for cc in range(n):
-                if cc != a and cc != b:
-                    term = term * (x - nodes[cc])
-            der = der + term
-        derivs[..., a] = der / denom
-    return values, derivs
+    nodes = np.arange(n) / degree if degree > 0 else np.zeros(1)
+    # row j holds the j-th node b != a of every basis function a
+    others = np.array([[b for b in range(n) if b != a] for a in range(n)], dtype=int).T
+    diffs = x - nodes.reshape((n,) + (1,) * x.ndim)  # row b: x - node_b
+
+    def product(rows):
+        # 1 * f == f, so starting from the first factor keeps every bit
+        out = diffs[rows[0]] if len(rows) else np.ones(diffs.shape)
+        for b in rows[1:]:
+            out = out * diffs[b]
+        return out
+
+    denom = np.prod(nodes[:, None] - nodes[others.T], axis=1).reshape((n,) + (1,) * x.ndim)
+    derivs = np.zeros(diffs.shape)
+    for j in range(n - 1):
+        derivs = derivs + product(np.delete(others, j, axis=0))
+    return np.moveaxis(product(others) / denom, 0, -1), np.moveaxis(derivs / denom, 0, -1)
 
 
 def shape_eval(degree: int, ref_points):
@@ -66,15 +64,18 @@ def shape_eval(degree: int, ref_points):
     return values, grads
 
 
-def _sum_factorised(degree: int, local, ref):
-    """Values and reference gradients at the points ``ref`` (n, dim) of the
-    functions with local coefficients ``local`` (n, n_loc), one per point.
+def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
+    """Values and reference gradients of FE functions at points on lines.
 
-    Sum factorisation: the coefficients are contracted with the 1D value and
-    derivative tables of one axis at a time, first axis first, so no
-    (n, n_loc) shape table is formed.
+    Line i has the coefficients ``local[i]`` of its cell, the physical axis
+    of each frame axis ``frame[i]`` (its direction last) and the reference
+    coordinates ``face_ref[i]`` of the others; point j sits at ``t_ref[j]``
+    on line ``line[j]``.  Per line the face axes are contracted with 1D
+    tables, first frame axis first, leaving the value and the gradient as
+    polynomials along the line (its own component from the value's slope at
+    the nodes); per point one 1D value table evaluates them.
     """
-    n, dim = ref.shape
+    dim = frame.shape[1]
     p = degree + 1
 
     def contract(coeffs, table):
@@ -83,15 +84,23 @@ def _sum_factorised(degree: int, local, ref):
             total += coeffs[..., a] * table[..., a]
         return total
 
-    # C order puts the first local axis, which runs fastest, last
-    value = local.reshape((n,) + (p,) * dim)
+    # coefficients in frame order; C order puts the first frame axis last
+    index = (p ** frame) @ _lattice(p, dim).astype(int).T
+    value = np.take_along_axis(local, index, axis=1).reshape((-1,) + (p,) * dim)
     grads = []
-    for k in range(dim):
-        vals, ders = (t.reshape((n,) + (1,) * (dim - 1 - k) + (p,))
-                      for t in _lagrange_1d(degree, ref[:, k]))
+    for k in range(dim - 1):
+        vals, ders = (t.reshape((-1,) + (1,) * (dim - 1 - k) + (p,))
+                      for t in _lagrange_1d(degree, face_ref[:, k]))
         grads = [contract(g, vals) for g in grads] + [contract(value, ders)]
         value = contract(value, vals)
-    return value, np.stack(grads, axis=-1)
+    grads.append(contract(value[:, None, :], _lagrange_1d(degree, np.arange(p) / degree)[1]))
+    # (line, node, value and gradient in physical axes)
+    polys = np.empty((value.shape[0], p, dim + 1))
+    polys[:, :, 0] = value
+    np.put_along_axis(polys, frame[:, None, :] + 1, np.stack(grads, axis=-1), axis=2)
+    vals, _ = _lagrange_1d(degree, t_ref)
+    total = contract(np.moveaxis(polys[line], 1, -1), vals[:, None, :])
+    return total[:, 0], total[:, 1:]
 
 
 class FeSpace:
@@ -139,7 +148,9 @@ class FeSpace:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.mesh.locate(points)
         ref = (points - self.mesh.cell_lows[cells]) / self.mesh.edge
-        return _sum_factorised(self.degree, np.asarray(coeffs)[self.cell_dofs[cells]], ref)
+        frame = np.broadcast_to(np.arange(ref.shape[1]), ref.shape)
+        return _line_sum_factorised(self.degree, np.asarray(coeffs)[self.cell_dofs[cells]],
+                                    frame, ref[:, :-1], np.arange(ref.shape[0]), ref[:, -1])
 
 
 def _field_values(field, points) -> np.ndarray:

@@ -9,6 +9,7 @@ from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
                          classify_cells, discrete_norm, eoc, gauss_rule, interpolate,
                          reference_solution, split_cut_cell, weight_integral,
                          weighted_errors)
+from immersedfem import norms, quadrature, space as space_module
 from immersedfem.norms import PLAIN_BATCH_CELLS
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -336,7 +337,7 @@ def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
 
 class TestErrorPassOracle:
     """The blocked pass, with shared shape tables away from the surface and
-    sum factorisation at the points of the height-function rule near it,
+    sum factorisation along the lines of the height-function rule near it,
     against point-by-point evaluation of the FE function."""
 
     @pytest.mark.parametrize("dim, degree, n, q", [
@@ -359,3 +360,32 @@ class TestErrorPassOracle:
             want = brute_force_errors(space, coeffs, exact, interface, alphas, q, cells)
             for key in want:
                 assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+
+class TestNearPathWork:
+    def test_face_tables_once_per_line(self, monkeypatch):
+        # the 1D tables of the near path take each point's height coordinate
+        # once and each line's face coordinates once, not every coordinate
+        # of every point
+        interface = SphericalInterface((0.3, 0.3, 0.3), 0.2)
+        mesh = build_uniform_mesh(3, 4)
+        space = FeSpace(mesh, 1)
+        q = space.degree + 3
+        d_min, _ = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+        near = np.nonzero(d_min <= mesh.edge)[0]
+        rows, _, _, line, _, _, _ = quadrature._line_rule(mesh.cell_lows[near], mesh.edge,
+                                                          interface, 2 * q)
+        coordinates, kernel_calls = [], []
+        lagrange, kernel = space_module._lagrange_1d, norms._line_sum_factorised
+        monkeypatch.setattr(space_module, "_lagrange_1d",
+                            lambda degree, x: coordinates.append(np.size(x)) or lagrange(degree, x))
+        monkeypatch.setattr(norms, "_line_sum_factorised",
+                            lambda *args: kernel_calls.append(1) or kernel(*args))
+        weighted_errors(space, np.zeros(space.n_dofs), reference_solution(interface), interface,
+                        [0.0, 0.3], cell_ids=near)
+        # besides: one tabulation of the tensor rule, and per kernel call the
+        # slopes of the 1D basis at its degree + 1 nodes
+        bound = (line.size + (mesh.dim - 1) * rows.size + mesh.dim * q ** mesh.dim
+                 + (space.degree + 1) * len(kernel_calls))
+        assert kernel_calls and sum(coordinates) <= bound
+        assert bound < mesh.dim * line.size

@@ -195,6 +195,83 @@ class TestBatchedSplit:
         assert np.array_equal(np.take_along_axis(pts, frame[line, :-1], axis=1), x[line])
 
 
+    @pytest.mark.parametrize("interface, n, points", [(CIRCLE, 8, 4), (SPHERE, 4, 2)])
+    def test_is_the_line_rule_expanded(self, interface, n, points):
+        # every cell of the grid; the points written out one by one
+        dim = interface.dim
+        ticks = np.arange(n) / n
+        lows = np.stack(np.meshgrid(*([ticks] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+        parent, pts, w, sides = split_cut_cell(lows, 1.0 / n, interface, points)
+        rows, frame, x, line, t, line_w, line_sides = quadrature._line_rule(
+            lows, 1.0 / n, interface, points)
+        assert np.all(np.diff(line) >= 0)
+        want = np.empty((line.size, dim))
+        for j, (k, height) in enumerate(zip(line, t)):
+            want[j, frame[k, :-1]] = x[k]
+            want[j, frame[k, -1]] = height
+        assert np.array_equal(parent, rows[line])
+        assert pts.tobytes() == want.tobytes()
+        assert w.tobytes() == line_w.tobytes()
+        assert np.array_equal(sides, line_sides)
+
+
+def loop_gauss_pieces(lo, hi, roots, graded, points, power):
+    """``quadrature._gauss_pieces`` line by line and piece by piece, with each
+    anchor found by a loop over the roots (test oracle)."""
+    xi, omega = quadrature.gauss_points_1d(points)
+    out = []
+    for i in range(lo.size):
+        cuts = sorted([lo[i], hi[i]] + [r for r in roots[i] if lo[i] < r < hi[i]])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if not b > a:
+                continue
+            left = right = None
+            for r, g in zip(roots[i], graded):
+                if g and a - (b - a) <= r <= a and (left is None or r > left):
+                    left = r
+                if g and b <= r <= b + (b - a) and (right is None or r < right):
+                    right = r
+            if left is not None and right is not None:
+                halves = [(a, 0.5 * (a + b), left), (0.5 * (a + b), b, right)]
+            else:
+                halves = [(a, b, right if left is None else left)]
+            for start, end, anchor in halves:
+                if anchor is None:
+                    t, w = start + (end - start) * xi, (end - start) * omega
+                else:
+                    near, far = (start, end) if anchor <= start else (end, start)
+                    span = far - anchor
+                    s0 = ((near - anchor) / span) ** (1.0 / power)
+                    s = s0 + (1.0 - s0) * xi
+                    t = anchor + span * s ** power
+                    w = (1.0 - s0) * power * abs(span) * omega * s ** (power - 1)
+                out += [(i, tj, wj, 0.5 * (start + end)) for tj, wj in zip(t, w)]
+    return [np.array(column) for column in zip(*out)]
+
+
+class TestGaussPieces:
+    def test_anchors_against_a_loop_over_the_roots(self):
+        # roots inside the lines, on their ends, on each other, within one
+        # piece length beyond a cut and farther, and absent; one column of
+        # roots is not graded
+        rng = np.random.default_rng(5)
+        m, k = 300, 4
+        lo = rng.uniform(0.0, 1.0, size=m)
+        hi = lo + rng.uniform(0.1, 1.0, size=m)
+        frac = rng.choice([-1.5, -0.4, -0.05, 0.0, 0.2, 0.5, 0.8, 1.0, 1.05, 1.4, 2.5],
+                          size=(m, k))
+        roots = lo[:, None] + frac * (hi - lo)[:, None]
+        roots[rng.uniform(size=(m, k)) < 0.2] = np.nan
+        roots[::7, 1] = roots[::7, 0]
+        graded = np.array([True, False, True, True])
+        got = quadrature._gauss_pieces(lo, hi, roots, graded, 3, 3)
+        want = loop_gauss_pieces(lo, hi, roots, graded, 3, 3)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[3], want[3])
+        for g, w in zip(got[1:3], want[1:3]):
+            assert np.allclose(g, w, rtol=1e-13, atol=1e-15)
+
+
 class TestSurfaceRule:
     @pytest.mark.parametrize("interface, n", [(CIRCLE, 8), (SPHERE, 4)])
     def test_matches_one_cell_at_a_time(self, interface, n):

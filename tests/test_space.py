@@ -9,7 +9,7 @@ from immersedfem import (FeSpace, SphericalInterface, apply_dirichlet,
                          interpolate, interpolate_outside_layer, jump_check,
                          reference_solution, shape_eval, single_layer, weighted_errors)
 from immersedfem.mesh import _lattice
-from immersedfem.space import _lagrange_1d, _sum_factorised
+from immersedfem.space import _lagrange_1d, _line_sum_factorised
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
@@ -76,22 +76,73 @@ class TestShapeFunctions:
             assert np.allclose(values, np.eye(len(nodes)), atol=1e-13)
 
 
+def loop_lagrange_1d(degree, x):
+    """The 1D Lagrange basis one basis function at a time, factor by factor
+    (test oracle)."""
+    x = np.asarray(x, dtype=float)
+    nodes = np.arange(degree + 1) / degree
+    n = degree + 1
+    values = np.ones(x.shape + (n,))
+    derivs = np.zeros(x.shape + (n,))
+    for a in range(n):
+        denom = np.prod([nodes[a] - nodes[b] for b in range(n) if b != a])
+        num = np.ones_like(x)
+        for b in range(n):
+            if b != a:
+                num = num * (x - nodes[b])
+        values[..., a] = num / denom
+        der = np.zeros_like(x)
+        for b in range(n):
+            if b == a:
+                continue
+            term = np.ones_like(x)
+            for c in range(n):
+                if c != a and c != b:
+                    term = term * (x - nodes[c])
+            der = der + term
+        derivs[..., a] = der / denom
+    return values, derivs
+
+
+class TestLagrange1d:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_bitwise_equal_to_loop_oracle(self, degree):
+        rng = np.random.default_rng(degree)
+        nodes = np.arange(2 * degree + 1) / (2 * degree)
+        for x in (nodes, rng.uniform(-0.5, 1.5, size=200), rng.uniform(0.0, 1.0, size=(4, 7))):
+            got = _lagrange_1d(degree, x)
+            for table, want in zip(got, loop_lagrange_1d(degree, x)):
+                assert table.shape == want.shape
+                # bytes, so that the sign of a zero counts too
+                assert np.ascontiguousarray(table).tobytes() == want.tobytes()
+
+
 class TestSumFactorisation:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_matches_shape_tables(self, dim, degree):
-        # nodes (corners included), points on every face and interior points
+        # lines along every axis in one call, with face coordinates on the
+        # faces, at the nodes and inside, and points at both line ends, at
+        # the nodes and inside
         rng = np.random.default_rng(7 * dim + degree)
-        faces = rng.uniform(0.0, 1.0, size=(2 * dim, 6, dim))
-        for k in range(dim):
-            faces[2 * k, :, k], faces[2 * k + 1, :, k] = 0.0, 1.0
-        ref = np.vstack([_lattice(degree + 1, dim) / degree, faces.reshape(-1, dim),
-                         rng.uniform(0.0, 1.0, size=(40, dim))])
-        local = rng.uniform(-1.0, 1.0, size=(ref.shape[0], (degree + 1) ** dim))
+        ticks = np.arange(degree + 1) / degree
+        face_ref = np.vstack([_lattice(degree + 1, dim - 1) / degree,
+                              rng.uniform(0.0, 1.0, size=(8, dim - 1))])
+        face_ref = np.tile(face_ref, (dim, 1))
+        height = np.repeat(np.arange(dim), face_ref.shape[0] // dim)
+        frame = np.array([[j for j in range(dim) if j != k] + [k] for k in height])
+        per_line = np.concatenate([ticks, rng.uniform(0.0, 1.0, size=3)])
+        line = np.repeat(np.arange(frame.shape[0]), per_line.size)
+        t_ref = np.tile(per_line, frame.shape[0])
+        local = rng.uniform(-1.0, 1.0, size=(frame.shape[0], (degree + 1) ** dim))
+        ref = np.empty((line.size, dim))
+        np.put_along_axis(ref, frame[line, :-1], face_ref[line], axis=1)
+        ref[np.arange(line.size), frame[line, -1]] = t_ref
         values, grads = shape_eval(degree, ref)
-        got_values, got_grads = _sum_factorised(degree, local, ref)
-        assert np.max(np.abs(got_values - np.einsum("pj,pj->p", values, local))) <= 1e-14
-        assert np.max(np.abs(got_grads - np.einsum("pj,pjk->pk", local, grads))) <= 1e-14
+        got_values, got_grads = _line_sum_factorised(degree, local, frame, face_ref, line,
+                                                     t_ref)
+        assert np.max(np.abs(got_values - np.einsum("pj,pj->p", values, local[line]))) <= 1e-14
+        assert np.max(np.abs(got_grads - np.einsum("pj,pjk->pk", local[line], grads))) <= 1e-14
 
 
 class TestFeSpace:
