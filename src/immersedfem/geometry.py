@@ -19,13 +19,20 @@ from .quadrature import surface_rule
 DEFAULT_SURFACE_ORDER = 8
 
 
-def _length(vectors) -> np.ndarray:
-    """Euclidean length over the last axis: squared components summed in axis
-    order, then the root; bitwise equal to ``np.linalg.norm(v, axis=-1)``."""
-    squares = vectors[..., 0] ** 2
-    for axis in range(1, vectors.shape[-1]):
-        squares = squares + vectors[..., axis] ** 2
+def _length(columns) -> np.ndarray:
+    """Euclidean length of vectors given one component array per axis:
+    squares summed in axis order, then the root; bitwise equal to
+    ``np.linalg.norm(v, axis=-1)`` of the stacked vectors ``v``."""
+    squares = columns[0] ** 2
+    for column in columns[1:]:
+        squares = squares + column ** 2
     return np.sqrt(squares)
+
+
+def _offsets(points, center) -> list:
+    """The components of ``points - center`` (points of shape (..., dim)), one
+    array per axis, so that each subtraction runs along the points."""
+    return [points[..., k] - c for k, c in enumerate(center.tolist())]
 
 
 class SphericalInterface:
@@ -75,22 +82,23 @@ class SphericalInterface:
 
     def distance(self, points) -> np.ndarray | float:
         """Exact distance from ``points`` (shape (..., dim)) to the surface."""
-        points = np.asarray(points, dtype=float)
-        return np.abs(_length(points - self.center) - self.radius)
+        return np.abs(self._center_distance(points) - self.radius)
 
     def normal(self, points) -> np.ndarray:
         """Unit outward normal (pointing away from the enclosed region)."""
         points = np.asarray(points, dtype=float)
-        r = points - self.center
-        rho = _length(r)[..., None]
+        rho = _length(_offsets(points, self.center))[..., None]
         if np.any(rho == 0.0):
             raise ValueError("normal direction undefined at the centre")
-        return r / rho
+        return (points - self.center) / rho
 
     def side(self, points) -> np.ndarray:
         """Vectorised sign test: -1 inside, +1 outside (ties count outside)."""
-        points = np.asarray(points, dtype=float)
-        return np.where(_length(points - self.center) < self.radius, -1, 1)
+        return np.where(self._center_distance(points) < self.radius, -1, 1)
+
+    def _center_distance(self, points) -> np.ndarray:
+        """|x - c| at ``points`` (shape (..., dim)), one axis at a time."""
+        return _length(_offsets(np.asarray(points, dtype=float), self.center))
 
     def center_distance_range_over_box(self, low, high):
         """Range of |x - c| over axis-aligned boxes [low, high].
@@ -100,9 +108,9 @@ class SphericalInterface:
         """
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
-        nearest = np.clip(self.center, low, high)
-        t_min = _length(nearest - self.center)
-        t_max = _length(np.maximum(np.abs(low - self.center), np.abs(high - self.center)))
+        lows, highs = _offsets(low, self.center), _offsets(high, self.center)
+        t_min = _length([np.clip(0.0, lo, hi) for lo, hi in zip(lows, highs)])
+        t_max = _length([np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in zip(lows, highs)])
         return t_min, t_max
 
     def distance_range_over_box(self, low, high):

@@ -3,14 +3,16 @@
 The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
 to the interface.  Cells farther than one cell width from the interface carry
 one tensor rule, on which the shape functions are tabulated once.  Every other
-cell carries the height-function rule of ``quadrature.split_cut_cell``: its
-pieces never cross the surface and carry a side tag, so the piecewise exact
-solution is always evaluated on a single branch per quadrature point, and
-they are graded toward the surface, where d^(2*alpha) is singular.  There
-the FE function is evaluated line by line, in runs of whole lines: the face
-axes once per line of the rule, the height axis per point.  The exact
-solution's batched ``values(points, side)`` and ``gradients(points, side)``
-are called once per block or run on its (n, dim) point array.
+cell carries the height-function rule line by line (``quadrature._line_rule``,
+the lines of ``split_cut_cell``): its pieces never cross the surface and
+carry a side tag, so the piecewise exact solution is always evaluated on a
+single branch per quadrature point, and they are graded toward the surface,
+where d^(2*alpha) is singular.  There the FE function is evaluated in runs of
+whole lines: the face axes once per line of the rule, the height axis per
+point.  The exact solution's batched ``values(points, side)`` and
+``gradients(points, side)`` are called once per block or run on its (n, dim)
+point array; the per-point arithmetic works on one contiguous column per
+coordinate or component.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _length
+from .geometry import _length, _offsets
 from .mesh import Mesh, CellClassification
 # split_cut_cell is not called here, but perfbench/tracer.py wraps it by this name
 from .quadrature import gauss_rule, split_cut_cell, _line_rule, _unpermute  # noqa: F401
@@ -28,7 +30,10 @@ from .space import FeSpace, _line_sum_factorised
 
 
 #: cells per quadrature block of the error pass away from the surface, and
-#: points per block near it; they bound the memory one block holds
+#: points per run of whole lines near it: they bound the arrays of the FE and
+#: exact evaluations, but not the height-function rule, which is built for
+#: NEAR_BATCH_POINTS // (points per piece)^dim cells at a time and grows
+#: with every bisected height box
 PLAIN_BATCH_CELLS = 4096
 NEAR_BATCH_POINTS = 32768
 
@@ -58,15 +63,22 @@ class RadialSolution:
     def values(self, points, side=None) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         outer = self._outer_mask(points, side)
-        rho = np.where(outer, _length(points - self.interface.center), 1.0)
+        rho = np.where(outer, _length(_offsets(points, self.interface.center)), 1.0)
         return np.where(outer, self._outer_value(rho), self._inner_value)
 
     def gradients(self, points, side=None) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         outer = self._outer_mask(points, side)
-        r = points - self.interface.center
+        r = _offsets(points, self.interface.center)
         rho = np.where(outer, _length(r), 1.0)
-        return np.where(outer[:, None], (self._outer_slope(rho) / rho)[:, None] * r, 0.0)
+        scale = self._outer_slope(rho) / rho
+        inner = ~outer
+        # one component per row: the (n, dim) result is a transposed view
+        grads = np.empty((self.dim, points.shape[0]))
+        for k, component in enumerate(r):
+            np.multiply(scale, component, out=grads[k])
+            np.copyto(grads[k], 0.0, where=inner)
+        return grads.T
 
     def _outer_mask(self, points, side):
         if side is None:
@@ -117,9 +129,12 @@ def _cell_batches(mesh: Mesh, interface, rule, cells):
     of ``PLAIN_BATCH_CELLS`` cells on ``rule`` with the side of their centre;
     ``owners`` lists the cells and ``lines`` is None.  The other cells carry
     the height-function rule with twice the rule's points per piece, as its
-    grading triples the degree of a polynomial integrand, in runs of whole
-    lines of at most ``NEAR_BATCH_POINTS`` points; ``owners`` names each
-    line's cell and ``lines`` the other ``_line_sum_factorised`` arguments.
+    grading triples the degree of a polynomial integrand.  The rule is built
+    for as many cells at a time as a plain rule with that many points fits
+    in ``NEAR_BATCH_POINTS``, however many points their height boxes carry;
+    it is handed on in runs of whole lines of at most ``NEAR_BATCH_POINTS``
+    points (or one line); ``owners`` names each line's cell and ``lines``
+    the other ``_line_sum_factorised`` arguments.
     """
     low = mesh.cell_lows[cells]
     d_min, _ = interface.distance_range_over_box(low, low + mesh.edge)
@@ -192,10 +207,11 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
 
 def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
     e0 = exact.values(pts, side=side) - uh
-    e1 = exact.gradients(pts, side=side) - guh
+    grads = exact.gradients(pts, side=side)
+    e1 = [grads[:, k] - guh[:, k] for k in range(guh.shape[1])]
     we0 = w * e0**2
     # squares summed in axis order, as ``geometry._length`` does
-    we1 = w * sum((e1[:, k] ** 2 for k in range(1, e1.shape[1])), e1[:, 0] ** 2)
+    we1 = w * sum((e ** 2 for e in e1[1:]), e1[0] ** 2)
     d = interface.distance(pts)
     for a in alphas:
         weight = _distance_weight(d, a) if a != 0.0 else 1.0

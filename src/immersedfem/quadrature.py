@@ -61,9 +61,12 @@ class CellQuadrature:
     def on_boxes(self, lows, size: float):
         """The rule scaled to cubes ``low + size * [0, 1]^dim``: points
         (n_box * n_q, dim), box by box, and weights (n_box * n_q,)."""
-        pts = lows[:, None, :] + size * self.points[None, :, :]
+        # one coordinate per row: the (n, dim) points are a transposed view
+        pts = np.empty((self.dim, lows.shape[0], self.n_points))
+        for k in range(self.dim):
+            np.add(lows[:, k, None], size * self.points[:, k], out=pts[k])
         w = np.tile(self.weights * size ** self.dim, lows.shape[0])
-        return pts.reshape(-1, self.dim), w
+        return pts.reshape(self.dim, -1).T, w
 
 
 def gauss_rule(dim: int, points_per_axis: int) -> CellQuadrature:
@@ -219,40 +222,57 @@ def _gauss_pieces(lo, hi, roots, graded, points, power):
     both ends is halved first, and grading uses ``power``.  Returns line,
     coordinate, weight and the midpoint of the point's piece.
     """
+    m = lo.shape[0]
     inner = np.where((roots > lo[:, None]) & (roots < hi[:, None]), roots, hi[:, None])
-    cuts = np.sort(np.concatenate([lo[:, None], inner, hi[:, None]], axis=1), axis=1)
-    a, b = cuts[:, :-1], cuts[:, 1:]
-    length = b - a
-    left, right = np.full(a.shape, -np.inf), np.full(a.shape, np.inf)
-    for r in roots[:, graded].T[:, :, None]:
-        left = np.maximum(left, np.where((r <= a) & (r >= a - length), r, -np.inf))
-        right = np.minimum(right, np.where((r >= b) & (r <= b + length), r, np.inf))
-    has_left, has_right = np.isfinite(left), np.isfinite(right)
-    both = has_left & has_right
-    mid = np.where(both, 0.5 * (a + b), b)
-    # (line, piece, half): the first half ends at the midpoint only when both
-    # ends are graded, and the second half exists only then
-    starts = np.stack([a, mid], axis=-1)
-    ends = np.stack([mid, b], axis=-1)
-    anchors = np.stack([np.where(has_left, left, right), right], axis=-1)
-    keep = np.stack([length > 0.0, both & (length > 0.0)], axis=-1)
-    line = np.broadcast_to(np.arange(lo.shape[0])[:, None, None], keep.shape)[keep]
-    start, end, anchor = starts[keep], ends[keep], anchors[keep]
+    # one row per cut and one per graded root, each over the lines
+    cuts = np.ascontiguousarray(np.sort(np.concatenate([lo[:, None], inner, hi[:, None]],
+                                                       axis=1), axis=1).T)
+    bent_roots = np.ascontiguousarray(roots[:, graded].T)
+    # row 2j + h: half h of piece j; the first half ends at the midpoint only
+    # when both ends are graded, and the second half exists only then
+    starts, ends, anchors = (np.empty((2 * cuts.shape[0] - 2, m)) for _ in range(3))
+    keep = np.empty(starts.shape, dtype=bool)
+    for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        length = b - a
+        left, right = np.full(m, -np.inf), np.full(m, np.inf)
+        for r in bent_roots:
+            left = np.maximum(left, np.where((r <= a) & (r >= a - length), r, -np.inf))
+            right = np.minimum(right, np.where((r >= b) & (r <= b + length), r, np.inf))
+        has_left, has_right = np.isfinite(left), np.isfinite(right)
+        both = has_left & has_right
+        mid = np.where(both, 0.5 * (a + b), b)
+        starts[2 * j], starts[2 * j + 1] = a, mid
+        ends[2 * j], ends[2 * j + 1] = mid, b
+        anchors[2 * j], anchors[2 * j + 1] = np.where(has_left, left, right), right
+        np.greater(length, 0.0, out=keep[2 * j])
+        np.logical_and(both, keep[2 * j], out=keep[2 * j + 1])
+    # the kept halves line by line, then piece by piece
+    line, row = np.divmod(np.flatnonzero(keep.T), keep.shape[0])
+    at = row * m + line
+    start, end, anchor = (x.reshape(-1)[at] for x in (starts, ends, anchors))
 
     xi, omega = gauss_points_1d(points)
-    t = start[:, None] + (end - start)[:, None] * xi
-    w = (end - start)[:, None] * omega
-    bent = np.isfinite(anchor)
+    n = xi.size
+    t, w = np.empty((start.size, n)), np.empty((start.size, n))
+    finite = np.isfinite(anchor)
+    plain, bent = np.flatnonzero(~finite), np.flatnonzero(finite)
+    p0, p1 = start[plain], end[plain]
+    t[plain] = p0[:, None] + (p1 - p0)[:, None] * xi
+    w[plain] = (p1 - p0)[:, None] * omega
     g0, g1, ga = start[bent], end[bent], anchor[bent]
     from_start = ga <= g0
     near = np.where(from_start, g0, g1)
     far = np.where(from_start, g1, g0)
     span = far - ga
     s0 = ((near - ga) / span) ** (1.0 / power)
-    s = s0[:, None] + (1.0 - s0)[:, None] * xi
-    t[bent] = ga[:, None] + span[:, None] * s ** power
-    w[bent] = ((1.0 - s0) * power * np.abs(span))[:, None] * omega * s ** (power - 1)
-    n = xi.size
+    scale = (1.0 - s0) * power * np.abs(span)
+    # one Gauss point of every graded piece at a time
+    tb, wb = np.empty((n, bent.size)), np.empty((n, bent.size))
+    for q in range(n):
+        s = s0 + (1.0 - s0) * xi[q]
+        tb[q] = ga + span * s ** power
+        wb[q] = scale * omega[q] * s ** (power - 1)
+    t[bent], w[bent] = tb.T, wb.T
     return (np.repeat(line, n), t.ravel(), w.ravel(),
             np.repeat(0.5 * (start + end), n))
 
@@ -260,8 +280,12 @@ def _gauss_pieces(lo, hi, roots, graded, points, power):
 def _unpermute(x, frame, line, t):
     """Points at height ``t`` on the face lines ``line``, in physical axes; the
     face coordinates ``x`` go back through each frame once per line."""
-    faces = np.empty((x.shape[0], frame.shape[1]))
-    np.put_along_axis(faces, frame[:, :-1], x, axis=1)
-    pts = faces[line]
-    pts[np.arange(line.size), frame[line, -1]] = t
-    return pts
+    dim = frame.shape[1]
+    # one coordinate per row: the (n, dim) points are a transposed view
+    faces = np.empty((dim, x.shape[0]))
+    np.put_along_axis(faces, frame[:, :-1].T, x.T, axis=0)
+    pts = np.empty((dim, line.size))
+    for k in range(dim):
+        pts[k] = faces[k][line]
+    pts.reshape(-1)[frame[:, -1][line] * line.size + np.arange(line.size)] = t
+    return pts.T

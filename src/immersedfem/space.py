@@ -94,13 +94,18 @@ def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
         grads = [contract(g, vals) for g in grads] + [contract(value, ders)]
         value = contract(value, vals)
     grads.append(contract(value[:, None, :], _lagrange_1d(degree, np.arange(p) / degree)[1]))
-    # (line, node, value and gradient in physical axes)
-    polys = np.empty((value.shape[0], p, dim + 1))
-    polys[:, :, 0] = value
-    np.put_along_axis(polys, frame[:, None, :] + 1, np.stack(grads, axis=-1), axis=2)
+    # (gradient in physical axes, line, node): physical axis k is frame axis
+    # argsort(frame)[k]
+    grads = np.take_along_axis(np.stack(grads), np.argsort(frame, axis=1).T[:, :, None], axis=0)
     vals, _ = _lagrange_1d(degree, t_ref)
-    total = contract(np.moveaxis(polys[line], 1, -1), vals[:, None, :])
-    return total[:, 0], total[:, 1:]
+    # per point, one row per component and one gathered column per node: the
+    # (n, dim) gradients are a transposed view
+    total = np.empty((dim + 1, line.size))
+    for poly, out in zip([value, *grads], total):
+        np.multiply(poly[line, 0], vals[:, 0], out=out)
+        for a in range(1, p):
+            out += poly[line, a] * vals[:, a]
+    return total[0], total[1:].T
 
 
 class FeSpace:

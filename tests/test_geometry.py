@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bitwise_equal
 from immersedfem import SphericalInterface, build_uniform_mesh, immersed_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -73,6 +74,69 @@ class TestInterface:
         assert d_max == pytest.approx(max(far_corner, near), abs=1e-14)
         assert CIRCLE.cuts_box([0.25, 0.25], [0.5, 0.5])
         assert not CIRCLE.cuts_box([0.75, 0.75], [1.0, 1.0])
+
+
+def broadcast_length(vectors):
+    """Length over the last axis of a (..., dim) array, squares summed in axis
+    order (test oracle: the broadcast formula the interface used before it
+    worked one coordinate column at a time)."""
+    squares = vectors[..., 0] ** 2
+    for axis in range(1, vectors.shape[-1]):
+        squares = squares + vectors[..., axis] ** 2
+    return np.sqrt(squares)
+
+
+def probe_points(interface, rng):
+    """Random points, the centre, grid points, points sharing coordinates
+    with the centre and points on the surface."""
+    dim, c = interface.dim, interface.center
+    grid = np.stack(np.meshgrid(*([np.arange(9) / 8] * dim), indexing="ij"),
+                    axis=-1).reshape(-1, dim)
+    direction = rng.standard_normal((50, dim))
+    on_surface = c + interface.radius * direction / np.linalg.norm(direction, axis=1)[:, None]
+    shared = rng.uniform(0.0, 1.0, size=(50, dim))
+    mask = rng.uniform(size=shared.shape) < 0.5
+    shared[mask] = np.broadcast_to(c, shared.shape)[mask]
+    return np.vstack([rng.uniform(0.0, 1.0, size=(500, dim)), c, grid, shared, on_surface])
+
+
+class TestColumnWiseOracle:
+    """|x - c| is formed one coordinate column at a time; every result is
+    bitwise equal to the broadcast formula over (n, dim) arrays."""
+
+    @pytest.mark.parametrize("interface", [CIRCLE, SPHERE], ids=["2d", "3d"])
+    def test_distance_and_side(self, interface, in_layout):
+        points = probe_points(interface, np.random.default_rng(11 * interface.dim))
+        rho = broadcast_length(points - interface.center)
+        assert bitwise_equal(interface.distance(in_layout(points)),
+                             np.abs(rho - interface.radius))
+        assert bitwise_equal(interface.side(in_layout(points)),
+                             np.where(rho < interface.radius, -1, 1))
+        # one point of shape (dim,) gives a scalar, as before
+        assert bitwise_equal(interface.distance(points[0]),
+                             np.abs(broadcast_length(points[0] - interface.center)
+                                    - interface.radius))
+
+    @pytest.mark.parametrize("interface", [CIRCLE, SPHERE], ids=["2d", "3d"])
+    def test_distance_range_over_box(self, interface, in_layout):
+        rng = np.random.default_rng(13 * interface.dim)
+        c, r = interface.center, interface.radius
+        low = probe_points(interface, rng)
+        size = rng.choice([0.0, 1e-3, 0.05, 0.2, 0.5], size=low.shape)
+        high = low + size
+        # boxes with a face through the centre or the centre in a corner
+        high[::5] = np.maximum(high[::5], c)
+        low[::7] = np.minimum(low[::7], c)
+        nearest = np.clip(c, low, high)
+        t_min = broadcast_length(nearest - c)
+        t_max = broadcast_length(np.maximum(np.abs(low - c), np.abs(high - c)))
+        got = interface.center_distance_range_over_box(in_layout(low), in_layout(high))
+        assert bitwise_equal(got[0], t_min) and bitwise_equal(got[1], t_max)
+        got = interface.distance_range_over_box(in_layout(low), in_layout(high))
+        assert bitwise_equal(got[0], np.maximum(0.0, np.maximum(t_min - r, r - t_max)))
+        assert bitwise_equal(got[1], np.maximum(r - t_min, t_max - r))
+        single = interface.center_distance_range_over_box(low[3], high[3])
+        assert bitwise_equal(single[0], t_min[3]) and bitwise_equal(single[1], t_max[3])
 
 
 class TestImmersedQuadrature:

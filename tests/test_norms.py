@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import bitwise_equal
 from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
                          classify_cells, discrete_norm, eoc, gauss_rule, interpolate,
                          reference_solution, split_cut_cell, weight_integral,
@@ -101,6 +102,51 @@ class TestExactSolutions:
         x = np.array([0.7, 0.3])
         r = x - CIRCLE.center
         assert np.allclose(exact.gradients([x])[0], -r / np.dot(r, r), atol=1e-14)
+
+
+def broadcast_radial(interface, points, side):
+    """Values and gradients of the reference solution from the broadcast
+    formulas over (n, dim) arrays (test oracle for the column-wise ones)."""
+    c, radius = interface.center, interface.radius
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if side is None:
+        side = np.where(np.sqrt(np.sum((points - c) ** 2, axis=-1)) < radius, -1, 1)
+    outer = np.broadcast_to(np.asarray(side), (points.shape[0],)) > 0
+    r = points - c
+    squares = r[:, 0] ** 2
+    for axis in range(1, r.shape[1]):
+        squares = squares + r[:, axis] ** 2
+    rho = np.where(outer, np.sqrt(squares), 1.0)
+    if interface.dim == 2:
+        value, slope, inner = -np.log(rho), -1.0 / rho, -math.log(radius)
+    else:
+        value, slope, inner = 1.0 / rho, -1.0 / rho**2, 1.0 / radius
+    return (np.where(outer, value, inner),
+            np.where(outer[:, None], (slope / rho)[:, None] * r, 0.0))
+
+
+class TestRadialColumnWise:
+    @pytest.mark.parametrize("interface", [CIRCLE, SphericalInterface((0.3, 0.3, 0.3), 0.2)],
+                             ids=["2d", "3d"])
+    def test_bitwise_equal_to_broadcast_formula(self, interface, in_layout):
+        # points on both sides, at the centre, on the surface and on the
+        # planes through the centre; tags from the points, given and flipped
+        rng = np.random.default_rng(17 * interface.dim)
+        dim, c = interface.dim, interface.center
+        direction = rng.standard_normal((60, dim))
+        on_surface = c + 0.2 * direction / np.linalg.norm(direction, axis=1)[:, None]
+        planes = rng.uniform(0.0, 1.0, size=(60, dim))
+        planes[np.arange(60), np.arange(60) % dim] = c[np.arange(60) % dim]
+        points = np.vstack([rng.uniform(0.0, 1.0, size=(400, dim)), on_surface, planes])
+        exact = reference_solution(interface)
+        tags = interface.side(points)
+        with_centre = np.vstack([points, c])
+        # the outer branch is singular at the centre, so it is tagged inside
+        for points, side in ((with_centre, None), (with_centre, -1), (points, tags),
+                             (points, -tags), (points, 1)):
+            want_values, want_grads = broadcast_radial(interface, points, side)
+            assert bitwise_equal(exact.values(in_layout(points), side=side), want_values)
+            assert bitwise_equal(exact.gradients(in_layout(points), side=side), want_grads)
 
 
 class TestWeightedError:

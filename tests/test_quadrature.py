@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import bitwise_equal
 from immersedfem import (SphericalInterface, build_uniform_mesh, gauss_rule,
                          immersed_quadrature, split_cut_cell)
 from immersedfem import quadrature
@@ -270,6 +271,121 @@ class TestGaussPieces:
         assert np.array_equal(got[3], want[3])
         for g, w in zip(got[1:3], want[1:3]):
             assert np.allclose(g, w, rtol=1e-13, atol=1e-15)
+
+
+def broadcast_gauss_pieces(lo, hi, roots, graded, points, power):
+    """``quadrature._gauss_pieces`` as it was before it worked per piece column:
+    (line, piece, half) stacks, and plain Gauss points for every piece with
+    those of the graded pieces overwritten (test oracle)."""
+    inner = np.where((roots > lo[:, None]) & (roots < hi[:, None]), roots, hi[:, None])
+    cuts = np.sort(np.concatenate([lo[:, None], inner, hi[:, None]], axis=1), axis=1)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    length = b - a
+    left, right = np.full(a.shape, -np.inf), np.full(a.shape, np.inf)
+    for r in roots[:, graded].T[:, :, None]:
+        left = np.maximum(left, np.where((r <= a) & (r >= a - length), r, -np.inf))
+        right = np.minimum(right, np.where((r >= b) & (r <= b + length), r, np.inf))
+    has_left, has_right = np.isfinite(left), np.isfinite(right)
+    both = has_left & has_right
+    mid = np.where(both, 0.5 * (a + b), b)
+    starts = np.stack([a, mid], axis=-1)
+    ends = np.stack([mid, b], axis=-1)
+    anchors = np.stack([np.where(has_left, left, right), right], axis=-1)
+    keep = np.stack([length > 0.0, both & (length > 0.0)], axis=-1)
+    line = np.broadcast_to(np.arange(lo.shape[0])[:, None, None], keep.shape)[keep]
+    start, end, anchor = starts[keep], ends[keep], anchors[keep]
+    xi, omega = quadrature.gauss_points_1d(points)
+    t = start[:, None] + (end - start)[:, None] * xi
+    w = (end - start)[:, None] * omega
+    bent = np.isfinite(anchor)
+    g0, g1, ga = start[bent], end[bent], anchor[bent]
+    from_start = ga <= g0
+    near = np.where(from_start, g0, g1)
+    far = np.where(from_start, g1, g0)
+    span = far - ga
+    s0 = ((near - ga) / span) ** (1.0 / power)
+    s = s0[:, None] + (1.0 - s0)[:, None] * xi
+    t[bent] = ga[:, None] + span[:, None] * s ** power
+    w[bent] = ((1.0 - s0) * power * np.abs(span))[:, None] * omega * s ** (power - 1)
+    n = xi.size
+    return (np.repeat(line, n), t.ravel(), w.ravel(), np.repeat(0.5 * (start + end), n))
+
+
+def broadcast_unpermute(x, frame, line, t):
+    """``quadrature._unpermute`` over (n, dim) arrays (test oracle)."""
+    faces = np.empty((x.shape[0], frame.shape[1]))
+    np.put_along_axis(faces, frame[:, :-1], x, axis=1)
+    pts = faces[line]
+    pts[np.arange(line.size), frame[line, -1]] = t
+    return pts
+
+
+class TestColumnWiseOracle:
+    """The rules are built one coordinate, piece or Gauss point at a time;
+    every array is bitwise equal to the broadcast formula."""
+
+    def test_gauss_pieces_on_random_lines(self):
+        # the lines of the loop oracle below, and the same lines with no
+        # graded root and with every root graded
+        rng = np.random.default_rng(5)
+        m, k = 300, 4
+        lo = rng.uniform(0.0, 1.0, size=m)
+        hi = lo + rng.uniform(0.1, 1.0, size=m)
+        frac = rng.choice([-1.5, -0.4, -0.05, 0.0, 0.2, 0.5, 0.8, 1.0, 1.05, 1.4, 2.5],
+                          size=(m, k))
+        roots = lo[:, None] + frac * (hi - lo)[:, None]
+        roots[rng.uniform(size=(m, k)) < 0.2] = np.nan
+        roots[::7, 1] = roots[::7, 0]
+        for graded in ([True, False, True, True], [False] * k, [True] * k):
+            for points, power in ((3, 3), (1, 2), (8, 3)):
+                got = quadrature._gauss_pieces(lo, hi, roots, np.array(graded), points, power)
+                want = broadcast_gauss_pieces(lo, hi, roots, np.array(graded), points, power)
+                assert all(bitwise_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("interface, n", [(CIRCLE, 16), (SPHERE, 6)], ids=["2d", "3d"])
+    def test_gauss_pieces_of_the_rules(self, interface, n, monkeypatch):
+        # every call the volume and surface rules make, on every face level
+        # and on the height axis, near every cell of a grid
+        calls = []
+        pieces = quadrature._gauss_pieces
+        monkeypatch.setattr(quadrature, "_gauss_pieces",
+                            lambda *args: calls.append(args) or pieces(*args))
+        mesh = build_uniform_mesh(interface.dim, n)
+        d_min, _ = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+        lows = mesh.cell_lows[d_min <= mesh.edge]
+        quadrature._line_rule(lows, mesh.edge, interface, 4)
+        surface_rule(lows, mesh.edge, interface, 3)
+        assert len(calls) == 2 * interface.dim - 1
+        for args in calls:
+            assert all(bitwise_equal(g, w)
+                       for g, w in zip(pieces(*args), broadcast_gauss_pieces(*args)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unpermute(self, dim, in_layout):
+        # lines along every axis, points in any line order
+        rng = np.random.default_rng(19 * dim)
+        frame = np.array([np.roll(np.arange(dim), k) for k in rng.integers(0, dim, 90)])
+        frame[::2] = frame[::2, ::-1]
+        x = rng.uniform(0.0, 1.0, size=(90, dim - 1))
+        x[::3] = 0.0
+        line = rng.integers(0, 90, size=700)
+        t = rng.uniform(0.0, 1.0, size=700)
+        t[::4] = -0.0
+        want = broadcast_unpermute(x, frame, line, t)
+        assert bitwise_equal(quadrature._unpermute(in_layout(x), in_layout(frame), line, t),
+                             want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_on_boxes(self, dim, in_layout):
+        rng = np.random.default_rng(23 * dim)
+        lows = np.vstack([rng.uniform(0.0, 1.0, size=(50, dim)), np.zeros((1, dim))])
+        for q in (1, 3):
+            rule = gauss_rule(dim, q)
+            for size in (0.125, 1.0 / 3.0):
+                pts, w = rule.on_boxes(in_layout(lows), size)
+                want = lows[:, None, :] + size * rule.points[None, :, :]
+                assert bitwise_equal(pts, want.reshape(-1, dim))
+                assert bitwise_equal(w, np.tile(rule.weights * size ** dim, lows.shape[0]))
 
 
 class TestSurfaceRule:

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import bitwise_equal
 from immersedfem import (FeSpace, SphericalInterface, apply_dirichlet,
                          assemble_interface_load, assemble_stiffness, assemble_volume_load,
                          build_uniform_mesh, classify_cells, immersed_quadrature,
@@ -143,6 +145,56 @@ class TestSumFactorisation:
                                                      t_ref)
         assert np.max(np.abs(got_values - np.einsum("pj,pj->p", values, local[line]))) <= 1e-14
         assert np.max(np.abs(got_grads - np.einsum("pj,pjk->pk", local[line], grads))) <= 1e-14
+
+
+def broadcast_line_kernel(degree, local, frame, face_ref, line, t_ref):
+    """``_line_sum_factorised`` as it was before its per-point stage worked
+    one component and node at a time: the (line, node, component) table
+    gathered per point and contracted over the node axis (test oracle)."""
+    dim = frame.shape[1]
+    p = degree + 1
+
+    def contract(coeffs, table):
+        total = coeffs[..., 0] * table[..., 0]
+        for a in range(1, p):
+            total += coeffs[..., a] * table[..., a]
+        return total
+
+    index = (p ** frame) @ _lattice(p, dim).astype(int).T
+    value = np.take_along_axis(local, index, axis=1).reshape((-1,) + (p,) * dim)
+    grads = []
+    for k in range(dim - 1):
+        vals, ders = (t.reshape((-1,) + (1,) * (dim - 1 - k) + (p,))
+                      for t in _lagrange_1d(degree, face_ref[:, k]))
+        grads = [contract(g, vals) for g in grads] + [contract(value, ders)]
+        value = contract(value, vals)
+    grads.append(contract(value[:, None, :], _lagrange_1d(degree, np.arange(p) / degree)[1]))
+    polys = np.empty((value.shape[0], p, dim + 1))
+    polys[:, :, 0] = value
+    np.put_along_axis(polys, frame[:, None, :] + 1, np.stack(grads, axis=-1), axis=2)
+    vals, _ = _lagrange_1d(degree, t_ref)
+    total = contract(np.moveaxis(polys[line], 1, -1), vals[:, None, :])
+    return total[:, 0], total[:, 1:]
+
+
+class TestLineKernelColumnWise:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_bitwise_equal_to_broadcast_formula(self, dim, degree, in_layout):
+        # every frame, lines visited in any order, points at the nodes
+        rng = np.random.default_rng(29 * dim + degree)
+        frames = np.array([list(f) for f in itertools.permutations(range(dim))])
+        frame = frames[rng.integers(0, len(frames), size=40)]
+        face_ref = rng.uniform(0.0, 1.0, size=(40, dim - 1))
+        face_ref[::3] = np.arange(dim - 1) % 2
+        local = rng.uniform(-1.0, 1.0, size=(40, (degree + 1) ** dim))
+        line = rng.integers(0, 40, size=500)
+        t_ref = rng.uniform(0.0, 1.0, size=500)
+        t_ref[::5] = (np.arange(100) % (degree + 1)) / degree
+        want = broadcast_line_kernel(degree, local, frame, face_ref, line, t_ref)
+        got = _line_sum_factorised(degree, in_layout(local), in_layout(frame),
+                                   in_layout(face_ref), line, t_ref)
+        assert bitwise_equal(got[0], want[0]) and bitwise_equal(got[1], want[1])
 
 
 class TestFeSpace:
