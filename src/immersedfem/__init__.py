@@ -11,7 +11,7 @@ from .norms import (ConvergenceRecord, RadialSolution, discrete_norm, eoc,
                     weighted_errors)
 from .potential import green, jump_check, single_layer, surface_samples
 from .quadrature import CellQuadrature, gauss_rule, split_cut_cell
-from .solver import SolveReport, cg_solve, multigrid_preconditioner
+from .solver import solve
 from .space import FeSpace, interpolate, interpolate_outside_layer, shape_eval
 from .study import (ConfigError, StudyConfig, StudyError, emit_table, run_study)
 
@@ -24,8 +24,7 @@ __all__ = [
     "classify_cells", "ConvergenceRecord", "RadialSolution", "discrete_norm", "eoc",
     "layer_source_strength", "reference_solution", "weight_integral",
     "weighted_errors", "green", "jump_check", "single_layer", "surface_samples",
-    "CellQuadrature", "gauss_rule", "split_cut_cell", "SolveReport", "cg_solve",
-    "multigrid_preconditioner", "FeSpace",
+    "CellQuadrature", "gauss_rule", "split_cut_cell", "solve", "FeSpace",
     "interpolate", "interpolate_outside_layer", "shape_eval", "ConfigError",
     "StudyConfig", "StudyError", "emit_table", "run_study",
 ]

@@ -13,32 +13,48 @@ import scipy.sparse as sp
 from .geometry import InterfaceQuadrature
 from .mesh import BOX_TOL
 from .quadrature import gauss_rule
-from .space import FeSpace, _field_values
+from .space import FeSpace, _field_values, _lagrange_1d
 
 #: surface quadrature points the interface load tabulates at once (more only
 #: when one cell holds more); bounds the memory of its shape tables
 LOAD_CHUNK_POINTS = 16384
 
 
+def _factors_1d(space: FeSpace):
+    """Mass and stiffness matrices (CSR) of the 1D ``Q^degree`` space on the
+    grid's cells per axis, from degree + 2 Gauss points per cell.  Every
+    axis of the grid carries this same pair."""
+    degree, cells = space.degree, space.mesh.cells_per_axis
+    rule = gauss_rule(1, degree + 2)
+    values, derivs = _lagrange_1d(degree, rule.points[:, 0])  # (n_q, degree + 1)
+    dofs = degree * np.arange(cells)[:, None] + np.arange(degree + 1)
+    rows = np.repeat(dofs, degree + 1, axis=1).ravel()
+    cols = np.tile(dofs, (1, degree + 1)).ravel()
+    factors = []
+    for table, scale in ((values, space.mesh.edge), (derivs, 1.0 / space.mesh.edge)):
+        element = np.einsum("q,qi,qj->ij", rule.weights, table, table)
+        element = 0.5 * (element + element.T) * scale
+        factors.append(sp.csr_matrix((np.tile(element.ravel(), cells), (rows, cols)),
+                                     shape=(degree * cells + 1,) * 2))
+    return factors
+
+
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     """Stiffness matrix of the gradient form on the whole grid.
 
-    All cells are congruent, so one reference element matrix is computed
-    with degree + 2 Gauss points per axis and scattered; the result is
-    symmetric positive semidefinite with the constants in its kernel (rows
-    sum to zero).
+    The grid is uniform and the elements are tensor products, so the matrix
+    is the Kronecker sum of the 1D factors (``_factors_1d``): the sum over
+    the axes of mass ⊗ … ⊗ stiffness ⊗ … ⊗ mass.  It is symmetric positive
+    semidefinite with the constants in its kernel (rows sum to zero).
     """
-    mesh = space.mesh
-    rule = gauss_rule(mesh.dim, space.degree + 2)
-    _, grads = space.tabulate(rule.points)  # (n_q, n_loc, dim)
-    element = np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)
-    element = 0.5 * (element + element.T) * mesh.edge ** (mesh.dim - 2)
-    n_loc = element.shape[0]
-    rows = np.repeat(space.cell_dofs, n_loc, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, n_loc)).ravel()
-    data = np.tile(element.ravel(), mesh.n_cells)
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(space.n_dofs, space.n_dofs))
-    return matrix.tocsr()
+    mass, stiffness = _factors_1d(space)
+    terms = []
+    for axis in range(space.mesh.dim):
+        term = sp.identity(1, format="csr")
+        for other in range(space.mesh.dim):
+            term = sp.kron(stiffness if other == axis else mass, term, format="csr")
+        terms.append(term)
+    return sum(terms).tocsr()
 
 
 def assemble_volume_load(space: FeSpace, b) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command line front end for convergence studies.
 
 Flags may be combined with a plain-text key=value configuration file; flags
-take precedence.  Exit codes: 0 success, 1 configuration error, 2 solver
-failure.
+take precedence.  Exit codes: 0 success, 1 configuration error (unknown
+flags and keys included), 2 solver failure: a level's solve left a
+relative residual that is not finite or exceeds
+``study.MAX_RELATIVE_RESIDUAL``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from .study import ConfigError, StudyConfig, StudyError, emit_table, run_study
 
 _INT_KEYS = ("dim", "min_exp", "max_exp", "degree")
-_FLOAT_KEYS = ("cg_tol", "radius")
+_FLOAT_KEYS = ("radius",)
 _FLOAT_TUPLE_KEYS = ("alphas", "center")
 _STR_KEYS = ("fmt", "out")
 
@@ -46,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alphas", type=_float_tuple,
                         help="comma list of weight exponents in [0, 0.5)")
     parser.add_argument("--degree", type=int, help="polynomial degree (default 1)")
-    parser.add_argument("--cg-tol", type=float, dest="cg_tol",
-                        help="relative CG tolerance (default 1e-12)")
     parser.add_argument("--center", type=_float_tuple,
                         help="interface centre, e.g. 0.3,0.3 (default 0.3 per axis)")
     parser.add_argument("--radius", type=float, help="interface radius (default 0.2)")

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from immersedfem import (ConfigError, FeSpace, SphericalInterface, StudyConfig,
                          apply_dirichlet, assemble_interface_load, assemble_stiffness,
                          build_uniform_mesh, emit_table, immersed_quadrature,
-                         layer_source_strength, reference_solution, run_study,
-                         weighted_errors)
+                         layer_source_strength, reference_solution, run_study, solve,
+                         study, weighted_errors)
 from immersedfem.cli import main, parse_config_file
 from immersedfem.study import CSV_HEADER
 
@@ -78,8 +79,6 @@ class TestConfig:
             StudyConfig(center=(math.nan, math.nan))
         with pytest.raises(ConfigError):
             StudyConfig(radius=math.nan)
-        with pytest.raises(ConfigError):
-            StudyConfig(cg_tol=math.nan)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ConfigError):
@@ -118,8 +117,8 @@ class TestRunStudy:
             assert group[0.49].err_h1_semi <= group[0.0].err_h1_semi
 
     def test_matches_direct_solve(self):
-        # at the default CG tolerance the weighted errors are those of the
-        # discrete solution: a direct solve of every level gives the same
+        # the weighted errors are those of the discrete solution: a direct
+        # solve of every level, refined once, gives the same
         from scipy.sparse.linalg import splu
 
         config = StudyConfig(dim=2, min_exp=3, max_exp=7)
@@ -132,11 +131,13 @@ class TestRunStudy:
             load = assemble_interface_load(space, immersed_quadrature(interface, space.mesh),
                                            lambda points: density)
             matrix, rhs = apply_dirichlet(assemble_stiffness(space), load, space, exact.values)
-            errors = weighted_errors(space, splu(matrix.tocsc()).solve(rhs), exact,
-                                     interface, config.alphas)
+            lu = splu(matrix.tocsc())
+            direct = lu.solve(rhs)
+            direct += lu.solve(rhs - matrix @ direct)
+            errors = weighted_errors(space, direct, exact, interface, config.alphas)
             for r in (r for r in records if r.n_cells_per_axis == n_c):
-                assert r.err_l2 == pytest.approx(errors[(r.alpha, 0)], rel=1e-8)
-                assert r.err_h1_semi == pytest.approx(errors[(r.alpha, 1)], rel=1e-8)
+                assert r.err_l2 == pytest.approx(errors[(r.alpha, 0)], rel=1e-9)
+                assert r.err_h1_semi == pytest.approx(errors[(r.alpha, 1)], rel=1e-9)
 
     def test_determinism(self):
         csv_a = emit_table(run_study(StudyConfig(**SMALL)), "csv")
@@ -231,7 +232,7 @@ class TestCli:
         assert main(["--no-such-flag"]) == 1
         assert main(["--center", "nan,nan"]) == 1
         assert main(["--radius", "nan"]) == 1
-        assert main(["--cg-tol", "nan"]) == 1
+        assert main(["--cg-tol", "1e-12"]) == 1  # the solve is direct: no tolerance to set
         assert main(["--alphas", "0.1,0.1"]) == 1
         captured = capsys.readouterr()
         assert "error" in captured.err
@@ -241,12 +242,20 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_solver_failure_exit_code(self, capsys):
-        # an unreachable tolerance makes CG stagnate and report failure
-        code = main(["--min-exp", "4", "--max-exp", "4", "--alphas", "0",
-                     "--cg-tol", "1e-30"])
-        assert code == 2
-        assert "solver failure" in capsys.readouterr().err
+    def test_solver_failure_exit_code(self, monkeypatch, capsys):
+        # a solution off by more than the residual bound allows, or not
+        # finite, is a solver failure; the residual is the perturbed vector's
+        def perturbed(space, matrix, rhs):
+            solution, _ = solve(space, matrix, rhs)
+            solution[space.interior_dofs()[0]] += perturbation
+            return solution, float(np.linalg.norm(rhs - matrix @ solution)
+                                   / np.linalg.norm(rhs))
+
+        monkeypatch.setattr(study, "solve", perturbed)
+        for perturbation in (1e-6, math.nan):
+            code = main(["--min-exp", "4", "--max-exp", "4", "--alphas", "0"])
+            assert code == 2
+            assert "solver failure" in capsys.readouterr().err
 
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"
@@ -283,6 +292,9 @@ class TestCli:
         quad = tmp_path / "quad.cfg"  # the error quadrature is not configurable
         quad.write_text("quad_points = 4\n", encoding="utf-8")
         assert main(["--config", str(quad)]) == 1
+        tol = tmp_path / "tol.cfg"  # the solve is direct: no tolerance to set
+        tol.write_text("cg_tol = 1e-12\n", encoding="utf-8")
+        assert main(["--config", str(tol)]) == 1
         assert "unknown key" in capsys.readouterr().err
         noisy = tmp_path / "noisy.cfg"
         noisy.write_text("dim 2\n", encoding="utf-8")
