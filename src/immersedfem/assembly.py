@@ -1,5 +1,6 @@
-"""Assembly of the Poisson stiffness form, volume loads, the surface layer
-load that carries the flux-jump data, and symmetric Dirichlet elimination.
+"""Load vectors of the Poisson problem: volume sources and the surface layer
+source that carries the flux-jump data.  The stiffness operator and the
+Dirichlet data are the solver's (``solver.solve``).
 
 Every scatter adds cell contributions in ascending cell-id order, so serial
 assembly is bitwise deterministic.
@@ -8,53 +9,15 @@ assembly is bitwise deterministic.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import InterfaceQuadrature
 from .mesh import BOX_TOL
 from .quadrature import gauss_rule
-from .space import FeSpace, _field_values, _lagrange_1d
+from .space import FeSpace, _field_values
 
 #: surface quadrature points the interface load tabulates at once (more only
 #: when one cell holds more); bounds the memory of its shape tables
 LOAD_CHUNK_POINTS = 16384
-
-
-def _factors_1d(space: FeSpace):
-    """Mass and stiffness matrices (CSR) of the 1D ``Q^degree`` space on the
-    grid's cells per axis, from degree + 2 Gauss points per cell.  Every
-    axis of the grid carries this same pair."""
-    degree, cells = space.degree, space.mesh.cells_per_axis
-    rule = gauss_rule(1, degree + 2)
-    values, derivs = _lagrange_1d(degree, rule.points[:, 0])  # (n_q, degree + 1)
-    dofs = degree * np.arange(cells)[:, None] + np.arange(degree + 1)
-    rows = np.repeat(dofs, degree + 1, axis=1).ravel()
-    cols = np.tile(dofs, (1, degree + 1)).ravel()
-    factors = []
-    for table, scale in ((values, space.mesh.edge), (derivs, 1.0 / space.mesh.edge)):
-        element = np.einsum("q,qi,qj->ij", rule.weights, table, table)
-        element = 0.5 * (element + element.T) * scale
-        factors.append(sp.csr_matrix((np.tile(element.ravel(), cells), (rows, cols)),
-                                     shape=(degree * cells + 1,) * 2))
-    return factors
-
-
-def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
-    """Stiffness matrix of the gradient form on the whole grid.
-
-    The grid is uniform and the elements are tensor products, so the matrix
-    is the Kronecker sum of the 1D factors (``_factors_1d``): the sum over
-    the axes of mass ⊗ … ⊗ stiffness ⊗ … ⊗ mass.  It is symmetric positive
-    semidefinite with the constants in its kernel (rows sum to zero).
-    """
-    mass, stiffness = _factors_1d(space)
-    terms = []
-    for axis in range(space.mesh.dim):
-        term = sp.identity(1, format="csr")
-        for other in range(space.mesh.dim):
-            term = sp.kron(stiffness if other == axis else mass, term, format="csr")
-        terms.append(term)
-    return sum(terms).tocsr()
 
 
 def assemble_volume_load(space: FeSpace, b) -> np.ndarray:
@@ -103,27 +66,3 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
             local[group] = (scaled[idx][:, None, :] @ values)[:, 0]
     return np.bincount(space.cell_dofs[cells].ravel(), weights=local.ravel(),
                        minlength=space.n_dofs)
-
-
-def apply_dirichlet(matrix: sp.csr_matrix, rhs: np.ndarray, space: FeSpace, g):
-    """Impose u = g on the boundary dofs by symmetric elimination.
-
-    Boundary values are nodal interpolants of g, called once on the boundary
-    dof coordinates; their columns move to the right-hand side and the
-    boundary rows/columns become identity, keeping the matrix symmetric
-    positive definite.  Inputs are not modified.
-    """
-    boundary = space.boundary_dofs
-    lifted = np.zeros(space.n_dofs)
-    lifted[boundary] = _field_values(g, space.dof_coords[boundary])
-    keep = np.ones(space.n_dofs)
-    keep[boundary] = 0.0
-    # bit for bit diag(keep) A diag(keep) + diag(1 - keep), without its products
-    on_boundary = keep == 0.0
-    eliminated = matrix.tocsr(copy=True)
-    eliminated.data[np.repeat(on_boundary, np.diff(eliminated.indptr))
-                    | on_boundary[eliminated.indices]] = 0.0
-    eliminated[boundary, boundary] = 1.0
-    eliminated.eliminate_zeros()
-    new_rhs = keep * (rhs - matrix @ lifted) + (1.0 - keep) * lifted
-    return eliminated, new_rhs

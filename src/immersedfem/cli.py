@@ -3,8 +3,8 @@
 Flags may be combined with a plain-text key=value configuration file; flags
 take precedence.  Exit codes: 0 success, 1 configuration error (unknown
 flags and keys included), 2 solver failure: a level's solve left a
-relative residual that is not finite or exceeds
-``study.MAX_RELATIVE_RESIDUAL``.
+relative residual of its Dirichlet-eliminated system that is not finite or
+exceeds ``study.MAX_RELATIVE_RESIDUAL``.
 """
 
 from __future__ import annotations

@@ -37,9 +37,10 @@ class Mesh:
         return self.cell_lows + self.edge
 
     def locate(self, points) -> np.ndarray:
-        """Cell ids containing ``points``; raises if a point leaves the box."""
+        """Cell ids containing ``points``; raises if a point leaves the box or
+        is not finite."""
         points = np.asarray(points, dtype=float)
-        if np.any(points < -BOX_TOL) or np.any(points > 1.0 + BOX_TOL):
+        if not np.all((points >= -BOX_TOL) & (points <= 1.0 + BOX_TOL)):
             raise ValueError("point outside the unit box cannot be located")
         n = self.cells_per_axis
         idx = np.minimum(np.floor(np.clip(points, 0.0, 1.0) * n).astype(int), n - 1)
@@ -79,8 +80,8 @@ def classify_cells(mesh: Mesh, interface, sigma: float) -> CellClassification:
     The per-cell distance extrema are closed-form (box extremisation of
     |x - c| folded by the radius), so the split is exact.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     d_min, d_max = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
     inside = d_max <= sigma * mesh.h_cell
     ids = np.arange(mesh.n_cells)

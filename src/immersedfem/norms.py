@@ -24,8 +24,7 @@ import numpy as np
 
 from .geometry import _length, _offsets
 from .mesh import Mesh, CellClassification
-# split_cut_cell is not called here, but perfbench/tracer.py wraps it by this name
-from .quadrature import gauss_rule, split_cut_cell, _line_rule, _unpermute  # noqa: F401
+from .quadrature import gauss_rule, _line_rule, _unpermute
 from .space import FeSpace, _line_sum_factorised
 
 

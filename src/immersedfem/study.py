@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .assembly import apply_dirichlet, assemble_interface_load, assemble_stiffness
+from .assembly import assemble_interface_load
 from .geometry import SphericalInterface, immersed_quadrature
 from .mesh import build_uniform_mesh
 from .norms import (ConvergenceRecord, eoc, layer_source_strength, reference_solution,
@@ -91,11 +91,12 @@ class StudyConfig:
 def run_study(config: StudyConfig):
     """Solve every refinement level and return records sorted by (n_c, alpha).
 
-    Each level assembles the layer-source problem with the constant jump
-    density of the reference solution and its trace as Dirichlet data, solves
-    it directly by fast diagonalisation (``solver.solve``), and evaluates
-    both weighted error norms for every exponent.  Raises StudyError if a
-    solve leaves a relative residual that is not finite or exceeds
+    Each level assembles the interface load of the constant jump density of
+    the reference solution, solves the Poisson problem with the reference
+    solution's trace as Dirichlet data directly (``solver.solve``, on the
+    stiffness operator, which is never assembled), and evaluates both
+    weighted error norms for every exponent.  Raises StudyError if a solve
+    leaves a relative residual that is not finite or exceeds
     ``MAX_RELATIVE_RESIDUAL``.
     """
     interface = SphericalInterface(config.center, config.radius)
@@ -108,10 +109,8 @@ def run_study(config: StudyConfig):
         mesh = build_uniform_mesh(config.dim, n_c)
         space = FeSpace(mesh, config.degree)
         quad = immersed_quadrature(interface, mesh)
-        stiffness = assemble_stiffness(space)
         load = assemble_interface_load(space, quad, lambda points: density)
-        matrix, rhs = apply_dirichlet(stiffness, load, space, exact.values)
-        solution, residual = solve(space, matrix, rhs)
+        solution, residual = solve(space, load, exact.values)
         if not residual <= MAX_RELATIVE_RESIDUAL:
             raise StudyError(f"solve failed at n_c = {n_c}: relative residual {residual:.3e}")
         errors = weighted_errors(space, solution, exact, interface, config.alphas)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+from immersedfem import gauss_rule, solver
 
 
 @pytest.fixture(params=["C", "F", "strided"])
@@ -25,3 +28,45 @@ def bitwise_equal(got, want) -> bool:
     got, want = np.asarray(got), np.asarray(want)
     return (got.shape == want.shape and got.dtype == want.dtype
             and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def element_scatter_stiffness(space):
+    """Stiffness matrix (CSR) from one reference element matrix of the shape
+    gradients, scattered per cell (test oracle for the solver's Kronecker-sum
+    operator)."""
+    mesh = space.mesh
+    rule = gauss_rule(mesh.dim, space.degree + 2)
+    _, grads = space.tabulate(rule.points)  # (n_q, n_loc, dim)
+    element = np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)
+    element = 0.5 * (element + element.T) * mesh.edge ** (mesh.dim - 2)
+    n_loc = element.shape[0]
+    rows = np.repeat(space.cell_dofs, n_loc, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, n_loc)).ravel()
+    data = np.tile(element.ravel(), mesh.n_cells)
+    return sp.coo_matrix((data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
+
+
+def eliminate(matrix, load, space, g):
+    """Symmetric elimination of u = g on the boundary dofs (test oracle):
+    boundary rows and columns become identity and the boundary columns of
+    the nodal data move to the right-hand side.  Returns ``(system, rhs)``."""
+    keep = np.ones(space.n_dofs)
+    keep[space.boundary_dofs] = 0.0
+    lifted = np.zeros(space.n_dofs)
+    lifted[space.boundary_dofs] = g(space.dof_coords[space.boundary_dofs])
+    system = sp.diags(keep) @ matrix @ sp.diags(keep) + sp.diags(1.0 - keep)
+    return system.tocsr(), keep * (load - matrix @ lifted) + lifted
+
+
+def stiffness_apply(space):
+    """``u -> A u`` on dof vectors, for the solver's matrix-free stiffness."""
+    mass, stiffness = solver._factors_1d(space)
+    shape = (mass.shape[0],) * space.mesh.dim
+    return lambda u: solver._kronecker_sum(mass, stiffness, np.reshape(u, shape)).ravel()
+
+
+def operator_matrix(space):
+    """Dense matrix of the solver's stiffness operator, one column per unit
+    vector."""
+    apply = stiffness_apply(space)
+    return np.column_stack([apply(unit) for unit in np.eye(space.n_dofs)])

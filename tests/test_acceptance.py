@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from conftest import element_scatter_stiffness, eliminate, operator_matrix
 from immersedfem import (FeSpace, SphericalInterface, StudyConfig,
-                         assemble_interface_load, assemble_stiffness,
-                         apply_dirichlet, build_uniform_mesh, classify_cells,
+                         assemble_interface_load, build_uniform_mesh, classify_cells,
                          discrete_norm, immersed_quadrature, interpolate,
                          interpolate_outside_layer, jump_check,
                          reference_solution, run_study, single_layer, solve,
@@ -207,20 +207,20 @@ def test_criterion_7b_masked_interpolant_weighted_rate():
 
 def test_criterion_8_invariant_suites():
     space = FeSpace(build_uniform_mesh(2, 8), 1)
-    matrix = assemble_stiffness(space)
-    row_sum = float(np.max(np.abs(np.asarray(matrix.sum(axis=1)).ravel())))
-    asym = (matrix - matrix.T).tocoo()
-    asym_max = float(np.max(np.abs(asym.data))) if asym.nnz else 0.0
+    # the dense matrix of the solver's matrix-free stiffness operator
+    matrix = operator_matrix(space)
+    row_sum = float(np.max(np.abs(matrix.sum(axis=1))))
+    asym_max = float(np.max(np.abs(matrix - matrix.T)))
 
-    mesh = build_uniform_mesh(2, 8)
-    quad = immersed_quadrature(CIRCLE, mesh)
-    load = assemble_interface_load(FeSpace(mesh, 1), quad, lambda y: 5.0)
+    quad = immersed_quadrature(CIRCLE, space.mesh)
+    load = assemble_interface_load(space, quad, lambda y: 5.0)
     pu_err = abs(float(np.sum(load)) - 5.0 * 2.0 * math.pi * 0.2)
 
-    # the eliminated study system, since the solve needs its tensor structure
-    system, rhs = apply_dirichlet(matrix, load, space, reference_solution(CIRCLE).values)
+    # oracle: the element-scatter stiffness, eliminated and solved densely
+    exact = reference_solution(CIRCLE)
+    system, rhs = eliminate(element_scatter_stiffness(space), load, space, exact.values)
     oracle = np.linalg.solve(system.toarray(), rhs)
-    solution, _ = solve(space, system, rhs)
+    solution, _ = solve(space, load, exact.values)
     solve_err = float(np.linalg.norm(solution - oracle) / np.linalg.norm(oracle))
 
     ok = row_sum <= 1e-12 and asym_max <= 1e-12 and pu_err <= 1e-8 \

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from conftest import (element_scatter_stiffness, eliminate, operator_matrix,
+                      stiffness_apply)
 from immersedfem import assembly
 from immersedfem import (FeSpace, InterfaceQuadrature, SphericalInterface,
-                         apply_dirichlet, assemble_interface_load, assemble_stiffness,
-                         assemble_volume_load, build_uniform_mesh, gauss_rule,
-                         immersed_quadrature, interpolate, reference_solution, solve)
+                         assemble_interface_load, assemble_volume_load, build_uniform_mesh,
+                         gauss_rule, immersed_quadrature, interpolate, reference_solution,
+                         solve)
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -25,30 +26,16 @@ def reference_q1_gradients(p):
     ], axis=1)
 
 
-def element_scatter_stiffness(space):
-    """One reference element matrix from the shape gradients, scattered per
-    cell (test oracle for the Kronecker sum)."""
-    mesh = space.mesh
-    rule = gauss_rule(mesh.dim, space.degree + 2)
-    _, grads = space.tabulate(rule.points)  # (n_q, n_loc, dim)
-    element = np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)
-    element = 0.5 * (element + element.T) * mesh.edge ** (mesh.dim - 2)
-    n_loc = element.shape[0]
-    rows = np.repeat(space.cell_dofs, n_loc, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, n_loc)).ravel()
-    data = np.tile(element.ravel(), mesh.n_cells)
-    return sp.coo_matrix((data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
-
-
 class TestStiffness:
+    """The solver's matrix-free Kronecker-sum stiffness operator."""
+
     @pytest.mark.parametrize("dim, degree, n", [(2, 1, 16), (2, 2, 8), (2, 3, 4), (3, 1, 4),
                                                 (3, 2, 2)])
     def test_kronecker_sum_matches_element_scatter(self, dim, degree, n):
         space = FeSpace(build_uniform_mesh(dim, n), degree)
-        want = element_scatter_stiffness(space)
-        got = assemble_stiffness(space)
-        assert isinstance(got, sp.csr_matrix)
-        assert np.max(np.abs((got - want).toarray())) <= 2e-15 * np.max(np.abs(want.data))
+        want = element_scatter_stiffness(space).toarray()
+        got = operator_matrix(space)
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
     def test_q1_element_matrix(self):
         # oracle: integrate the hand-written gradients with a dense rule
@@ -62,37 +49,40 @@ class TestStiffness:
         expected[1, 2] = expected[2, 1] = -1.0 / 3.0
         assert np.allclose(oracle, expected, atol=1e-14)
 
-        space = FeSpace(build_uniform_mesh(2, 1), 1)
-        matrix = assemble_stiffness(space).toarray()
+        matrix = operator_matrix(FeSpace(build_uniform_mesh(2, 1), 1))
         assert np.allclose(matrix, oracle, atol=1e-13)
 
     def test_element_matrix_h_independent_2d(self):
         for n in (2, 8):
             space = FeSpace(build_uniform_mesh(2, n), 1)
-            matrix = assemble_stiffness(space)
-            assert matrix[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-13)
+            unit = np.zeros(space.n_dofs)
+            unit[0] = 1.0
+            assert stiffness_apply(space)(unit)[0] == pytest.approx(2.0 / 3.0, abs=1e-13)
 
     def test_row_sums_vanish(self):
-        for dim in (2, 3):
-            space = FeSpace(build_uniform_mesh(dim, 4), 1)
-            matrix = assemble_stiffness(space)
-            row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-            assert np.max(np.abs(row_sums)) <= 1e-12
+        # the constants are in the kernel
+        for dim, degree in ((2, 1), (2, 2), (3, 1)):
+            space = FeSpace(build_uniform_mesh(dim, 4), degree)
+            assert np.max(np.abs(stiffness_apply(space)(np.ones(space.n_dofs)))) <= 1e-12
 
     def test_symmetry(self):
-        space = FeSpace(build_uniform_mesh(2, 8), 1)
-        matrix = assemble_stiffness(space)
-        asym = (matrix - matrix.T).tocoo()
-        assert (np.max(np.abs(asym.data)) if asym.nnz else 0.0) <= 1e-12
+        rng = np.random.default_rng(8)
+        for dim, degree in ((2, 1), (2, 3), (3, 2)):
+            space = FeSpace(build_uniform_mesh(dim, 4), degree)
+            apply = stiffness_apply(space)
+            u, v = rng.standard_normal((2, space.n_dofs))
+            scale = np.linalg.norm(v) * np.linalg.norm(apply(u))
+            assert abs(v @ apply(u) - u @ apply(v)) <= 1e-13 * scale
 
     def test_positive_off_constants(self):
         rng = np.random.default_rng(21)
-        space = FeSpace(build_uniform_mesh(2, 4), 1)
-        matrix = assemble_stiffness(space)
-        for _ in range(5):
-            x = rng.standard_normal(space.n_dofs)
-            x -= x.mean()
-            assert x @ (matrix @ x) > 0.0
+        for dim in (2, 3):
+            space = FeSpace(build_uniform_mesh(dim, 4), 1)
+            apply = stiffness_apply(space)
+            for _ in range(5):
+                x = rng.standard_normal(space.n_dofs)
+                x -= x.mean()
+                assert x @ apply(x) > 0.0
 
 
 class TestVolumeLoad:
@@ -213,59 +203,43 @@ class TestInterfaceLoad:
 
 
 class TestDirichlet:
+    """Dirichlet data through ``solve(space, load, g)``."""
+
     def test_homogeneous_data(self):
         space = FeSpace(build_uniform_mesh(2, 4), 1)
-        matrix = assemble_stiffness(space)
-        rhs = np.zeros(space.n_dofs)
-        elim, new_rhs = apply_dirichlet(matrix, rhs, space, lambda x: 0.0)
-        b = space.boundary_dofs
-        assert np.allclose(new_rhs[b], 0.0)
-        dense = elim.toarray()
-        for i in b:
-            assert dense[i, i] == 1.0
-            assert np.all(dense[i, np.arange(space.n_dofs) != i] == 0.0)
-            assert np.all(dense[np.arange(space.n_dofs) != i, i] == 0.0)
+        # zero load and data give exact zeros
+        solution, residual = solve(space, np.zeros(space.n_dofs), lambda x: 0.0)
+        assert np.array_equal(solution, np.zeros(space.n_dofs)) and residual == 0.0
+        # with a load, the boundary dofs still carry the data exactly
+        load = np.random.default_rng(3).standard_normal(space.n_dofs)
+        solution, _ = solve(space, load, lambda x: 0.0)
+        assert np.all(solution[space.boundary_dofs] == 0.0)
+        assert np.any(solution[space.interior_dofs()] != 0.0)
 
     def test_rejects_non_finite_data(self):
         space = FeSpace(build_uniform_mesh(2, 4), 1)
-        matrix = assemble_stiffness(space)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                apply_dirichlet(matrix, np.zeros(space.n_dofs), space,
-                                lambda x: np.where(x[:, 0] == 0.0, bad, 0.0))
+                solve(space, np.zeros(space.n_dofs),
+                      lambda x: np.where(x[:, 0] == 0.0, bad, 0.0))
 
     def test_symmetry_preserved(self):
-        space = FeSpace(build_uniform_mesh(2, 6), 1)
-        matrix = assemble_stiffness(space)
-        elim, _ = apply_dirichlet(matrix, np.zeros(space.n_dofs), space,
-                                  lambda x: x[:, 0])
-        asym = (elim - elim.T).tocoo()
-        assert (np.max(np.abs(asym.data)) if asym.nnz else 0.0) <= 1e-12
-
-    @pytest.mark.parametrize("dim, degree, n", [(2, 2, 16), (3, 1, 8)])
-    def test_bitwise_equal_to_product_formula(self, dim, degree, n):
-        space = FeSpace(build_uniform_mesh(dim, n), degree)
-        matrix = assemble_stiffness(space)
-        rhs = np.random.default_rng(dim + degree).standard_normal(space.n_dofs)
-        g = lambda x: np.sin(3.0 * x[:, 0]) + x[:, -1]
-        elim, new_rhs = apply_dirichlet(matrix, rhs, space, g)
-        # oracle: diag(keep) A diag(keep) + diag(1 - keep), with the boundary
-        # columns of the lifted data moved to the right-hand side
-        keep = np.ones(space.n_dofs)
-        keep[space.boundary_dofs] = 0.0
-        lifted = (1.0 - keep) * g(space.dof_coords)
-        want = (sp.diags(keep) @ matrix @ sp.diags(keep) + sp.diags(1.0 - keep)).tocsr()
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(elim, name), getattr(want, name)), name
-        assert np.array_equal(new_rhs, keep * (rhs - matrix @ lifted) + (1.0 - keep) * lifted)
+        # with homogeneous data the solve is the inverse of the symmetric
+        # interior block: w . solve(v) = v . solve(w) for loads v and w
+        rng = np.random.default_rng(6)
+        space = FeSpace(build_uniform_mesh(2, 6), 2)
+        v, w = rng.standard_normal((2, space.n_dofs))
+        interior = space.interior_dofs()
+        u_v, _ = solve(space, v, lambda x: 0.0)
+        u_w, _ = solve(space, w, lambda x: 0.0)
+        lhs, rhs = w[interior] @ u_v[interior], v[interior] @ u_w[interior]
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_linear_data_reproduced_by_solve(self):
         # discrete harmonic extension of linear data is the linear itself
-        g = lambda x: 2.0 * x[:, 0] - 3.0 * x[:, 1] + 0.5
+        g = lambda x: 2.0 * x[:, 0] - 3.0 * x[:, 1] + 0.5  # noqa: E731
         space = FeSpace(build_uniform_mesh(2, 8), 1)
-        matrix = assemble_stiffness(space)
-        elim, rhs = apply_dirichlet(matrix, np.zeros(space.n_dofs), space, g)
-        solution, residual = solve(space, elim, rhs)
+        solution, residual = solve(space, np.zeros(space.n_dofs), g)
         assert residual <= 1e-12
         assert np.allclose(solution, interpolate(space, g), atol=1e-9)
 
@@ -275,10 +249,8 @@ class TestDirichlet:
         space = FeSpace(mesh, 1)
         exact = reference_solution(CIRCLE)
         quad = immersed_quadrature(CIRCLE, mesh)
-        stiffness = assemble_stiffness(space)
         load = assemble_interface_load(space, quad, lambda y: 5.0)
-        elim, rhs = apply_dirichlet(stiffness, load, space, exact.values)
-        solution, residual = solve(space, elim, rhs)
+        solution, residual = solve(space, load, exact.values)
         assert residual <= 1e-10
         value = space.evaluate(solution, [[1.0, 1.0]])[0]
         assert value == pytest.approx(-math.log(math.hypot(0.7, 0.7)), abs=5e-3)
@@ -289,11 +261,11 @@ class TestDirichlet:
         space = FeSpace(mesh, 1)
         exact = reference_solution(CIRCLE)
         quad = immersed_quadrature(CIRCLE, mesh)
-        stiffness = assemble_stiffness(space)
+        stiffness = element_scatter_stiffness(space)
         load = assemble_interface_load(space, quad, lambda y: 5.0)
-        elim, rhs = apply_dirichlet(stiffness, load, space, exact.values)
+        _, rhs = eliminate(stiffness, load, space, exact.values)
         tol = 1e-11
-        solution, relative_residual = solve(space, elim, rhs)
+        solution, relative_residual = solve(space, load, exact.values)
         assert relative_residual <= tol
         residual = (stiffness @ solution - load)[space.interior_dofs()]
         scale = np.linalg.norm(rhs)

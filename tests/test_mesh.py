@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from immersedfem import SphericalInterface, build_uniform_mesh, classify_cells
+from immersedfem import FeSpace, SphericalInterface, build_uniform_mesh, classify_cells
 
 FAR_CIRCLE = SphericalInterface((10.0, 10.0), 0.2)
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -71,6 +71,17 @@ def test_locate_points():
         mesh.locate([[1.5, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_locate_rejects_non_finite_points(bad):
+    # a NaN passes both comparisons with the box, so it is rejected explicitly
+    mesh = build_uniform_mesh(2, 4)
+    with pytest.raises(ValueError, match="unit box"):
+        mesh.locate([[0.5, 0.5], [bad, 0.5]])
+    space = FeSpace(mesh, 1)
+    with pytest.raises(ValueError, match="unit box"):
+        space.evaluate(np.zeros(space.n_dofs), [[bad, 0.5]])
+
+
 class TestClassification:
     def test_far_interface_gives_empty_layer(self):
         mesh = build_uniform_mesh(2, 4)
@@ -126,6 +137,13 @@ class TestClassification:
         mesh = build_uniform_mesh(2, 4)
         with pytest.raises(ValueError):
             classify_cells(mesh, CIRCLE, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, bad):
+        # NaN would put every cell out of the layer and inf every cell in it
+        mesh = build_uniform_mesh(2, 4)
+        with pytest.raises(ValueError, match="finite"):
+            classify_cells(mesh, CIRCLE, bad)
 
     def test_closed_form_against_dense_sampling(self):
         # oracle: >= 10^4 sample points per cell bound the true min/max of

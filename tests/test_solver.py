@@ -6,48 +6,57 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from conftest import element_scatter_stiffness, eliminate, stiffness_apply
 import immersedfem
-from immersedfem import (FeSpace, SphericalInterface, apply_dirichlet, assemble_interface_load,
-                         assemble_stiffness, build_uniform_mesh, immersed_quadrature,
-                         layer_source_strength, reference_solution, solve)
+from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
+                         build_uniform_mesh, immersed_quadrature, layer_source_strength,
+                         reference_solution, solve)
 
 
-def study_system(dim, degree, cells):
-    """The eliminated layer-source system ``run_study`` solves at one level."""
+def study_problem(dim, degree, cells):
+    """The layer-source problem ``run_study`` solves at one level: the space,
+    the interface load and the Dirichlet data."""
     interface = SphericalInterface((0.3,) * dim, 0.2)
-    exact = reference_solution(interface)
     mesh = build_uniform_mesh(dim, cells)
     space = FeSpace(mesh, degree)
     load = assemble_interface_load(space, immersed_quadrature(interface, mesh),
                                    lambda y: layer_source_strength(interface))
-    matrix, rhs = apply_dirichlet(assemble_stiffness(space), load, space, exact.values)
-    return space, matrix, rhs
+    return space, load, reference_solution(interface).values
 
 
 def test_identity_system():
-    # one Q1 cell has no interior dof: the eliminated matrix is the identity
-    space, matrix, rhs = study_system(2, 1, 1)
-    assert np.array_equal(matrix.toarray(), np.eye(4))
-    solution, residual = solve(space, matrix, rhs)
-    assert np.array_equal(solution, rhs)
+    # one Q1 cell has no interior dof: the solution is the boundary interpolant
+    space, load, g = study_problem(2, 1, 1)
+    solution, residual = solve(space, load, g)
+    assert np.array_equal(solution, g(space.dof_coords))
     assert residual == 0.0
 
 
 def test_zero_rhs_short_circuits():
-    space, matrix, _ = study_system(2, 2, 4)
-    solution, residual = solve(space, matrix, np.zeros(space.n_dofs))
+    space, _, _ = study_problem(2, 2, 4)
+    solution, residual = solve(space, np.zeros(space.n_dofs), lambda x: 0.0)
     assert np.array_equal(solution, np.zeros(space.n_dofs))
     assert residual == 0.0
 
 
 def test_agrees_with_direct_solve():
-    # oracle: splu with one step of iterative refinement
+    # oracle: splu of the element-scatter stiffness after symmetric
+    # elimination, with one step of iterative refinement
     for dim, degree, cells in ((2, 1, 256), (2, 2, 64), (2, 3, 32), (3, 1, 16), (3, 2, 8)):
-        space, matrix, rhs = study_system(dim, degree, cells)
-        solution, residual = solve(space, matrix, rhs)
-        assert residual == pytest.approx(np.linalg.norm(rhs - matrix @ solution)
-                                         / np.linalg.norm(rhs), rel=1e-12)
+        space, load, g = study_problem(dim, degree, cells)
+        solution, residual = solve(space, load, g)
+        # the residual is the true one of the eliminated system, from the operator
+        interior, boundary = space.interior_dofs(), space.boundary_dofs
+        lifted = np.zeros(space.n_dofs)
+        lifted[boundary] = g(space.dof_coords[boundary])
+        apply = stiffness_apply(space)
+        scale = np.hypot(np.linalg.norm((load - apply(lifted))[interior]),
+                         np.linalg.norm(lifted[boundary]))
+        true = np.linalg.norm((load - apply(solution))[interior]) / scale
+        assert residual == pytest.approx(true, rel=1e-12)
         assert residual <= 1e-13, (dim, degree, cells)
+        matrix, rhs = eliminate(element_scatter_stiffness(space), load, space, g)
+        assert np.linalg.norm(rhs - matrix @ solution) <= 1e-13 * np.linalg.norm(rhs)
         lu = splu(matrix.tocsc())
         direct = lu.solve(rhs)
         direct += lu.solve(rhs - matrix @ direct)
@@ -55,20 +64,21 @@ def test_agrees_with_direct_solve():
 
 
 def test_rejects_bad_arguments():
-    space, matrix, rhs = study_system(2, 1, 4)
+    space, load, g = study_problem(2, 1, 4)
     for bad in (np.nan, np.inf):
-        bad_rhs = rhs.copy()
-        bad_rhs[7] = bad
+        bad_load = load.copy()
+        bad_load[7] = bad
         with pytest.raises(ValueError, match="finite"):
-            solve(space, matrix, bad_rhs)
+            solve(space, bad_load, g)
+        with pytest.raises(ValueError, match="finite"):
+            solve(space, load, lambda x: np.where(x[:, 1] == 1.0, bad, g(x)))
 
 
-def test_import_loads_no_scipy_linalg():
-    # the study imports only scipy.sparse; scipy's dense and sparse linear
-    # algebra packages would add to the start-up time of every run
-    code = ("import sys, immersedfem; "
-            "print([m for m in sys.modules if m.startswith(('scipy.linalg', "
-            "'scipy.sparse.linalg'))])")
+def test_import_loads_no_scipy():
+    # the library and its command line run on numpy alone; scipy serves only
+    # the tests' direct-solve oracles
+    code = ("import sys, immersedfem, immersedfem.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(immersedfem.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

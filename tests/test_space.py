@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import bitwise_equal
-from immersedfem import (FeSpace, SphericalInterface, apply_dirichlet,
-                         assemble_interface_load, assemble_stiffness, assemble_volume_load,
-                         build_uniform_mesh, classify_cells, immersed_quadrature,
-                         interpolate, interpolate_outside_layer, jump_check,
-                         reference_solution, shape_eval, single_layer, weighted_errors)
+from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
+                         assemble_volume_load, build_uniform_mesh, classify_cells,
+                         immersed_quadrature, interpolate, interpolate_outside_layer,
+                         jump_check, reference_solution, shape_eval, single_layer, solve,
+                         weighted_errors)
 from immersedfem.mesh import _lattice
 from immersedfem.space import _lagrange_1d, _line_sum_factorised
 
@@ -346,12 +346,10 @@ def _field_consumers():
     space = FeSpace(mesh, 1)
     cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
     quad = immersed_quadrature(CIRCLE, mesh)
-    stiffness = assemble_stiffness(space)
     return {
         "interpolate": lambda g: interpolate(space, g),
         "interpolate_outside_layer": lambda g: interpolate_outside_layer(space, cls, g),
-        "apply_dirichlet": lambda g: apply_dirichlet(stiffness, np.zeros(space.n_dofs),
-                                                     space, g),
+        "solve": lambda g: solve(space, np.zeros(space.n_dofs), g),
         "assemble_volume_load": lambda g: assemble_volume_load(space, g),
         "assemble_interface_load": lambda g: assemble_interface_load(space, quad, g),
         "single_layer": lambda g: single_layer(CIRCLE, g, [0.8, 0.8]),

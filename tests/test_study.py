@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import element_scatter_stiffness, eliminate
 from immersedfem import (ConfigError, FeSpace, SphericalInterface, StudyConfig,
-                         apply_dirichlet, assemble_interface_load, assemble_stiffness,
-                         build_uniform_mesh, emit_table, immersed_quadrature,
-                         layer_source_strength, reference_solution, run_study, solve,
-                         study, weighted_errors)
+                         assemble_interface_load, build_uniform_mesh, emit_table,
+                         immersed_quadrature, layer_source_strength, reference_solution,
+                         run_study, solve, study, weighted_errors)
 from immersedfem.cli import main, parse_config_file
 from immersedfem.study import CSV_HEADER
 
@@ -130,7 +130,8 @@ class TestRunStudy:
             space = FeSpace(build_uniform_mesh(2, n_c), 1)
             load = assemble_interface_load(space, immersed_quadrature(interface, space.mesh),
                                            lambda points: density)
-            matrix, rhs = apply_dirichlet(assemble_stiffness(space), load, space, exact.values)
+            matrix, rhs = eliminate(element_scatter_stiffness(space), load, space,
+                                    exact.values)
             lu = splu(matrix.tocsc())
             direct = lu.solve(rhs)
             direct += lu.solve(rhs - matrix @ direct)
@@ -245,9 +246,10 @@ class TestCli:
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         # a solution off by more than the residual bound allows, or not
         # finite, is a solver failure; the residual is the perturbed vector's
-        def perturbed(space, matrix, rhs):
-            solution, _ = solve(space, matrix, rhs)
+        def perturbed(space, load, g):
+            solution, _ = solve(space, load, g)
             solution[space.interior_dofs()[0]] += perturbation
+            matrix, rhs = eliminate(element_scatter_stiffness(space), load, space, g)
             return solution, float(np.linalg.norm(rhs - matrix @ solution)
                                    / np.linalg.norm(rhs))
 
