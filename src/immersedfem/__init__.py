@@ -6,8 +6,7 @@ from .assembly import assemble_interface_load, assemble_volume_load
 from .geometry import InterfaceQuadrature, SphericalInterface, immersed_quadrature
 from .mesh import CellClassification, Mesh, build_uniform_mesh, classify_cells
 from .norms import (ConvergenceRecord, RadialSolution, discrete_norm, eoc,
-                    layer_source_strength, reference_solution, weight_integral,
-                    weighted_errors)
+                    layer_source_strength, reference_solution, weighted_errors)
 from .potential import green, jump_check, single_layer, surface_samples
 from .quadrature import CellQuadrature, gauss_rule, split_cut_cell
 from .solver import solve
@@ -21,8 +20,8 @@ __all__ = [
     "SphericalInterface", "immersed_quadrature", "CellClassification", "Mesh",
     "build_uniform_mesh", "classify_cells", "ConvergenceRecord", "RadialSolution",
     "discrete_norm", "eoc", "layer_source_strength", "reference_solution",
-    "weight_integral", "weighted_errors", "green", "jump_check", "single_layer",
-    "surface_samples", "CellQuadrature", "gauss_rule", "split_cut_cell", "solve",
-    "FeSpace", "interpolate", "interpolate_outside_layer", "shape_eval", "ConfigError",
-    "StudyConfig", "StudyError", "emit_table", "run_study",
+    "weighted_errors", "green", "jump_check", "single_layer", "surface_samples",
+    "CellQuadrature", "gauss_rule", "split_cut_cell", "solve", "FeSpace", "interpolate",
+    "interpolate_outside_layer", "shape_eval", "ConfigError", "StudyConfig", "StudyError",
+    "emit_table", "run_study",
 ]

@@ -15,8 +15,8 @@ import numpy as np
 
 from .quadrature import surface_rule
 
-#: default number of Gauss points per piece of the surface rule
-DEFAULT_SURFACE_ORDER = 8
+#: Gauss points per piece of the surface rule
+SURFACE_ORDER = 8
 
 
 def _length(columns) -> np.ndarray:
@@ -152,9 +152,9 @@ class InterfaceQuadrature:
         return np.bincount(self.owner_cell, weights=self.weights, minlength=n_cells)
 
 
-def immersed_quadrature(interface: SphericalInterface, mesh, order: int = DEFAULT_SURFACE_ORDER) -> InterfaceQuadrature:
-    """Surface rule of ``quadrature.surface_rule`` with ``order`` Gauss points
-    per piece on every cell of ``mesh`` the surface cuts, which owns the
+def immersed_quadrature(interface: SphericalInterface, mesh) -> InterfaceQuadrature:
+    """Surface rule of ``quadrature.surface_rule`` with ``SURFACE_ORDER`` Gauss
+    points per piece on every cell of ``mesh`` the surface cuts, which owns the
     points in it.  Raises ValueError if the surface meets no cell."""
     if interface.dim != mesh.dim:
         raise ValueError("interface and mesh dimensions differ")
@@ -162,5 +162,5 @@ def immersed_quadrature(interface: SphericalInterface, mesh, order: int = DEFAUL
     cut = np.nonzero(interface.cuts_box(lows, lows + mesh.edge))[0]
     if cut.size == 0:
         raise ValueError("surface meets no cell of the mesh")
-    parent, points, weights = surface_rule(lows[cut], mesh.edge, interface, order)
+    parent, points, weights = surface_rule(lows[cut], mesh.edge, interface, SURFACE_ORDER)
     return InterfaceQuadrature(points=points, weights=weights, owner_cell=cut[parent])

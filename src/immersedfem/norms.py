@@ -2,12 +2,13 @@
 
 The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
 to the interface.  Cells farther than one cell width from the interface carry
-one tensor rule, on which the shape functions are tabulated once.  Every other
-cell carries the height-function rule line by line (``quadrature._line_rule``,
-the lines of ``split_cut_cell``): its pieces never cross the surface and
-carry a side tag, so the piecewise exact solution is always evaluated on a
-single branch per quadrature point, and they are graded toward the surface,
-where d^(2*alpha) is singular.  There the FE function is evaluated in runs of
+one tensor rule of degree + EXTRA_POINTS points per axis, on which the shape
+functions are tabulated once.  Every other cell carries the height-function
+rule line by line (``quadrature._line_rule``, the lines of
+``split_cut_cell``): its pieces never cross the surface and carry a side
+tag, so the piecewise exact solution is always evaluated on a single branch
+per quadrature point, and they are graded toward the surface, where
+d^(2*alpha) is singular.  There the FE function is evaluated in runs of
 whole lines: the face axes once per line of the rule, the height axis per
 point.  The exact solution's batched ``values(points, side)`` and
 ``gradients(points, side)`` are called once per block or run on its (n, dim)
@@ -28,13 +29,15 @@ from .quadrature import gauss_rule, _line_rule, _unpermute
 from .space import FeSpace, _line_sum_factorised
 
 
-#: cells per quadrature block of the error pass away from the surface, and
-#: points per run of whole lines near it: they bound the arrays of the FE and
-#: exact evaluations, but not the height-function rule, which is built for
-#: NEAR_BATCH_POINTS // (points per piece)^dim cells at a time and grows
-#: with every bisected height box
-PLAIN_BATCH_CELLS = 4096
-NEAR_BATCH_POINTS = 32768
+#: Gauss points per axis of the error pass's tensor rule beyond the degree;
+#: cells near the surface take twice degree + EXTRA_POINTS per piece
+EXTRA_POINTS = 3
+#: points per block of the error pass away from the surface and per run of
+#: whole lines near it: this bounds the arrays of the FE and exact
+#: evaluations.  It does not bound the height-function rule, which is built
+#: for BATCH_POINTS // (points per piece)^dim cells at a time and grows with
+#: every bisected height box
+BATCH_POINTS = 32768
 
 
 def _check_alpha(alpha: float) -> None:
@@ -125,29 +128,30 @@ def _cell_batches(mesh: Mesh, interface, rule, cells):
     """Quadrature blocks ``(owners, points, weights, sides, lines)`` over ``cells``.
 
     Cells farther than one cell width from the surface come first, in blocks
-    of ``PLAIN_BATCH_CELLS`` cells on ``rule`` with the side of their centre;
-    ``owners`` lists the cells and ``lines`` is None.  The other cells carry
-    the height-function rule with twice the rule's points per piece, as its
-    grading triples the degree of a polynomial integrand.  The rule is built
-    for as many cells at a time as a plain rule with that many points fits
-    in ``NEAR_BATCH_POINTS``, however many points their height boxes carry;
-    it is handed on in runs of whole lines of at most ``NEAR_BATCH_POINTS``
-    points (or one line); ``owners`` names each line's cell and ``lines``
-    the other ``_line_sum_factorised`` arguments.
+    of at most ``BATCH_POINTS`` points (or one cell) on ``rule`` with the side
+    of their centre; ``owners`` lists the cells and ``lines`` is None.  The
+    other cells carry the height-function rule with twice the rule's points
+    per piece, as its grading triples the degree of a polynomial integrand.
+    The rule is built for as many cells at a time as a plain rule with that
+    many points fits in ``BATCH_POINTS``, however many points their height
+    boxes carry; it is handed on in runs of whole lines of at most
+    ``BATCH_POINTS`` points (or one line); ``owners`` names each line's cell
+    and ``lines`` the other ``_line_sum_factorised`` arguments.
     """
     low = mesh.cell_lows[cells]
     d_min, _ = interface.distance_range_over_box(low, low + mesh.edge)
     near = d_min <= mesh.edge
     plain = cells[~near]
-    for start in range(0, plain.size, PLAIN_BATCH_CELLS):
-        block = plain[start:start + PLAIN_BATCH_CELLS]
+    step = max(1, BATCH_POINTS // rule.n_points)
+    for start in range(0, plain.size, step):
+        block = plain[start:start + step]
         lows = mesh.cell_lows[block]
         pts, w = rule.on_boxes(lows, mesh.edge)
         sides = np.repeat(interface.side(lows + 0.5 * mesh.edge), rule.n_points)
         yield block, pts, w, sides, None
     near = cells[near]
     points = 2 * rule.points_per_axis
-    step = max(1, NEAR_BATCH_POINTS // points ** mesh.dim)
+    step = max(1, BATCH_POINTS // points ** mesh.dim)
     for start in range(0, near.size, step):
         block = near[start:start + step]
         parent, frame, x, line, t, w, sides = _line_rule(mesh.cell_lows[block], mesh.edge,
@@ -159,7 +163,7 @@ def _cell_batches(mesh: Mesh, interface, rule, cells):
         bounds = np.searchsorted(line, np.arange(owners.size + 1))
         first = 0
         while first < owners.size:
-            last = max(first + 1, np.searchsorted(bounds, bounds[first] + NEAR_BATCH_POINTS,
+            last = max(first + 1, np.searchsorted(bounds, bounds[first] + BATCH_POINTS,
                                                   side="right") - 1)
             part, lines = slice(bounds[first], bounds[last]), slice(first, last)
             on = line[part] - first
@@ -169,28 +173,25 @@ def _cell_batches(mesh: Mesh, interface, rule, cells):
             first = last
 
 
-def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
-                    quad_points: int | None = None, cell_ids=None) -> dict:
+def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=None) -> dict:
     """Weighted L2 and H1-seminorm errors for several exponents at once.
 
     Returns {(alpha, m): error} for m in {0, 1}, each alpha in (-1/2, 1/2).
     The quadrature samples and distances are computed once and reused across
-    exponents.  ``quad_points`` (default degree + 3) is the tensor rule's
-    points per axis on cells away from the surface; cells near it take
-    twice as many per piece.  ``cell_ids`` restricts the integration to a
-    subset of cells (broken norms).
+    exponents.  ``cell_ids``, distinct integer ids of cells of the mesh,
+    restricts the integration to a subset of cells (broken norms); other
+    ids raise ValueError.
     """
     alphas = [float(a) for a in alphas]
     for a in alphas:
         _check_alpha(a)
     mesh = space.mesh
     coeffs = np.asarray(coeffs, dtype=float)
-    q = quad_points if quad_points is not None else space.degree + 3
-    rule = gauss_rule(mesh.dim, q)
+    rule = gauss_rule(mesh.dim, space.degree + EXTRA_POINTS)
     values, grads = space.tabulate(rule.points)
     # (n_loc, n_q * dim): one product gives every reference gradient of a cell
     grads = grads.transpose(1, 0, 2).reshape(grads.shape[1], -1)
-    cells = np.arange(mesh.n_cells) if cell_ids is None else np.asarray(cell_ids, dtype=int)
+    cells = _cell_ids(cell_ids, mesh.n_cells)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
     for owners, pts, w, sides, lines in _cell_batches(mesh, interface, rule, cells):
         local = coeffs[space.cell_dofs[owners]]
@@ -202,6 +203,19 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas,
             guh = guh / mesh.edge
         _accumulate(acc, alphas, interface, exact, pts, w, sides, uh, guh)
     return {key: math.sqrt(value) for key, value in acc.items()}
+
+
+def _cell_ids(cell_ids, n_cells: int) -> np.ndarray:
+    """``cell_ids`` as an integer array, every cell for None; ValueError
+    unless they are distinct integers in [0, n_cells)."""
+    if cell_ids is None:
+        return np.arange(n_cells)
+    cells = np.asarray(cell_ids)
+    if cells.size and (cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer)
+                       or cells.min() < 0 or cells.max() >= n_cells
+                       or np.unique(cells).size != cells.size):
+        raise ValueError(f"cell_ids must be distinct integers in [0, {n_cells})")
+    return cells.reshape(-1).astype(int)
 
 
 def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
@@ -221,17 +235,6 @@ def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
 def _distance_weight(d, alpha: float) -> np.ndarray:
     """d^(2 alpha), 0 where d rounds to zero (only at pieces of rounding size)."""
     return np.power(d, 2.0 * alpha, out=np.zeros_like(d), where=d > 0.0)
-
-
-def weight_integral(interface, alpha: float, mesh: Mesh, quad_points: int = 4) -> float:
-    """Integral of the weight d(x)^(2*alpha) over the unit box (diagnostic)."""
-    if 2.0 * alpha <= -1.0:
-        raise ValueError(f"weight exponent 2*alpha must exceed -1, got {2 * alpha}")
-    rule = gauss_rule(mesh.dim, quad_points)
-    total = 0.0
-    for _, pts, w, _, _ in _cell_batches(mesh, interface, rule, np.arange(mesh.n_cells)):
-        total += float(np.sum(w * _distance_weight(interface.distance(pts), alpha)))
-    return total
 
 
 def discrete_norm(space: FeSpace, coeffs, classification: CellClassification,

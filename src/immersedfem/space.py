@@ -122,7 +122,6 @@ class FeSpace:
         self.mesh = mesh
         self.degree = degree
         n_axis = degree * mesh.cells_per_axis + 1
-        self.n_axis_dofs = n_axis
         self.n_dofs = n_axis ** mesh.dim
         lattice = _lattice(n_axis, mesh.dim)
         self.dof_coords = lattice / (degree * mesh.cells_per_axis)

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import (element_scatter_stiffness, eliminate, operator_matrix,
                       stiffness_apply)
-from immersedfem import assembly
 from immersedfem import (FeSpace, InterfaceQuadrature, SphericalInterface,
                          assemble_interface_load, assemble_volume_load, build_uniform_mesh,
                          gauss_rule, immersed_quadrature, interpolate, reference_solution,
@@ -176,17 +175,20 @@ class TestInterfaceLoad:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         # serial runs are deterministic down to the last bit
         assert got.tobytes() == assemble_interface_load(space, quad, density).tobytes()
+        # points need not come grouped by owner cell
+        shuffle = np.random.default_rng(n + degree).permutation(quad.owner_cell.size)
+        shuffled = InterfaceQuadrature(points=quad.points[shuffle], weights=quad.weights[shuffle],
+                                       owner_cell=quad.owner_cell[shuffle])
+        got = assemble_interface_load(space, shuffled, density)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_chunk_size_does_not_change_the_load(self, monkeypatch):
-        # each cell is summed on its own, so splitting the tabulation into
-        # chunks of a few cells leaves every bit of the load in place
-        mesh = build_uniform_mesh(2, 16)
-        space = FeSpace(mesh, 2)
-        quad = immersed_quadrature(CIRCLE, mesh)
-        whole = assemble_interface_load(space, quad, lambda y: 1.0 + y[:, 1])
-        monkeypatch.setattr(assembly, "LOAD_CHUNK_POINTS", 8)
-        chunked = assemble_interface_load(space, quad, lambda y: 1.0 + y[:, 1])
-        assert chunked.tobytes() == whole.tobytes()
+    def test_empty_quadrature(self):
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        empty = InterfaceQuadrature(points=np.zeros((0, 2)), weights=np.zeros(0),
+                                    owner_cell=np.zeros(0, dtype=int))
+        load = assemble_interface_load(space, empty, lambda y: 1.0)
+        assert load.dtype == np.float64
+        assert np.array_equal(load, np.zeros(space.n_dofs))
 
     def test_locality(self):
         # nonzeros are exactly the dofs of cells carrying surface quadrature;

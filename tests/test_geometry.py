@@ -5,6 +5,8 @@ import pytest
 
 from conftest import bitwise_equal
 from immersedfem import SphericalInterface, build_uniform_mesh, immersed_quadrature
+from immersedfem import geometry
+from immersedfem.quadrature import surface_rule
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -183,13 +185,14 @@ class TestImmersedQuadrature:
                 per_cell = q.weight_per_cell(mesh.n_cells)
                 assert per_cell.max() <= 2.0 * math.sqrt(dim) * mesh.h_cell
 
-    def test_order_increase_converges(self):
+    def test_order_increase_converges(self, monkeypatch):
         # integrating a smooth non-polynomial density improves with order
         mesh = build_uniform_mesh(2, 4)
         exact = 0.0  # odd function around the centre integrates to zero
         errors = []
         for order in (1, 2, 4):
-            q = immersed_quadrature(CIRCLE, mesh, order=order)
+            monkeypatch.setattr(geometry, "SURFACE_ORDER", order)
+            q = immersed_quadrature(CIRCLE, mesh)
             value = float(np.sum(q.weights * np.sin(5.0 * (q.points[:, 0] - 0.3))
                                  * (q.points[:, 1] - 0.3)))
             errors.append(abs(value - exact))
@@ -199,7 +202,7 @@ class TestImmersedQuadrature:
     def test_rejects_bad_order_and_outside_interface(self):
         mesh = build_uniform_mesh(2, 4)
         with pytest.raises(ValueError):
-            immersed_quadrature(CIRCLE, mesh, order=0)
+            surface_rule(mesh.cell_lows, mesh.edge, CIRCLE, 0)
         far = SphericalInterface((10.0, 10.0), 0.2)
         with pytest.raises(ValueError):
             immersed_quadrature(far, mesh)  # points cannot find owner cells

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from conftest import bitwise_equal
 from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
                          classify_cells, discrete_norm, eoc, gauss_rule, interpolate,
-                         reference_solution, split_cut_cell, weight_integral,
-                         weighted_errors)
+                         reference_solution, split_cut_cell, weighted_errors)
 from immersedfem import norms, quadrature, space as space_module
-from immersedfem.norms import PLAIN_BATCH_CELLS
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
@@ -40,6 +38,15 @@ class BilinearField:
         return np.column_stack([points[:, 1], points[:, 0]])
 
 
+def weight_integral(interface, alpha, mesh):
+    """Integral of d^(2 alpha) over the unit box: the squared weighted L2
+    error of the zero function against the unit field."""
+    space = FeSpace(mesh, 1)
+    errs = weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), interface,
+                           [alpha])
+    return errs[(alpha, 0)] ** 2
+
+
 class TestParams:
     def test_alpha_range(self):
         # both weighted norms accept exactly the exponents in (-1/2, 1/2)
@@ -54,6 +61,21 @@ class TestParams:
                 weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [0.0, alpha])
             with pytest.raises(ValueError):
                 discrete_norm(space, zero, cls, alpha)
+
+    @pytest.mark.parametrize("cell_ids", [[-1], [63, 63], [1.7], [64]],
+                             ids=["negative", "repeated", "fractional", "past-the-end"])
+    def test_rejects_bad_cell_ids(self, cell_ids):
+        # each would integrate a cell that was not asked for, or fail late
+        space = FeSpace(build_uniform_mesh(2, 8), 1)
+        with pytest.raises(ValueError, match="cell_ids"):
+            weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE, [0.0],
+                            cell_ids=cell_ids)
+
+    def test_empty_cell_ids_give_zeros(self):
+        space = FeSpace(build_uniform_mesh(2, 8), 1)
+        errs = weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE,
+                               [0.0, 0.3], cell_ids=[])
+        assert errs == {(a, m): 0.0 for a in (0.0, 0.3) for m in (0, 1)}
 
 
 class TestExactSolutions:
@@ -176,15 +198,16 @@ class TestWeightedError:
         err = weighted_errors(space, zero, ConstantField(1.0), CIRCLE, [0.0])[(0.0, 0)]
         assert err == pytest.approx(1.0, abs=1e-12)
 
-    def test_quadrature_robustness(self):
+    def test_quadrature_robustness(self, monkeypatch):
+        # the default 4 points per axis against 8
         exact = reference_solution(CIRCLE)
         space = FeSpace(build_uniform_mesh(2, 16), 1)
         coeffs = interpolate(space, exact.values)
         for alpha, m in ((0.0, 0), (0.49, 1)):
-            base = weighted_errors(space, coeffs, exact, CIRCLE, [alpha],
-                                   quad_points=4)[(alpha, m)]
-            fine = weighted_errors(space, coeffs, exact, CIRCLE, [alpha],
-                                   quad_points=8)[(alpha, m)]
+            base = weighted_errors(space, coeffs, exact, CIRCLE, [alpha])[(alpha, m)]
+            with monkeypatch.context() as patch:
+                patch.setattr(norms, "EXTRA_POINTS", 7)
+                fine = weighted_errors(space, coeffs, exact, CIRCLE, [alpha])[(alpha, m)]
             assert abs(fine - base) <= 1e-3 * base
 
     def test_weight_monotonicity_in_alpha(self):
@@ -247,8 +270,8 @@ class TestCellBatches:
         mesh = build_uniform_mesh(2, 128)
         rng = np.random.default_rng(9)
         cells = np.sort(rng.choice(mesh.n_cells, size=12000, replace=False))
-        assert cells.size > 2 * PLAIN_BATCH_CELLS
         space = FeSpace(mesh, 1)
+        assert cells.size > 2 * norms.BATCH_POINTS // (space.degree + norms.EXTRA_POINTS) ** 2
         errs = weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE,
                                [0.0], cell_ids=cells)
         assert errs[(0.0, 0)] == pytest.approx(math.sqrt(cells.size * mesh.edge ** 2),
@@ -256,6 +279,8 @@ class TestCellBatches:
 
 
 class TestWeightIntegral:
+    """The integral of the weight alone, through ``weighted_errors``."""
+
     def test_alpha_zero_gives_volume(self):
         mesh = build_uniform_mesh(2, 8)
         assert weight_integral(CIRCLE, 0.0, mesh) == pytest.approx(1.0, abs=1e-13)
@@ -272,11 +297,14 @@ class TestWeightIntegral:
             value = weight_integral(CIRCLE, alpha, mesh)
             assert value == pytest.approx(oracle, abs=5e-4)
 
-    def test_quadrature_refinement_converges(self):
+    def test_quadrature_refinement_converges(self, monkeypatch):
+        # the default 4 points per axis against 8
         mesh = build_uniform_mesh(2, 16)
         for alpha in (0.1, 0.49):
-            coarse = weight_integral(CIRCLE, alpha, mesh, quad_points=4)
-            fine = weight_integral(CIRCLE, alpha, mesh, quad_points=8)
+            coarse = weight_integral(CIRCLE, alpha, mesh)
+            with monkeypatch.context() as patch:
+                patch.setattr(norms, "EXTRA_POINTS", 7)
+                fine = weight_integral(CIRCLE, alpha, mesh)
             assert fine == pytest.approx(coarse, rel=1e-6)
 
     def test_monotone_between_exponents(self):
@@ -390,7 +418,8 @@ class TestErrorPassOracle:
         (2, 1, 8, 6), (2, 2, 8, 6), (2, 3, 8, 6), (2, 1, 6, 6), (2, 2, 6, 5),
         (3, 1, 4, 3), (3, 2, 4, 3), (3, 1, 6, 3),
     ])
-    def test_matches_pointwise_evaluation(self, dim, degree, n, q):
+    def test_matches_pointwise_evaluation(self, dim, degree, n, q, monkeypatch):
+        monkeypatch.setattr(norms, "EXTRA_POINTS", q - degree)
         interface = SphericalInterface((0.3,) * dim, 0.2)
         exact = reference_solution(interface)
         space = FeSpace(build_uniform_mesh(dim, n), degree)
@@ -401,8 +430,7 @@ class TestErrorPassOracle:
                                     replace=False))
         for cell_ids in (None, subset):
             cells = np.arange(space.mesh.n_cells) if cell_ids is None else subset
-            got = weighted_errors(space, coeffs, exact, interface, alphas,
-                                  quad_points=q, cell_ids=cell_ids)
+            got = weighted_errors(space, coeffs, exact, interface, alphas, cell_ids=cell_ids)
             want = brute_force_errors(space, coeffs, exact, interface, alphas, q, cells)
             for key in want:
                 assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
@@ -416,7 +444,7 @@ class TestNearPathWork:
         interface = SphericalInterface((0.3, 0.3, 0.3), 0.2)
         mesh = build_uniform_mesh(3, 4)
         space = FeSpace(mesh, 1)
-        q = space.degree + 3
+        q = space.degree + norms.EXTRA_POINTS
         d_min, _ = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
         near = np.nonzero(d_min <= mesh.edge)[0]
         rows, _, _, line, _, _, _ = quadrature._line_rule(mesh.cell_lows[near], mesh.edge,
