@@ -1,10 +1,12 @@
 """Command line front end for convergence studies.
 
-Flags may be combined with a plain-text key=value configuration file; flags
-take precedence.  Exit codes: 0 success, 1 configuration error (unknown
-flags and keys included), 2 solver failure: a level's solve left a
-relative residual of its Dirichlet-eliminated system that is not finite or
-exceeds ``study.MAX_RELATIVE_RESIDUAL``.
+``ifem-study @study.args`` reads flags from a file, whitespace-separated,
+with ``#`` comments and blank lines; flags are read in order, so a later
+flag, on the command line or in a later file, wins.  Exit codes: 0 success,
+1 configuration error (unknown flags and unreadable flag files included),
+2 solver failure: a level's solve left a relative residual of its
+Dirichlet-eliminated system that is not finite or exceeds
+``study.MAX_RELATIVE_RESIDUAL``.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ import sys
 
 from .study import ConfigError, StudyConfig, StudyError, emit_table, run_study
 
-_INT_KEYS = ("dim", "min_exp", "max_exp", "degree")
-_FLOAT_KEYS = ("radius",)
-_FLOAT_TUPLE_KEYS = ("alphas", "center")
-_STR_KEYS = ("fmt", "out")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route through ConfigError so
     # usage errors map to exit code 1 instead
     def error(self, message):
         raise ConfigError(message)
+
+    def convert_arg_line_to_args(self, arg_line):
+        return arg_line.split("#", 1)[0].split()
 
 
 def _float_tuple(text: str) -> tuple:
@@ -37,6 +37,7 @@ def _float_tuple(text: str) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ifem-study",
+        fromfile_prefix_chars="@",
         description="Convergence study for the immersed layer-source Poisson "
                     "problem with errors in distance-weighted norms.",
     )
@@ -54,52 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "markdown"), dest="fmt",
                         help="output table format (default csv)")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--config", help="key=value file; flags override it")
     return parser
-
-
-def parse_config_file(path: str) -> dict:
-    values = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key == "format":
-            key = "fmt"
-        if key not in _INT_KEYS + _FLOAT_KEYS + _FLOAT_TUPLE_KEYS + _STR_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _FLOAT_TUPLE_KEYS:
-                values[key] = _float_tuple(value)
-            else:
-                values[key] = value
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return values
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        values = parse_config_file(args.config) if args.config else {}
-        overrides = {key: val for key, val in vars(args).items()
-                     if key != "config" and val is not None}
-        values.update(overrides)
-        config = StudyConfig(**values)
+        config = StudyConfig(**{key: val for key, val in vars(args).items()
+                                if val is not None})
         records = run_study(config)
         text = emit_table(records, config.fmt)
     except ConfigError as exc:

@@ -180,13 +180,16 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     The quadrature samples and distances are computed once and reused across
     exponents.  ``cell_ids``, distinct integer ids of cells of the mesh,
     restricts the integration to a subset of cells (broken norms); other
-    ids raise ValueError.
+    ids raise ValueError, as do ``coeffs`` of the wrong shape and an
+    interface of another dimension than the mesh.
     """
     alphas = [float(a) for a in alphas]
     for a in alphas:
         _check_alpha(a)
     mesh = space.mesh
-    coeffs = np.asarray(coeffs, dtype=float)
+    if interface.dim != mesh.dim:
+        raise ValueError("interface and mesh dimensions differ")
+    coeffs = _coefficients(space, coeffs)
     rule = gauss_rule(mesh.dim, space.degree + EXTRA_POINTS)
     values, grads = space.tabulate(rule.points)
     # (n_loc, n_q * dim): one product gives every reference gradient of a cell
@@ -203,6 +206,14 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
             guh = guh / mesh.edge
         _accumulate(acc, alphas, interface, exact, pts, w, sides, uh, guh)
     return {key: math.sqrt(value) for key, value in acc.items()}
+
+
+def _coefficients(space: FeSpace, coeffs) -> np.ndarray:
+    """``coeffs`` as a float array; ValueError unless it has one entry per dof."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (space.n_dofs,):
+        raise ValueError(f"coeffs must have shape ({space.n_dofs},), got {coeffs.shape}")
+    return coeffs
 
 
 def _cell_ids(cell_ids, n_cells: int) -> np.ndarray:
@@ -243,12 +254,13 @@ def discrete_norm(space: FeSpace, coeffs, classification: CellClassification,
     squared L2 norm of the FE function on the cell.
 
     At alpha = 0 this is the plain L2 norm (0^0 counts as 1); cells sitting
-    on the surface contribute nothing when alpha > 0."""
+    on the surface contribute nothing when alpha > 0.  ``coeffs`` of the
+    wrong shape raise ValueError."""
     _check_alpha(alpha)
     mesh = space.mesh
     rule = gauss_rule(mesh.dim, space.degree + 2)
     values_tab, _ = space.tabulate(rule.points)
-    local = np.asarray(coeffs, dtype=float)[space.cell_dofs]
+    local = _coefficients(space, coeffs)[space.cell_dofs]
     uh = local @ values_tab.T  # (n_cells, n_q)
     cell_sq = mesh.edge ** mesh.dim * (uh**2 @ rule.weights)
     return math.sqrt(float(np.sum(np.power(classification.dist_max, 2.0 * alpha) * cell_sq)))

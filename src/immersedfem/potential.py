@@ -12,7 +12,7 @@ import numpy as np
 
 from .space import _field_values
 
-#: default quadrature sizes: points on the circle / per polar direction
+#: quadrature sizes: points on the circle / per polar direction
 DEFAULT_N_QUAD_2D = 512
 DEFAULT_N_QUAD_3D = 64
 
@@ -68,13 +68,10 @@ def _surface_rule(interface, n_quad):
     return pts, w
 
 
-def single_layer(interface, f, x, n_quad: int | None = None) -> float:
+def single_layer(interface, f, x) -> float:
     """Single layer potential at ``x``: integral over the surface of
     G(x - y) f(y).  The point must keep some distance from the surface."""
-    if n_quad is None:
-        n_quad = DEFAULT_N_QUAD_2D if interface.dim == 2 else DEFAULT_N_QUAD_3D
-    if n_quad < 8:
-        raise ValueError(f"n_quad must be >= 8, got {n_quad}")
+    n_quad = DEFAULT_N_QUAD_2D if interface.dim == 2 else DEFAULT_N_QUAD_3D
     x = np.asarray(x, dtype=float)
     if interface.distance(x) <= MIN_EVAL_DISTANCE:
         raise ValueError("evaluation point too close to the surface")
@@ -82,18 +79,17 @@ def single_layer(interface, f, x, n_quad: int | None = None) -> float:
     return float(np.sum(w * _field_values(f, pts) * green(interface.dim, x - pts)))
 
 
-def jump_check(interface, u, f, n_samples: int = 32, fd_step: float = 1e-4) -> float:
+def jump_check(interface, u, f) -> float:
     """Largest mismatch between the measured normal-derivative jump of ``u``
     across the surface and the prescribed density ``f``.
 
-    At each sample y the one-sided normal derivatives are taken with
+    At each of 32 samples y the one-sided normal derivatives are taken with
     second-order stencils anchored on the surface (u at y, y +/- h nu,
-    y +/- 2h nu), so the estimates converge to the one-sided limits at y
-    itself.  Returns max |(d_nu u+ - d_nu u-) + f(y)|, which vanishes for the
-    sign convention under which the layer load reproduces the reference
-    solutions."""
-    if not 0.0 < fd_step < interface.radius / 10.0:
-        raise ValueError(f"fd_step must lie in (0, radius/10), got {fd_step}")
+    y +/- 2h nu, h = 1e-4), so the estimates converge to the one-sided limits
+    at y itself.  Returns max |(d_nu u+ - d_nu u-) + f(y)|, which vanishes
+    for the sign convention under which the layer load reproduces the
+    reference solutions."""
+    n_samples, fd_step = 32, 1e-4
     samples = surface_samples(interface, n_samples)
     # the five stencil points of every sample, offsets 0, h, -h, 2h, -2h
     offsets = fd_step * np.array([0.0, 1.0, -1.0, 2.0, -2.0])

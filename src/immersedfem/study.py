@@ -39,7 +39,8 @@ class StudyConfig:
     4..32 in 3D.  The error quadrature is not configurable: degree + 3
     points per axis, twice that per piece on cells near the interface.
     The linear solve is direct and has nothing to configure.  All numbers
-    must be finite, and the exponents distinct.
+    must be finite, the levels and the degree integers, and the exponents
+    distinct.
     """
 
     dim: int = 2
@@ -53,6 +54,10 @@ class StudyConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("dim", "min_exp", "max_exp", "degree"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is bool or not isinstance(value, int)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
         if self.min_exp is None:
@@ -102,8 +107,7 @@ def run_study(config: StudyConfig):
     interface = SphericalInterface(config.center, config.radius)
     exact = reference_solution(interface)
     density = layer_source_strength(interface)
-    records = []
-    previous = {}
+    levels = []
     for exponent in range(config.min_exp, config.max_exp + 1):
         n_c = 2 ** exponent
         mesh = build_uniform_mesh(config.dim, n_c)
@@ -113,24 +117,16 @@ def run_study(config: StudyConfig):
         solution, residual = solve(space, load, exact.values)
         if not residual <= MAX_RELATIVE_RESIDUAL:
             raise StudyError(f"solve failed at n_c = {n_c}: relative residual {residual:.3e}")
-        errors = weighted_errors(space, solution, exact, interface, config.alphas)
-        for alpha in config.alphas:
-            e0, e1 = errors[(alpha, 0)], errors[(alpha, 1)]
-            prev = previous.get(alpha)
-            record = ConvergenceRecord(
-                dim=config.dim,
-                n_cells_per_axis=n_c,
-                h=mesh.h_cell,
-                n_dofs=space.n_dofs,
-                alpha=alpha,
-                err_l2=e0,
-                err_h1_semi=e1,
-                eoc_l2=eoc([prev[0], (mesh.h_cell, e0)])[0] if prev else None,
-                eoc_h1=eoc([prev[1], (mesh.h_cell, e1)])[0] if prev else None,
-            )
-            records.append(record)
-            previous[alpha] = ((mesh.h_cell, e0), (mesh.h_cell, e1))
-    return records
+        levels.append((n_c, mesh.h_cell, space.n_dofs,
+                       weighted_errors(space, solution, exact, interface, config.alphas)))
+    # one rate series per (alpha, norm); the coarsest level has no rate
+    rates = {key: [None] + eoc([(h, errors[key]) for _, h, _, errors in levels])
+             for key in levels[0][3]}
+    return [ConvergenceRecord(dim=config.dim, n_cells_per_axis=n_c, h=h, n_dofs=n_dofs,
+                              alpha=alpha, err_l2=errors[(alpha, 0)],
+                              err_h1_semi=errors[(alpha, 1)],
+                              eoc_l2=rates[(alpha, 0)][k], eoc_h1=rates[(alpha, 1)][k])
+            for k, (n_c, h, n_dofs, errors) in enumerate(levels) for alpha in config.alphas]
 
 
 def _num(value: float) -> str:

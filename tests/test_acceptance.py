@@ -100,10 +100,8 @@ def test_criterion_4_oracle_consistency():
             want = exact.values(x)[0]
             worst = max(worst, abs(value - want) / abs(want))
             checked += 1
-    jump_2d = jump_check(CIRCLE, reference_solution(CIRCLE).values,
-                         lambda y: 5.0, fd_step=1e-4)
-    jump_3d = jump_check(SPHERE, reference_solution(SPHERE).values,
-                         lambda y: 25.0, fd_step=1e-4)
+    jump_2d = jump_check(CIRCLE, reference_solution(CIRCLE).values, lambda y: 5.0)
+    jump_3d = jump_check(SPHERE, reference_solution(SPHERE).values, lambda y: 25.0)
     ok = worst <= 1e-3 and jump_2d < 1e-2 and jump_3d < 1e-2
     report("4 (potential oracle)", ok,
            f"single layer rel err {worst:.2e}<=1e-3, jump residuals "

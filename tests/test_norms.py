@@ -71,6 +71,31 @@ class TestParams:
             weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE, [0.0],
                             cell_ids=cell_ids)
 
+    def test_rejects_long_coeffs(self):
+        # extra entries would be ignored and the norms of a prefix returned
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        cls = classify_cells(space.mesh, CIRCLE, math.sqrt(2.0))
+        long = np.zeros(space.n_dofs + 5)
+        with pytest.raises(ValueError, match="coeffs"):
+            weighted_errors(space, long, ConstantField(1.0), CIRCLE, [0.0])
+        with pytest.raises(ValueError, match="coeffs"):
+            discrete_norm(space, long, cls, 0.0)
+
+    def test_rejects_short_coeffs(self):
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        cls = classify_cells(space.mesh, CIRCLE, math.sqrt(2.0))
+        short = np.zeros(space.n_dofs - 1)
+        with pytest.raises(ValueError, match="coeffs"):
+            weighted_errors(space, short, ConstantField(1.0), CIRCLE, [0.0])
+        with pytest.raises(ValueError, match="coeffs"):
+            discrete_norm(space, short, cls, 0.0)
+
+    def test_rejects_interface_of_other_dimension(self):
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        sphere = SphericalInterface((0.3, 0.3, 0.3), 0.2)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), sphere, [0.0])
+
     def test_empty_cell_ids_give_zeros(self):
         space = FeSpace(build_uniform_mesh(2, 8), 1)
         errs = weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE,

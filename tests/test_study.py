@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from immersedfem import (ConfigError, FeSpace, SphericalInterface, StudyConfig,
                          assemble_interface_load, build_uniform_mesh, emit_table,
                          immersed_quadrature, layer_source_strength, reference_solution,
                          run_study, solve, study, weighted_errors)
-from immersedfem.cli import main, parse_config_file
+from immersedfem.cli import build_parser, main
 from immersedfem.study import CSV_HEADER
 
 SMALL = dict(dim=2, min_exp=2, max_exp=3, alphas=(0.0, 0.49))
@@ -85,6 +86,12 @@ class TestConfig:
             StudyConfig(min_exp=1, max_exp=3)
         with pytest.raises(ConfigError):
             StudyConfig(min_exp=4, max_exp=3)
+        # the levels, the degree and the dimension are integers, not floats
+        # or booleans that would fail later inside the study
+        for bad in (dict(dim=2.0), dict(degree=1.5), dict(min_exp=2.5), dict(max_exp=3.0),
+                    dict(degree=True), dict(dim=3, min_exp=False)):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                StudyConfig(**bad)
 
     def test_rejects_bad_dim_and_format(self):
         with pytest.raises(ConfigError):
@@ -233,7 +240,12 @@ class TestCli:
         assert main(["--no-such-flag"]) == 1
         assert main(["--center", "nan,nan"]) == 1
         assert main(["--radius", "nan"]) == 1
-        assert main(["--cg-tol", "1e-12"]) == 1  # the solve is direct: no tolerance to set
+        # stale settings: the config file and the layer width are gone, the
+        # cut-cell rule has no depth, the error and surface rules have fixed
+        # sizes, and the solve is direct with no tolerance to set
+        for stale in ("--config", "--sigma", "--cut-depth", "--quad-points",
+                      "--surface-order", "--cg-tol"):
+            assert main([stale, "4"]) == 1
         assert main(["--alphas", "0.1,0.1"]) == 1
         captured = capsys.readouterr()
         assert "error" in captured.err
@@ -259,54 +271,37 @@ class TestCli:
             assert code == 2
             assert "solver failure" in capsys.readouterr().err
 
-    def test_config_file_and_override(self, tmp_path, capsys):
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text(
+    def test_flags_file_and_override(self, tmp_path, capsys):
+        flags = tmp_path / "study.args"
+        flags.write_text(
             "# study setup\n"
-            "dim = 2\n"
-            "min_exp = 2\n"
-            "max_exp = 4\n"
-            "alphas = 0,0.49\n"
-            "format = markdown\n",
+            "--dim 2   # the plane\n"
+            "\n"
+            "--min-exp 2 --max-exp 4\n"
+            "--alphas 0,0.49\n"
+            "--format markdown\n",
             encoding="utf-8",
         )
-        # flag overrides the file's max_exp and format
-        code = main(["--config", str(cfg), "--max-exp", "2", "--format", "csv"])
+        # flags after the file win over its max-exp and format
+        code = main([f"@{flags}", "--max-exp", "2", "--format", "csv"])
         assert code == 0
-        out = capsys.readouterr().out
-        lines = out.strip().split("\n")
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3  # one level, two alphas
+        # and the file's flags win over those before it
+        assert main(["--max-exp", "2", f"@{flags}"]) == 0
+        assert capsys.readouterr().out.startswith("## alpha = 0")
 
-    def test_config_file_errors(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("unknown_key = 3\n", encoding="utf-8")
-        assert main(["--config", str(bad)]) == 1
-        stale = tmp_path / "stale.cfg"  # the surface rule order is not configurable
-        stale.write_text("surface_order = 4\n", encoding="utf-8")
-        assert main(["--config", str(stale)]) == 1
-        unused = tmp_path / "unused.cfg"  # the layer width never entered the study
-        unused.write_text("sigma = 1.5\n", encoding="utf-8")
-        assert main(["--config", str(unused)]) == 1
-        depth = tmp_path / "depth.cfg"  # the cut-cell rule has no depth to set
-        depth.write_text("cut_depth = 4\n", encoding="utf-8")
-        assert main(["--config", str(depth)]) == 1
-        quad = tmp_path / "quad.cfg"  # the error quadrature is not configurable
-        quad.write_text("quad_points = 4\n", encoding="utf-8")
-        assert main(["--config", str(quad)]) == 1
-        tol = tmp_path / "tol.cfg"  # the solve is direct: no tolerance to set
-        tol.write_text("cg_tol = 1e-12\n", encoding="utf-8")
-        assert main(["--config", str(tol)]) == 1
-        assert "unknown key" in capsys.readouterr().err
-        noisy = tmp_path / "noisy.cfg"
-        noisy.write_text("dim 2\n", encoding="utf-8")
-        assert main(["--config", str(noisy)]) == 1
-        assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
+    def test_flags_file_errors(self, tmp_path, capsys):
+        # an unknown flag inside the file: the solve is direct, with no tolerance
+        bad = tmp_path / "bad.args"
+        bad.write_text("--dim 2\n--cg-tol 1e-12\n", encoding="utf-8")
+        assert main([f"@{bad}"]) == 1
+        assert "unrecognized arguments: --cg-tol" in capsys.readouterr().err
+        assert main([f"@{tmp_path / 'missing.args'}"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
-    def test_parse_config_file_types(self, tmp_path):
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text("dim=3\nradius=0.15\ncenter=0.4,0.4,0.4\nout=x.csv\n",
-                       encoding="utf-8")
-        values = parse_config_file(str(cfg))
-        assert values == {"dim": 3, "radius": 0.15,
-                          "center": (0.4, 0.4, 0.4), "out": "x.csv"}
+    def test_parser_dests_are_config_fields(self):
+        # every flag lands in a StudyConfig field of the same name
+        dests = set(vars(build_parser().parse_args([])))
+        assert dests == {field.name for field in dataclasses.fields(StudyConfig)}
