@@ -28,10 +28,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_tuple(text: str) -> tuple:
+    # argparse keeps the message of an ArgumentTypeError; of any other
+    # ValueError it reports only the name of this function
     try:
         return tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,12 +8,14 @@ rule line by line (``quadrature._line_rule``, the lines of
 ``split_cut_cell``): its pieces never cross the surface and carry a side
 tag, so the piecewise exact solution is always evaluated on a single branch
 per quadrature point, and they are graded toward the surface, where
-d^(2*alpha) is singular.  There the FE function is evaluated in runs of
-whole lines: the face axes once per line of the rule, the height axis per
-point.  The exact solution's batched ``values(points, side)`` and
-``gradients(points, side)`` are called once per block or run on its (n, dim)
-point array; the per-point arithmetic works on one contiguous column per
-coordinate or component.
+d^(2*alpha) is singular.  The height boxes of these cells are found once
+per call, and the rule is built on blocks of consecutive boxes, as many as a
+plain rule with the same points per piece fits in ``BATCH_POINTS``.  There
+the FE function is evaluated in runs of whole lines: the face axes once per
+line of the rule, the height axis per point.  The exact solution's batched
+``values(points, side)`` and ``gradients(points, side)`` are called once per
+block or run on its (n, dim) point array; the per-point arithmetic works on
+one contiguous column per coordinate or component.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .geometry import _length, _offsets
 from .mesh import Mesh, CellClassification
-from .quadrature import gauss_rule, _line_rule, _unpermute
+from .quadrature import gauss_rule, _height_boxes, _line_rule, _unpermute
 from .space import FeSpace, _line_sum_factorised
 
 
@@ -33,10 +35,11 @@ from .space import FeSpace, _line_sum_factorised
 #: cells near the surface take twice degree + EXTRA_POINTS per piece
 EXTRA_POINTS = 3
 #: points per block of the error pass away from the surface and per run of
-#: whole lines near it: this bounds the arrays of the FE and exact
-#: evaluations.  It does not bound the height-function rule, which is built
-#: for BATCH_POINTS // (points per piece)^dim cells at a time and grows with
-#: every bisected height box
+#: whole lines near it, which bounds the arrays of the FE and exact
+#: evaluations; near it the height-function rule is built for
+#: BATCH_POINTS // (points per piece)^dim height boxes at a time, so a
+#: block's rule exceeds BATCH_POINTS only by the pieces its lines are split
+#: into, not by the boxes of the level
 BATCH_POINTS = 32768
 
 
@@ -132,11 +135,12 @@ def _cell_batches(mesh: Mesh, interface, rule, cells):
     of their centre; ``owners`` lists the cells and ``lines`` is None.  The
     other cells carry the height-function rule with twice the rule's points
     per piece, as its grading triples the degree of a polynomial integrand.
-    The rule is built for as many cells at a time as a plain rule with that
-    many points fits in ``BATCH_POINTS``, however many points their height
-    boxes carry; it is handed on in runs of whole lines of at most
-    ``BATCH_POINTS`` points (or one line); ``owners`` names each line's cell
-    and ``lines`` the other ``_line_sum_factorised`` arguments.
+    Their height boxes are found once, and the rule is built for as many
+    consecutive boxes at a time as a plain rule with that many points fits
+    in ``BATCH_POINTS``, so a cell's boxes may fall into two blocks; it is
+    handed on in runs of whole lines of at most ``BATCH_POINTS`` points (or
+    one line); ``owners`` names each line's cell and ``lines`` the other
+    ``_line_sum_factorised`` arguments.
     """
     low = mesh.cell_lows[cells]
     d_min, _ = interface.distance_range_over_box(low, low + mesh.edge)
@@ -150,13 +154,15 @@ def _cell_batches(mesh: Mesh, interface, rule, cells):
         sides = np.repeat(interface.side(lows + 0.5 * mesh.edge), rule.n_points)
         yield block, pts, w, sides, None
     near = cells[near]
+    if not near.size:
+        return
+    boxes = _height_boxes(mesh.cell_lows[near], mesh.edge, interface)
     points = 2 * rule.points_per_axis
     step = max(1, BATCH_POINTS // points ** mesh.dim)
-    for start in range(0, near.size, step):
-        block = near[start:start + step]
-        parent, frame, x, line, t, w, sides = _line_rule(mesh.cell_lows[block], mesh.edge,
-                                                         interface, points)
-        owners = block[parent]
+    for start in range(0, boxes[0].size, step):
+        parent, frame, x, line, t, w, sides = _line_rule(
+            tuple(b[start:start + step] for b in boxes), interface, points)
+        owners = near[parent]
         lows = np.take_along_axis(mesh.cell_lows[owners], frame, axis=1)
         face_ref = (x - lows[:, :-1]) / mesh.edge
         # the first point of every line, and one past the last
@@ -236,16 +242,27 @@ def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
     we0 = w * e0**2
     # squares summed in axis order, as ``geometry._length`` does
     we1 = w * sum((e ** 2 for e in e1[1:]), e1[0] ** 2)
-    d = interface.distance(pts)
-    for a in alphas:
-        weight = _distance_weight(d, a) if a != 0.0 else 1.0
+    for a, weight in _distance_weights(interface.distance(pts), alphas):
         acc[(a, 0)] += float(np.sum(we0 * weight))
         acc[(a, 1)] += float(np.sum(we1 * weight))
 
 
-def _distance_weight(d, alpha: float) -> np.ndarray:
-    """d^(2 alpha), 0 where d rounds to zero (only at pieces of rounding size)."""
-    return np.power(d, 2.0 * alpha, out=np.zeros_like(d), where=d > 0.0)
+def _distance_weights(d, alphas):
+    """``(alpha, d^(2 alpha))`` per alpha: 1 at alpha = 0, and 0 where d
+    rounds to zero (only at pieces of rounding size) for every other alpha.
+
+    ``d`` is overwritten with log d, taken once per point; every weight is
+    exp(2 alpha log d) in one buffer, overwritten by the next alpha."""
+    zero = np.flatnonzero(d == 0.0)
+    log_d = np.log(d, out=d, where=d > 0.0)
+    weight = np.empty_like(d)
+    for a in alphas:
+        if a == 0.0:
+            yield a, 1.0
+            continue
+        np.exp(np.multiply(log_d, 2.0 * a, out=weight), out=weight)
+        weight[zero] = 0.0
+        yield a, weight
 
 
 def discrete_norm(space: FeSpace, coeffs, classification: CellClassification,

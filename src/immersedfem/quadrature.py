@@ -96,16 +96,17 @@ def split_cut_cell(cell_low, cell_size: float, interface, points: int):
     surface, and from two points on the weights of a cell add up to its
     volume.
     """
-    parent, frame, x, line, t, w, sides = _line_rule(cell_low, cell_size, interface, points)
+    boxes = _height_boxes(cell_low, cell_size, interface)
+    parent, frame, x, line, t, w, sides = _line_rule(boxes, interface, points)
     return parent[line], _unpermute(x, frame, line, t), w, sides
 
 
-def _line_rule(cell_low, cell_size, interface, points):
-    """``split_cut_cell`` per line: the row of ``cell_low``, the frame (the
+def _line_rule(boxes, interface, points):
+    """``split_cut_cell`` per line on the height boxes ``boxes`` of
+    ``_height_boxes``: per line the cell row of its box, the frame (the
     physical axis of each frame axis, height last) and the face coordinates
     in frame order; and per point, by line: line, height t, weight, side."""
-    parent, frame, x, w, a, b, ck, root = _face_rules(cell_low, cell_size, interface,
-                                                      points, weighted=True)
+    parent, frame, x, w, a, b, ck, root = _face_rules(boxes, interface, points, weighted=True)
     roots = np.column_stack([ck - root, ck + root])
     line, t, wt, mid = _gauss_pieces(a, b, roots, np.ones(2, dtype=bool), points,
                                      HEIGHT_GRADING)
@@ -120,8 +121,8 @@ def surface_rule(cell_low, cell_size: float, interface, points: int):
     The points are the sphere's roots t* in [low, high) of the height axis on
     the lines of the face rule, weighted by the surface Jacobian R / |t* - c_k|.
     """
-    parent, frame, x, w, a, b, ck, root = _face_rules(cell_low, cell_size, interface,
-                                                      points, weighted=False)
+    boxes = _height_boxes(cell_low, cell_size, interface)
+    parent, frame, x, w, a, b, ck, root = _face_rules(boxes, interface, points, weighted=False)
     roots = np.column_stack([ck - root, ck + root])
     line, which = np.nonzero((roots >= a[:, None]) & (roots < b[:, None])
                              & (root > 0.0)[:, None])
@@ -134,8 +135,8 @@ def _root(disc):
     return np.sqrt(np.where(disc >= 0.0, disc, np.nan))
 
 
-def _face_rules(cell_low, cell_size, interface, points, weighted):
-    """Height boxes of the cells and the rule on their faces.
+def _face_rules(boxes, interface, points, weighted):
+    """The rule on the faces of the height boxes ``boxes`` of ``_height_boxes``.
 
     Every box is put in a frame whose last axis is its height axis.  Face
     level k is cut at the circles of level k + 1 on the faces x_k = low and
@@ -149,9 +150,8 @@ def _face_rules(cell_low, cell_size, interface, points, weighted):
     """
     if points < 1:
         raise ValueError(f"need at least one point per piece, got {points}")
-    lows = np.atleast_2d(np.asarray(cell_low, dtype=float))
+    parent, lows, sizes, axis = boxes
     dim = lows.shape[1]
-    parent, lows, sizes, axis = _height_boxes(lows, float(cell_size), interface)
     others = np.array([[j for j in range(dim) if j != k] for k in range(dim)], dtype=int)
     frame = np.column_stack([others[axis], axis])
     lows = np.take_along_axis(lows, frame, axis=1)
@@ -180,21 +180,23 @@ def _face_rules(cell_low, cell_size, interface, points, weighted):
         box, x, w = box[line], np.column_stack([x[line], t]), w[line] * wt
 
 
-def _height_boxes(lows, size, interface):
+def _height_boxes(cell_low, cell_size, interface):
     """Boxes with a height axis covering the cells ``low + size [0, 1]^dim``.
 
-    On a box, |n_k| >= min|x_k - c_k| / sqrt(min|x_k - c_k|^2 + max|x' - c'|^2)
+    ``cell_low`` is as in ``split_cut_cell``, with at least one cell.  On a
+    box, |n_k| >= min|x_k - c_k| / sqrt(min|x_k - c_k|^2 + max|x' - c'|^2)
     exactly, since the two extrema are taken over independent coordinates.
     The axis with the largest bound is taken; cut boxes whose bound stays
-    below HEIGHT_MIN are bisected.  Returns the cell row, low corner, edge
-    and height axis of every box, cell by cell.
+    below HEIGHT_MIN are bisected.  Returns ``(parent, lows, sizes, axis)``:
+    the cell row, low corner, edge and height axis of every box, cell by cell.
     """
+    lows = np.atleast_2d(np.asarray(cell_low, dtype=float))
     dim = lows.shape[1]
     c = interface.center
     offsets = np.stack(np.meshgrid(*([[0.0, 1.0]] * dim), indexing="ij"),
                        axis=-1).reshape(-1, dim)
     parent = np.arange(lows.shape[0])
-    sizes = np.full(lows.shape[0], size)
+    sizes = np.full(lows.shape[0], float(cell_size))
     done = []
     while lows.shape[0]:
         high = lows + sizes[:, None]

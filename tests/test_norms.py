@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ def grid_circles(draw):
 class TestCellBatches:
     """Unit integrands through the plain and cut-cell quadrature batches."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(grid_circles(), st.data())
     def test_unit_integrands_on_degenerate_circles(self, mesh_circle, data):
         mesh, circle = mesh_circle
@@ -472,8 +473,8 @@ class TestNearPathWork:
         q = space.degree + norms.EXTRA_POINTS
         d_min, _ = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
         near = np.nonzero(d_min <= mesh.edge)[0]
-        rows, _, _, line, _, _, _ = quadrature._line_rule(mesh.cell_lows[near], mesh.edge,
-                                                          interface, 2 * q)
+        boxes = quadrature._height_boxes(mesh.cell_lows[near], mesh.edge, interface)
+        rows, _, _, line, _, _, _ = quadrature._line_rule(boxes, interface, 2 * q)
         coordinates, kernel_calls = [], []
         lagrange, kernel = space_module._lagrange_1d, norms._line_sum_factorised
         monkeypatch.setattr(space_module, "_lagrange_1d",
@@ -488,3 +489,86 @@ class TestNearPathWork:
                  + (space.degree + 1) * len(kernel_calls))
         assert kernel_calls and sum(coordinates) <= bound
         assert bound < mesh.dim * line.size
+
+
+def test_distance_weights_match_power():
+    rng = np.random.default_rng(23)
+    d = np.concatenate([np.exp(rng.uniform(math.log(1e-12), math.log(2.0), 2000)),
+                        [1e-12, 1.0, 2.0], np.zeros(4)])
+    alphas = [0.0, -0.49, -0.2, 0.1, 0.3, 0.49]
+    got = [(a, np.copy(w)) for a, w in norms._distance_weights(d.copy(), alphas)]
+    assert [a for a, _ in got] == alphas
+    assert got[0][1] == 1.0
+    positive = d > 0.0
+    for a, weight in got[1:]:
+        assert np.all(weight[~positive] == 0.0)
+        np.testing.assert_allclose(weight[positive], np.power(d[positive], 2.0 * a),
+                                   rtol=1e-13, atol=0.0)
+
+
+class TestNearBlocks:
+    """The height boxes of a level are built once, and the near rule on
+    blocks of boxes few enough that a plain rule on them fits in
+    ``BATCH_POINTS``, so the points of the rule are bounded as well."""
+
+    SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
+    ALPHAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.49)
+
+    def test_blocks_of_boxes_cover_the_level(self, monkeypatch):
+        space = FeSpace(build_uniform_mesh(3, 4), 1)
+        built, blocks = [], []
+        height_boxes, line_rule = norms._height_boxes, norms._line_rule
+        monkeypatch.setattr(norms, "_height_boxes",
+                            lambda *args: built.append(height_boxes(*args)) or built[-1])
+        monkeypatch.setattr(norms, "_line_rule",
+                            lambda boxes, *args: blocks.append(boxes) or line_rule(boxes, *args))
+        weighted_errors(space, np.zeros(space.n_dofs), reference_solution(self.SPHERE),
+                        self.SPHERE, self.ALPHAS)
+        step = norms.BATCH_POINTS // (2 * (space.degree + norms.EXTRA_POINTS)) ** 3
+        assert len(built) == 1
+        assert len(blocks) > 1 and all(block[0].size <= step for block in blocks)
+        for whole, parts in zip(built[0], zip(*blocks)):
+            assert np.array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.parametrize("dim, degree, n", [(3, 1, 4), (2, 2, 16)])
+    def test_errors_do_not_depend_on_the_batch_bound(self, dim, degree, n, monkeypatch):
+        interface = SphericalInterface((0.3,) * dim, 0.2)
+        exact = reference_solution(interface)
+        space = FeSpace(build_uniform_mesh(dim, n), degree)
+        coeffs = interpolate(space, exact.values)
+        alphas = self.ALPHAS + (-0.4,)
+        want = weighted_errors(space, coeffs, exact, interface, alphas)
+        monkeypatch.setattr(norms, "BATCH_POINTS", 2048)
+        got = weighted_errors(space, coeffs, exact, interface, alphas)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0), key
+
+    def test_no_near_cells(self):
+        # no cells, and only cells farther than one cell width from the surface
+        space = FeSpace(build_uniform_mesh(3, 4), 1)
+        mesh, exact = space.mesh, reference_solution(self.SPHERE)
+        coeffs = interpolate(space, exact.values)
+        errs = weighted_errors(space, coeffs, exact, self.SPHERE, self.ALPHAS, cell_ids=[])
+        assert errs == {(a, m): 0.0 for a in self.ALPHAS for m in (0, 1)}
+        d_min, _ = self.SPHERE.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+        far = np.flatnonzero(d_min > mesh.edge)
+        assert far.size
+        got = weighted_errors(space, coeffs, exact, self.SPHERE, self.ALPHAS, cell_ids=far)
+        want = brute_force_errors(space, coeffs, exact, self.SPHERE, self.ALPHAS,
+                                  space.degree + norms.EXTRA_POINTS, far)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+    def test_peak_memory_3d(self):
+        # numpy reports its arrays to tracemalloc; a rule built on every
+        # near cell of the level at once peaks at about 85 MiB here
+        space = FeSpace(build_uniform_mesh(3, 4), 1)
+        coeffs = np.zeros(space.n_dofs)
+        exact = reference_solution(self.SPHERE)
+        tracemalloc.start()
+        try:
+            weighted_errors(space, coeffs, exact, self.SPHERE, self.ALPHAS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20

@@ -185,8 +185,8 @@ class TestBatchedSplit:
         assert np.all((pts >= lows[parent]) & (pts <= lows[parent] + mesh.edge))
         # the same lines as split_cut_cell: each point keeps its line's face
         # coordinates, and its height coordinate lies in the line's range
-        _, frame, x, _, a, b, ck, root = quadrature._face_rules(lows, mesh.edge, SPHERE, 4,
-                                                                weighted=True)
+        boxes = quadrature._height_boxes(lows, mesh.edge, SPHERE)
+        _, frame, x, _, a, b, ck, root = quadrature._face_rules(boxes, SPHERE, 4, weighted=True)
         line, t, _, _ = quadrature._gauss_pieces(a, b, np.column_stack([ck - root, ck + root]),
                                                  np.ones(2, dtype=bool), 4,
                                                  quadrature.HEIGHT_GRADING)
@@ -204,7 +204,7 @@ class TestBatchedSplit:
         lows = np.stack(np.meshgrid(*([ticks] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
         parent, pts, w, sides = split_cut_cell(lows, 1.0 / n, interface, points)
         rows, frame, x, line, t, line_w, line_sides = quadrature._line_rule(
-            lows, 1.0 / n, interface, points)
+            quadrature._height_boxes(lows, 1.0 / n, interface), interface, points)
         assert np.all(np.diff(line) >= 0)
         want = np.empty((line.size, dim))
         for j, (k, height) in enumerate(zip(line, t)):
@@ -353,7 +353,7 @@ class TestColumnWiseOracle:
         mesh = build_uniform_mesh(interface.dim, n)
         d_min, _ = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
         lows = mesh.cell_lows[d_min <= mesh.edge]
-        quadrature._line_rule(lows, mesh.edge, interface, 4)
+        quadrature._line_rule(quadrature._height_boxes(lows, mesh.edge, interface), interface, 4)
         surface_rule(lows, mesh.edge, interface, 3)
         assert len(calls) == 2 * interface.dim - 1
         for args in calls:

@@ -255,6 +255,13 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, value", [("--alphas", "a,b"), ("--center", "0.3,x")])
+    def test_bad_number_list_message(self, flag, value, capsys):
+        # the message says what the flag takes, not which function parsed it
+        assert main([flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "comma-separated" in err and "_float_tuple" not in err
+
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         # a solution off by more than the residual bound allows, or not
         # finite, is a solver failure; the residual is the perturbed vector's
