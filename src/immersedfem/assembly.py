@@ -1,8 +1,8 @@
-"""Load vectors of the Poisson problem: volume sources and the surface layer
-source that carries the flux-jump data.  The stiffness operator and the
-Dirichlet data are the solver's (``solver.solve``).
+"""Load vector of the Poisson problem: the surface layer source that carries
+the flux-jump data.  The stiffness operator and the Dirichlet data are the
+solver's (``solver.solve``).
 
-Every scatter is one ``np.bincount`` over the cells' local vectors in
+The scatter is one ``np.bincount`` over the cells' local vectors in
 ascending cell-id order, so serial assembly is bitwise deterministic.
 """
 
@@ -12,20 +12,7 @@ import numpy as np
 
 from .geometry import InterfaceQuadrature
 from .mesh import BOX_TOL
-from .quadrature import gauss_rule
 from .space import FeSpace, _field_values
-
-
-def assemble_volume_load(space: FeSpace, b) -> np.ndarray:
-    """Load vector of the volume source: entry i = integral of b * phi_i,
-    with degree + 2 Gauss points per axis; b is called once on all of them."""
-    mesh = space.mesh
-    rule = gauss_rule(mesh.dim, space.degree + 2)
-    values, _ = space.tabulate(rule.points)  # (n_q, n_loc)
-    pts = mesh.cell_lows[:, None, :] + mesh.edge * rule.points[None, :, :]
-    bvals = _field_values(b, pts.reshape(-1, mesh.dim)).reshape(mesh.n_cells, -1)
-    local = mesh.edge ** mesh.dim * (bvals * rule.weights) @ values
-    return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.n_dofs)
 
 
 def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) -> np.ndarray:

@@ -23,13 +23,13 @@ class Mesh:
     def __init__(self, dim: int, cells_per_axis: int):
         if dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {dim}")
-        if cells_per_axis < 1:
-            raise ValueError(f"cells_per_axis must be >= 1, got {cells_per_axis}")
+        if (isinstance(cells_per_axis, bool) or not isinstance(cells_per_axis, (int, np.integer))
+                or cells_per_axis < 1):
+            raise ValueError(f"cells_per_axis must be an integer >= 1, got {cells_per_axis!r}")
         self.dim = dim
         self.cells_per_axis = cells_per_axis
         self.edge = 1.0 / cells_per_axis
         self.h_cell = math.sqrt(dim) / cells_per_axis
-        self.n_vertices = (cells_per_axis + 1) ** dim
         self.n_cells = cells_per_axis ** dim
         self.cell_lows = _lattice(cells_per_axis, dim) / cells_per_axis
 

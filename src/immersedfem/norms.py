@@ -154,8 +154,6 @@ def _cell_batches(mesh: Mesh, interface, rule, cells):
         sides = np.repeat(interface.side(lows + 0.5 * mesh.edge), rule.n_points)
         yield block, pts, w, sides, None
     near = cells[near]
-    if not near.size:
-        return
     boxes = _height_boxes(mesh.cell_lows[near], mesh.edge, interface)
     points = 2 * rule.points_per_axis
     step = max(1, BATCH_POINTS // points ** mesh.dim)
@@ -186,12 +184,14 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     The quadrature samples and distances are computed once and reused across
     exponents.  ``cell_ids``, distinct integer ids of cells of the mesh,
     restricts the integration to a subset of cells (broken norms); other
-    ids raise ValueError, as do ``coeffs`` of the wrong shape and an
-    interface of another dimension than the mesh.
+    ids raise ValueError, as do repeated exponents, ``coeffs`` of the wrong
+    shape and an interface of another dimension than the mesh.
     """
     alphas = [float(a) for a in alphas]
     for a in alphas:
         _check_alpha(a)
+    if len(set(alphas)) != len(alphas):
+        raise ValueError(f"alphas must be distinct, got {alphas}")
     mesh = space.mesh
     if interface.dim != mesh.dim:
         raise ValueError("interface and mesh dimensions differ")

@@ -89,11 +89,11 @@ def split_cut_cell(cell_low, cell_size: float, interface, points: int):
     """Volume rule with ``points`` Gauss points per piece on cells of edge
     ``cell_size`` near ``interface``.
 
-    ``cell_low`` is the low corner of one cell, shape (dim,), or of m cells,
-    shape (m, dim).  Returns ``(parent, pts, weights, sides)``: the row of
-    ``cell_low`` of each point (ascending), the points, their weights and
-    their side of the surface (-1 inside, +1 outside).  No piece crosses the
-    surface, and from two points on the weights of a cell add up to its
+    ``cell_low`` is the low corner of one cell, shape (dim,), or of m >= 0
+    cells, shape (m, dim).  Returns ``(parent, pts, weights, sides)``: the
+    row of ``cell_low`` of each point (ascending), the points, their weights
+    and their side of the surface (-1 inside, +1 outside).  No piece crosses
+    the surface, and from two points on the weights of a cell add up to its
     volume.
     """
     boxes = _height_boxes(cell_low, cell_size, interface)
@@ -183,7 +183,7 @@ def _face_rules(boxes, interface, points, weighted):
 def _height_boxes(cell_low, cell_size, interface):
     """Boxes with a height axis covering the cells ``low + size [0, 1]^dim``.
 
-    ``cell_low`` is as in ``split_cut_cell``, with at least one cell.  On a
+    ``cell_low`` is as in ``split_cut_cell``, possibly with no cell.  On a
     box, |n_k| >= min|x_k - c_k| / sqrt(min|x_k - c_k|^2 + max|x' - c'|^2)
     exactly, since the two extrema are taken over independent coordinates.
     The axis with the largest bound is taken; cut boxes whose bound stays
@@ -197,7 +197,7 @@ def _height_boxes(cell_low, cell_size, interface):
                        axis=-1).reshape(-1, dim)
     parent = np.arange(lows.shape[0])
     sizes = np.full(lows.shape[0], float(cell_size))
-    done = []
+    done = [(parent[:0], lows[:0], sizes[:0], parent[:0])]  # no cells: typed empties
     while lows.shape[0]:
         high = lows + sizes[:, None]
         near = np.abs(np.clip(c, lows, high) - c)

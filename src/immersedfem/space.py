@@ -117,8 +117,8 @@ class FeSpace:
     """
 
     def __init__(self, mesh: Mesh, degree: int = 1):
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
+        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
+            raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
         self.mesh = mesh
         self.degree = degree
         n_axis = degree * mesh.cells_per_axis + 1

@@ -1,6 +1,6 @@
-"""Boundary-integral verification path: Green kernels, single layer
+"""Boundary-integral oracle of the test suite: Green kernels, single layer
 potentials over the interface, and finite-difference checks of the normal
-derivative jump.  Used by the test suite only, never in the solve path.
+derivative jump.  The package's solve path never uses it.
 The Green function takes (..., dim) displacement arrays; the density and the
 function whose jump is checked are called once on an (n, dim) point array."""
 
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .space import _field_values
+from immersedfem.space import _field_values
 
 #: quadrature sizes: points on the circle / per polar direction
 DEFAULT_N_QUAD_2D = 512

@@ -15,9 +15,9 @@ from conftest import element_scatter_stiffness, eliminate, operator_matrix
 from immersedfem import (FeSpace, SphericalInterface, StudyConfig,
                          assemble_interface_load, build_uniform_mesh, classify_cells,
                          discrete_norm, immersed_quadrature, interpolate,
-                         interpolate_outside_layer, jump_check,
-                         reference_solution, run_study, single_layer, solve,
+                         interpolate_outside_layer, reference_solution, run_study, solve,
                          weighted_errors)
+from potential import jump_check, single_layer
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)

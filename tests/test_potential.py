@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from immersedfem import (SphericalInterface, green, jump_check,
-                         reference_solution, single_layer, surface_samples)
+from immersedfem import SphericalInterface, reference_solution
+from potential import green, jump_check, single_layer, surface_samples
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)

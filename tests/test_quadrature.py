@@ -176,6 +176,9 @@ class TestBatchedSplit:
             assert np.array_equal(single[0], np.zeros(single[0].size, dtype=int))
             for batched, alone in zip((pts, w, sides), single[1:]):
                 assert np.array_equal(batched[mine], alone)
+        none = split_cut_cell(lows[:0], 1.0 / n, interface, 3)  # no cells: typed empties
+        assert [(a.shape, a.dtype) for a in none] == [
+            ((0,) + a.shape[1:], a.dtype) for a in (parent, pts, w, sides)]
 
     def test_points_in_their_cells_3d(self):
         mesh = build_uniform_mesh(3, 8)
@@ -399,6 +402,8 @@ class TestSurfaceRule:
             mine = quad.owner_cell == cell
             assert np.array_equal(one[1], quad.points[mine])
             assert np.array_equal(one[2], quad.weights[mine])
+        none = surface_rule(mesh.cell_lows[:0], mesh.edge, interface, 8)  # no cells: typed empties
+        assert [(a.shape, a.dtype) for a in none] == [((0,) + a.shape[1:], a.dtype) for a in one]
 
 
 def beta(a, b):

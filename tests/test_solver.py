@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -76,12 +77,23 @@ def test_rejects_bad_arguments():
 
 def test_import_loads_no_scipy():
     # the library and its command line run on numpy alone; scipy serves only
-    # the tests' direct-solve oracles
-    code = ("import sys, immersedfem, immersedfem.cli; "
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    # the tests' direct-solve oracles, and the boundary-integral oracle lives
+    # with the tests, so the import loads the package's 10 modules and no more
+    code = ("import sys, immersedfem, immersedfem.cli; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'immersedfem')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(immersedfem.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    modules = "assembly cli geometry mesh norms quadrature solver space study".split()
+    assert out.stdout.split() == ["immersedfem"] + [f"immersedfem.{m}" for m in modules]
+
+
+def test_readme_lists_the_exported_names():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as readme:
+        count, names = re.search(r"The package exports (\d+) names(.*?)\n\n", readme.read(),
+                                 re.S).groups()
+    assert int(count) == len(immersedfem.__all__)
+    assert sorted(re.findall(r"`(\w+)`", names)) == sorted(immersedfem.__all__)

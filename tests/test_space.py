@@ -6,12 +6,12 @@ import pytest
 
 from conftest import bitwise_equal
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
-                         assemble_volume_load, build_uniform_mesh, classify_cells,
-                         immersed_quadrature, interpolate, interpolate_outside_layer,
-                         jump_check, reference_solution, shape_eval, single_layer, solve,
+                         build_uniform_mesh, classify_cells, immersed_quadrature, interpolate,
+                         interpolate_outside_layer, reference_solution, shape_eval, solve,
                          weighted_errors)
 from immersedfem.mesh import _lattice
 from immersedfem.space import _lagrange_1d, _line_sum_factorised
+from potential import jump_check, single_layer
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
@@ -215,6 +215,11 @@ class TestFeSpace:
         with pytest.raises(ValueError):
             FeSpace(build_uniform_mesh(2, 2), 0)
 
+    @pytest.mark.parametrize("degree", [1.5, 2.0, True])
+    def test_rejects_non_integer_degree(self, degree):
+        with pytest.raises(ValueError, match="integer"):
+            FeSpace(build_uniform_mesh(2, 8), degree)
+
 
 class TestInterpolation:
     def test_constant(self):
@@ -350,7 +355,6 @@ def _field_consumers():
         "interpolate": lambda g: interpolate(space, g),
         "interpolate_outside_layer": lambda g: interpolate_outside_layer(space, cls, g),
         "solve": lambda g: solve(space, np.zeros(space.n_dofs), g),
-        "assemble_volume_load": lambda g: assemble_volume_load(space, g),
         "assemble_interface_load": lambda g: assemble_interface_load(space, quad, g),
         "single_layer": lambda g: single_layer(CIRCLE, g, [0.8, 0.8]),
         "jump_check": lambda g: jump_check(CIRCLE, g, lambda y: 0.0),
