@@ -4,7 +4,7 @@ norms and the convergence-study tooling built on top of them."""
 
 from .assembly import assemble_interface_load
 from .geometry import InterfaceQuadrature, SphericalInterface, immersed_quadrature
-from .mesh import CellClassification, Mesh, build_uniform_mesh, classify_cells
+from .mesh import Mesh, build_uniform_mesh, classify_cells
 from .norms import (ConvergenceRecord, RadialSolution, discrete_norm, eoc,
                     layer_source_strength, reference_solution, weighted_errors)
 from .quadrature import CellQuadrature, gauss_rule, split_cut_cell
@@ -16,10 +16,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "assemble_interface_load", "InterfaceQuadrature", "SphericalInterface",
-    "immersed_quadrature", "CellClassification", "Mesh", "build_uniform_mesh",
-    "classify_cells", "ConvergenceRecord", "RadialSolution", "discrete_norm", "eoc",
-    "layer_source_strength", "reference_solution", "weighted_errors", "CellQuadrature",
-    "gauss_rule", "split_cut_cell", "solve", "FeSpace", "interpolate",
-    "interpolate_outside_layer", "shape_eval", "ConfigError", "StudyConfig", "StudyError",
-    "emit_table", "run_study",
+    "immersed_quadrature", "Mesh", "build_uniform_mesh", "classify_cells",
+    "ConvergenceRecord", "RadialSolution", "discrete_norm", "eoc", "layer_source_strength",
+    "reference_solution", "weighted_errors", "CellQuadrature", "gauss_rule", "split_cut_cell",
+    "solve", "FeSpace", "interpolate", "interpolate_outside_layer", "shape_eval",
+    "ConfigError", "StudyConfig", "StudyError", "emit_table", "run_study",
 ]

@@ -1,10 +1,9 @@
-"""Uniform axis-aligned grids on the unit square/cube, and the split of the
-cells into an interface layer and its complement."""
+"""Uniform axis-aligned grids on the unit square/cube, and the mask of the
+cells in the interface layer."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +20,8 @@ class Mesh:
     """
 
     def __init__(self, dim: int, cells_per_axis: int):
-        if dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim}")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (2, 3):
+            raise ValueError(f"dim must be the integer 2 or 3, got {dim!r}")
         if (isinstance(cells_per_axis, bool) or not isinstance(cells_per_axis, (int, np.integer))
                 or cells_per_axis < 1):
             raise ValueError(f"cells_per_axis must be an integer >= 1, got {cells_per_axis!r}")
@@ -52,46 +51,18 @@ def build_uniform_mesh(dim: int, cells_per_axis: int) -> Mesh:
     return Mesh(dim, cells_per_axis)
 
 
-@dataclass(frozen=True)
-class CellClassification:
-    """Partition of the cells by their distance band around the interface.
+def classify_cells(mesh: Mesh, interface, sigma: float) -> np.ndarray:
+    """Boolean mask, shape (n_cells,), of the cells in the interface layer:
+    those whose maximum of dist(x, surface) is at most sigma * h_cell.
 
-    A cell joins ``in_cells`` iff the maximum of dist(x, surface) over the
-    cell is at most sigma * h_cell; every other cell is in ``out_cells``.
-    ``dist_min``/``dist_max`` hold the exact per-cell distance range.
-    """
-
-    in_cells: np.ndarray   # sorted cell ids inside the layer
-    out_cells: np.ndarray  # sorted cell ids outside the layer
-    dist_min: np.ndarray   # (n_cells,)
-    dist_max: np.ndarray   # (n_cells,)
-    sigma: float
-
-    @property
-    def in_mask(self) -> np.ndarray:
-        mask = np.zeros(self.dist_min.shape[0], dtype=bool)
-        mask[self.in_cells] = True
-        return mask
-
-
-def classify_cells(mesh: Mesh, interface, sigma: float) -> CellClassification:
-    """Split cells into the sigma*h band around the interface and the rest.
-
-    The per-cell distance extrema are closed-form (box extremisation of
-    |x - c| folded by the radius), so the split is exact.
+    The per-cell maximum is closed-form (box extremisation of |x - c| folded
+    by the radius, ``interface.distance_range_over_box``), so the split is
+    exact.  A sigma that is not positive and finite raises ValueError.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    d_min, d_max = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
-    inside = d_max <= sigma * mesh.h_cell
-    ids = np.arange(mesh.n_cells)
-    return CellClassification(
-        in_cells=ids[inside],
-        out_cells=ids[~inside],
-        dist_min=d_min,
-        dist_max=d_max,
-        sigma=float(sigma),
-    )
+    _, d_max = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+    return d_max <= sigma * mesh.h_cell
 
 
 def _lattice(n_per_axis: int, dim: int) -> np.ndarray:

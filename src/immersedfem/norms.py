@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _length, _offsets
-from .mesh import Mesh, CellClassification
+from .mesh import Mesh
 from .quadrature import gauss_rule, _height_boxes, _line_rule, _unpermute
-from .space import FeSpace, _line_sum_factorised
+from .space import FeSpace, _coefficients, _line_sum_factorised
 
 
 #: Gauss points per axis of the error pass's tensor rule beyond the degree;
@@ -184,10 +184,12 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     The quadrature samples and distances are computed once and reused across
     exponents.  ``cell_ids``, distinct integer ids of cells of the mesh,
     restricts the integration to a subset of cells (broken norms); other
-    ids raise ValueError, as do repeated exponents, ``coeffs`` of the wrong
-    shape and an interface of another dimension than the mesh.
+    ids raise ValueError, as do an empty or repeated list of exponents,
+    ``coeffs`` of the wrong shape and an interface of another dimension.
     """
     alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ValueError("need at least one alpha")
     for a in alphas:
         _check_alpha(a)
     if len(set(alphas)) != len(alphas):
@@ -212,14 +214,6 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
             guh = guh / mesh.edge
         _accumulate(acc, alphas, interface, exact, pts, w, sides, uh, guh)
     return {key: math.sqrt(value) for key, value in acc.items()}
-
-
-def _coefficients(space: FeSpace, coeffs) -> np.ndarray:
-    """``coeffs`` as a float array; ValueError unless it has one entry per dof."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (space.n_dofs,):
-        raise ValueError(f"coeffs must have shape ({space.n_dofs},), got {coeffs.shape}")
-    return coeffs
 
 
 def _cell_ids(cell_ids, n_cells: int) -> np.ndarray:
@@ -265,10 +259,10 @@ def _distance_weights(d, alphas):
         yield a, weight
 
 
-def discrete_norm(space: FeSpace, coeffs, classification: CellClassification,
-                  alpha: float) -> float:
+def discrete_norm(space: FeSpace, coeffs, interface, alpha: float) -> float:
     """Cellwise weighted norm: sum over cells of dist_max^(2*alpha) times the
-    squared L2 norm of the FE function on the cell.
+    squared L2 norm of the FE function on the cell, dist_max being the
+    cell's maximum distance to ``interface``.
 
     At alpha = 0 this is the plain L2 norm (0^0 counts as 1); cells sitting
     on the surface contribute nothing when alpha > 0.  ``coeffs`` of the
@@ -280,7 +274,8 @@ def discrete_norm(space: FeSpace, coeffs, classification: CellClassification,
     local = _coefficients(space, coeffs)[space.cell_dofs]
     uh = local @ values_tab.T  # (n_cells, n_q)
     cell_sq = mesh.edge ** mesh.dim * (uh**2 @ rule.weights)
-    return math.sqrt(float(np.sum(np.power(classification.dist_max, 2.0 * alpha) * cell_sq)))
+    _, dist_max = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+    return math.sqrt(float(np.sum(np.power(dist_max, 2.0 * alpha) * cell_sq)))
 
 
 def eoc(errors) -> list:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Mesh, CellClassification, _lattice, _ravel_index
+from .mesh import Mesh, _lattice, _ravel_index, classify_cells
 
 
 def _lagrange_1d(degree: int, x: np.ndarray):
@@ -149,12 +149,21 @@ class FeSpace:
         return self._at_points(coeffs, points)[1] / self.mesh.edge
 
     def _at_points(self, coeffs, points):
+        coeffs = _coefficients(self, coeffs)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.mesh.locate(points)
         ref = (points - self.mesh.cell_lows[cells]) / self.mesh.edge
         frame = np.broadcast_to(np.arange(ref.shape[1]), ref.shape)
-        return _line_sum_factorised(self.degree, np.asarray(coeffs)[self.cell_dofs[cells]],
+        return _line_sum_factorised(self.degree, coeffs[self.cell_dofs[cells]],
                                     frame, ref[:, :-1], np.arange(ref.shape[0]), ref[:, -1])
+
+
+def _coefficients(space: FeSpace, coeffs) -> np.ndarray:
+    """``coeffs`` as a float array; ValueError unless it has one entry per dof."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (space.n_dofs,):
+        raise ValueError(f"coeffs must have shape ({space.n_dofs},), got {coeffs.shape}")
+    return coeffs
 
 
 def _field_values(field, points) -> np.ndarray:
@@ -178,16 +187,16 @@ def interpolate(space: FeSpace, g) -> np.ndarray:
     return _field_values(g, space.dof_coords)
 
 
-def interpolate_outside_layer(space: FeSpace, classification: CellClassification,
-                              g) -> np.ndarray:
-    """Nodal interpolation with the interface-layer dofs set to zero.
+def interpolate_outside_layer(space: FeSpace, interface, sigma: float, g) -> np.ndarray:
+    """Nodal interpolation with the dofs of the layer
+    ``classify_cells(space.mesh, interface, sigma)`` set to zero.
 
     A dof survives iff it is a node of at least one cell outside the layer;
     dofs all of whose adjacent cells sit in the layer are zeroed, and g is
     called on the surviving dofs only.
     """
     keep = np.zeros(space.n_dofs, dtype=bool)
-    keep[space.cell_dofs[classification.out_cells].ravel()] = True
+    keep[space.cell_dofs[~classify_cells(space.mesh, interface, sigma)].ravel()] = True
     coeffs = np.zeros(space.n_dofs)
     coeffs[keep] = _field_values(g, space.dof_coords[keep])
     return coeffs

@@ -132,12 +132,11 @@ def test_criterion_6_norm_equivalence():
     for n in (8, 16, 32):
         mesh = build_uniform_mesh(2, n)
         space = FeSpace(mesh, 1)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
         zero = _ZeroField()
         for _ in range(10):
             coeffs = rng.uniform(-1.0, 1.0, size=space.n_dofs)
             for alpha in (0.25, 0.49):
-                dn = discrete_norm(space, coeffs, cls, alpha)
+                dn = discrete_norm(space, coeffs, CIRCLE, alpha)
                 wn = weighted_errors(space, coeffs, zero, CIRCLE,
                                      [alpha])[(alpha, 0)]
                 ratios.append(dn / wn)
@@ -158,9 +157,8 @@ def test_criterion_7a_masked_interpolant_without_layer():
     far = SphericalInterface((10.0, 10.0), 0.2)
     mesh = build_uniform_mesh(2, 8)
     space = FeSpace(mesh, 1)
-    cls = classify_cells(mesh, far, math.sqrt(2.0))
     g = lambda x: np.sin(x[:, 0]) * x[:, 1]
-    same = np.array_equal(interpolate_outside_layer(space, cls, g),
+    same = np.array_equal(interpolate_outside_layer(space, far, math.sqrt(2.0), g),
                           interpolate(space, g))
     report("7a (masked interpolant = interpolation, empty layer)", same,
            "exact coefficient match" if same else "coefficients differ")
@@ -179,11 +177,11 @@ def test_criterion_7b_masked_interpolant_weighted_rate():
     for n in (16, 32, 64):
         mesh = build_uniform_mesh(2, n)
         space = FeSpace(mesh, 1)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-        coeffs = interpolate_outside_layer(space, cls, exact.values)
+        coeffs = interpolate_outside_layer(space, CIRCLE, math.sqrt(2.0), exact.values)
+        out_cells = np.flatnonzero(~classify_cells(mesh, CIRCLE, math.sqrt(2.0)))
         full.append(weighted_errors(space, coeffs, exact, CIRCLE, alphas))
         outside.append(weighted_errors(space, coeffs, exact, CIRCLE, [0.49],
-                                       cell_ids=cls.out_cells)[(0.49, 1)])
+                                       cell_ids=out_cells)[(0.49, 1)])
 
     def rates(errors):
         return [math.log2(a / b) for a, b in zip(errors[:-1], errors[1:])]

@@ -15,6 +15,7 @@ def test_smallest_grid():
     assert mesh.n_cells == 1
     assert mesh.cell_lows.tolist() == [[0.0, 0.0]]
     assert mesh.cell_highs().tolist() == [[1.0, 1.0]]
+    assert build_uniform_mesh(np.int64(2), 1).n_cells == 1  # numpy integers count too
 
 
 def test_counts_3d():
@@ -54,6 +55,13 @@ def test_rejects_bad_arguments():
         build_uniform_mesh(2, 0)
 
 
+@pytest.mark.parametrize("dim", [2.0, np.float64(3.0), True])
+def test_rejects_non_integer_dim(dim):
+    # 2.0 == 2 would pass a membership test and fail late in the lattice
+    with pytest.raises(ValueError, match="integer"):
+        build_uniform_mesh(dim, 8)
+
+
 @pytest.mark.parametrize("n", [7.5, 8.0, True])
 def test_rejects_non_integer_cells_per_axis(n):
     with pytest.raises(ValueError, match="integer"):
@@ -87,56 +95,56 @@ def test_locate_rejects_non_finite_points(bad):
         space.evaluate(np.zeros(space.n_dofs), [[bad, 0.5]])
 
 
+def _distance_range(mesh, interface):
+    return interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+
+
 class TestClassification:
     def test_far_interface_gives_empty_layer(self):
         mesh = build_uniform_mesh(2, 4)
-        cls = classify_cells(mesh, FAR_CIRCLE, 2.0)
-        assert cls.in_cells.size == 0
-        assert cls.out_cells.size == mesh.n_cells
+        assert not classify_cells(mesh, FAR_CIRCLE, 2.0).any()
 
     def test_huge_sigma_swallows_all_cells(self):
         mesh = build_uniform_mesh(2, 4)
         sigma = 10.0 * math.sqrt(2.0) * 4
-        cls = classify_cells(mesh, CIRCLE, sigma)
-        assert cls.out_cells.size == 0
+        assert classify_cells(mesh, CIRCLE, sigma).all()
 
     def test_corner_cell_distance_and_membership(self):
         # cell [0, 0.25]^2: farthest point from the circle is the origin
         mesh = build_uniform_mesh(2, 4)
-        cls = classify_cells(mesh, CIRCLE, 2.0)
+        _, d_max = _distance_range(mesh, CIRCLE)
         expected_dmax = abs(math.hypot(0.3, 0.3) - 0.2)
-        assert cls.dist_max[0] == pytest.approx(expected_dmax, abs=1e-14)
+        assert d_max[0] == pytest.approx(expected_dmax, abs=1e-14)
         assert expected_dmax <= 2.0 * mesh.h_cell
-        assert 0 in cls.in_cells
+        assert classify_cells(mesh, CIRCLE, 2.0)[0]
 
     def test_partition(self):
+        # one flag per cell: in the layer or out of it
         mesh = build_uniform_mesh(2, 8)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-        both = np.concatenate([cls.in_cells, cls.out_cells])
-        assert np.array_equal(np.sort(both), np.arange(mesh.n_cells))
+        mask = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
+        assert mask.shape == (mesh.n_cells,)
+        assert mask.dtype == bool
 
     def test_cut_cells_have_zero_distance_and_lie_inside(self):
         for dim, interface in ((2, CIRCLE), (3, SPHERE)):
             mesh = build_uniform_mesh(dim, 8)
-            cls = classify_cells(mesh, interface, math.sqrt(dim))
+            d_min, _ = _distance_range(mesh, interface)
             cut = interface.cuts_box(mesh.cell_lows, mesh.cell_lows + mesh.edge)
-            assert np.all(cls.dist_min[cut] == 0.0)
-            assert np.all(cls.in_mask[cut])
+            assert np.all(d_min[cut] == 0.0)
+            assert np.all(classify_cells(mesh, interface, math.sqrt(dim))[cut])
 
     def test_distance_band_inequalities(self):
         # computable forms of the layer geometry bounds
         mesh = build_uniform_mesh(2, 8)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
+        d_min, d_max = _distance_range(mesh, CIRCLE)
         h = mesh.h_cell
-        assert np.all(cls.dist_min <= cls.dist_max + 1e-12)
-        assert np.all(cls.dist_max <= cls.dist_min + h + 1e-12)
+        assert np.all(d_min <= d_max + 1e-12)
+        assert np.all(d_max <= d_min + h + 1e-12)
         cut = CIRCLE.cuts_box(mesh.cell_lows, mesh.cell_lows + mesh.edge)
-        assert np.all(cls.dist_max[cut] + h >= h / math.sqrt(2.0))
-        out = np.zeros(mesh.n_cells, dtype=bool)
-        out[cls.out_cells] = True
-        assert np.all(cls.dist_max[out] <= cls.dist_min[out] + h + 1e-12)
-        assert np.all(cls.dist_min[out] + h
-                      <= 2.0 * np.maximum(cls.dist_min[out], h) + 1e-12)
+        assert np.all(d_max[cut] + h >= h / math.sqrt(2.0))
+        out = ~classify_cells(mesh, CIRCLE, math.sqrt(2.0))
+        assert np.all(d_max[out] <= d_min[out] + h + 1e-12)
+        assert np.all(d_min[out] + h <= 2.0 * np.maximum(d_min[out], h) + 1e-12)
 
     def test_rejects_nonpositive_sigma(self):
         mesh = build_uniform_mesh(2, 4)
@@ -156,7 +164,7 @@ class TestClassification:
         # resolution (the distance is 1-Lipschitz)
         rng = np.random.default_rng(7)
         mesh = build_uniform_mesh(2, 8)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
+        d_min, d_max = _distance_range(mesh, CIRCLE)
         ticks = np.linspace(0.0, 1.0, 101)
         gx, gy = np.meshgrid(ticks, ticks)
         unit_grid = np.column_stack([gx.ravel(), gy.ravel()])
@@ -164,7 +172,7 @@ class TestClassification:
         for cell in rng.choice(mesh.n_cells, size=20, replace=False):
             samples = mesh.cell_lows[cell] + mesh.edge * unit_grid
             d = CIRCLE.distance(samples)
-            assert cls.dist_min[cell] <= d.min() + 1e-12
-            assert cls.dist_min[cell] >= d.min() - resolution
-            assert cls.dist_max[cell] >= d.max() - 1e-12
-            assert cls.dist_max[cell] <= d.max() + resolution
+            assert d_min[cell] <= d.min() + 1e-12
+            assert d_min[cell] >= d.min() - resolution
+            assert d_max[cell] >= d.max() - 1e-12
+            assert d_max[cell] <= d.max() + resolution

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bitwise_equal
-from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh,
-                         classify_cells, discrete_norm, eoc, gauss_rule, interpolate,
-                         reference_solution, split_cut_cell, weighted_errors)
+from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh, discrete_norm, eoc,
+                         gauss_rule, interpolate, reference_solution, split_cut_cell,
+                         weighted_errors)
 from immersedfem import norms, quadrature, space as space_module
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -52,16 +52,15 @@ class TestParams:
     def test_alpha_range(self):
         # both weighted norms accept exactly the exponents in (-1/2, 1/2)
         space = FeSpace(build_uniform_mesh(2, 2), 1)
-        cls = classify_cells(space.mesh, CIRCLE, math.sqrt(2.0))
         zero = np.zeros(space.n_dofs)
         for alpha in (0.49, -0.49):
             weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [alpha])
-            discrete_norm(space, zero, cls, alpha)
+            discrete_norm(space, zero, CIRCLE, alpha)
         for alpha in (0.5, -0.5, -0.6):
             with pytest.raises(ValueError):
                 weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [0.0, alpha])
             with pytest.raises(ValueError):
-                discrete_norm(space, zero, cls, alpha)
+                discrete_norm(space, zero, CIRCLE, alpha)
 
     @pytest.mark.parametrize("cell_ids", [[-1], [63, 63], [1.7], [64]],
                              ids=["negative", "repeated", "fractional", "past-the-end"])
@@ -78,24 +77,28 @@ class TestParams:
             with pytest.raises(ValueError, match="distinct"):
                 weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE, alphas)
 
+    def test_rejects_empty_alphas(self):
+        # the whole pass would run and return no error at all
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        with pytest.raises(ValueError, match="alpha"):
+            weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE, [])
+
     def test_rejects_long_coeffs(self):
         # extra entries would be ignored and the norms of a prefix returned
         space = FeSpace(build_uniform_mesh(2, 4), 1)
-        cls = classify_cells(space.mesh, CIRCLE, math.sqrt(2.0))
         long = np.zeros(space.n_dofs + 5)
         with pytest.raises(ValueError, match="coeffs"):
             weighted_errors(space, long, ConstantField(1.0), CIRCLE, [0.0])
         with pytest.raises(ValueError, match="coeffs"):
-            discrete_norm(space, long, cls, 0.0)
+            discrete_norm(space, long, CIRCLE, 0.0)
 
     def test_rejects_short_coeffs(self):
         space = FeSpace(build_uniform_mesh(2, 4), 1)
-        cls = classify_cells(space.mesh, CIRCLE, math.sqrt(2.0))
         short = np.zeros(space.n_dofs - 1)
         with pytest.raises(ValueError, match="coeffs"):
             weighted_errors(space, short, ConstantField(1.0), CIRCLE, [0.0])
         with pytest.raises(ValueError, match="coeffs"):
-            discrete_norm(space, short, cls, 0.0)
+            discrete_norm(space, short, CIRCLE, 0.0)
 
     def test_rejects_interface_of_other_dimension(self):
         space = FeSpace(build_uniform_mesh(2, 4), 1)
@@ -357,9 +360,8 @@ class TestDiscreteNorm:
         rng = np.random.default_rng(31)
         mesh = build_uniform_mesh(2, 8)
         space = FeSpace(mesh, 1)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
         coeffs = rng.standard_normal(space.n_dofs)
-        value = discrete_norm(space, coeffs, cls, 0.0)
+        value = discrete_norm(space, coeffs, CIRCLE, 0.0)
         # independent path: weighted error of u_h against the zero field
         plain_l2 = weighted_errors(space, coeffs, ConstantField(0.0), CIRCLE,
                                    [0.0])[(0.0, 0)]
@@ -368,8 +370,7 @@ class TestDiscreteNorm:
     def test_zero_function(self):
         mesh = build_uniform_mesh(2, 8)
         space = FeSpace(mesh, 1)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-        assert discrete_norm(space, np.zeros(space.n_dofs), cls, 0.49) == 0.0
+        assert discrete_norm(space, np.zeros(space.n_dofs), CIRCLE, 0.49) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.25, 0.49])
     def test_equivalent_to_weighted_l2(self, alpha):
@@ -379,10 +380,9 @@ class TestDiscreteNorm:
         for n in (8, 16, 32):
             mesh = build_uniform_mesh(2, n)
             space = FeSpace(mesh, 1)
-            cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
             for _ in range(10):
                 coeffs = rng.uniform(-1.0, 1.0, size=space.n_dofs)
-                dn = discrete_norm(space, coeffs, cls, alpha)
+                dn = discrete_norm(space, coeffs, CIRCLE, alpha)
                 wn = weighted_errors(space, coeffs, ConstantField(0.0), CIRCLE,
                                      [alpha])[(alpha, 0)]
                 assert 0.2 <= dn / wn <= 5.0

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -97,3 +98,29 @@ def test_readme_lists_the_exported_names():
                                  re.S).groups()
     assert int(count) == len(immersedfem.__all__)
     assert sorted(re.findall(r"`(\w+)`", names)) == sorted(immersedfem.__all__)
+
+
+def test_package_modules_use_every_name_they_import():
+    # stands in for a linter's unused-import rule: a deletion must take its
+    # imports with it; a name in ``__all__`` counts as used
+    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
+    unused = []
+    for file in sorted(os.listdir(package)):
+        if not file.endswith(".py"):
+            continue
+        with open(os.path.join(package, file), encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        unused += [f"{file}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -220,6 +220,15 @@ class TestFeSpace:
         with pytest.raises(ValueError, match="integer"):
             FeSpace(build_uniform_mesh(2, 8), degree)
 
+    @pytest.mark.parametrize("method", ["evaluate", "evaluate_gradient"])
+    @pytest.mark.parametrize("shape", [(86,), (76,), (81, 1)],
+                             ids=["too-long", "too-short", "two-dimensional"])
+    def test_evaluation_rejects_coeffs_of_wrong_shape(self, method, shape):
+        # on 81 dofs, 86 or 76 coefficients would index a wrong vector silently
+        space = FeSpace(build_uniform_mesh(2, 8), 1)
+        with pytest.raises(ValueError, match="coeffs"):
+            getattr(space, method)(np.ones(shape), [[0.5, 0.5]])
+
 
 class TestInterpolation:
     def test_constant(self):
@@ -255,26 +264,24 @@ class TestLayerMaskedInterpolation:
     def test_identical_to_interpolation_without_layer(self):
         mesh = build_uniform_mesh(2, 4)
         space = FeSpace(mesh, 1)
-        cls = classify_cells(mesh, FAR, 2.0)
         g = lambda x: np.sin(x[:, 0]) + x[:, 1]
-        assert np.array_equal(interpolate_outside_layer(space, cls, g),
+        assert np.array_equal(interpolate_outside_layer(space, FAR, 2.0, g),
                               interpolate(space, g))
 
     def test_zero_when_all_cells_in_layer(self):
         mesh = build_uniform_mesh(2, 4)
         space = FeSpace(mesh, 1)
-        cls = classify_cells(mesh, CIRCLE, 10.0 * math.sqrt(2.0) * 4)
-        coeffs = interpolate_outside_layer(space, cls, lambda x: 1.0)
+        coeffs = interpolate_outside_layer(space, CIRCLE, 10.0 * math.sqrt(2.0) * 4,
+                                           lambda x: 1.0)
         assert np.array_equal(coeffs, np.zeros(space.n_dofs))
 
     def test_zero_set_matches_bruteforce_adjacency(self):
         # dof survives iff one of its adjacent cells lies outside the layer
         mesh = build_uniform_mesh(2, 8)
         space = FeSpace(mesh, 1)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-        coeffs = interpolate_outside_layer(space, cls, lambda x: 1.0)
+        coeffs = interpolate_outside_layer(space, CIRCLE, math.sqrt(2.0), lambda x: 1.0)
         assert set(np.unique(coeffs)) <= {0.0, 1.0}
-        in_mask = cls.in_mask
+        in_mask = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
         for dof in range(space.n_dofs):
             cells_of_dof = np.nonzero((space.cell_dofs == dof).any(axis=1))[0]
             expected = 0.0 if all(in_mask[c] for c in cells_of_dof) else 1.0
@@ -283,13 +290,13 @@ class TestLayerMaskedInterpolation:
     def test_linearity_exact(self):
         mesh = build_uniform_mesh(2, 8)
         space = FeSpace(mesh, 1)
-        cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
+        sigma = math.sqrt(2.0)
         g1 = lambda x: np.sin(3.0 * x[:, 0]) * x[:, 1]
         g2 = lambda x: x[:, 0] ** 2 - 0.5 * x[:, 1]
         combo = lambda x: 2.5 * g1(x) + g2(x)
-        lhs = interpolate_outside_layer(space, cls, combo)
-        rhs = (2.5 * interpolate_outside_layer(space, cls, g1)
-               + interpolate_outside_layer(space, cls, g2))
+        lhs = interpolate_outside_layer(space, CIRCLE, sigma, combo)
+        rhs = (2.5 * interpolate_outside_layer(space, CIRCLE, sigma, g1)
+               + interpolate_outside_layer(space, CIRCLE, sigma, g2))
         assert np.array_equal(lhs, rhs)
 
     @pytest.mark.parametrize("degree,min_rate", [(1, 0.8), (2, 1.8)])
@@ -302,10 +309,9 @@ class TestLayerMaskedInterpolation:
         for n in (32, 64, 128, 256):
             mesh = build_uniform_mesh(2, n)
             space = FeSpace(mesh, degree)
-            cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-            coeffs = interpolate_outside_layer(space, cls, exact.values)
-            errs = weighted_errors(space, coeffs, exact, CIRCLE, [0.0],
-                                   cell_ids=cls.out_cells)
+            coeffs = interpolate_outside_layer(space, CIRCLE, math.sqrt(2.0), exact.values)
+            out_cells = np.flatnonzero(~classify_cells(mesh, CIRCLE, math.sqrt(2.0)))
+            errs = weighted_errors(space, coeffs, exact, CIRCLE, [0.0], cell_ids=out_cells)
             errors.append(errs[(0.0, 1)])
         mean_rate = math.log2(errors[0] / errors[-1]) / 3.0
         assert mean_rate >= min_rate
@@ -320,17 +326,23 @@ class TestLayerMaskedInterpolation:
         for n in (32, 64, 128):
             mesh = build_uniform_mesh(2, n)
             space = FeSpace(mesh, 1)
-            cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
-            coeffs = interpolate_outside_layer(space, cls, exact.values)
+            coeffs = interpolate_outside_layer(space, CIRCLE, math.sqrt(2.0), exact.values)
+            out_cells = np.flatnonzero(~classify_cells(mesh, CIRCLE, math.sqrt(2.0)))
             full = weighted_errors(space, coeffs, exact, CIRCLE, [0.49])
-            out = weighted_errors(space, coeffs, exact, CIRCLE, [0.49],
-                                  cell_ids=cls.out_cells)
+            out = weighted_errors(space, coeffs, exact, CIRCLE, [0.49], cell_ids=out_cells)
             flat.append(full[(0.49, 1)])
             restricted.append(out[(0.49, 1)])
         flat_rates = [math.log2(a / b) for a, b in zip(flat[:-1], flat[1:])]
         assert all(abs(r) < 0.2 for r in flat_rates)
         out_rates = [math.log2(a / b) for a, b in zip(restricted[:-1], restricted[1:])]
         assert all(r >= 0.8 for r in out_rates)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_sigma(self, sigma):
+        # NaN would keep every dof and inf zero every one
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        with pytest.raises(ValueError, match="sigma"):
+            interpolate_outside_layer(space, CIRCLE, sigma, lambda x: 1.0)
 
 
 class CountingField:
@@ -349,11 +361,11 @@ class CountingField:
 def _field_consumers():
     mesh = build_uniform_mesh(2, 8)
     space = FeSpace(mesh, 1)
-    cls = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
     quad = immersed_quadrature(CIRCLE, mesh)
     return {
         "interpolate": lambda g: interpolate(space, g),
-        "interpolate_outside_layer": lambda g: interpolate_outside_layer(space, cls, g),
+        "interpolate_outside_layer": lambda g: interpolate_outside_layer(space, CIRCLE,
+                                                                         math.sqrt(2.0), g),
         "solve": lambda g: solve(space, np.zeros(space.n_dofs), g),
         "assemble_interface_load": lambda g: assemble_interface_load(space, quad, g),
         "single_layer": lambda g: single_layer(CIRCLE, g, [0.8, 0.8]),
