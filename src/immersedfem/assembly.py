@@ -24,7 +24,7 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
     dofs of cells met by the surface."""
     mesh = space.mesh
     pts, w, owners = quadrature.points, quadrature.weights, quadrature.owner_cell
-    low = mesh.cell_lows[owners]
+    low = mesh.cell_lows(owners)
     inside = (np.all(pts >= low - BOX_TOL, axis=1)
               & np.all(pts <= low + mesh.edge + BOX_TOL, axis=1))
     if not np.all(inside):
@@ -38,5 +38,5 @@ def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) 
     values = space.tabulate((pts[order] - low[order]) / mesh.edge)[0]  # (n, n_loc)
     values *= (w * fvals)[order, None]
     local = np.add.reduceat(values, starts, axis=0)
-    return np.bincount(space.cell_dofs[cells].ravel(), weights=local.ravel(),
+    return np.bincount(space.cell_dofs(cells).ravel(), weights=local.ravel(),
                        minlength=space.n_dofs)

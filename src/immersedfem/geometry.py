@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import _check_dim
 from .quadrature import surface_rule
 
 #: Gauss points per piece of the surface rule
@@ -155,12 +156,15 @@ class InterfaceQuadrature:
 def immersed_quadrature(interface: SphericalInterface, mesh) -> InterfaceQuadrature:
     """Surface rule of ``quadrature.surface_rule`` with ``SURFACE_ORDER`` Gauss
     points per piece on every cell of ``mesh`` the surface cuts, which owns the
-    points in it.  Raises ValueError if the surface meets no cell."""
-    if interface.dim != mesh.dim:
-        raise ValueError("interface and mesh dimensions differ")
-    lows = mesh.cell_lows
-    cut = np.nonzero(interface.cuts_box(lows, lows + mesh.edge))[0]
-    if cut.size == 0:
+    points in it.  Only the cells of the surface's bounding box
+    (``Mesh.cells_meeting``) are tested.  Raises ValueError if the surface
+    meets no cell."""
+    _check_dim(mesh, interface)
+    cells = mesh.cells_meeting(interface.center - interface.radius,
+                               interface.center + interface.radius)
+    lows = mesh.cell_lows(cells)
+    cut = interface.cuts_box(lows, lows + mesh.edge)
+    if not np.any(cut):
         raise ValueError("surface meets no cell of the mesh")
     parent, points, weights = surface_rule(lows[cut], mesh.edge, interface, SURFACE_ORDER)
-    return InterfaceQuadrature(points=points, weights=weights, owner_cell=cut[parent])
+    return InterfaceQuadrature(points=points, weights=weights, owner_cell=cells[cut][parent])

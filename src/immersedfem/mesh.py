@@ -15,8 +15,9 @@ class Mesh:
     """Structured grid of congruent box cells covering [0, 1]^dim.
 
     Vertices sit at i/n per axis; cell k has lexicographic index (first axis
-    fastest) and lower corner ``cell_lows[k]``.  ``h_cell`` is the common cell
-    diameter sqrt(dim)/n.
+    fastest), and its lower corner is computed from k by ``cell_lows``, so the
+    grid stores no per-cell table.  ``h_cell`` is the common cell diameter
+    sqrt(dim)/n.
     """
 
     def __init__(self, dim: int, cells_per_axis: int):
@@ -30,10 +31,24 @@ class Mesh:
         self.edge = 1.0 / cells_per_axis
         self.h_cell = math.sqrt(dim) / cells_per_axis
         self.n_cells = cells_per_axis ** dim
-        self.cell_lows = _lattice(cells_per_axis, dim) / cells_per_axis
 
-    def cell_highs(self) -> np.ndarray:
-        return self.cell_lows + self.edge
+    def cell_lows(self, cells) -> np.ndarray:
+        """Lower corners, shape ``np.shape(cells) + (dim,)``, of the cells with
+        ids ``cells``; ids outside [0, n_cells) raise ValueError."""
+        return _lattice_index(cells, self.cells_per_axis, self.dim) / self.cells_per_axis
+
+    def cells_meeting(self, low, high) -> np.ndarray:
+        """Ascending ids of the cells whose index box, grown by one cell per
+        side, meets the box [low, high] (each of shape (dim,)): every cell
+        that meets the box, with one cell to spare against rounding at grid
+        lines.  A box outside the unit box still gives cells at its side."""
+        n = self.cells_per_axis
+        first = np.clip(np.floor(np.asarray(low) * n) - 1, 0, n - 1).astype(int)
+        last = np.clip(np.floor(np.asarray(high) * n) + 1, 0, n - 1).astype(int)
+        ids = np.zeros(1, dtype=int)
+        for axis in range(self.dim - 1, -1, -1):  # the last axis varies slowest
+            ids = (ids[:, None] * n + np.arange(first[axis], last[axis] + 1)).ravel()
+        return ids
 
     def locate(self, points) -> np.ndarray:
         """Cell ids containing ``points``; raises if a point leaves the box or
@@ -61,14 +76,30 @@ def classify_cells(mesh: Mesh, interface, sigma: float) -> np.ndarray:
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    _, d_max = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+    _check_dim(mesh, interface)
+    lows = mesh.cell_lows(np.arange(mesh.n_cells))
+    _, d_max = interface.distance_range_over_box(lows, lows + mesh.edge)
     return d_max <= sigma * mesh.h_cell
 
 
-def _lattice(n_per_axis: int, dim: int) -> np.ndarray:
-    axes = [np.arange(n_per_axis, dtype=float)] * dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel(order="F") for g in grids])
+def _check_dim(mesh: Mesh, interface) -> None:
+    if interface.dim != mesh.dim:
+        raise ValueError("interface and mesh dimensions differ")
+
+
+def _lattice_index(ids, n_per_axis: int, dim: int) -> np.ndarray:
+    """Lattice indices, shape ``np.shape(ids) + (dim,)``, of the lexicographic
+    ids ``ids`` of the lattice {0, ..., n_per_axis - 1}^dim (the inverse of
+    ``_ravel_index``); ids that are not integers in range raise ValueError."""
+    ids = np.asarray(ids)
+    if ids.size and (not np.issubdtype(ids.dtype, np.integer) or ids.min() < 0
+                     or ids.max() >= n_per_axis ** dim):
+        raise ValueError(f"ids must be integers in [0, {n_per_axis ** dim})")
+    idx = np.empty(ids.shape + (dim,), dtype=int)
+    rest = ids.astype(int)
+    for axis in range(dim):
+        rest, idx[..., axis] = np.divmod(rest, n_per_axis)
+    return idx
 
 
 def _ravel_index(idx: np.ndarray, n_per_axis: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _length, _offsets
-from .mesh import Mesh
+from .mesh import _check_dim
 from .quadrature import gauss_rule, _height_boxes, _line_rule, _unpermute
 from .space import FeSpace, _coefficients, _line_sum_factorised
 
@@ -127,53 +127,67 @@ class ConvergenceRecord:
     eoc_h1: float | None = None
 
 
-def _cell_batches(mesh: Mesh, interface, rule, cells):
-    """Quadrature blocks ``(owners, points, weights, sides, lines)`` over ``cells``.
+def _cell_batches(space: FeSpace, interface, rule, cells):
+    """Quadrature blocks ``(dofs, points, weights, sides, lines)`` over ``cells``,
+    every cell for None, of which only those of the surface's bounding box
+    widened by one cell width (``Mesh.cells_meeting``) are tested.
 
     Cells farther than one cell width from the surface come first, in blocks
     of at most ``BATCH_POINTS`` points (or one cell) on ``rule`` with the side
-    of their centre; ``owners`` lists the cells and ``lines`` is None.  The
-    other cells carry the height-function rule with twice the rule's points
-    per piece, as its grading triples the degree of a polynomial integrand.
-    Their height boxes are found once, and the rule is built for as many
-    consecutive boxes at a time as a plain rule with that many points fits
-    in ``BATCH_POINTS``, so a cell's boxes may fall into two blocks; it is
-    handed on in runs of whole lines of at most ``BATCH_POINTS`` points (or
-    one line); ``owners`` names each line's cell and ``lines`` the other
-    ``_line_sum_factorised`` arguments.
+    of their centre; ``dofs`` holds the cells' dof rows and ``lines`` is None.
+    The other cells carry the height-function rule with twice the rule's
+    points per piece, as its grading triples the degree of a polynomial
+    integrand.  Their height boxes and dof rows are found once, and the rule
+    is built for as many consecutive boxes at a time as a plain rule with
+    that many points fits in ``BATCH_POINTS``, so a cell's boxes may fall into
+    two blocks; it is handed on in runs of whole lines of at most
+    ``BATCH_POINTS`` points (or one line); ``dofs`` holds the dof row of each
+    line's cell and ``lines`` the other ``_line_sum_factorised`` arguments.
     """
-    low = mesh.cell_lows[cells]
-    d_min, _ = interface.distance_range_over_box(low, low + mesh.edge)
-    near = d_min <= mesh.edge
-    plain = cells[~near]
+    mesh = space.mesh
+    if cells is None:
+        pad = interface.radius + mesh.edge
+        candidates = mesh.cells_meeting(interface.center - pad, interface.center + pad)
+    else:
+        candidates = cells
+    lows = mesh.cell_lows(candidates)
+    d_min, _ = interface.distance_range_over_box(lows, lows + mesh.edge)
+    is_near = d_min <= mesh.edge
+    near = candidates[is_near]
+    # plain cells by position in ``cells`` (the id, for every cell): the
+    # p-th follows each near cell with at most p plain cells before it
+    skip = (near if cells is None else np.flatnonzero(is_near)) - np.arange(near.size)
+    n_plain = (mesh.n_cells if cells is None else cells.size) - near.size
     step = max(1, BATCH_POINTS // rule.n_points)
-    for start in range(0, plain.size, step):
-        block = plain[start:start + step]
-        lows = mesh.cell_lows[block]
-        pts, w = rule.on_boxes(lows, mesh.edge)
-        sides = np.repeat(interface.side(lows + 0.5 * mesh.edge), rule.n_points)
-        yield block, pts, w, sides, None
-    near = cells[near]
-    boxes = _height_boxes(mesh.cell_lows[near], mesh.edge, interface)
+    for start in range(0, n_plain, step):
+        block = np.arange(start, min(start + step, n_plain))
+        block += np.searchsorted(skip, block, side="right")
+        if cells is not None:
+            block = cells[block]
+        block_lows = mesh.cell_lows(block)
+        pts, w = rule.on_boxes(block_lows, mesh.edge)
+        sides = np.repeat(interface.side(block_lows + 0.5 * mesh.edge), rule.n_points)
+        yield space.cell_dofs(block), pts, w, sides, None
+    lows, dofs = lows[is_near], space.cell_dofs(near)
+    boxes = _height_boxes(lows, mesh.edge, interface)
     points = 2 * rule.points_per_axis
     step = max(1, BATCH_POINTS // points ** mesh.dim)
     for start in range(0, boxes[0].size, step):
         parent, frame, x, line, t, w, sides = _line_rule(
             tuple(b[start:start + step] for b in boxes), interface, points)
-        owners = near[parent]
-        lows = np.take_along_axis(mesh.cell_lows[owners], frame, axis=1)
-        face_ref = (x - lows[:, :-1]) / mesh.edge
+        line_lows = np.take_along_axis(lows[parent], frame, axis=1)
+        face_ref = (x - line_lows[:, :-1]) / mesh.edge
         # the first point of every line, and one past the last
-        bounds = np.searchsorted(line, np.arange(owners.size + 1))
+        bounds = np.searchsorted(line, np.arange(parent.size + 1))
         first = 0
-        while first < owners.size:
+        while first < parent.size:
             last = max(first + 1, np.searchsorted(bounds, bounds[first] + BATCH_POINTS,
                                                   side="right") - 1)
             part, lines = slice(bounds[first], bounds[last]), slice(first, last)
             on = line[part] - first
-            t_ref = (t[part] - lows[line[part], -1]) / mesh.edge
-            yield (owners[lines], _unpermute(x[lines], frame[lines], on, t[part]), w[part],
-                   sides[part], (frame[lines], face_ref[lines], on, t_ref))
+            t_ref = (t[part] - line_lows[line[part], -1]) / mesh.edge
+            yield (dofs[parent[lines]], _unpermute(x[lines], frame[lines], on, t[part]),
+                   w[part], sides[part], (frame[lines], face_ref[lines], on, t_ref))
             first = last
 
 
@@ -195,8 +209,7 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     if len(set(alphas)) != len(alphas):
         raise ValueError(f"alphas must be distinct, got {alphas}")
     mesh = space.mesh
-    if interface.dim != mesh.dim:
-        raise ValueError("interface and mesh dimensions differ")
+    _check_dim(mesh, interface)
     coeffs = _coefficients(space, coeffs)
     rule = gauss_rule(mesh.dim, space.degree + EXTRA_POINTS)
     values, grads = space.tabulate(rule.points)
@@ -204,8 +217,8 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     grads = grads.transpose(1, 0, 2).reshape(grads.shape[1], -1)
     cells = _cell_ids(cell_ids, mesh.n_cells)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
-    for owners, pts, w, sides, lines in _cell_batches(mesh, interface, rule, cells):
-        local = coeffs[space.cell_dofs[owners]]
+    for dofs, pts, w, sides, lines in _cell_batches(space, interface, rule, cells):
+        local = coeffs[dofs]
         if lines is None:
             uh = (local @ values.T).ravel()
             guh = ((local @ grads) / mesh.edge).reshape(-1, mesh.dim)
@@ -217,10 +230,10 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
 
 
 def _cell_ids(cell_ids, n_cells: int) -> np.ndarray:
-    """``cell_ids`` as an integer array, every cell for None; ValueError
-    unless they are distinct integers in [0, n_cells)."""
+    """``cell_ids`` as an integer array, None (every cell) for None;
+    ValueError unless they are distinct integers in [0, n_cells)."""
     if cell_ids is None:
-        return np.arange(n_cells)
+        return None
     cells = np.asarray(cell_ids)
     if cells.size and (cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer)
                        or cells.min() < 0 or cells.max() >= n_cells
@@ -266,15 +279,18 @@ def discrete_norm(space: FeSpace, coeffs, interface, alpha: float) -> float:
 
     At alpha = 0 this is the plain L2 norm (0^0 counts as 1); cells sitting
     on the surface contribute nothing when alpha > 0.  ``coeffs`` of the
-    wrong shape raise ValueError."""
+    wrong shape and an interface of another dimension raise ValueError."""
     _check_alpha(alpha)
     mesh = space.mesh
+    _check_dim(mesh, interface)
     rule = gauss_rule(mesh.dim, space.degree + 2)
     values_tab, _ = space.tabulate(rule.points)
-    local = _coefficients(space, coeffs)[space.cell_dofs]
+    cells = np.arange(mesh.n_cells)
+    local = _coefficients(space, coeffs)[space.cell_dofs(cells)]
     uh = local @ values_tab.T  # (n_cells, n_q)
     cell_sq = mesh.edge ** mesh.dim * (uh**2 @ rule.weights)
-    _, dist_max = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+    lows = mesh.cell_lows(cells)
+    _, dist_max = interface.distance_range_over_box(lows, lows + mesh.edge)
     return math.sqrt(float(np.sum(np.power(dist_max, 2.0 * alpha) * cell_sq)))
 
 
@@ -283,12 +299,14 @@ def eoc(errors) -> list:
 
     The mesh sizes must halve exactly from one entry to the next; the rate
     between levels k-1 and k is log2(e_{k-1} / e_k), or None when either
-    error vanishes."""
+    error vanishes.  A negative or non-finite error raises ValueError."""
     pairs = list(errors)
     if len(pairs) < 1:
         raise ValueError("need at least one (h, error) pair")
     hs = [float(h) for h, _ in pairs]
     es = [float(e) for _, e in pairs]
+    if not all(0.0 <= e < math.inf for e in es):
+        raise ValueError(f"errors must be finite and non-negative, got {es}")
     for coarse, fine in zip(hs[:-1], hs[1:]):
         if abs(2.0 * fine - coarse) > 1e-9 * coarse:
             raise ValueError(f"mesh sizes do not halve: {coarse} -> {fine}")

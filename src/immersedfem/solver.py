@@ -63,16 +63,19 @@ def solve(space: FeSpace, load, g):
     residual is the true one of the Dirichlet-eliminated system,
     ``|(load − A u)_I| / |[(load − A u_B)_I ; g_B]|``, with ``u_B`` the
     boundary data alone; zero ``load`` and ``g`` give exact zeros and residual
-    0.  A ``load`` or ``g`` with NaN or infinite entries raises ValueError.
+    0.  A ``load`` of another shape than ``(n_dofs,)``, or a ``load`` or
+    ``g`` with NaN or infinite entries, raises ValueError.
     """
     load = np.asarray(load, dtype=float)
+    if load.shape != (space.n_dofs,):
+        raise ValueError(f"load must have shape ({space.n_dofs},), got {load.shape}")
     if not np.all(np.isfinite(load)):
         raise ValueError("load must be finite")
     mass, stiffness = _factors_1d(space)
     dim = space.mesh.dim
     interior = (slice(1, -1),) * dim
     u = np.zeros((mass.shape[0],) * dim)
-    boundary = _field_values(g, space.dof_coords[space.boundary_dofs])
+    boundary = _field_values(g, space.dof_coords(space.boundary_dofs))
     u.reshape(-1)[space.boundary_dofs] = boundary
     load = load.reshape(u.shape)[interior]
 

@@ -7,7 +7,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Mesh, _lattice, _ravel_index, classify_cells
+from .mesh import Mesh, _lattice_index, _ravel_index, classify_cells
+
+
+def _lattice(n_per_axis: int, dim: int) -> np.ndarray:
+    """The points of {0, ..., n_per_axis - 1}^dim as floats, one row each,
+    first axis fastest (the order of local dofs)."""
+    axes = [np.arange(n_per_axis, dtype=float)] * dim
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([g.ravel(order="F") for g in grids])
 
 
 def _lagrange_1d(degree: int, x: np.ndarray):
@@ -111,9 +119,10 @@ def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
 class FeSpace:
     """Continuous piecewise Q^degree space with nodal degrees of freedom.
 
-    Dof coordinates form the lattice with spacing 1/(degree * n) and the
-    cell-to-dof map lists (degree+1)^dim local dofs per cell in the same
-    lexicographic order used by ``shape_eval``.
+    Dof coordinates form the lattice with spacing 1/(degree * n), and each
+    cell has (degree+1)^dim local dofs in the lexicographic order used by
+    ``shape_eval``.  Both are computed from ids (``dof_coords``,
+    ``cell_dofs``); only the ascending ``boundary_dofs`` are stored.
     """
 
     def __init__(self, mesh: Mesh, degree: int = 1):
@@ -123,14 +132,21 @@ class FeSpace:
         self.degree = degree
         n_axis = degree * mesh.cells_per_axis + 1
         self.n_dofs = n_axis ** mesh.dim
-        lattice = _lattice(n_axis, mesh.dim)
-        self.dof_coords = lattice / (degree * mesh.cells_per_axis)
-        on_face = (lattice == 0) | (lattice == n_axis - 1)
-        self.boundary_dofs = np.nonzero(on_face.any(axis=1))[0]
-        cell_idx = _lattice(mesh.cells_per_axis, mesh.dim).astype(int)
-        local = _lattice(degree + 1, mesh.dim).astype(int)
-        idx = degree * cell_idx[:, None, :] + local[None, :, :]
-        self.cell_dofs = _ravel_index(idx, n_axis)
+        self.boundary_dofs = _boundary_ids(n_axis, mesh.dim)
+
+    def cell_dofs(self, cells) -> np.ndarray:
+        """Global dofs, shape ``np.shape(cells) + ((degree+1)^dim,)``, of the
+        cells with ids ``cells``; ids outside the mesh raise ValueError."""
+        n_axis = self.degree * self.mesh.cells_per_axis + 1
+        corner = self.degree * _lattice_index(cells, self.mesh.cells_per_axis, self.mesh.dim)
+        local = _ravel_index(_lattice(self.degree + 1, self.mesh.dim).astype(int), n_axis)
+        return _ravel_index(corner, n_axis)[..., None] + local
+
+    def dof_coords(self, dofs) -> np.ndarray:
+        """Coordinates, shape ``np.shape(dofs) + (dim,)``, of the dofs
+        ``dofs``; ids outside [0, n_dofs) raise ValueError."""
+        n = self.degree * self.mesh.cells_per_axis
+        return _lattice_index(dofs, n + 1, self.mesh.dim) / n
 
     def interior_dofs(self) -> np.ndarray:
         mask = np.ones(self.n_dofs, dtype=bool)
@@ -152,10 +168,23 @@ class FeSpace:
         coeffs = _coefficients(self, coeffs)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.mesh.locate(points)
-        ref = (points - self.mesh.cell_lows[cells]) / self.mesh.edge
+        ref = (points - self.mesh.cell_lows(cells)) / self.mesh.edge
         frame = np.broadcast_to(np.arange(ref.shape[1]), ref.shape)
-        return _line_sum_factorised(self.degree, coeffs[self.cell_dofs[cells]],
+        return _line_sum_factorised(self.degree, coeffs[self.cell_dofs(cells)],
                                     frame, ref[:, :-1], np.arange(ref.shape[0]), ref[:, -1])
+
+
+def _boundary_ids(n_per_axis: int, dim: int) -> np.ndarray:
+    """Ascending lexicographic ids of the points on the boundary of the
+    lattice {0, ..., n_per_axis - 1}^dim, n_per_axis >= 2: the first and last
+    slab along the slowest axis whole, the slabs between by their own
+    boundary."""
+    if dim == 1:
+        return np.array([0, n_per_axis - 1])
+    slab = n_per_axis ** (dim - 1)
+    between = np.arange(1, n_per_axis - 1)[:, None] * slab + _boundary_ids(n_per_axis, dim - 1)
+    return np.concatenate([np.arange(slab), between.ravel(),
+                           np.arange((n_per_axis - 1) * slab, n_per_axis * slab)])
 
 
 def _coefficients(space: FeSpace, coeffs) -> np.ndarray:
@@ -184,7 +213,7 @@ def _field_values(field, points) -> np.ndarray:
 
 def interpolate(space: FeSpace, g) -> np.ndarray:
     """Nodal interpolation: coefficient i equals g at dof coordinate i."""
-    return _field_values(g, space.dof_coords)
+    return _field_values(g, space.dof_coords(np.arange(space.n_dofs)))
 
 
 def interpolate_outside_layer(space: FeSpace, interface, sigma: float, g) -> np.ndarray:
@@ -196,7 +225,7 @@ def interpolate_outside_layer(space: FeSpace, interface, sigma: float, g) -> np.
     called on the surviving dofs only.
     """
     keep = np.zeros(space.n_dofs, dtype=bool)
-    keep[space.cell_dofs[~classify_cells(space.mesh, interface, sigma)].ravel()] = True
+    keep[space.cell_dofs(np.flatnonzero(~classify_cells(space.mesh, interface, sigma)))] = True
     coeffs = np.zeros(space.n_dofs)
-    coeffs[keep] = _field_values(g, space.dof_coords[keep])
+    coeffs[keep] = _field_values(g, space.dof_coords(np.flatnonzero(keep)))
     return coeffs

@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from immersedfem import gauss_rule, solver
+from immersedfem.mesh import _ravel_index
+from immersedfem.space import _lattice
 
 
 @pytest.fixture(params=["C", "F", "strided"])
@@ -40,10 +42,28 @@ def element_scatter_stiffness(space):
     element = np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)
     element = 0.5 * (element + element.T) * mesh.edge ** (mesh.dim - 2)
     n_loc = element.shape[0]
-    rows = np.repeat(space.cell_dofs, n_loc, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, n_loc)).ravel()
+    cell_dofs = space.cell_dofs(np.arange(mesh.n_cells))
+    rows = np.repeat(cell_dofs, n_loc, axis=1).ravel()
+    cols = np.tile(cell_dofs, (1, n_loc)).ravel()
     data = np.tile(element.ravel(), mesh.n_cells)
     return sp.coo_matrix((data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
+
+
+def lattice_tables(space):
+    """The per-cell and per-dof tables of ``space`` built whole from index
+    lattices, as the grid once stored them (test oracle for the methods that
+    compute rows from ids): ``(cell_lows, cell_dofs, dof_coords,
+    boundary_dofs)``."""
+    mesh, degree = space.mesh, space.degree
+    cell_lows = _lattice(mesh.cells_per_axis, mesh.dim) / mesh.cells_per_axis
+    n_axis = degree * mesh.cells_per_axis + 1
+    lattice = _lattice(n_axis, mesh.dim)
+    dof_coords = lattice / (degree * mesh.cells_per_axis)
+    boundary_dofs = np.nonzero(((lattice == 0) | (lattice == n_axis - 1)).any(axis=1))[0]
+    cell_idx = _lattice(mesh.cells_per_axis, mesh.dim).astype(int)
+    local = _lattice(degree + 1, mesh.dim).astype(int)
+    cell_dofs = _ravel_index(degree * cell_idx[:, None, :] + local[None, :, :], n_axis)
+    return cell_lows, cell_dofs, dof_coords, boundary_dofs
 
 
 def eliminate(matrix, load, space, g):
@@ -53,7 +73,7 @@ def eliminate(matrix, load, space, g):
     keep = np.ones(space.n_dofs)
     keep[space.boundary_dofs] = 0.0
     lifted = np.zeros(space.n_dofs)
-    lifted[space.boundary_dofs] = g(space.dof_coords[space.boundary_dofs])
+    lifted[space.boundary_dofs] = g(space.dof_coords(space.boundary_dofs))
     system = sp.diags(keep) @ matrix @ sp.diags(keep) + sp.diags(1.0 - keep)
     return system.tocsr(), keep * (load - matrix @ lifted) + lifted
 

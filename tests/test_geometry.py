@@ -164,7 +164,7 @@ class TestImmersedQuadrature:
             mesh = build_uniform_mesh(dim, 8)
             q = immersed_quadrature(interface, mesh)
             assert np.max(interface.distance(q.points)) <= 1e-12
-            low = mesh.cell_lows[q.owner_cell]
+            low = mesh.cell_lows(q.owner_cell)
             assert np.all(q.points >= low - 1e-12)
             assert np.all(q.points <= low + mesh.edge + 1e-12)
             assert np.all(q.weights > 0.0)
@@ -202,7 +202,7 @@ class TestImmersedQuadrature:
     def test_rejects_bad_order_and_outside_interface(self):
         mesh = build_uniform_mesh(2, 4)
         with pytest.raises(ValueError):
-            surface_rule(mesh.cell_lows, mesh.edge, CIRCLE, 0)
+            surface_rule(mesh.cell_lows(np.arange(mesh.n_cells)), mesh.edge, CIRCLE, 0)
         far = SphericalInterface((10.0, 10.0), 0.2)
         with pytest.raises(ValueError):
             immersed_quadrature(far, mesh)  # points cannot find owner cells

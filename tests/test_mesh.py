@@ -13,8 +13,8 @@ SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
 def test_smallest_grid():
     mesh = build_uniform_mesh(2, 1)
     assert mesh.n_cells == 1
-    assert mesh.cell_lows.tolist() == [[0.0, 0.0]]
-    assert mesh.cell_highs().tolist() == [[1.0, 1.0]]
+    assert mesh.cell_lows([0]).tolist() == [[0.0, 0.0]]
+    assert (mesh.cell_lows(0) + mesh.edge).tolist() == [1.0, 1.0]
     assert build_uniform_mesh(np.int64(2), 1).n_cells == 1  # numpy integers count too
 
 
@@ -35,17 +35,41 @@ def test_vertex_coordinates_exact():
     for i in range(3):
         for j in range(3):
             cell = i + 3 * j
-            assert mesh.cell_lows[cell, 0] == i / 3
-            assert mesh.cell_lows[cell, 1] == j / 3
+            assert mesh.cell_lows(cell)[0] == i / 3
+            assert mesh.cell_lows(cell)[1] == j / 3
 
 
 def test_cells_partition_unit_square():
     mesh = build_uniform_mesh(2, 5)
-    lows = mesh.cell_lows
+    lows = mesh.cell_lows(np.arange(mesh.n_cells))
     assert np.isclose(mesh.n_cells * mesh.edge**2, 1.0)
     assert set(map(tuple, np.round(lows * 5).astype(int))) == {
         (i, j) for i in range(5) for j in range(5)
     }
+
+
+@pytest.mark.parametrize("ids", [[-1], [16], [0.0], [True]])
+def test_cell_lows_reject_ids_outside_the_mesh(ids):
+    # -1 would wrap to another cell silently, as a table's index does
+    with pytest.raises(ValueError, match="ids"):
+        build_uniform_mesh(2, 4).cell_lows(ids)
+
+
+def test_cells_meeting():
+    mesh = build_uniform_mesh(2, 8)
+    # the box [0.3, 0.45]^2 meets index columns 2 and 3; one more per side
+    ids = mesh.cells_meeting(np.array([0.3, 0.3]), np.array([0.45, 0.45]))
+    want = [i + 8 * j for j in range(1, 5) for i in range(1, 5)]
+    assert ids.tolist() == want
+    # clipped to the grid: a box around the unit box gives every cell, and
+    # one beyond a side the cells along it
+    assert np.array_equal(mesh.cells_meeting(np.array([-1.0, -1.0]), np.array([2.0, 2.0])),
+                          np.arange(mesh.n_cells))
+    assert mesh.cells_meeting(np.array([2.0, 0.0]), np.array([3.0, 1.0])).tolist() == [
+        7 + 8 * j for j in range(8)]
+    mesh = build_uniform_mesh(3, 4)
+    ids = mesh.cells_meeting(np.full(3, 0.5), np.full(3, 0.5))
+    assert np.all(np.diff(ids) > 0) and ids.size == 27
 
 
 def test_rejects_bad_arguments():
@@ -95,8 +119,14 @@ def test_locate_rejects_non_finite_points(bad):
         space.evaluate(np.zeros(space.n_dofs), [[bad, 0.5]])
 
 
+def _cut(mesh, interface):
+    lows = mesh.cell_lows(np.arange(mesh.n_cells))
+    return interface.cuts_box(lows, lows + mesh.edge)
+
+
 def _distance_range(mesh, interface):
-    return interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+    lows = mesh.cell_lows(np.arange(mesh.n_cells))
+    return interface.distance_range_over_box(lows, lows + mesh.edge)
 
 
 class TestClassification:
@@ -129,7 +159,7 @@ class TestClassification:
         for dim, interface in ((2, CIRCLE), (3, SPHERE)):
             mesh = build_uniform_mesh(dim, 8)
             d_min, _ = _distance_range(mesh, interface)
-            cut = interface.cuts_box(mesh.cell_lows, mesh.cell_lows + mesh.edge)
+            cut = _cut(mesh, interface)
             assert np.all(d_min[cut] == 0.0)
             assert np.all(classify_cells(mesh, interface, math.sqrt(dim))[cut])
 
@@ -140,11 +170,18 @@ class TestClassification:
         h = mesh.h_cell
         assert np.all(d_min <= d_max + 1e-12)
         assert np.all(d_max <= d_min + h + 1e-12)
-        cut = CIRCLE.cuts_box(mesh.cell_lows, mesh.cell_lows + mesh.edge)
+        cut = _cut(mesh, CIRCLE)
         assert np.all(d_max[cut] + h >= h / math.sqrt(2.0))
         out = ~classify_cells(mesh, CIRCLE, math.sqrt(2.0))
         assert np.all(d_max[out] <= d_min[out] + h + 1e-12)
         assert np.all(d_min[out] + h <= 2.0 * np.maximum(d_min[out], h) + 1e-12)
+
+    @pytest.mark.parametrize("dim, interface", [(3, CIRCLE), (2, SPHERE)],
+                             ids=["circle-on-3d", "sphere-on-2d"])
+    def test_rejects_interface_of_other_dimension(self, dim, interface):
+        # a circle on a 3D mesh would give a layer of 64 of 64 cells
+        with pytest.raises(ValueError, match="dimensions differ"):
+            classify_cells(build_uniform_mesh(dim, 4), interface, 2.0)
 
     def test_rejects_nonpositive_sigma(self):
         mesh = build_uniform_mesh(2, 4)
@@ -170,7 +207,7 @@ class TestClassification:
         unit_grid = np.column_stack([gx.ravel(), gy.ravel()])
         resolution = math.sqrt(2.0) * mesh.edge / 100.0
         for cell in rng.choice(mesh.n_cells, size=20, replace=False):
-            samples = mesh.cell_lows[cell] + mesh.edge * unit_grid
+            samples = mesh.cell_lows(cell) + mesh.edge * unit_grid
             d = CIRCLE.distance(samples)
             assert d_min[cell] <= d.min() + 1e-12
             assert d_min[cell] >= d.min() - resolution

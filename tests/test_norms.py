@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import bitwise_equal
 from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh, discrete_norm, eoc,
-                         gauss_rule, interpolate, reference_solution, split_cut_cell,
-                         weighted_errors)
+                         gauss_rule, immersed_quadrature, interpolate, reference_solution,
+                         split_cut_cell, weighted_errors)
 from immersedfem import norms, quadrature, space as space_module
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
+SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
 
 
 class ConstantField:
@@ -367,6 +368,13 @@ class TestDiscreteNorm:
                                    [0.0])[(0.0, 0)]
         assert value == pytest.approx(plain_l2, abs=1e-12)
 
+    @pytest.mark.parametrize("dim, interface", [(3, CIRCLE), (2, SPHERE)],
+                             ids=["circle-on-3d", "sphere-on-2d"])
+    def test_rejects_interface_of_other_dimension(self, dim, interface):
+        space = FeSpace(build_uniform_mesh(dim, 4), 1)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            discrete_norm(space, np.ones(space.n_dofs), interface, 0.25)
+
     def test_zero_function(self):
         mesh = build_uniform_mesh(2, 8)
         space = FeSpace(mesh, 1)
@@ -400,6 +408,13 @@ class TestEoc:
         rates = eoc([(0.5, e), (0.25, e / math.sqrt(2.0))])
         assert rates == [pytest.approx(0.5)]
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_errors(self, bad):
+        # -1 would fail in log2 as a domain error, NaN give a NaN rate
+        for errors in ([(0.5, bad), (0.25, 0.1)], [(0.5, 0.4), (0.25, bad)]):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                eoc(errors)
+
     def test_rejects_non_halving(self):
         with pytest.raises(ValueError):
             eoc([(0.5, 0.4), (0.3, 0.1)])
@@ -417,7 +432,7 @@ def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
     rule = gauss_rule(mesh.dim, q)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
     for cell in cells:
-        low = mesh.cell_lows[cell]
+        low = mesh.cell_lows(cell)
         d_min, _ = interface.distance_range_over_box(low, low + mesh.edge)
         if d_min <= mesh.edge:
             _, pts, w, side = split_cut_cell(low, mesh.edge, interface, 2 * q)
@@ -477,9 +492,10 @@ class TestNearPathWork:
         mesh = build_uniform_mesh(3, 4)
         space = FeSpace(mesh, 1)
         q = space.degree + norms.EXTRA_POINTS
-        d_min, _ = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+        lows = mesh.cell_lows(np.arange(mesh.n_cells))
+        d_min, _ = interface.distance_range_over_box(lows, lows + mesh.edge)
         near = np.nonzero(d_min <= mesh.edge)[0]
-        boxes = quadrature._height_boxes(mesh.cell_lows[near], mesh.edge, interface)
+        boxes = quadrature._height_boxes(lows[near], mesh.edge, interface)
         rows, _, _, line, _, _, _ = quadrature._line_rule(boxes, interface, 2 * q)
         coordinates, kernel_calls = [], []
         lagrange, kernel = space_module._lagrange_1d, norms._line_sum_factorised
@@ -556,7 +572,8 @@ class TestNearBlocks:
         coeffs = interpolate(space, exact.values)
         errs = weighted_errors(space, coeffs, exact, self.SPHERE, self.ALPHAS, cell_ids=[])
         assert errs == {(a, m): 0.0 for a in self.ALPHAS for m in (0, 1)}
-        d_min, _ = self.SPHERE.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
+        lows = mesh.cell_lows(np.arange(mesh.n_cells))
+        d_min, _ = self.SPHERE.distance_range_over_box(lows, lows + mesh.edge)
         far = np.flatnonzero(d_min > mesh.edge)
         assert far.size
         got = weighted_errors(space, coeffs, exact, self.SPHERE, self.ALPHAS, cell_ids=far)
@@ -578,3 +595,37 @@ class TestNearBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2 ** 20
+
+    def test_peak_memory_2d_level(self):
+        # the surface rule and the error pass of study2d's finest level peak
+        # at 11.8 MiB; testing every cell and building its corners and dof
+        # rows took 28.7 MiB
+        circle = SphericalInterface((0.3, 0.3), 0.2)
+        space = FeSpace(build_uniform_mesh(2, 512), 1)
+        coeffs = np.random.default_rng(512).standard_normal(space.n_dofs)
+        exact = reference_solution(circle)
+        tracemalloc.start()
+        try:
+            immersed_quadrature(circle, space.mesh)
+            weighted_errors(space, coeffs, exact, circle, self.ALPHAS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2 ** 20
+
+    @pytest.mark.parametrize("dim, n, center, radius", [
+        (2, 8, (0.5, 0.5), 0.25), (2, 16, (0.3, 0.3), 0.2), (2, 8, (0.3, 0.3), 0.2 + 1e-14),
+        (3, 4, (0.5, 0.5, 0.5), 0.25), (3, 6, (0.3, 0.3, 0.3), 0.2),
+    ])
+    def test_bounding_box_gives_the_blocks_of_every_cell(self, dim, n, center, radius):
+        # every cell tested for nearness, in id order, against only the cells
+        # of the surface's widened bounding box; at radius 0.25 about the
+        # centre, near cells lie exactly one cell width from the surface
+        interface = SphericalInterface(center, radius)
+        exact = reference_solution(interface)
+        space = FeSpace(build_uniform_mesh(dim, n), 2)
+        coeffs = interpolate(space, exact.values)
+        got = weighted_errors(space, coeffs, exact, interface, self.ALPHAS)
+        want = weighted_errors(space, coeffs, exact, interface, self.ALPHAS,
+                               cell_ids=np.arange(space.mesh.n_cells))
+        assert got == want

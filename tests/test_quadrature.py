@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import bitwise_equal
 from immersedfem import (SphericalInterface, build_uniform_mesh, gauss_rule,
                          immersed_quadrature, split_cut_cell)
-from immersedfem import quadrature
+from immersedfem import geometry, quadrature
 from immersedfem.quadrature import surface_rule
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -151,11 +151,12 @@ def disk_box_area(center, r, low, high):
 def test_cut_areas_against_closed_form(center, radius, n):
     circle = SphericalInterface(center, radius)
     mesh = build_uniform_mesh(2, n)
-    cut = np.nonzero(circle.cuts_box(mesh.cell_lows, mesh.cell_lows + mesh.edge))[0]
-    parent, _, w, sides = split_cut_cell(mesh.cell_lows[cut], mesh.edge, circle, 8)
+    lows = mesh.cell_lows(np.arange(mesh.n_cells))
+    cut = np.nonzero(circle.cuts_box(lows, lows + mesh.edge))[0]
+    parent, _, w, sides = split_cut_cell(lows[cut], mesh.edge, circle, 8)
     area = np.bincount(parent, weights=w * (sides < 0), minlength=cut.size)
     for k, cell in enumerate(cut):
-        low = mesh.cell_lows[cell]
+        low = mesh.cell_lows(cell)
         exact = disk_box_area(circle.center, radius, low, low + mesh.edge)
         assert abs(area[k] - exact) <= 1e-10 * mesh.edge**2
 
@@ -182,8 +183,9 @@ class TestBatchedSplit:
 
     def test_points_in_their_cells_3d(self):
         mesh = build_uniform_mesh(3, 8)
-        d_min, _ = SPHERE.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
-        lows = mesh.cell_lows[d_min <= mesh.edge]
+        lows = mesh.cell_lows(np.arange(mesh.n_cells))
+        d_min, _ = SPHERE.distance_range_over_box(lows, lows + mesh.edge)
+        lows = lows[d_min <= mesh.edge]
         parent, pts, _, _ = split_cut_cell(lows, mesh.edge, SPHERE, 4)
         assert np.all((pts >= lows[parent]) & (pts <= lows[parent] + mesh.edge))
         # the same lines as split_cut_cell: each point keeps its line's face
@@ -354,8 +356,9 @@ class TestColumnWiseOracle:
         monkeypatch.setattr(quadrature, "_gauss_pieces",
                             lambda *args: calls.append(args) or pieces(*args))
         mesh = build_uniform_mesh(interface.dim, n)
-        d_min, _ = interface.distance_range_over_box(mesh.cell_lows, mesh.cell_highs())
-        lows = mesh.cell_lows[d_min <= mesh.edge]
+        lows = mesh.cell_lows(np.arange(mesh.n_cells))
+        d_min, _ = interface.distance_range_over_box(lows, lows + mesh.edge)
+        lows = lows[d_min <= mesh.edge]
         quadrature._line_rule(quadrature._height_boxes(lows, mesh.edge, interface), interface, 4)
         surface_rule(lows, mesh.edge, interface, 3)
         assert len(calls) == 2 * interface.dim - 1
@@ -398,11 +401,11 @@ class TestSurfaceRule:
         quad = immersed_quadrature(interface, mesh)
         assert np.all(np.diff(quad.owner_cell) >= 0)
         for cell in np.unique(quad.owner_cell):
-            one = surface_rule(mesh.cell_lows[cell], mesh.edge, interface, 8)
+            one = surface_rule(mesh.cell_lows(cell), mesh.edge, interface, 8)
             mine = quad.owner_cell == cell
             assert np.array_equal(one[1], quad.points[mine])
             assert np.array_equal(one[2], quad.weights[mine])
-        none = surface_rule(mesh.cell_lows[:0], mesh.edge, interface, 8)  # no cells: typed empties
+        none = surface_rule(mesh.cell_lows(np.arange(0)), mesh.edge, interface, 8)  # no cells: typed empties
         assert [(a.shape, a.dtype) for a in none] == [((0,) + a.shape[1:], a.dtype) for a in one]
 
 
@@ -445,7 +448,7 @@ class TestDegenerateGeometry:
     def test_measures_and_weighted_moment(self, mesh_sphere):
         mesh, sphere = mesh_sphere
         dim, r, c = mesh.dim, sphere.radius, sphere.center
-        lows = mesh.cell_lows
+        lows = mesh.cell_lows(np.arange(mesh.n_cells))
         d_min, _ = sphere.distance_range_over_box(lows, lows + mesh.edge)
         near = d_min <= mesh.edge
         parent, pts, w, sides = split_cut_cell(lows[near], mesh.edge, sphere, 8)
@@ -474,3 +477,26 @@ class TestDegenerateGeometry:
             shell = 2.0 * math.pi if dim == 2 else 4.0 * math.pi
             exact = shell * r ** (dim + 4 + 2 * alpha) * beta(dim + 4, 2 * alpha + 1)
             assert moment == pytest.approx(exact, rel=1e-6)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(grid_spheres())
+    def test_bounding_box_holds_every_cut_and_near_cell(self, mesh_sphere):
+        # the surface rule and the error pass test only the cells of the
+        # surface's bounding box, widened by one cell width for the error
+        # pass; a sphere tangent to a grid plane puts cut and near cells at
+        # the edge of that box
+        mesh, sphere = mesh_sphere
+        c, r = sphere.center, sphere.radius
+        cells = np.arange(mesh.n_cells)
+        lows = mesh.cell_lows(cells)
+        cut = cells[sphere.cuts_box(lows, lows + mesh.edge)]
+        d_min, _ = sphere.distance_range_over_box(lows, lows + mesh.edge)
+        near = cells[d_min <= mesh.edge]
+        assert np.all(np.isin(cut, mesh.cells_meeting(c - r, c + r)))
+        assert np.all(np.isin(near, mesh.cells_meeting(c - r - mesh.edge, c + r + mesh.edge)))
+        quad = immersed_quadrature(sphere, mesh)
+        parent, points, weights = surface_rule(lows[cut], mesh.edge, sphere,
+                                               geometry.SURFACE_ORDER)
+        assert bitwise_equal(quad.points, points)
+        assert bitwise_equal(quad.weights, weights)
+        assert bitwise_equal(quad.owner_cell, cut[parent])

@@ -30,7 +30,7 @@ def test_identity_system():
     # one Q1 cell has no interior dof: the solution is the boundary interpolant
     space, load, g = study_problem(2, 1, 1)
     solution, residual = solve(space, load, g)
-    assert np.array_equal(solution, g(space.dof_coords))
+    assert np.array_equal(solution, g(space.dof_coords(np.arange(space.n_dofs))))
     assert residual == 0.0
 
 
@@ -50,7 +50,7 @@ def test_agrees_with_direct_solve():
         # the residual is the true one of the eliminated system, from the operator
         interior, boundary = space.interior_dofs(), space.boundary_dofs
         lifted = np.zeros(space.n_dofs)
-        lifted[boundary] = g(space.dof_coords[boundary])
+        lifted[boundary] = g(space.dof_coords(boundary))
         apply = stiffness_apply(space)
         scale = np.hypot(np.linalg.norm((load - apply(lifted))[interior]),
                          np.linalg.norm(lifted[boundary]))
@@ -74,6 +74,10 @@ def test_rejects_bad_arguments():
             solve(space, bad_load, g)
         with pytest.raises(ValueError, match="finite"):
             solve(space, load, lambda x: np.where(x[:, 1] == 1.0, bad, g(x)))
+    # a column vector would be taken as the load, a short one fail in a reshape
+    for shape in ((space.n_dofs, 1), (space.n_dofs - 1,), (space.n_dofs + 1,), ()):
+        with pytest.raises(ValueError, match="load must have shape"):
+            solve(space, np.ones(shape), g)
 
 
 def test_import_loads_no_scipy():

@@ -1,20 +1,21 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import bitwise_equal
+from conftest import bitwise_equal, lattice_tables
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
                          build_uniform_mesh, classify_cells, immersed_quadrature, interpolate,
                          interpolate_outside_layer, reference_solution, shape_eval, solve,
                          weighted_errors)
-from immersedfem.mesh import _lattice
-from immersedfem.space import _lagrange_1d, _line_sum_factorised
+from immersedfem.space import _lagrange_1d, _lattice, _line_sum_factorised
 from potential import jump_check, single_layer
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
+SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
 
 
 def loop_shape_eval(degree, ref_points):
@@ -206,10 +207,49 @@ class TestFeSpace:
 
     def test_boundary_dofs(self):
         space = FeSpace(build_uniform_mesh(2, 2), 1)
-        coords = space.dof_coords[space.boundary_dofs]
+        coords = space.dof_coords(space.boundary_dofs)
         on_edge = (coords == 0.0) | (coords == 1.0)
         assert np.all(on_edge.any(axis=1))
         assert len(space.boundary_dofs) == 8
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_match_the_lattice_tables(self, dim, degree, n):
+        # the rows computed from ids against the tables built whole from
+        # index lattices, on every id and on a shuffled subset
+        space = FeSpace(build_uniform_mesh(dim, n), degree)
+        mesh = space.mesh
+        cell_lows, cell_dofs, dof_coords, boundary_dofs = lattice_tables(space)
+        cells, dofs = np.arange(mesh.n_cells), np.arange(space.n_dofs)
+        assert np.array_equal(mesh.cell_lows(cells), cell_lows)
+        assert np.array_equal(space.cell_dofs(cells), cell_dofs)
+        assert np.array_equal(space.dof_coords(dofs), dof_coords)
+        assert np.array_equal(space.boundary_dofs, boundary_dofs)
+        assert space.boundary_dofs.dtype == boundary_dofs.dtype
+        rng = np.random.default_rng(100 * dim + 10 * degree + n)
+        cells = rng.permutation(mesh.n_cells)[:max(1, mesh.n_cells // 3)]
+        dofs = rng.permutation(space.n_dofs)[:space.n_dofs // 3]
+        assert np.array_equal(mesh.cell_lows(cells), cell_lows[cells])
+        assert np.array_equal(space.cell_dofs(cells), cell_dofs[cells])
+        assert np.array_equal(space.dof_coords(dofs), dof_coords[dofs])
+
+    @pytest.mark.parametrize("method, bad", [("cell_dofs", 64), ("dof_coords", 81)])
+    def test_rows_reject_ids_outside_the_space(self, method, bad):
+        space = FeSpace(build_uniform_mesh(2, 8), 1)
+        with pytest.raises(ValueError, match="ids"):
+            getattr(space, method)([0, bad])
+
+    def test_peak_memory_of_a_fine_space(self):
+        # numpy reports its arrays to tracemalloc; per-cell and per-dof
+        # tables of this space take 194 MiB to build
+        tracemalloc.start()
+        try:
+            FeSpace(build_uniform_mesh(2, 1024), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
@@ -275,6 +315,13 @@ class TestLayerMaskedInterpolation:
                                            lambda x: 1.0)
         assert np.array_equal(coeffs, np.zeros(space.n_dofs))
 
+    @pytest.mark.parametrize("dim, interface", [(3, CIRCLE), (2, SPHERE)],
+                             ids=["circle-on-3d", "sphere-on-2d"])
+    def test_rejects_interface_of_other_dimension(self, dim, interface):
+        space = FeSpace(build_uniform_mesh(dim, 4), 1)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            interpolate_outside_layer(space, interface, 2.0, lambda x: 1.0)
+
     def test_zero_set_matches_bruteforce_adjacency(self):
         # dof survives iff one of its adjacent cells lies outside the layer
         mesh = build_uniform_mesh(2, 8)
@@ -282,8 +329,9 @@ class TestLayerMaskedInterpolation:
         coeffs = interpolate_outside_layer(space, CIRCLE, math.sqrt(2.0), lambda x: 1.0)
         assert set(np.unique(coeffs)) <= {0.0, 1.0}
         in_mask = classify_cells(mesh, CIRCLE, math.sqrt(2.0))
+        cell_dofs = space.cell_dofs(np.arange(mesh.n_cells))
         for dof in range(space.n_dofs):
-            cells_of_dof = np.nonzero((space.cell_dofs == dof).any(axis=1))[0]
+            cells_of_dof = np.nonzero((cell_dofs == dof).any(axis=1))[0]
             expected = 0.0 if all(in_mask[c] for c in cells_of_dof) else 1.0
             assert coeffs[dof] == expected
 
@@ -392,5 +440,5 @@ class TestFieldContract:
         # oracle: the exact solution called at one dof coordinate at a time
         space = FeSpace(build_uniform_mesh(2, 64), 2)
         exact = reference_solution(CIRCLE)
-        want = np.array([exact.values(x[None, :])[0] for x in space.dof_coords])
+        want = np.array([exact.values(x[None, :])[0] for x in space.dof_coords(np.arange(space.n_dofs))])
         assert interpolate(space, exact.values).tobytes() == want.tobytes()
