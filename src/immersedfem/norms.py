@@ -9,13 +9,15 @@ rule line by line (``quadrature._line_rule``, the lines of
 tag, so the piecewise exact solution is always evaluated on a single branch
 per quadrature point, and they are graded toward the surface, where
 d^(2*alpha) is singular.  The height boxes of these cells are found once
-per call, and the rule is built on blocks of consecutive boxes, as many as a
-plain rule with the same points per piece fits in ``BATCH_POINTS``.  There
-the FE function is evaluated in runs of whole lines: the face axes once per
-line of the rule, the height axis per point.  The exact solution's batched
-``values(points, side)`` and ``gradients(points, side)`` are called once per
-block or run on its (n, dim) point array; the per-point arithmetic works on
-one contiguous column per coordinate or component.
+per call; their lines and pieces are built on blocks of consecutive boxes,
+as many as a plain rule with the same points per piece fits in
+``BATCH_POINTS``, and the points of the pieces only per run of whole lines
+of at most ``BATCH_POINTS`` points.  On a run the FE function is evaluated
+on the face axes once per line, on the height axis per point.  The exact
+solution's batched ``values(points, side)`` and ``gradients(points,
+side)`` are called once per block or run on its (n, dim) point array; the
+per-point arithmetic works on one contiguous column per coordinate or
+component.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from .geometry import _length, _offsets
 from .mesh import _check_dim
-from .quadrature import gauss_rule, _height_boxes, _line_rule, _unpermute
+from .quadrature import (HEIGHT_GRADING, gauss_rule, _height_boxes, _height_lines,
+                         _height_points, _piece_points, _pieces, _unpermute)
 from .space import FeSpace, _coefficients, _line_sum_factorised
 
 
@@ -35,11 +38,9 @@ from .space import FeSpace, _coefficients, _line_sum_factorised
 #: cells near the surface take twice degree + EXTRA_POINTS per piece
 EXTRA_POINTS = 3
 #: points per block of the error pass away from the surface and per run of
-#: whole lines near it, which bounds the arrays of the FE and exact
-#: evaluations; near it the height-function rule is built for
-#: BATCH_POINTS // (points per piece)^dim height boxes at a time, so a
-#: block's rule exceeds BATCH_POINTS only by the pieces its lines are split
-#: into, not by the boxes of the level
+#: whole lines near it (or one line), which bounds every per-point array of
+#: the pass; near it the lines and pieces of the height-function rule are
+#: built for BATCH_POINTS // (points per piece)^dim height boxes at a time
 BATCH_POINTS = 32768
 
 
@@ -137,12 +138,13 @@ def _cell_batches(space: FeSpace, interface, rule, cells):
     of their centre; ``dofs`` holds the cells' dof rows and ``lines`` is None.
     The other cells carry the height-function rule with twice the rule's
     points per piece, as its grading triples the degree of a polynomial
-    integrand.  Their height boxes and dof rows are found once, and the rule
-    is built for as many consecutive boxes at a time as a plain rule with
-    that many points fits in ``BATCH_POINTS``, so a cell's boxes may fall into
-    two blocks; it is handed on in runs of whole lines of at most
-    ``BATCH_POINTS`` points (or one line); ``dofs`` holds the dof row of each
-    line's cell and ``lines`` the other ``_line_sum_factorised`` arguments.
+    integrand.  Their height boxes and dof rows are found once; the lines and
+    pieces of the rule are built for as many consecutive boxes at a time as
+    a plain rule with that many points fits in ``BATCH_POINTS``, so a cell's
+    boxes may fall into two blocks, and the points only for each run of
+    whole lines of at most ``BATCH_POINTS`` points (or one line) that is
+    handed on; ``dofs`` holds the dof row of each line's cell and ``lines``
+    the other ``_line_sum_factorised`` arguments.
     """
     mesh = space.mesh
     if cells is None:
@@ -173,21 +175,27 @@ def _cell_batches(space: FeSpace, interface, rule, cells):
     points = 2 * rule.points_per_axis
     step = max(1, BATCH_POINTS // points ** mesh.dim)
     for start in range(0, boxes[0].size, step):
-        parent, frame, x, line, t, w, sides = _line_rule(
-            tuple(b[start:start + step] for b in boxes), interface, points)
+        parent, frame, x, w, a, b, roots = _height_lines(
+            tuple(f[start:start + step] for f in boxes), interface, points)
+        pieces = _pieces(a, b, roots.T, np.ones(2, dtype=bool))
         line_lows = np.take_along_axis(lows[parent], frame, axis=1)
         face_ref = (x - line_lows[:, :-1]) / mesh.edge
-        # the first point of every line, and one past the last
-        bounds = np.searchsorted(line, np.arange(parent.size + 1))
+        height_lows = np.ascontiguousarray(line_lows[:, -1])
+        # the first piece of every line, and one past the last; the points
+        # of a line follow from its pieces
+        first_piece = np.searchsorted(pieces[0], np.arange(parent.size + 1))
+        bounds = points * first_piece
         first = 0
         while first < parent.size:
             last = max(first + 1, np.searchsorted(bounds, bounds[first] + BATCH_POINTS,
                                                   side="right") - 1)
-            part, lines = slice(bounds[first], bounds[last]), slice(first, last)
-            on = line[part] - first
-            t_ref = (t[part] - line_lows[line[part], -1]) / mesh.edge
-            yield (dofs[parent[lines]], _unpermute(x[lines], frame[lines], on, t[part]),
-                   w[part], sides[part], (frame[lines], face_ref[lines], on, t_ref))
+            run, lines = slice(first_piece[first], first_piece[last]), slice(first, last)
+            line, t, wt, sides = _height_points(
+                w, roots, *_piece_points(*(p[run] for p in pieces), points, HEIGHT_GRADING))
+            on = line - first
+            t_ref = (t - height_lows[line]) / mesh.edge
+            yield (dofs[parent[lines]], _unpermute(x[lines], frame[lines], on, t),
+                   wt, sides, (frame[lines], face_ref[lines], on, t_ref))
             first = last
 
 
@@ -299,12 +307,15 @@ def eoc(errors) -> list:
 
     The mesh sizes must halve exactly from one entry to the next; the rate
     between levels k-1 and k is log2(e_{k-1} / e_k), or None when either
-    error vanishes.  A negative or non-finite error raises ValueError."""
+    error vanishes.  A mesh size that is not finite and positive, or an
+    error that is negative or not finite, raises ValueError."""
     pairs = list(errors)
     if len(pairs) < 1:
         raise ValueError("need at least one (h, error) pair")
     hs = [float(h) for h, _ in pairs]
     es = [float(e) for _, e in pairs]
+    if not all(0.0 < h < math.inf for h in hs):
+        raise ValueError(f"mesh sizes must be finite and positive, got {hs}")
     if not all(0.0 <= e < math.inf for e in es):
         raise ValueError(f"errors must be finite and non-negative, got {es}")
     for coarse, fine in zip(hs[:-1], hs[1:]):

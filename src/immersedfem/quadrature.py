@@ -13,10 +13,15 @@ level splits its lines at the roots and grades the Gauss points of a piece
 toward the roots that end it or lie within one piece length beyond it, which
 resolves the weights d^(2 alpha) and the square roots where roots merge.  The
 surface rule takes the sphere's roots on the lines of the same face rule.
+Every level runs in two stages: the pieces of its lines (``_pieces``), then
+the Gauss points of the pieces (``_piece_points``), which also takes any
+slice of them, so the points of the height level can be made a run of
+lines at a time.  Gauss-Legendre nodes are computed once per size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +39,20 @@ FACE_GRADING = 2
 
 
 def gauss_points_1d(n: int):
-    """Gauss-Legendre nodes/weights on [0, 1]; weights sum to one."""
-    if n < 1:
-        raise ValueError(f"need at least one point, got {n}")
+    """Gauss-Legendre nodes/weights on [0, 1]; weights sum to one.  Both
+    arrays are read-only and computed once per ``n``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"need an integer number of points >= 1, got {n!r}")
+    return _gauss_legendre(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for x in rule:
+        x.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -105,13 +119,27 @@ def _line_rule(boxes, interface, points):
     """``split_cut_cell`` per line on the height boxes ``boxes`` of
     ``_height_boxes``: per line the cell row of its box, the frame (the
     physical axis of each frame axis, height last) and the face coordinates
-    in frame order; and per point, by line: line, height t, weight, side."""
+    in frame order; and per point, by line: line, height t, weight, side.
+    ``_height_lines`` and ``_height_points`` over every piece."""
+    parent, frame, x, w, a, b, roots = _height_lines(boxes, interface, points)
+    rule = _gauss_pieces(a, b, roots.T, np.ones(2, dtype=bool), points, HEIGHT_GRADING)
+    return (parent, frame, x) + _height_points(w, roots, *rule)
+
+
+def _height_lines(boxes, interface, points):
+    """The lines of ``_line_rule`` on ``boxes``: per line the cell row of its
+    box, the frame, the face coordinates and weight, the height range [a, b]
+    and the sphere's roots on it, one contiguous row per root (2, lines)."""
     parent, frame, x, w, a, b, ck, root = _face_rules(boxes, interface, points, weighted=True)
-    roots = np.column_stack([ck - root, ck + root])
-    line, t, wt, mid = _gauss_pieces(a, b, roots, np.ones(2, dtype=bool), points,
-                                     HEIGHT_GRADING)
-    inside = (roots[line, 0] < mid) & (mid < roots[line, 1])
-    return parent, frame, x, line, t, w[line] * wt, np.where(inside, -1, 1)
+    return parent, frame, x, w, a, b, np.stack([ck - root, ck + root])
+
+
+def _height_points(w, roots, line, t, wt, mid):
+    """Per point of height pieces, from the ``(line, t, wt, mid)`` of
+    ``_piece_points`` on lines of face weight ``w`` and roots ``roots`` of
+    ``_height_lines``: line, height t, weight and side (-1 inside, +1 out)."""
+    inside = (roots[0][line] < mid) & (mid < roots[1][line])
+    return line, t, w[line] * wt, np.where(inside, -1, 1)
 
 
 def surface_rule(cell_low, cell_size: float, interface, points: int):
@@ -216,13 +244,20 @@ def _height_boxes(cell_low, cell_size, interface):
 
 
 def _gauss_pieces(lo, hi, roots, graded, points, power):
-    """Gauss points on the lines [lo, hi] split at their roots.
+    """Gauss points on the lines [lo, hi] split at their roots: the points
+    of ``_piece_points`` on every piece of ``_pieces``."""
+    return _piece_points(*_pieces(lo, hi, roots, graded), points, power)
+
+
+def _pieces(lo, hi, roots, graded):
+    """The pieces of the lines [lo, hi] split at their roots.
 
     ``roots`` (m, K) holds the candidate roots of each line, NaN where absent.
     A piece is graded toward the nearest root of the columns ``graded`` (K,)
     at or within one piece length beyond each of its ends; a piece graded at
-    both ends is halved first, and grading uses ``power``.  Returns line,
-    coordinate, weight and the midpoint of the point's piece.
+    both ends is halved first.  Returns per piece, line by line and in order
+    along each line: line, start, end and anchor, the root it is graded
+    toward (infinite for an ungraded piece).
     """
     m = lo.shape[0]
     inner = np.where((roots > lo[:, None]) & (roots < hi[:, None]), roots, hi[:, None])
@@ -251,8 +286,14 @@ def _gauss_pieces(lo, hi, roots, graded, points, power):
     # the kept halves line by line, then piece by piece
     line, row = np.divmod(np.flatnonzero(keep.T), keep.shape[0])
     at = row * m + line
-    start, end, anchor = (x.reshape(-1)[at] for x in (starts, ends, anchors))
+    return (line,) + tuple(x.reshape(-1)[at] for x in (starts, ends, anchors))
 
+
+def _piece_points(line, start, end, anchor, points, power):
+    """``points`` Gauss points on each of the pieces ``(line, start, end,
+    anchor)`` of ``_pieces``, or of any slice of them, graded toward the
+    anchor with ``power``.  Returns per point, piece by piece: line,
+    coordinate, weight and the midpoint of the point's piece."""
     xi, omega = gauss_points_1d(points)
     n = xi.size
     t, w = np.empty((start.size, n)), np.empty((start.size, n))

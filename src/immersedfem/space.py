@@ -105,14 +105,16 @@ def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
     # (gradient in physical axes, line, node): physical axis k is frame axis
     # argsort(frame)[k]
     grads = np.take_along_axis(np.stack(grads), np.argsort(frame, axis=1).T[:, :, None], axis=0)
+    # (component, node, line): every node's coefficients are one contiguous row
+    polys = np.stack([value, *grads]).transpose(0, 2, 1).copy()
     vals, _ = _lagrange_1d(degree, t_ref)
-    # per point, one row per component and one gathered column per node: the
+    # per point, one row per component and one gathered row per node: the
     # (n, dim) gradients are a transposed view
     total = np.empty((dim + 1, line.size))
-    for poly, out in zip([value, *grads], total):
-        np.multiply(poly[line, 0], vals[:, 0], out=out)
+    for poly, out in zip(polys, total):
+        np.multiply(poly[0][line], vals[:, 0], out=out)
         for a in range(1, p):
-            out += poly[line, a] * vals[:, a]
+            out += poly[a][line] * vals[:, a]
     return total[0], total[1:].T
 
 

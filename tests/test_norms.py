@@ -415,6 +415,15 @@ class TestEoc:
             with pytest.raises(ValueError, match="finite and non-negative"):
                 eoc(errors)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_positive_or_non_finite_mesh_sizes(self, bad):
+        # NaN, inf and 0 passed the halving check, and -1 failed it with a
+        # misleading message
+        for errors in ([(bad, 0.4), (0.5, 0.1)], [(1.0, 0.4), (bad, 0.1)],
+                       [(bad, 0.4), (0.5 * bad, 0.1)]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                eoc(errors)
+
     def test_rejects_non_halving(self):
         with pytest.raises(ValueError):
             eoc([(0.5, 0.4), (0.3, 0.1)])
@@ -537,20 +546,64 @@ class TestNearBlocks:
     ALPHAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.49)
 
     def test_blocks_of_boxes_cover_the_level(self, monkeypatch):
+        # the boxes are found once; every block's pieces are made once, and
+        # each call for points gets a run of whole lines holding at most
+        # BATCH_POINTS points or one line
         space = FeSpace(build_uniform_mesh(3, 4), 1)
-        built, blocks = [], []
-        height_boxes, line_rule = norms._height_boxes, norms._line_rule
+        built, blocks, tables, runs = [], [], [], []
+        height_boxes, height_lines = norms._height_boxes, norms._height_lines
+        pieces, piece_points = norms._pieces, norms._piece_points
         monkeypatch.setattr(norms, "_height_boxes",
                             lambda *args: built.append(height_boxes(*args)) or built[-1])
-        monkeypatch.setattr(norms, "_line_rule",
-                            lambda boxes, *args: blocks.append(boxes) or line_rule(boxes, *args))
+        monkeypatch.setattr(norms, "_height_lines",
+                            lambda boxes, *args: blocks.append(boxes) or height_lines(boxes, *args))
+        monkeypatch.setattr(norms, "_pieces",
+                            lambda *args: tables.append(pieces(*args)) or tables[-1])
+        monkeypatch.setattr(norms, "_piece_points",
+                            lambda *args: runs.append((len(tables), args[:4])) or piece_points(*args))
         weighted_errors(space, np.zeros(space.n_dofs), reference_solution(self.SPHERE),
                         self.SPHERE, self.ALPHAS)
-        step = norms.BATCH_POINTS // (2 * (space.degree + norms.EXTRA_POINTS)) ** 3
+        points = 2 * (space.degree + norms.EXTRA_POINTS)
+        step = norms.BATCH_POINTS // points ** 3
         assert len(built) == 1
         assert len(blocks) > 1 and all(block[0].size <= step for block in blocks)
         for whole, parts in zip(built[0], zip(*blocks)):
             assert np.array_equal(whole, np.concatenate(parts))
+        assert len(tables) == len(blocks) and len(runs) > len(blocks)
+        for block, table in enumerate(tables, start=1):
+            mine = [run for at, run in runs if at == block]
+            for line, *_ in mine:
+                assert line.size * points <= norms.BATCH_POINTS or np.unique(line).size == 1
+            for column, parts in zip(table, zip(*mine)):
+                assert np.array_equal(column, np.concatenate(parts))
+        # the blocks' pieces in order are those of the level at once
+        _, _, _, _, a, b, roots = quadrature._height_lines(built[0], self.SPHERE, points)
+        level = quadrature._pieces(a, b, roots.T, np.ones(2, dtype=bool))
+        for column, parts in zip(level[1:], zip(*(table[1:] for table in tables))):
+            assert np.array_equal(column, np.concatenate(parts))
+
+    @pytest.mark.parametrize("dim, n, batch", [(2, 128, None), (2, 16, 512), (3, 4, None),
+                                               (3, 6, 4096)])
+    def test_runs_are_the_line_rule(self, dim, n, batch, monkeypatch):
+        # the near points, weights and sides of every run, concatenated, are
+        # those of the height-function rule built on all near cells at once
+        if batch is not None:
+            monkeypatch.setattr(norms, "BATCH_POINTS", batch)
+        interface = SphericalInterface((0.3,) * dim, 0.2)
+        space = FeSpace(build_uniform_mesh(dim, n), 1)
+        mesh = space.mesh
+        rule = gauss_rule(dim, space.degree + norms.EXTRA_POINTS)
+        near_runs = [run for run in norms._cell_batches(space, interface, rule, None)
+                     if run[4] is not None]
+        assert len(near_runs) > 1
+        pts, w, sides = (np.concatenate(column) for column in list(zip(*near_runs))[1:4])
+        lows = mesh.cell_lows(np.arange(mesh.n_cells))
+        d_min, _ = interface.distance_range_over_box(lows, lows + mesh.edge)
+        _, want_pts, want_w, want_sides = split_cut_cell(lows[d_min <= mesh.edge], mesh.edge,
+                                                         interface, 2 * rule.points_per_axis)
+        assert bitwise_equal(pts, want_pts)
+        assert bitwise_equal(w, want_w)
+        assert np.array_equal(sides, want_sides)
 
     @pytest.mark.parametrize("dim, degree, n", [(3, 1, 4), (2, 2, 16)])
     def test_errors_do_not_depend_on_the_batch_bound(self, dim, degree, n, monkeypatch):
@@ -584,8 +637,17 @@ class TestNearBlocks:
 
     def test_peak_memory_3d(self):
         # numpy reports its arrays to tracemalloc; a rule built on every
-        # near cell of the level at once peaks at about 85 MiB here
-        space = FeSpace(build_uniform_mesh(3, 4), 1)
+        # near cell of the level at once peaks at about 85 MiB here, one
+        # built per block of boxes at 36.8 MiB, and one made per run of
+        # lines at 16.5 MiB
+        assert self.peak_of_a_pass(4) < 25 * 2 ** 20
+
+    def test_peak_memory_3d_fine(self):
+        # 22.4 MiB with the rule built per block of boxes, 11.4 MiB per run
+        assert self.peak_of_a_pass(16) < 17 * 2 ** 20
+
+    def peak_of_a_pass(self, n):
+        space = FeSpace(build_uniform_mesh(3, n), 1)
         coeffs = np.zeros(space.n_dofs)
         exact = reference_solution(self.SPHERE)
         tracemalloc.start()
@@ -594,7 +656,7 @@ class TestNearBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2 ** 20
+        return peak
 
     def test_peak_memory_2d_level(self):
         # the surface rule and the error pass of study2d's finest level peak

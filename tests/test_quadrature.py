@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bitwise_equal
-from immersedfem import (SphericalInterface, build_uniform_mesh, gauss_rule,
-                         immersed_quadrature, split_cut_cell)
+from immersedfem import (SphericalInterface, StudyConfig, build_uniform_mesh, gauss_rule,
+                         immersed_quadrature, run_study, split_cut_cell)
 from immersedfem import geometry, quadrature
 from immersedfem.quadrature import surface_rule
 
@@ -68,6 +68,37 @@ def test_rejects_bad_arguments():
         gauss_rule(2, 0)
     with pytest.raises(ValueError):
         split_cut_cell((0.0, 0.0), 0.25, CIRCLE, 0)
+
+
+class TestGaussPoints1d:
+    def test_nodes_computed_once_per_size(self, monkeypatch):
+        # a two-level 3D study: the tensor, piece and surface rules and the
+        # solver's 1D factors ask for the same few sizes many times over
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        quadrature._gauss_legendre.cache_clear()
+        try:
+            run_study(StudyConfig(dim=3, min_exp=2, max_exp=3))
+        finally:
+            quadrature._gauss_legendre.cache_clear()
+        assert len(calls) > 1 and len(calls) == len(set(calls))
+
+    def test_arrays_are_read_only(self):
+        for n in (1, 4, 8):
+            x, w = quadrature.gauss_points_1d(n)
+            assert x is quadrature.gauss_points_1d(np.int64(n))[0]
+            for array in (x, w):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, 3.0, True, False, "3", None])
+    def test_rejects_bad_sizes(self, bad):
+        # 2.5 raised numpy's TypeError and True gave the one-point rule
+        with pytest.raises(ValueError, match="integer number of points"):
+            quadrature.gauss_points_1d(bad)
 
 
 def inside_measure(pts, w, interface):
