@@ -7,9 +7,9 @@ from .geometry import InterfaceQuadrature, SphericalInterface, immersed_quadratu
 from .mesh import Mesh, build_uniform_mesh, classify_cells
 from .norms import (ConvergenceRecord, RadialSolution, discrete_norm, eoc,
                     layer_source_strength, reference_solution, weighted_errors)
-from .quadrature import CellQuadrature, gauss_rule, split_cut_cell
+from .quadrature import CellQuadrature, gauss_rule
 from .solver import solve
-from .space import FeSpace, interpolate, interpolate_outside_layer, shape_eval
+from .space import FeSpace, interpolate, interpolate_outside_layer
 from .study import (ConfigError, StudyConfig, StudyError, emit_table, run_study)
 
 __version__ = "0.1.0"
@@ -18,7 +18,7 @@ __all__ = [
     "assemble_interface_load", "InterfaceQuadrature", "SphericalInterface",
     "immersed_quadrature", "Mesh", "build_uniform_mesh", "classify_cells",
     "ConvergenceRecord", "RadialSolution", "discrete_norm", "eoc", "layer_source_strength",
-    "reference_solution", "weighted_errors", "CellQuadrature", "gauss_rule", "split_cut_cell",
-    "solve", "FeSpace", "interpolate", "interpolate_outside_layer", "shape_eval",
+    "reference_solution", "weighted_errors", "CellQuadrature", "gauss_rule",
+    "solve", "FeSpace", "interpolate", "interpolate_outside_layer",
     "ConfigError", "StudyConfig", "StudyError", "emit_table", "run_study",
 ]

@@ -62,13 +62,6 @@ class SphericalInterface:
                 f"(distance {gap:.3e})"
             )
 
-    @property
-    def measure(self) -> float:
-        """Length of the circle / area of the sphere."""
-        if self.dim == 2:
-            return 2.0 * math.pi * self.radius
-        return 4.0 * math.pi * self.radius**2
-
     def boundary_gap(self) -> float:
         """Distance between the surface and the boundary of the unit box."""
         gap = math.inf
@@ -144,13 +137,6 @@ class InterfaceQuadrature:
     points: np.ndarray      # (n, dim), on the surface
     weights: np.ndarray     # (n,), positive
     owner_cell: np.ndarray  # (n,), cell ids of the background mesh
-
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
-    def weight_per_cell(self, n_cells: int) -> np.ndarray:
-        """Sum of weights per owner cell (approximates |K ∩ surface|)."""
-        return np.bincount(self.owner_cell, weights=self.weights, minlength=n_cells)
 
 
 def immersed_quadrature(interface: SphericalInterface, mesh) -> InterfaceQuadrature:

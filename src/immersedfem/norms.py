@@ -4,20 +4,16 @@ The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
 to the interface.  Cells farther than one cell width from the interface carry
 one tensor rule of degree + EXTRA_POINTS points per axis, on which the shape
 functions are tabulated once.  Every other cell carries the height-function
-rule line by line (``quadrature._line_rule``, the lines of
-``split_cut_cell``): its pieces never cross the surface and carry a side
-tag, so the piecewise exact solution is always evaluated on a single branch
-per quadrature point, and they are graded toward the surface, where
-d^(2*alpha) is singular.  The height boxes of these cells are found once
-per call; their lines and pieces are built on blocks of consecutive boxes,
-as many as a plain rule with the same points per piece fits in
-``BATCH_POINTS``, and the points of the pieces only per run of whole lines
-of at most ``BATCH_POINTS`` points.  On a run the FE function is evaluated
-on the face axes once per line, on the height axis per point.  The exact
-solution's batched ``values(points, side)`` and ``gradients(points,
-side)`` are called once per block or run on its (n, dim) point array; the
-per-point arithmetic works on one contiguous column per coordinate or
-component.
+rule line by line, one run of whole lines of at most ``BATCH_POINTS`` points
+at a time (``quadrature._near_runs``): its pieces never cross the surface
+and carry a side tag, so the piecewise exact solution is always evaluated
+on a single branch per quadrature point, and they are graded toward the
+surface, where d^(2*alpha) is singular.  On a run the FE function is
+evaluated on the face axes once per line, on the height axis per point.
+The exact solution's batched ``values(points, side)`` and
+``gradients(points, side)`` are called once per block or run on its (n, dim)
+point array; the per-point arithmetic works on one contiguous column per
+coordinate or component.
 """
 
 from __future__ import annotations
@@ -29,8 +25,7 @@ import numpy as np
 
 from .geometry import _length, _offsets
 from .mesh import _check_dim
-from .quadrature import (HEIGHT_GRADING, gauss_rule, _height_boxes, _height_lines,
-                         _height_points, _piece_points, _pieces, _unpermute)
+from .quadrature import gauss_rule, _near_runs
 from .space import FeSpace, _coefficients, _line_sum_factorised
 
 
@@ -138,13 +133,10 @@ def _cell_batches(space: FeSpace, interface, rule, cells):
     of their centre; ``dofs`` holds the cells' dof rows and ``lines`` is None.
     The other cells carry the height-function rule with twice the rule's
     points per piece, as its grading triples the degree of a polynomial
-    integrand.  Their height boxes and dof rows are found once; the lines and
-    pieces of the rule are built for as many consecutive boxes at a time as
-    a plain rule with that many points fits in ``BATCH_POINTS``, so a cell's
-    boxes may fall into two blocks, and the points only for each run of
-    whole lines of at most ``BATCH_POINTS`` points (or one line) that is
-    handed on; ``dofs`` holds the dof row of each line's cell and ``lines``
-    the other ``_line_sum_factorised`` arguments.
+    integrand, one run of whole lines of at most ``BATCH_POINTS`` points (or
+    one line) at a time (``quadrature._near_runs``); ``dofs`` holds the dof
+    row of each line's cell and ``lines`` the other ``_line_sum_factorised``
+    arguments.
     """
     mesh = space.mesh
     if cells is None:
@@ -170,33 +162,10 @@ def _cell_batches(space: FeSpace, interface, rule, cells):
         pts, w = rule.on_boxes(block_lows, mesh.edge)
         sides = np.repeat(interface.side(block_lows + 0.5 * mesh.edge), rule.n_points)
         yield space.cell_dofs(block), pts, w, sides, None
-    lows, dofs = lows[is_near], space.cell_dofs(near)
-    boxes = _height_boxes(lows, mesh.edge, interface)
-    points = 2 * rule.points_per_axis
-    step = max(1, BATCH_POINTS // points ** mesh.dim)
-    for start in range(0, boxes[0].size, step):
-        parent, frame, x, w, a, b, roots = _height_lines(
-            tuple(f[start:start + step] for f in boxes), interface, points)
-        pieces = _pieces(a, b, roots.T, np.ones(2, dtype=bool))
-        line_lows = np.take_along_axis(lows[parent], frame, axis=1)
-        face_ref = (x - line_lows[:, :-1]) / mesh.edge
-        height_lows = np.ascontiguousarray(line_lows[:, -1])
-        # the first piece of every line, and one past the last; the points
-        # of a line follow from its pieces
-        first_piece = np.searchsorted(pieces[0], np.arange(parent.size + 1))
-        bounds = points * first_piece
-        first = 0
-        while first < parent.size:
-            last = max(first + 1, np.searchsorted(bounds, bounds[first] + BATCH_POINTS,
-                                                  side="right") - 1)
-            run, lines = slice(first_piece[first], first_piece[last]), slice(first, last)
-            line, t, wt, sides = _height_points(
-                w, roots, *_piece_points(*(p[run] for p in pieces), points, HEIGHT_GRADING))
-            on = line - first
-            t_ref = (t - height_lows[line]) / mesh.edge
-            yield (dofs[parent[lines]], _unpermute(x[lines], frame[lines], on, t),
-                   wt, sides, (frame[lines], face_ref[lines], on, t_ref))
-            first = last
+    dofs = space.cell_dofs(near)
+    for rows, pts, w, sides, lines in _near_runs(lows[is_near], mesh.edge, interface,
+                                                 2 * rule.points_per_axis, BATCH_POINTS):
+        yield dofs[rows], pts, w, sides, lines
 
 
 def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=None) -> dict:

@@ -15,8 +15,10 @@ resolves the weights d^(2 alpha) and the square roots where roots merge.  The
 surface rule takes the sphere's roots on the lines of the same face rule.
 Every level runs in two stages: the pieces of its lines (``_pieces``), then
 the Gauss points of the pieces (``_piece_points``), which also takes any
-slice of them, so the points of the height level can be made a run of
-lines at a time.  Gauss-Legendre nodes are computed once per size.
+slice of them.  The volume rule (``_near_runs``) builds the lines and pieces
+for blocks of height boxes and the points of the height level one run of
+whole lines at a time, so that no per-point array exceeds a given bound.
+Gauss-Legendre nodes are computed once per size.
 """
 
 from __future__ import annotations
@@ -99,55 +101,62 @@ def gauss_rule(dim: int, points_per_axis: int) -> CellQuadrature:
                           points=points, weights=weights)
 
 
-def split_cut_cell(cell_low, cell_size: float, interface, points: int):
-    """Volume rule with ``points`` Gauss points per piece on cells of edge
-    ``cell_size`` near ``interface``.
+def _near_runs(lows, size: float, interface, points: int, batch_points: int):
+    """The volume rule with ``points`` Gauss points per piece on the cells
+    ``low + size [0, 1]^dim`` of ``lows`` (m, dim), one run of whole lines at
+    a time.
 
-    ``cell_low`` is the low corner of one cell, shape (dim,), or of m >= 0
-    cells, shape (m, dim).  Returns ``(parent, pts, weights, sides)``: the
-    row of ``cell_low`` of each point (ascending), the points, their weights
-    and their side of the surface (-1 inside, +1 outside).  No piece crosses
-    the surface, and from two points on the weights of a cell add up to its
-    volume.
+    The height boxes of the cells are found once.  The lines and pieces are
+    built for as many consecutive boxes at a time as a plain rule with
+    ``points`` per axis fits in ``batch_points``, so a cell's boxes may fall
+    into two blocks; the points only for each run of whole lines of at most
+    ``batch_points`` points (or one line).  No piece crosses the surface, and
+    the weights of a cell add up to its volume from two points on.  Yields
+    per run ``(rows, pts, weights, sides, lines)``: the row of ``lows`` of
+    each line's cell; per point, line by line, the point, its weight and its
+    side (-1 inside, +1 outside); and ``lines = (frame, face_ref, line,
+    t_ref)``: per line the frame (the physical axis of each frame axis,
+    height last) and the reference coordinates of its face axes, per point
+    its line in the run and its reference height.
     """
-    boxes = _height_boxes(cell_low, cell_size, interface)
-    parent, frame, x, line, t, w, sides = _line_rule(boxes, interface, points)
-    return parent[line], _unpermute(x, frame, line, t), w, sides
-
-
-def _line_rule(boxes, interface, points):
-    """``split_cut_cell`` per line on the height boxes ``boxes`` of
-    ``_height_boxes``: per line the cell row of its box, the frame (the
-    physical axis of each frame axis, height last) and the face coordinates
-    in frame order; and per point, by line: line, height t, weight, side.
-    ``_height_lines`` and ``_height_points`` over every piece."""
-    parent, frame, x, w, a, b, roots = _height_lines(boxes, interface, points)
-    rule = _gauss_pieces(a, b, roots.T, np.ones(2, dtype=bool), points, HEIGHT_GRADING)
-    return (parent, frame, x) + _height_points(w, roots, *rule)
-
-
-def _height_lines(boxes, interface, points):
-    """The lines of ``_line_rule`` on ``boxes``: per line the cell row of its
-    box, the frame, the face coordinates and weight, the height range [a, b]
-    and the sphere's roots on it, one contiguous row per root (2, lines)."""
-    parent, frame, x, w, a, b, ck, root = _face_rules(boxes, interface, points, weighted=True)
-    return parent, frame, x, w, a, b, np.stack([ck - root, ck + root])
-
-
-def _height_points(w, roots, line, t, wt, mid):
-    """Per point of height pieces, from the ``(line, t, wt, mid)`` of
-    ``_piece_points`` on lines of face weight ``w`` and roots ``roots`` of
-    ``_height_lines``: line, height t, weight and side (-1 inside, +1 out)."""
-    inside = (roots[0][line] < mid) & (mid < roots[1][line])
-    return line, t, w[line] * wt, np.where(inside, -1, 1)
+    boxes = _height_boxes(lows, size, interface)
+    step = max(1, batch_points // points ** lows.shape[1])
+    for start in range(0, boxes[0].size, step):
+        parent, frame, x, w, a, b, ck, root = _face_rules(
+            tuple(f[start:start + step] for f in boxes), interface, points, weighted=True)
+        # one contiguous row per root
+        roots = np.stack([ck - root, ck + root])
+        pieces = _pieces(a, b, roots.T, np.ones(2, dtype=bool))
+        line_lows = np.take_along_axis(lows[parent], frame, axis=1)
+        face_ref = (x - line_lows[:, :-1]) / size
+        height_lows = np.ascontiguousarray(line_lows[:, -1])
+        # the first piece of every line, and one past the last; the points
+        # of a line follow from its pieces
+        first_piece = np.searchsorted(pieces[0], np.arange(parent.size + 1))
+        bounds = points * first_piece
+        first = 0
+        while first < parent.size:
+            last = max(first + 1, np.searchsorted(bounds, bounds[first] + batch_points,
+                                                  side="right") - 1)
+            run, lines = slice(first_piece[first], first_piece[last]), slice(first, last)
+            line, t, wt, mid = _piece_points(*(p[run] for p in pieces), points, HEIGHT_GRADING)
+            inside = (roots[0][line] < mid) & (mid < roots[1][line])
+            on = line - first
+            t_ref = (t - height_lows[line]) / size
+            yield (parent[lines], _unpermute(x[lines], frame[lines], on, t), w[line] * wt,
+                   np.where(inside, -1, 1), (frame[lines], face_ref[lines], on, t_ref))
+            first = last
 
 
 def surface_rule(cell_low, cell_size: float, interface, points: int):
     """Surface rule on the part of ``interface`` inside the given cells.
 
-    Same arguments as ``split_cut_cell``; returns ``(parent, pts, weights)``.
-    The points are the sphere's roots t* in [low, high) of the height axis on
-    the lines of the face rule, weighted by the surface Jacobian R / |t* - c_k|.
+    ``cell_low`` is the low corner of one cell, shape (dim,), or of m >= 0
+    cells, shape (m, dim), each of edge ``cell_size``; returns ``(parent,
+    pts, weights)``, the row of ``cell_low`` of each point (ascending), the
+    points and their weights.  The points are the sphere's roots t* in [low,
+    high) of the height axis on the lines of the face rule with ``points``
+    Gauss points per piece, weighted by the surface Jacobian R / |t* - c_k|.
     """
     boxes = _height_boxes(cell_low, cell_size, interface)
     parent, frame, x, w, a, b, ck, root = _face_rules(boxes, interface, points, weighted=False)
@@ -176,8 +185,6 @@ def _face_rules(boxes, interface, points, weighted):
     axis), the face coordinates x and weight, the height range [a, b], the
     centre's height coordinate c_k and the sphere's half chord |t* - c_k|.
     """
-    if points < 1:
-        raise ValueError(f"need at least one point per piece, got {points}")
     parent, lows, sizes, axis = boxes
     dim = lows.shape[1]
     others = np.array([[j for j in range(dim) if j != k] for k in range(dim)], dtype=int)
@@ -211,7 +218,7 @@ def _face_rules(boxes, interface, points, weighted):
 def _height_boxes(cell_low, cell_size, interface):
     """Boxes with a height axis covering the cells ``low + size [0, 1]^dim``.
 
-    ``cell_low`` is as in ``split_cut_cell``, possibly with no cell.  On a
+    ``cell_low`` is as in ``surface_rule``, possibly with no cell.  On a
     box, |n_k| >= min|x_k - c_k| / sqrt(min|x_k - c_k|^2 + max|x' - c'|^2)
     exactly, since the two extrema are taken over independent coordinates.
     The axis with the largest bound is taken; cut boxes whose bound stays

@@ -43,35 +43,6 @@ def _lagrange_1d(degree: int, x: np.ndarray):
     return np.moveaxis(product(others) / denom, 0, -1), np.moveaxis(derivs / denom, 0, -1)
 
 
-def shape_eval(degree: int, ref_points):
-    """Shape function values and reference gradients at points in [0,1]^dim.
-
-    The basis is the tensor product of 1D Lagrange polynomials on equispaced
-    nodes, ordered lexicographically with the first axis fastest; values sum
-    to one and gradients sum to zero at every point.  Both are products of 1D
-    tables gathered per local dof: values multiply the axes in ascending
-    order, and the gradient along axis k takes the derivative factor first,
-    then the other axes in ascending order.
-    """
-    ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
-    dim = ref_points.shape[-1]
-    local = _lattice(degree + 1, dim).astype(int)  # (n_loc, dim), first axis fastest
-    vals, ders = zip(*(_lagrange_1d(degree, ref_points[..., k]) for k in range(dim)))
-    tables = [vals[k][..., local[:, k]] for k in range(dim)]
-    # C order: the layout decides how BLAS sums the products callers form
-    values = np.ones(ref_points.shape[:-1] + (local.shape[0],))
-    for table in tables:
-        values *= table
-    grads = np.empty(values.shape + (dim,))
-    for k in range(dim):
-        g = ders[k][..., local[:, k]]
-        for other in range(dim):
-            if other != k:
-                g = g * tables[other]
-        grads[..., k] = g
-    return values, grads
-
-
 def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
     """Values and reference gradients of FE functions at points on lines.
 
@@ -123,7 +94,7 @@ class FeSpace:
 
     Dof coordinates form the lattice with spacing 1/(degree * n), and each
     cell has (degree+1)^dim local dofs in the lexicographic order used by
-    ``shape_eval``.  Both are computed from ids (``dof_coords``,
+    ``tabulate``.  Both are computed from ids (``dof_coords``,
     ``cell_dofs``); only the ascending ``boundary_dofs`` are stored.
     """
 
@@ -150,14 +121,35 @@ class FeSpace:
         n = self.degree * self.mesh.cells_per_axis
         return _lattice_index(dofs, n + 1, self.mesh.dim) / n
 
-    def interior_dofs(self) -> np.ndarray:
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.boundary_dofs] = False
-        return np.nonzero(mask)[0]
-
     def tabulate(self, ref_points):
-        """Shape values/gradients of this space at reference points."""
-        return shape_eval(self.degree, ref_points)
+        """Shape function values and reference gradients at points in
+        [0,1]^dim.
+
+        The basis is the tensor product of 1D Lagrange polynomials on
+        equispaced nodes, ordered lexicographically with the first axis
+        fastest; values sum to one and gradients sum to zero at every point.
+        Both are products of 1D tables gathered per local dof: values
+        multiply the axes in ascending order, and the gradient along axis k
+        takes the derivative factor first, then the other axes in ascending
+        order.
+        """
+        ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
+        dim = ref_points.shape[-1]
+        local = _lattice(self.degree + 1, dim).astype(int)  # (n_loc, dim), first axis fastest
+        vals, ders = zip(*(_lagrange_1d(self.degree, ref_points[..., k]) for k in range(dim)))
+        tables = [vals[k][..., local[:, k]] for k in range(dim)]
+        # C order: the layout decides how BLAS sums the products callers form
+        values = np.ones(ref_points.shape[:-1] + (local.shape[0],))
+        for table in tables:
+            values *= table
+        grads = np.empty(values.shape + (dim,))
+        for k in range(dim):
+            g = ders[k][..., local[:, k]]
+            for other in range(dim):
+                if other != k:
+                    g = g * tables[other]
+            grads[..., k] = g
+        return values, grads
 
     def evaluate(self, coeffs, points) -> np.ndarray:
         """FE function values at arbitrary points of the unit box."""

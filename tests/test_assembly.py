@@ -198,7 +198,8 @@ class TestDirichlet:
         load = np.random.default_rng(3).standard_normal(space.n_dofs)
         solution, _ = solve(space, load, lambda x: 0.0)
         assert np.all(solution[space.boundary_dofs] == 0.0)
-        assert np.any(solution[space.interior_dofs()] != 0.0)
+        interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
+        assert np.any(solution[interior] != 0.0)
 
     def test_rejects_non_finite_data(self):
         space = FeSpace(build_uniform_mesh(2, 4), 1)
@@ -213,7 +214,7 @@ class TestDirichlet:
         rng = np.random.default_rng(6)
         space = FeSpace(build_uniform_mesh(2, 6), 2)
         v, w = rng.standard_normal((2, space.n_dofs))
-        interior = space.interior_dofs()
+        interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
         u_v, _ = solve(space, v, lambda x: 0.0)
         u_w, _ = solve(space, w, lambda x: 0.0)
         lhs, rhs = w[interior] @ u_v[interior], v[interior] @ u_w[interior]
@@ -251,7 +252,8 @@ class TestDirichlet:
         tol = 1e-11
         solution, relative_residual = solve(space, load, exact.values)
         assert relative_residual <= tol
-        residual = (stiffness @ solution - load)[space.interior_dofs()]
+        interior = np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
+        residual = (stiffness @ solution - load)[interior]
         scale = np.linalg.norm(rhs)
         for _ in range(10):
             v = rng.standard_normal(residual.shape[0])

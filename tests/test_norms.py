@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import bitwise_equal
 from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh, discrete_norm, eoc,
                          gauss_rule, immersed_quadrature, interpolate, reference_solution,
-                         split_cut_cell, weighted_errors)
+                         weighted_errors)
 from immersedfem import norms, quadrature, space as space_module
+from rules import line_rule, split_cut_cell
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
@@ -505,7 +506,7 @@ class TestNearPathWork:
         d_min, _ = interface.distance_range_over_box(lows, lows + mesh.edge)
         near = np.nonzero(d_min <= mesh.edge)[0]
         boxes = quadrature._height_boxes(lows[near], mesh.edge, interface)
-        rows, _, _, line, _, _, _ = quadrature._line_rule(boxes, interface, 2 * q)
+        rows, _, _, line, _, _, _ = line_rule(boxes, interface, 2 * q)
         coordinates, kernel_calls = [], []
         lagrange, kernel = space_module._lagrange_1d, norms._line_sum_factorised
         monkeypatch.setattr(space_module, "_lagrange_1d",
@@ -551,16 +552,29 @@ class TestNearBlocks:
         # BATCH_POINTS points or one line
         space = FeSpace(build_uniform_mesh(3, 4), 1)
         built, blocks, tables, runs = [], [], [], []
-        height_boxes, height_lines = norms._height_boxes, norms._height_lines
-        pieces, piece_points = norms._pieces, norms._piece_points
-        monkeypatch.setattr(norms, "_height_boxes",
+        height_boxes, face_rules = quadrature._height_boxes, quadrature._face_rules
+        pieces, piece_points = quadrature._pieces, quadrature._piece_points
+        monkeypatch.setattr(quadrature, "_height_boxes",
                             lambda *args: built.append(height_boxes(*args)) or built[-1])
-        monkeypatch.setattr(norms, "_height_lines",
-                            lambda boxes, *args: blocks.append(boxes) or height_lines(boxes, *args))
-        monkeypatch.setattr(norms, "_pieces",
-                            lambda *args: tables.append(pieces(*args)) or tables[-1])
-        monkeypatch.setattr(norms, "_piece_points",
-                            lambda *args: runs.append((len(tables), args[:4])) or piece_points(*args))
+        monkeypatch.setattr(quadrature, "_face_rules",
+                            lambda boxes, *args, **kw: blocks.append(boxes)
+                            or face_rules(boxes, *args, **kw))
+
+        # the face levels split their lines too, at six or more roots with
+        # FACE_GRADING; the height level at the sphere's two with HEIGHT_GRADING
+        def height_pieces(lo, hi, roots, graded):
+            table = pieces(lo, hi, roots, graded)
+            if graded.size == 2:
+                tables.append(table)
+            return table
+
+        def height_points(*args):
+            if args[5] == quadrature.HEIGHT_GRADING:
+                runs.append((len(tables), args[:4]))
+            return piece_points(*args)
+
+        monkeypatch.setattr(quadrature, "_pieces", height_pieces)
+        monkeypatch.setattr(quadrature, "_piece_points", height_points)
         weighted_errors(space, np.zeros(space.n_dofs), reference_solution(self.SPHERE),
                         self.SPHERE, self.ALPHAS)
         points = 2 * (space.degree + norms.EXTRA_POINTS)
@@ -577,8 +591,8 @@ class TestNearBlocks:
             for column, parts in zip(table, zip(*mine)):
                 assert np.array_equal(column, np.concatenate(parts))
         # the blocks' pieces in order are those of the level at once
-        _, _, _, _, a, b, roots = quadrature._height_lines(built[0], self.SPHERE, points)
-        level = quadrature._pieces(a, b, roots.T, np.ones(2, dtype=bool))
+        _, _, _, _, a, b, ck, root = face_rules(built[0], self.SPHERE, points, weighted=True)
+        level = pieces(a, b, np.column_stack([ck - root, ck + root]), np.ones(2, dtype=bool))
         for column, parts in zip(level[1:], zip(*(table[1:] for table in tables))):
             assert np.array_equal(column, np.concatenate(parts))
 

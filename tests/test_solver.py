@@ -48,7 +48,8 @@ def test_agrees_with_direct_solve():
         space, load, g = study_problem(dim, degree, cells)
         solution, residual = solve(space, load, g)
         # the residual is the true one of the eliminated system, from the operator
-        interior, boundary = space.interior_dofs(), space.boundary_dofs
+        boundary = space.boundary_dofs
+        interior = np.setdiff1d(np.arange(space.n_dofs), boundary)
         lifted = np.zeros(space.n_dofs)
         lifted[boundary] = g(space.dof_coords(boundary))
         apply = stiffness_apply(space)
@@ -128,3 +129,37 @@ def test_package_modules_use_every_name_they_import():
         unused += [f"{file}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_package_defines_no_name_it_never_uses():
+    # a module-level function, class or constant is called or read somewhere
+    # in the package outside its own definition, or exported in ``__all__``:
+    # test oracles and helpers live with the tests
+    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
+    defined, used = {}, set(immersedfem.__all__)
+    for file in sorted(os.listdir(package)):
+        if not file.endswith(".py"):
+            continue
+        with open(os.path.join(package, file), encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = (statement.targets if isinstance(statement, ast.Assign)
+                           else [statement.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if not name.startswith("__"):
+                    defined[name] = f"{file}:{statement.lineno}"
+            refs = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+            # references inside a definition do not keep its own name alive
+            used |= refs - set(names)
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []

@@ -8,7 +8,7 @@ import pytest
 from conftest import bitwise_equal, lattice_tables
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
                          build_uniform_mesh, classify_cells, immersed_quadrature, interpolate,
-                         interpolate_outside_layer, reference_solution, shape_eval, solve,
+                         interpolate_outside_layer, reference_solution, solve,
                          weighted_errors)
 from immersedfem.space import _lagrange_1d, _lattice, _line_sum_factorised
 from potential import jump_check, single_layer
@@ -18,7 +18,7 @@ FAR = SphericalInterface((10.0, 10.0), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
 
 
-def loop_shape_eval(degree, ref_points):
+def loop_tabulate(degree, ref_points):
     """Shape values and gradients built one local dof at a time, factor by
     factor: values multiply the axes in ascending order, the gradient along
     axis k takes the derivative factor first (test oracle)."""
@@ -47,19 +47,19 @@ class TestShapeFunctions:
         nodes = _lattice(degree + 1, dim) / degree
         random = np.random.default_rng(dim * degree).uniform(0.0, 1.0, size=(50, dim))
         for pts in (nodes, random, random.reshape(5, 10, dim)):
-            values, grads = shape_eval(degree, pts)
-            want_values, want_grads = loop_shape_eval(degree, pts)
+            values, grads = FeSpace(build_uniform_mesh(dim, 1), degree).tabulate(pts)
+            want_values, want_grads = loop_tabulate(degree, pts)
             assert np.array_equal(values, want_values)
             assert np.array_equal(grads, want_grads)
             # the memory order decides how BLAS sums products with these tables
             assert values.flags.c_contiguous and grads.flags.c_contiguous
 
     def test_q1_kronecker_at_corner(self):
-        values, _ = shape_eval(1, [[0.0, 0.0]])
+        values, _ = FeSpace(build_uniform_mesh(2, 1), 1).tabulate([[0.0, 0.0]])
         assert np.allclose(values[0], [1.0, 0.0, 0.0, 0.0])
 
     def test_q1_center_symmetry(self):
-        values, _ = shape_eval(1, [[0.5, 0.5]])
+        values, _ = FeSpace(build_uniform_mesh(2, 1), 1).tabulate([[0.5, 0.5]])
         assert np.allclose(values[0], 0.25)
 
     def test_partition_of_unity_and_gradient_sum(self):
@@ -67,7 +67,7 @@ class TestShapeFunctions:
         for degree in (1, 2):
             for dim in (2, 3):
                 pts = rng.uniform(0.0, 1.0, size=(20, dim))
-                values, grads = shape_eval(degree, pts)
+                values, grads = FeSpace(build_uniform_mesh(dim, 1), degree).tabulate(pts)
                 assert np.allclose(values.sum(axis=-1), 1.0, atol=1e-13)
                 assert np.allclose(grads.sum(axis=-2), 0.0, atol=1e-12)
 
@@ -75,7 +75,7 @@ class TestShapeFunctions:
         for degree in (1, 2):
             nodes1d = np.arange(degree + 1) / degree
             nodes = np.array([[x, y] for y in nodes1d for x in nodes1d])
-            values, _ = shape_eval(degree, nodes)
+            values, _ = FeSpace(build_uniform_mesh(2, 1), degree).tabulate(nodes)
             assert np.allclose(values, np.eye(len(nodes)), atol=1e-13)
 
 
@@ -141,7 +141,7 @@ class TestSumFactorisation:
         ref = np.empty((line.size, dim))
         np.put_along_axis(ref, frame[line, :-1], face_ref[line], axis=1)
         ref[np.arange(line.size), frame[line, -1]] = t_ref
-        values, grads = shape_eval(degree, ref)
+        values, grads = FeSpace(build_uniform_mesh(dim, 1), degree).tabulate(ref)
         got_values, got_grads = _line_sum_factorised(degree, local, frame, face_ref, line,
                                                      t_ref)
         assert np.max(np.abs(got_values - np.einsum("pj,pj->p", values, local[line]))) <= 1e-14
