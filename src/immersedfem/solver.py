@@ -2,11 +2,21 @@
 of its Dirichlet problem.
 
 The grid is uniform and the elements are tensor products, so the stiffness
-matrix is the Kronecker sum ``Σ_d M⊗…⊗K⊗…⊗M`` of one 1D mass/stiffness pair
-(``_factors_1d``); it is applied axis by axis and never assembled.  The
-Dirichlet problem is solved by fast diagonalisation (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964): the interior block is the Kronecker sum of the
-interior 1D blocks, so one 1D generalised eigenproblem inverts it."""
+matrix is the Kronecker sum ``Σ_d M⊗…⊗K⊗…⊗M`` of one 1D mass/stiffness pair,
+both scattered from one cell's element matrices (``_elements_1d``).  The 1D
+factors are banded: they are applied from their row sums and degree upper
+bands by shifted slices, axis by axis, and never assembled
+(``_kronecker_sum``).
+
+The Dirichlet problem is solved by fast diagonalisation (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964): the interior block is the Kronecker sum of the
+interior 1D blocks, so the 1D generalised eigenvectors invert it.  Every cell
+carries the same element matrices, so these eigenvectors are Fourier modes
+over the cells, as in FFT Poisson solvers (Swarztrauber, SIAM Rev. 19, 1977):
+one ``degree × degree`` eigenproblem per frequency (``_modes_1d``), and the
+transforms are real FFTs of the odd extension (``_analyse``, ``_synthesise``;
+for Q1 the DST-I).  No grid-sized array reaches BLAS or LAPACK, so the result
+does not depend on the BLAS library's thread count."""
 
 from __future__ import annotations
 
@@ -18,37 +28,174 @@ from .quadrature import gauss_rule
 from .space import FeSpace, _field_values, _lagrange_1d
 
 
-def _factors_1d(space: FeSpace):
-    """Mass and stiffness matrices (dense) of the 1D ``Q^degree`` space on the
-    grid's cells per axis, from degree + 2 Gauss points per cell.  Every
-    axis of the grid carries this same pair."""
-    degree, cells = space.degree, space.mesh.cells_per_axis
-    n = degree * cells + 1
-    rule = gauss_rule(1, degree + 2)
-    values, derivs = _lagrange_1d(degree, rule.points[:, 0])  # (n_q, degree + 1)
-    dofs = degree * np.arange(cells)[:, None] + np.arange(degree + 1)
-    flat = (n * np.repeat(dofs, degree + 1, axis=1) + np.tile(dofs, (1, degree + 1))).ravel()
-    factors = []
-    for table, scale in ((values, space.mesh.edge), (derivs, 1.0 / space.mesh.edge)):
+def _elements_1d(space: FeSpace):
+    """Mass and stiffness element matrices, ``(degree + 1) × (degree + 1)``,
+    of the 1D ``Q^degree`` space on one cell of the grid, from degree + 2
+    Gauss points, each with its row sums: the integrals against the constant
+    1, whose derivative is 0, so the stiffness rows sum to exactly zero.
+    Every cell of every axis carries this same pair."""
+    rule = gauss_rule(1, space.degree + 2)
+    values, derivs = _lagrange_1d(space.degree, rule.points[:, 0])  # (n_q, degree + 1)
+    elements = []
+    for table, constant, scale in ((values, 1.0, space.mesh.edge),
+                                   (derivs, 0.0, 1.0 / space.mesh.edge)):
         element = np.einsum("q,qi,qj->ij", rule.weights, table, table)
-        element = 0.5 * (element + element.T) * scale
-        factors.append(np.bincount(flat, weights=np.tile(element.ravel(), cells),
-                                   minlength=n * n).reshape(n, n))
-    return factors
+        sums = np.einsum("q,qi->i", rule.weights, table) * constant
+        elements.append((0.5 * (element + element.T) * scale, sums * scale))
+    return elements
+
+
+def _bands(element, cells: int):
+    """The symmetric 1D matrix scattered from ``element`` (a matrix and its
+    row sums, see ``_elements_1d``) on ``cells`` cells, as its row sums and
+    its upper off-diagonal bands: band ``s`` holds the entries ``(m, m + s)``,
+    ``s = 1 … degree``.  The diagonal is implied by the row sums."""
+    element, element_sums = element
+    degree = element.shape[0] - 1
+    n = degree * cells + 1
+    sums = np.zeros(n)
+    for a in range(degree + 1):
+        sums[a:a + degree * cells:degree] += element_sums[a]
+    bands = []
+    for s in range(1, degree + 1):
+        band = np.zeros(n - s)
+        for a in range(degree + 1 - s):  # dofs a and a + s of every cell
+            band[a:a + degree * cells:degree] += element[a, a + s]
+        bands.append(band)
+    return sums, bands
+
+
+def _apply_1d(matrix, u, axis: int):
+    """``B u`` along ``axis`` of the grid array ``u``, for the symmetric
+    banded 1D matrix ``B = (row sums, upper bands)`` of ``_bands``.  Row
+    ``m`` is its row sum times ``u_m`` plus each band entry times the
+    difference of ``u`` from ``u_m``.  Differences of a smooth ``u`` are
+    small, and exact where neighbours lie within a factor of two, so the
+    stiffness, whose rows sum to zero, is applied without the cancellation
+    of ``O(|u| / h)`` products."""
+    sums, bands = matrix
+    u = np.moveaxis(u, axis, -1)
+    out = sums * u
+    for s, band in enumerate(bands, 1):
+        flux = band * (u[..., s:] - u[..., :-s])
+        out[..., :-s] += flux
+        out[..., s:] -= flux
+    return np.moveaxis(out, -1, axis)
 
 
 def _kronecker_sum(mass, stiffness, u):
-    """``A u`` for the stiffness ``A = Σ_d M⊗…⊗K⊗…⊗M`` and a grid array ``u``
-    of shape ``(n,) * dim`` (dof order); one contraction per axis and term.
-    ``A`` is symmetric positive semidefinite with the constants in its
-    kernel."""
-    out = np.zeros_like(u)
+    """``A u`` for the stiffness ``A = Σ_d M⊗…⊗K⊗…⊗M``, with ``M`` and ``K``
+    as ``_bands`` gives them, and a grid array ``u`` of shape ``(n,) * dim``
+    (dof order).  Each term applies ``K`` first, to ``u`` itself.  ``A`` is
+    symmetric positive semidefinite with the constants in its kernel."""
+    total = 0.0
     for axis in range(u.ndim):
-        term = u
-        for other in range(u.ndim):  # dim contractions cycle the axes back
-            term = np.tensordot(term, stiffness if other == axis else mass, axes=(0, 1))
-        out += term
-    return out
+        term = _apply_1d(stiffness, u, axis)
+        for other in range(u.ndim):
+            if other != axis:
+                term = _apply_1d(mass, term, other)
+        total = total + term
+    return total
+
+
+def _modes_1d(mass, stiffness, cells: int):
+    """The M-orthonormal eigenvectors ``v`` of ``K v = λ M v`` for the interior
+    blocks of the 1D factors scattered from the element matrices ``mass`` and
+    ``stiffness`` on ``cells`` cells, as Fourier modes.
+
+    At ``ω_j = jπ/cells``, ``j = 0 … cells``, a mode has the value
+    ``Im(w_a e^{iω_j c})`` at dof ``a < degree`` of cell ``c``, where ``w``
+    solves the ``degree × degree`` Hermitian symbols of the two factors on
+    the periodic grid of ``2 cells`` cells.  The phase of ``w`` is fixed by
+    the odd reflection (``w_0`` real, ``w_{ℓ−a} = e^{iω} conj(w_a)``), so the
+    mode is real and vanishes at both ends.  At ``ω = 0`` and ``π`` only the
+    eigenvectors the reflection maps to ``−w`` give a mode (``w`` imaginary);
+    the others carry nothing.  Modes are ordered by ``k`` (the eigenvalue's
+    place in its symbol), then ``j``.  Returns ``(eigenvalues, analysis,
+    synthesis)``: eigenvalues of shape ``(degree, cells + 1)``, infinite where
+    no mode is, and the real and imaginary parts of the per-mode mixing of
+    ``_analyse`` (``[k, a, j]``) and ``_synthesise`` (``[a, k, j]``)."""
+    degree = mass.shape[0] - 1
+    omega = np.pi * np.arange(cells + 1) / cells
+    shift = np.exp(1j * omega)
+    # a cell's dofs as the degree dofs of its period: dof ``degree`` is the
+    # next period's dof 0
+    gather = np.zeros((cells + 1, degree + 1, degree), dtype=complex)
+    gather[:, np.arange(degree), np.arange(degree)] = 1.0
+    gather[:, degree, 0] = shift
+    mass_hat, stiffness_hat = (np.einsum("jpa,pq,jqb->jab", gather.conj(), element, gather)
+                               for element in (mass, stiffness))
+    # L⁻¹ K̂ L⁻ᴴ = Y Λ Yᴴ with M̂ = L Lᴴ, so w = L⁻ᴴ Y and wᴴ M̂ w = I
+    inverse = np.linalg.inv(np.linalg.cholesky(mass_hat))
+    values, vectors = np.linalg.eigh(
+        np.einsum("jab,jbc,jdc->jad", inverse, stiffness_hat, inverse.conj()))
+    w = np.einsum("jba,jbk->jak", inverse.conj(), vectors)
+
+    reflected = np.r_[0, degree - 1:0:-1]
+    factor = np.where(np.arange(degree) == 0, 1.0, shift[:, None])[:, :, None]
+
+    def reflect(w):
+        return factor * w[:, reflected].conj()
+
+    # reflect(w) = e^{iθ} w for a simple eigenvalue; e^{iθ/2} w is fixed
+    turn = np.sum(w.conj() * reflect(w), axis=1, keepdims=True)
+    w = w * np.sqrt(turn / np.abs(turn))
+    w = 0.5 * (w + reflect(w))
+    ends = [0, cells]
+    keep = np.sum(w[ends].imag ** 2, axis=1) > np.sum(w[ends].real ** 2, axis=1)
+    w[ends] = 1j * w[ends].imag * keep[:, None, :]
+    values[ends] = np.where(keep, values[ends], np.inf)
+    # the odd extension's M-norm is 2 cells for a mode and 4 cells for the
+    # odd part of the others; half of it lies on the interior
+    norm = np.full(cells + 1, math.sqrt(2.0 / cells))
+    norm[ends] = math.sqrt(1.0 / cells)
+    # Vᵀ x = -Im(Σ_a conj(w_a) F_a) norm / 2 with F the FFT of the odd
+    # extension; V c = irfft(-2i c w / norm), as irfft weighs the end
+    # frequencies by 1/(2 cells) and the others by 1/cells, both norm² / 2
+    analysis = (-0.5 * norm[:, None, None] * w.conj()).transpose(2, 1, 0)
+    synthesis = (-2j / norm[:, None, None] * w).transpose(1, 2, 0)
+    # contiguous, for the einsum loops of the transforms
+    return values.T, *((np.ascontiguousarray(mixing.real), np.ascontiguousarray(mixing.imag))
+                       for mixing in (analysis, synthesis))
+
+
+def _analyse(x, analysis, cells: int):
+    """Mode coefficients ``Vᵀ x`` along the last axis of ``x``, which holds
+    the ``degree · cells − 1`` interior dofs; returns ``degree · (cells + 1)``
+    coefficients in the order of ``_modes_1d``."""
+    real, imag = analysis
+    degree = real.shape[0]
+    n = degree * cells
+    odd = np.zeros(x.shape[:-1] + (2 * n,))
+    odd[..., 1:n] = x
+    odd[..., n + 1:] = -x[..., ::-1]
+    # one FFT over the cells per dof a of a period, into contiguous rows
+    spectrum = np.empty(x.shape[:-1] + (degree, cells + 1), dtype=complex)
+    np.fft.rfft(odd.reshape(x.shape[:-1] + (2 * cells, degree)).swapaxes(-1, -2), out=spectrum)
+    # Im(P F) = Re P Im F + Im P Re F, summed over a
+    out = (np.einsum("...aj,kaj->...kj", spectrum.imag, real)
+           + np.einsum("...aj,kaj->...kj", spectrum.real, imag))
+    return out.reshape(x.shape[:-1] + (degree * (cells + 1),))
+
+
+def _synthesise(coefficients, synthesis, cells: int):
+    """Interior dof values ``V c`` along the last axis of the mode
+    coefficients ``c`` (the inverse layout of ``_analyse``)."""
+    real, imag = synthesis
+    degree = real.shape[0]
+    c = coefficients.reshape(coefficients.shape[:-1] + (degree, cells + 1))
+    spectrum = np.empty(c.shape, dtype=complex)
+    np.einsum("...kj,akj->...aj", c, real, out=spectrum.real)
+    np.einsum("...kj,akj->...aj", c, imag, out=spectrum.imag)
+    # the FFT over the cells per dof a of a period, back into dof order
+    values = np.empty(c.shape[:-2] + (2 * cells, degree))
+    np.fft.irfft(spectrum, n=2 * cells, out=values.swapaxes(-1, -2))
+    return values.reshape(c.shape[:-2] + (2 * degree * cells,))[..., 1:degree * cells]
+
+
+def _norm(x) -> float:
+    """Euclidean norm from a numpy sum, which no BLAS thread count reorders."""
+    return math.sqrt(np.sum(np.square(x)))
 
 
 def solve(space: FeSpace, load, g):
@@ -57,24 +204,28 @@ def solve(space: FeSpace, load, g):
 
     ``g`` is called once on the boundary dof coordinates (see
     ``space._field_values``).  With ``K V = M V Λ`` and ``Vᵀ M V = I`` for
-    the interior blocks of the 1D factors, the interior block ``A_II`` is
-    inverted by ``S = (V⊗…⊗V) diag(Σ_d λ)⁻¹ (V⊗…⊗V)ᵀ``, applied axis by
-    axis, and one correction ``u_I += S (load − A u)_I`` follows.  The
-    residual is the true one of the Dirichlet-eliminated system,
-    ``|(load − A u)_I| / |[(load − A u_B)_I ; g_B]|``, with ``u_B`` the
-    boundary data alone; zero ``load`` and ``g`` give exact zeros and residual
-    0.  A ``load`` of another shape than ``(n_dofs,)``, or a ``load`` or
-    ``g`` with NaN or infinite entries, raises ValueError.
+    the interior blocks of the 1D factors (``_modes_1d``), the interior block
+    ``A_II`` is inverted by ``S = (V⊗…⊗V) diag(Σ_d λ)⁻¹ (V⊗…⊗V)ᵀ``: ``Vᵀ``
+    and ``V`` are real FFTs along each axis with a per-mode mixing, and one
+    correction ``u_I += S (load − A u)_I`` follows.  The residual is the true
+    one of the Dirichlet-eliminated system, ``|(load − A u)_I| / |[(load −
+    A u_B)_I ; g_B]|``, with ``u_B`` the boundary data alone and ``A``
+    applied from its bands; zero ``load`` and ``g`` give exact zeros and
+    residual 0.  Nothing on the grid goes through BLAS, so the result is
+    the same for every BLAS thread count.  A ``load`` of another shape than
+    ``(n_dofs,)``, or a ``load`` or ``g`` with NaN or infinite entries,
+    raises ValueError.
     """
     load = np.asarray(load, dtype=float)
     if load.shape != (space.n_dofs,):
         raise ValueError(f"load must have shape ({space.n_dofs},), got {load.shape}")
     if not np.all(np.isfinite(load)):
         raise ValueError("load must be finite")
-    mass, stiffness = _factors_1d(space)
-    dim = space.mesh.dim
+    cells, dim = space.mesh.cells_per_axis, space.mesh.dim
+    elements = _elements_1d(space)
+    mass, stiffness = (_bands(element, cells) for element in elements)
     interior = (slice(1, -1),) * dim
-    u = np.zeros((mass.shape[0],) * dim)
+    u = np.zeros((space.degree * cells + 1,) * dim)
     boundary = _field_values(g, space.dof_coords(space.boundary_dofs))
     u.reshape(-1)[space.boundary_dofs] = boundary
     load = load.reshape(u.shape)[interior]
@@ -83,24 +234,21 @@ def solve(space: FeSpace, load, g):
         return load - _kronecker_sum(mass, stiffness, u)[interior]
 
     lifted = residual()
-    scale = math.hypot(np.linalg.norm(lifted), np.linalg.norm(boundary))
+    scale = math.hypot(_norm(lifted), _norm(boundary))
     if scale == 0.0:
         return np.zeros(space.n_dofs), 0.0
-    # L⁻¹ K L⁻ᵀ = Q Λ Qᵀ with M = L Lᵀ, so V = L⁻ᵀ Q
-    lower = np.linalg.cholesky(mass[1:-1, 1:-1])
-    scaled = np.linalg.solve(lower, np.linalg.solve(lower, stiffness[1:-1, 1:-1]).T)
-    eigenvalues, q = np.linalg.eigh(scaled)
-    v = np.linalg.solve(lower.T, q)
-    total = sum(eigenvalues.reshape((-1,) + (1,) * (dim - 1 - axis)) for axis in range(dim))
+    values, analysis, synthesis = _modes_1d(*(matrix for matrix, _ in elements), cells)
+    values = values.ravel()
+    total = sum(values.reshape((-1,) + (1,) * (dim - 1 - axis)) for axis in range(dim))
 
     def apply_inverse(r):
-        for _ in range(dim):  # Vᵀ along each axis; dim contractions cycle the axes back
-            r = np.tensordot(r, v, axes=(0, 0))
+        for _ in range(dim):  # one axis at a time, last first; dim moves cycle the axes back
+            r = np.moveaxis(_analyse(r, analysis, cells), -1, 0)
         r = r / total
         for _ in range(dim):
-            r = np.tensordot(r, v, axes=(0, 1))
+            r = np.moveaxis(_synthesise(r, synthesis, cells), -1, 0)
         return r
 
     u[interior] = apply_inverse(lifted)
     u[interior] += apply_inverse(residual())
-    return u.reshape(-1), float(np.linalg.norm(residual())) / scale
+    return u.reshape(-1), _norm(residual()) / scale

@@ -131,10 +131,13 @@ class FeSpace:
         Both are products of 1D tables gathered per local dof: values
         multiply the axes in ascending order, and the gradient along axis k
         takes the derivative factor first, then the other axes in ascending
-        order.
+        order.  Points whose last axis is not the mesh's dimension raise
+        ValueError.
         """
         ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
-        dim = ref_points.shape[-1]
+        dim = self.mesh.dim
+        if ref_points.shape[-1] != dim:
+            raise ValueError(f"points must have {dim} coordinates, got shape {ref_points.shape}")
         local = _lattice(self.degree + 1, dim).astype(int)  # (n_loc, dim), first axis fastest
         vals, ders = zip(*(_lagrange_1d(self.degree, ref_points[..., k]) for k in range(dim)))
         tables = [vals[k][..., local[:, k]] for k in range(dim)]

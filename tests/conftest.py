@@ -79,9 +79,11 @@ def eliminate(matrix, load, space, g):
 
 
 def stiffness_apply(space):
-    """``u -> A u`` on dof vectors, for the solver's matrix-free stiffness."""
-    mass, stiffness = solver._factors_1d(space)
-    shape = (mass.shape[0],) * space.mesh.dim
+    """``u -> A u`` on dof vectors, for the solver's banded matrix-free
+    stiffness."""
+    mass, stiffness = (solver._bands(element, space.mesh.cells_per_axis)
+                       for element in solver._elements_1d(space))
+    shape = (mass[0].size,) * space.mesh.dim
     return lambda u: solver._kronecker_sum(mass, stiffness, np.reshape(u, shape)).ravel()
 
 

@@ -3,16 +3,19 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from conftest import element_scatter_stiffness, eliminate, stiffness_apply
 import immersedfem
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
                          build_uniform_mesh, immersed_quadrature, layer_source_strength,
-                         reference_solution, solve)
+                         reference_solution, solve, solver)
 
 
 def study_problem(dim, degree, cells):
@@ -43,8 +46,12 @@ def test_zero_rhs_short_circuits():
 
 def test_agrees_with_direct_solve():
     # oracle: splu of the element-scatter stiffness after symmetric
-    # elimination, with one step of iterative refinement
-    for dim, degree, cells in ((2, 1, 256), (2, 2, 64), (2, 3, 32), (3, 1, 16), (3, 2, 8)):
+    # elimination, with one step of iterative refinement; odd and tiny grids
+    # and degree 3 reach the modes at ω = 0 and π and the phase fix
+    for dim, degree, cells in ((2, 1, 256), (2, 2, 64), (2, 3, 32), (3, 1, 16), (3, 2, 8),
+                               (2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 2), (2, 2, 2),
+                               (2, 1, 3), (2, 2, 5), (2, 3, 3), (3, 3, 3), (3, 3, 2),
+                               (3, 1, 5)):
         space, load, g = study_problem(dim, degree, cells)
         solution, residual = solve(space, load, g)
         # the residual is the true one of the eliminated system, from the operator
@@ -65,6 +72,103 @@ def test_agrees_with_direct_solve():
         direct += lu.solve(rhs - matrix @ direct)
         assert np.max(np.abs(solution - direct)) <= 1e-12 * np.max(np.abs(direct))
 
+
+
+#: exact 1D element matrices on the unit cell, mass and stiffness, in long
+#: double (test oracle)
+EXACT_ELEMENTS = {
+    1: (np.array([[2, 1], [1, 2]], np.longdouble) / 6,
+        np.array([[1, -1], [-1, 1]], np.longdouble)),
+    2: (np.array([[4, 2, -1], [2, 16, 2], [-1, 2, 4]], np.longdouble) / 30,
+        np.array([[7, -8, 1], [-8, 16, -8], [1, -8, 7]], np.longdouble) / 3),
+}
+
+
+@pytest.mark.parametrize("degree, cells", [(1, 256), (2, 64)])
+def test_matches_long_double_reference(degree, cells):
+    # the exact discrete solution: splu corrections of a long-double residual
+    # of the 2D stiffness scattered from exact element matrices; the dense
+    # fast diagonalisation was 2.3e-13 away at both levels
+    space, load, g = study_problem(2, degree, cells)
+    solution, _ = solve(space, load, g)
+    mass, stiffness = EXACT_ELEMENTS[degree]
+    mass, stiffness = mass / cells, stiffness * cells
+    element = np.kron(mass, stiffness) + np.kron(stiffness, mass)
+    cell_dofs = space.cell_dofs(np.arange(space.mesh.n_cells))
+    n_loc = element.shape[0]
+    exact = sp.coo_matrix((np.tile(element.ravel(), space.mesh.n_cells),
+                           (np.repeat(cell_dofs, n_loc, axis=1).ravel(),
+                            np.tile(cell_dofs, (1, n_loc)).ravel())),
+                          shape=(space.n_dofs,) * 2).tocsr()
+    matrix, rhs = eliminate(element_scatter_stiffness(space), load, space, g)
+    lu = splu(matrix.tocsc())
+    reference = lu.solve(rhs).astype(np.longdouble)
+    for _ in range(3):
+        residual = load - exact @ reference
+        residual[space.boundary_dofs] = 0.0
+        reference += lu.solve(residual.astype(float))
+    reference = reference.astype(float)
+    assert np.max(np.abs(solution - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_modes_diagonalise_dense_factors(degree):
+    # oracle: the interior blocks of the 1D factors scattered densely from the
+    # element matrices, and their generalised eigenvalues from LAPACK
+    for cells in (1, 2, 3, 5, 8):
+        space = FeSpace(build_uniform_mesh(2, cells), degree)
+        (mass, _), (stiffness, _) = solver._elements_1d(space)
+        factors = []
+        for element in (mass, stiffness):
+            dense = np.zeros((degree * cells + 1,) * 2)
+            for c in range(cells):
+                dense[degree * c:degree * (c + 1) + 1, degree * c:degree * (c + 1) + 1] += element
+            factors.append(dense[1:-1, 1:-1])
+        values, analysis, synthesis = solver._modes_1d(mass, stiffness, cells)
+        values = values.ravel()
+        modes = np.isfinite(values)
+        n = degree * cells - 1
+        assert modes.sum() == n
+        if n == 0:
+            continue
+        want = scipy.linalg.eigh(factors[1], factors[0], eigvals_only=True)
+        assert np.max(np.abs(np.sort(values[modes]) - want)) <= 1e-14 * want[-1]
+        # columns of V, the synthesis of unit coefficients: Vᵀ M V = I,
+        # Vᵀ K V = diag(λ), the other slots carry nothing, and the analysis is Vᵀ
+        v = solver._synthesise(np.eye(values.size), synthesis, cells).T
+        assert np.all(v[:, ~modes] == 0.0)
+        v = v[:, modes]
+        assert np.max(np.abs(v.T @ factors[0] @ v - np.eye(n))) <= 1e-14
+        assert np.max(np.abs(v.T @ factors[1] @ v - np.diag(values[modes]))) <= 1e-14 * want[-1]
+        assert np.max(np.abs(solver._analyse(np.eye(n), analysis, cells)[:, modes] - v)) <= 1e-14
+
+
+def test_peak_memory_2d_solve():
+    # one solve of study2d's finest level; the dense fast diagonalisation
+    # peaked at 24.0 MiB, the per-mode solve at 20.1 MiB
+    space, load, g = study_problem(2, 1, 512)
+    tracemalloc.start()
+    try:
+        solve(space, load, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * 2 ** 20
+
+
+def test_csv_independent_of_blas_threads(tmp_path):
+    # nothing on the grid goes through BLAS, so the thread count of OpenBLAS
+    # moves no bit; the dense solve changed 6 of these 30 rows
+    src = os.path.dirname(os.path.dirname(os.path.abspath(immersedfem.__file__)))
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "immersedfem.cli", "--dim", "2", "--max-exp", "7",
+                        "--out", str(out)], env=env, check=True, timeout=300)
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 def test_rejects_bad_arguments():
     space, load, g = study_problem(2, 1, 4)

@@ -78,6 +78,13 @@ class TestShapeFunctions:
             values, _ = FeSpace(build_uniform_mesh(2, 1), degree).tabulate(nodes)
             assert np.allclose(values, np.eye(len(nodes)), atol=1e-13)
 
+    @pytest.mark.parametrize("dim, points", [(2, [[0.5, 0.5, 0.5]]), (2, [0.5]),
+                                             (3, [0.5]), (3, [[0.5, 0.5]]), (2, np.zeros((4, 1)))])
+    def test_rejects_points_of_other_dimension(self, dim, points):
+        # a 2D space once returned the 8-function tables of a 3D element
+        with pytest.raises(ValueError, match="coordinates"):
+            FeSpace(build_uniform_mesh(dim, 2), 1).tabulate(points)
+
 
 def loop_lagrange_1d(degree, x):
     """The 1D Lagrange basis one basis function at a time, factor by factor
