@@ -10,10 +10,10 @@ and carry a side tag, so the piecewise exact solution is always evaluated
 on a single branch per quadrature point, and they are graded toward the
 surface, where d^(2*alpha) is singular.  On a run the FE function is
 evaluated on the face axes once per line, on the height axis per point.
-The exact solution's batched ``values(points, side)`` and
-``gradients(points, side)`` are called once per block or run on its (n, dim)
-point array; the per-point arithmetic works on one contiguous column per
-coordinate or component.
+The exact solution's batched ``evaluate(points, side)`` is called once per
+block or run on its (n, dim) point array and returns the values and the
+gradients together; the per-point arithmetic works on one contiguous column
+per coordinate or component.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ class RadialSolution:
     ``outer_value``/``outer_slope`` are vectorised functions of the distance
     to the centre; the gradient is zero inside and radial outside.  Values
     of the two branches agree on the surface, so the field is continuous.
-    ``values``/``gradients`` take (n, dim) points and optional side tags;
-    without tags, points on the surface take the outside branch.
+    ``evaluate`` takes (n, dim) points and optional side tags; without tags,
+    points on the surface take the outside branch.  ``values`` is the field
+    of its values alone.
     """
 
     def __init__(self, interface, outer_value, outer_slope, inner_value: float):
@@ -61,17 +62,16 @@ class RadialSolution:
         self._outer_slope = outer_slope
         self._inner_value = float(inner_value)
 
-    def values(self, points, side=None) -> np.ndarray:
+    def evaluate(self, points, side=None):
+        """Values (n,) and gradients (n, dim) at the (n, dim) ``points``,
+        from one offset x - c and one distance |x - c| per point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        outer = self._outer_mask(points, side)
-        rho = np.where(outer, _length(_offsets(points, self.interface.center)), 1.0)
-        return np.where(outer, self._outer_value(rho), self._inner_value)
-
-    def gradients(self, points, side=None) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        outer = self._outer_mask(points, side)
+        if side is None:
+            side = self.interface.side(points)
+        outer = np.broadcast_to(np.asarray(side), (points.shape[0],)) > 0
         r = _offsets(points, self.interface.center)
         rho = np.where(outer, _length(r), 1.0)
+        values = np.where(outer, self._outer_value(rho), self._inner_value)
         scale = self._outer_slope(rho) / rho
         inner = ~outer
         # one component per row: the (n, dim) result is a transposed view
@@ -79,13 +79,10 @@ class RadialSolution:
         for k, component in enumerate(r):
             np.multiply(scale, component, out=grads[k])
             np.copyto(grads[k], 0.0, where=inner)
-        return grads.T
+        return values, grads.T
 
-    def _outer_mask(self, points, side):
-        if side is None:
-            side = self.interface.side(points)
-        side = np.broadcast_to(np.asarray(side), (points.shape[0],))
-        return side > 0
+    def values(self, points, side=None) -> np.ndarray:
+        return self.evaluate(points, side)[0]
 
 
 def reference_solution(interface) -> RadialSolution:
@@ -172,11 +169,14 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     """Weighted L2 and H1-seminorm errors for several exponents at once.
 
     Returns {(alpha, m): error} for m in {0, 1}, each alpha in (-1/2, 1/2).
-    The quadrature samples and distances are computed once and reused across
-    exponents.  ``cell_ids``, distinct integer ids of cells of the mesh,
-    restricts the integration to a subset of cells (broken norms); other
-    ids raise ValueError, as do an empty or repeated list of exponents,
-    ``coeffs`` of the wrong shape and an interface of another dimension.
+    ``exact.evaluate(points, side=None)`` returns the exact values (n,) and
+    gradients (n, dim) at an (n, dim) point array, called once per block or
+    run.  The quadrature samples and distances are computed once and reused
+    across exponents.  ``cell_ids``, distinct integer ids of cells of the
+    mesh, restricts the integration to a subset of cells (broken norms);
+    other ids raise ValueError, as do an empty or repeated list of
+    exponents, ``coeffs`` of the wrong shape, an interface of another
+    dimension, exact output of another shape and errors that are not finite.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -203,6 +203,8 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
             uh, guh = _line_sum_factorised(space.degree, local, *lines)
             guh = guh / mesh.edge
         _accumulate(acc, alphas, interface, exact, pts, w, sides, uh, guh)
+    if not all(map(math.isfinite, acc.values())):
+        raise ValueError("weighted errors are not finite: check exact.evaluate and coeffs")
     return {key: math.sqrt(value) for key, value in acc.items()}
 
 
@@ -220,8 +222,11 @@ def _cell_ids(cell_ids, n_cells: int) -> np.ndarray:
 
 
 def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
-    e0 = exact.values(pts, side=side) - uh
-    grads = exact.gradients(pts, side=side)
+    values, grads = (np.asarray(out, dtype=float) for out in exact.evaluate(pts, side=side))
+    if values.shape != uh.shape or grads.shape != guh.shape:
+        raise ValueError(f"exact.evaluate must return shapes {uh.shape} and {guh.shape}, "
+                         f"got {values.shape} and {grads.shape}")
+    e0 = values - uh
     e1 = [grads[:, k] - guh[:, k] for k in range(guh.shape[1])]
     we0 = w * e0**2
     # squares summed in axis order, as ``geometry._length`` does

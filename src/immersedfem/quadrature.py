@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import _lattice_index
+
 #: a cut box's height axis k must keep |n_k| >= HEIGHT_MIN for the sphere
 #: normal n over the whole box, or the box is bisected; below 1/sqrt(3), so
 #: small enough boxes always have one
@@ -90,15 +92,10 @@ def gauss_rule(dim: int, points_per_axis: int) -> CellQuadrature:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     x, w = gauss_points_1d(points_per_axis)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
     # first axis varies fastest, matching the local dof ordering
-    points = np.column_stack([g.ravel(order="F") for g in grids])
-    weights = np.ones(points.shape[0])
-    for axis in range(dim):
-        wg = np.meshgrid(*([w] * dim), indexing="ij")[axis]
-        weights = weights * wg.ravel(order="F")
+    index = _lattice_index(np.arange(points_per_axis ** dim), points_per_axis, dim)
     return CellQuadrature(dim=dim, points_per_axis=points_per_axis,
-                          points=points, weights=weights)
+                          points=x[index], weights=np.prod(w[index], axis=1))
 
 
 def _near_runs(lows, size: float, interface, points: int, batch_points: int):

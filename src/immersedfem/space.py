@@ -10,14 +10,6 @@ import numpy as np
 from .mesh import Mesh, _lattice_index, _ravel_index, classify_cells
 
 
-def _lattice(n_per_axis: int, dim: int) -> np.ndarray:
-    """The points of {0, ..., n_per_axis - 1}^dim as floats, one row each,
-    first axis fastest (the order of local dofs)."""
-    axes = [np.arange(n_per_axis, dtype=float)] * dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel(order="F") for g in grids])
-
-
 def _lagrange_1d(degree: int, x: np.ndarray):
     """Values and derivatives of the 1D Lagrange basis on nodes k/degree, for
     all basis functions at once; products take their factors x - node_b, and
@@ -64,7 +56,7 @@ def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
         return total
 
     # coefficients in frame order; C order puts the first frame axis last
-    index = (p ** frame) @ _lattice(p, dim).astype(int).T
+    index = (p ** frame) @ _lattice_index(np.arange(p ** dim), p, dim).T
     value = np.take_along_axis(local, index, axis=1).reshape((-1,) + (p,) * dim)
     grads = []
     for k in range(dim - 1):
@@ -111,8 +103,9 @@ class FeSpace:
         """Global dofs, shape ``np.shape(cells) + ((degree+1)^dim,)``, of the
         cells with ids ``cells``; ids outside the mesh raise ValueError."""
         n_axis = self.degree * self.mesh.cells_per_axis + 1
-        corner = self.degree * _lattice_index(cells, self.mesh.cells_per_axis, self.mesh.dim)
-        local = _ravel_index(_lattice(self.degree + 1, self.mesh.dim).astype(int), n_axis)
+        p, dim = self.degree + 1, self.mesh.dim
+        corner = self.degree * _lattice_index(cells, self.mesh.cells_per_axis, dim)
+        local = _ravel_index(_lattice_index(np.arange(p ** dim), p, dim), n_axis)
         return _ravel_index(corner, n_axis)[..., None] + local
 
     def dof_coords(self, dofs) -> np.ndarray:
@@ -138,7 +131,8 @@ class FeSpace:
         dim = self.mesh.dim
         if ref_points.shape[-1] != dim:
             raise ValueError(f"points must have {dim} coordinates, got shape {ref_points.shape}")
-        local = _lattice(self.degree + 1, dim).astype(int)  # (n_loc, dim), first axis fastest
+        p = self.degree + 1
+        local = _lattice_index(np.arange(p ** dim), p, dim)  # (n_loc, dim), first axis fastest
         vals, ders = zip(*(_lagrange_1d(self.degree, ref_points[..., k]) for k in range(dim)))
         tables = [vals[k][..., local[:, k]] for k in range(dim)]
         # C order: the layout decides how BLAS sums the products callers form

@@ -4,7 +4,14 @@ import scipy.sparse as sp
 
 from immersedfem import gauss_rule, solver
 from immersedfem.mesh import _ravel_index
-from immersedfem.space import _lattice
+
+
+def lattice(n_per_axis, dim):
+    """The points of {0, ..., n_per_axis - 1}^dim as floats, one row each,
+    first axis fastest, from a meshgrid (test oracle of the package's
+    ``mesh._lattice_index``)."""
+    grids = np.meshgrid(*[np.arange(n_per_axis, dtype=float)] * dim, indexing="ij")
+    return np.column_stack([g.ravel(order="F") for g in grids])
 
 
 @pytest.fixture(params=["C", "F", "strided"])
@@ -55,13 +62,13 @@ def lattice_tables(space):
     compute rows from ids): ``(cell_lows, cell_dofs, dof_coords,
     boundary_dofs)``."""
     mesh, degree = space.mesh, space.degree
-    cell_lows = _lattice(mesh.cells_per_axis, mesh.dim) / mesh.cells_per_axis
+    cell_lows = lattice(mesh.cells_per_axis, mesh.dim) / mesh.cells_per_axis
     n_axis = degree * mesh.cells_per_axis + 1
-    lattice = _lattice(n_axis, mesh.dim)
-    dof_coords = lattice / (degree * mesh.cells_per_axis)
-    boundary_dofs = np.nonzero(((lattice == 0) | (lattice == n_axis - 1)).any(axis=1))[0]
-    cell_idx = _lattice(mesh.cells_per_axis, mesh.dim).astype(int)
-    local = _lattice(degree + 1, mesh.dim).astype(int)
+    nodes = lattice(n_axis, mesh.dim)
+    dof_coords = nodes / (degree * mesh.cells_per_axis)
+    boundary_dofs = np.nonzero(((nodes == 0) | (nodes == n_axis - 1)).any(axis=1))[0]
+    cell_idx = lattice(mesh.cells_per_axis, mesh.dim).astype(int)
+    local = lattice(degree + 1, mesh.dim).astype(int)
     cell_dofs = _ravel_index(degree * cell_idx[:, None, :] + local[None, :, :], n_axis)
     return cell_lows, cell_dofs, dof_coords, boundary_dofs
 

@@ -147,11 +147,9 @@ def test_criterion_6_norm_equivalence():
 
 
 class _ZeroField:
-    def values(self, points, side=None):
-        return np.zeros(np.atleast_2d(points).shape[0])
-
-    def gradients(self, points, side=None):
-        return np.zeros_like(np.atleast_2d(points))
+    def evaluate(self, points, side=None):
+        points = np.atleast_2d(points)
+        return np.zeros(points.shape[0]), np.zeros_like(points)
 
 
 def test_criterion_7a_masked_interpolant_without_layer():

@@ -24,21 +24,15 @@ class ConstantField:
     def __init__(self, value):
         self._value = value
 
-    def values(self, points, side=None):
-        return np.full(np.atleast_2d(points).shape[0], self._value)
-
-    def gradients(self, points, side=None):
-        return np.zeros_like(np.atleast_2d(points))
+    def evaluate(self, points, side=None):
+        points = np.atleast_2d(points)
+        return np.full(points.shape[0], self._value), np.zeros_like(points)
 
 
 class BilinearField:
-    def values(self, points, side=None):
+    def evaluate(self, points, side=None):
         points = np.atleast_2d(points)
-        return points[:, 0] * points[:, 1]
-
-    def gradients(self, points, side=None):
-        points = np.atleast_2d(points)
-        return np.column_stack([points[:, 1], points[:, 0]])
+        return points[:, 0] * points[:, 1], np.column_stack([points[:, 1], points[:, 0]])
 
 
 def weight_integral(interface, alpha, mesh):
@@ -118,14 +112,14 @@ class TestParams:
 class TestExactSolutions:
     def test_2d_values(self):
         exact = reference_solution(CIRCLE)
-        values = exact.values([[0.3, 0.3], [0.7, 0.3]])
+        values, _ = exact.evaluate([[0.3, 0.3], [0.7, 0.3]])
         assert values == pytest.approx([-math.log(0.2), -math.log(0.4)], abs=1e-14)
-        assert np.allclose(exact.gradients([[0.3, 0.31]]), 0.0)
+        assert np.allclose(exact.evaluate([[0.3, 0.31]])[1], 0.0)
 
     def test_3d_values(self):
         sphere = SphericalInterface((0.3, 0.3, 0.3), 0.2)
         exact = reference_solution(sphere)
-        values = exact.values([[0.3, 0.3, 0.3], [0.8, 0.3, 0.3]])
+        values, _ = exact.evaluate([[0.3, 0.3, 0.3], [0.8, 0.3, 0.3]])
         assert values == pytest.approx([5.0, 2.0], abs=1e-12)
 
     def test_continuity_across_surface(self):
@@ -139,8 +133,8 @@ class TestExactSolutions:
             else:
                 from potential import surface_samples
                 on_surface = surface_samples(interface, 100)
-            inner = exact.values(on_surface, side=np.full(100, -1))
-            outer = exact.values(on_surface, side=np.full(100, 1))
+            inner, _ = exact.evaluate(on_surface, side=np.full(100, -1))
+            outer, _ = exact.evaluate(on_surface, side=np.full(100, 1))
             assert np.max(np.abs(inner - outer)) <= 1e-12
 
     @pytest.mark.parametrize("interface, inner", [
@@ -151,8 +145,7 @@ class TestExactSolutions:
         exact = reference_solution(interface)
         centre = interface.center[None, :]
         with np.errstate(all="raise"):
-            values = exact.values(centre, side=-1)
-            grads = exact.gradients(centre, side=-1)
+            values, grads = exact.evaluate(centre, side=-1)
         assert np.array_equal(values, [inner])
         assert np.array_equal(grads, np.zeros((1, interface.dim)))
 
@@ -160,7 +153,7 @@ class TestExactSolutions:
         exact = reference_solution(CIRCLE)
         x = np.array([0.7, 0.3])
         r = x - CIRCLE.center
-        assert np.allclose(exact.gradients([x])[0], -r / np.dot(r, r), atol=1e-14)
+        assert np.allclose(exact.evaluate([x])[1][0], -r / np.dot(r, r), atol=1e-14)
 
 
 def broadcast_radial(interface, points, side):
@@ -204,8 +197,74 @@ class TestRadialColumnWise:
         for points, side in ((with_centre, None), (with_centre, -1), (points, tags),
                              (points, -tags), (points, 1)):
             want_values, want_grads = broadcast_radial(interface, points, side)
+            values, grads = exact.evaluate(in_layout(points), side=side)
+            assert bitwise_equal(values, want_values)
+            assert bitwise_equal(grads, want_grads)
             assert bitwise_equal(exact.values(in_layout(points), side=side), want_values)
-            assert bitwise_equal(exact.gradients(in_layout(points), side=side), want_grads)
+
+
+class EvaluateOnly:
+    """An exact field that defines only ``evaluate``: the reference
+    solution's, with ``change`` applied to its output, counting calls."""
+
+    def __init__(self, interface, change=lambda values, grads: (values, grads)):
+        self._exact = reference_solution(interface)
+        self._change = change
+        self.calls = 0
+
+    def evaluate(self, points, side=None):
+        self.calls += 1
+        return self._change(*self._exact.evaluate(points, side=side))
+
+
+class TestExactFieldContract:
+    @pytest.mark.parametrize("dim, degree, n, batch", [(2, 1, 16, 512), (2, 2, 8, 1024),
+                                                       (3, 1, 4, 4096)])
+    def test_one_call_per_batch_bitwise_equal(self, dim, degree, n, batch, monkeypatch):
+        monkeypatch.setattr(norms, "BATCH_POINTS", batch)
+        interface = SphericalInterface((0.3,) * dim, 0.2)
+        space = FeSpace(build_uniform_mesh(dim, n), degree)
+        coeffs = np.random.default_rng(n).standard_normal(space.n_dofs)
+        alphas = [0.0, 0.3, -0.4]
+        field = EvaluateOnly(interface)
+        assert not hasattr(field, "values") and not hasattr(field, "gradients")
+        got = weighted_errors(space, coeffs, field, interface, alphas)
+        rule = gauss_rule(dim, degree + norms.EXTRA_POINTS)
+        assert field.calls == len(list(norms._cell_batches(space, interface, rule, None))) > 2
+        assert got == weighted_errors(space, coeffs, reference_solution(interface), interface,
+                                      alphas)
+
+    @pytest.mark.parametrize("change", [
+        lambda v, g: (v[:, None], g), lambda v, g: (v[:-1], g), lambda v, g: (v[0], g),
+        lambda v, g: (v, g.T), lambda v, g: (v, g[:, :1]), lambda v, g: (v, v)],
+        ids=["values-column", "values-short", "values-scalar", "gradients-transposed",
+             "gradients-one-component", "gradients-flat"])
+    def test_rejects_output_of_wrong_shape(self, change):
+        # a column of values broadcast against the (n,) FE values to (n, n)
+        space = FeSpace(build_uniform_mesh(2, 2), 1)
+        with pytest.raises(ValueError, match="shapes"):
+            weighted_errors(space, np.zeros(space.n_dofs), EvaluateOnly(CIRCLE, change),
+                            CIRCLE, [0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_field(self, bad):
+        def poison(values, grads):
+            grads = grads.copy()
+            grads[-1, 0] = bad
+            return values, grads
+
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        with pytest.raises(ValueError, match="not finite"):
+            weighted_errors(space, np.zeros(space.n_dofs), EvaluateOnly(CIRCLE, poison),
+                            CIRCLE, [0.0, 0.3])
+
+    def test_rejects_non_finite_coeffs(self):
+        exact = reference_solution(CIRCLE)
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        coeffs = interpolate(space, exact.values)
+        coeffs[space.n_dofs // 2] = math.nan
+        with pytest.raises(ValueError, match="not finite"):
+            weighted_errors(space, coeffs, exact, CIRCLE, [0.0])
 
 
 class TestWeightedError:
@@ -223,7 +282,7 @@ class TestWeightedError:
     def test_exact_fe_function_gives_zero(self):
         field = BilinearField()
         space = FeSpace(build_uniform_mesh(2, 4), 1)
-        coeffs = interpolate(space, field.values)
+        coeffs = interpolate(space, lambda x: field.evaluate(x)[0])
         errs = weighted_errors(space, coeffs, field, CIRCLE, [0.0, 0.3, 0.49])
         assert len(errs) == 6
         assert max(errs.values()) <= 1e-13
@@ -450,8 +509,9 @@ def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
             pts = low + mesh.edge * rule.points
             w = rule.weights * mesh.edge ** mesh.dim
             side = np.repeat(interface.side(low + 0.5 * mesh.edge), rule.n_points)
-        e0 = exact.values(pts, side=side) - space.evaluate(coeffs, pts)
-        e1 = exact.gradients(pts, side=side) - space.evaluate_gradient(coeffs, pts)
+        values, grads = exact.evaluate(pts, side=side)
+        e0 = values - space.evaluate(coeffs, pts)
+        e1 = grads - space.evaluate_gradient(coeffs, pts)
         # for alpha != 0 a point whose distance rounds to zero carries no
         # weight: only a piece of rounding size, as at a tangent grid line,
         # puts one there

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bitwise_equal
+from conftest import bitwise_equal, lattice
 from immersedfem import (SphericalInterface, StudyConfig, build_uniform_mesh, gauss_rule,
                          immersed_quadrature, run_study)
 from immersedfem import geometry, quadrature
@@ -60,6 +60,21 @@ def test_monomial_exactness_degrees():
         for k in range(2 * n):
             value = integrate(rule, lambda p, k=k: p[:, 0] ** k)
             assert value == pytest.approx(1.0 / (k + 1), abs=1e-14)
+
+
+def test_tensor_order_matches_meshgrid():
+    # points first axis fastest, as the local dofs; weights multiplied in
+    # axis order, bitwise as products over meshgrids
+    for dim in (1, 2, 3):
+        for n in range(1, 11):
+            rule = gauss_rule(dim, n)
+            x, w = quadrature.gauss_points_1d(n)
+            index = lattice(n, dim).astype(int)
+            weights = w[index[:, 0]]
+            for axis in range(1, dim):
+                weights = weights * w[index[:, axis]]
+            assert bitwise_equal(rule.points, x[index])
+            assert bitwise_equal(rule.weights, weights)
 
 
 def test_rejects_bad_arguments():

@@ -1,4 +1,6 @@
 import ast
+import collections
+import importlib
 import os
 import re
 import subprocess
@@ -267,3 +269,38 @@ def test_package_defines_no_name_it_never_uses():
             # references inside a definition do not keep its own name alive
             used |= refs - set(names)
     assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
+
+
+def test_package_defines_no_method_it_never_uses():
+    # a method of a package class is called or read somewhere in the package
+    # or the tests outside its own definition; dunders and overrides of a
+    # base class from outside the package (the argparse hooks of
+    # ``cli._Parser``) are called by that base
+    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    files = [os.path.join(folder, file) for folder in (package, tests)
+             for file in sorted(os.listdir(folder)) if file.endswith(".py")]
+    methods, refs, own = [], [], []
+    for path in files:
+        with open(path, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        refs += [node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))]
+        if os.path.dirname(path) != package:
+            continue
+        module = importlib.import_module(f"immersedfem.{os.path.basename(path)[:-3]}")
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            outside = [base for base in getattr(module, cls.name).__mro__[1:]
+                       if not base.__module__.startswith("immersedfem")]
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef) or method.name.startswith("__")
+                        or any(hasattr(base, method.name) for base in outside)):
+                    continue
+                methods.append(f"{os.path.basename(path)}:{method.lineno} "
+                               f"{cls.name}.{method.name}")
+                # references inside a method do not keep it alive
+                own += [node.attr for node in ast.walk(method)
+                        if isinstance(node, ast.Attribute) and node.attr == method.name]
+    counts = collections.Counter(refs)
+    counts.subtract(own)
+    assert [m for m in methods if counts[m.rsplit(".", 1)[1]] <= 0] == []

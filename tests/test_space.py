@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bitwise_equal, lattice_tables
+from conftest import bitwise_equal, lattice, lattice_tables
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
                          build_uniform_mesh, classify_cells, immersed_quadrature, interpolate,
                          interpolate_outside_layer, reference_solution, solve,
                          weighted_errors)
-from immersedfem.space import _lagrange_1d, _lattice, _line_sum_factorised
+from immersedfem.space import _lagrange_1d, _line_sum_factorised
 from potential import jump_check, single_layer
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -25,7 +25,7 @@ def loop_tabulate(degree, ref_points):
     ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
     dim = ref_points.shape[-1]
     vals1d, ders1d = zip(*(_lagrange_1d(degree, ref_points[..., k]) for k in range(dim)))
-    local = _lattice(degree + 1, dim).astype(int)
+    local = lattice(degree + 1, dim).astype(int)
     values = np.ones(ref_points.shape[:-1] + (local.shape[0],))
     grads = np.zeros(ref_points.shape[:-1] + (local.shape[0], dim))
     for j in range(local.shape[0]):
@@ -44,7 +44,7 @@ class TestShapeFunctions:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_bitwise_equal_to_loop_oracle(self, dim, degree):
-        nodes = _lattice(degree + 1, dim) / degree
+        nodes = lattice(degree + 1, dim) / degree
         random = np.random.default_rng(dim * degree).uniform(0.0, 1.0, size=(50, dim))
         for pts in (nodes, random, random.reshape(5, 10, dim)):
             values, grads = FeSpace(build_uniform_mesh(dim, 1), degree).tabulate(pts)
@@ -136,7 +136,7 @@ class TestSumFactorisation:
         # the nodes and inside
         rng = np.random.default_rng(7 * dim + degree)
         ticks = np.arange(degree + 1) / degree
-        face_ref = np.vstack([_lattice(degree + 1, dim - 1) / degree,
+        face_ref = np.vstack([lattice(degree + 1, dim - 1) / degree,
                               rng.uniform(0.0, 1.0, size=(8, dim - 1))])
         face_ref = np.tile(face_ref, (dim, 1))
         height = np.repeat(np.arange(dim), face_ref.shape[0] // dim)
@@ -168,7 +168,7 @@ def broadcast_line_kernel(degree, local, frame, face_ref, line, t_ref):
             total += coeffs[..., a] * table[..., a]
         return total
 
-    index = (p ** frame) @ _lattice(p, dim).astype(int).T
+    index = (p ** frame) @ lattice(p, dim).astype(int).T
     value = np.take_along_axis(local, index, axis=1).reshape((-1,) + (p,) * dim)
     grads = []
     for k in range(dim - 1):
