@@ -13,7 +13,11 @@ evaluated on the face axes once per line, on the height axis per point.
 The exact solution's batched ``evaluate(points, side)`` is called once per
 block or run on its (n, dim) point array and returns the values and the
 gradients together; the per-point arithmetic works on one contiguous column
-per coordinate or component.
+per coordinate or component.  The weights of every exponent but 0 come from
+one log per point and one exp over an (exponent, point) buffer, and all the
+weighted sums of a block or run from one ``np.einsum`` contraction, which
+numpy forms itself: through BLAS, a dot product of more than 10,000 points
+is threaded and its bits depend on the thread count.
 """
 
 from __future__ import annotations
@@ -64,21 +68,30 @@ class RadialSolution:
 
     def evaluate(self, points, side=None):
         """Values (n,) and gradients (n, dim) at the (n, dim) ``points``,
-        from one offset x - c and one distance |x - c| per point."""
+        from one offset x - c and one distance |x - c| per point; points all
+        on one side skip the selection between the branches."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if side is None:
             side = self.interface.side(points)
         outer = np.broadcast_to(np.asarray(side), (points.shape[0],)) > 0
-        r = _offsets(points, self.interface.center)
-        rho = np.where(outer, _length(r), 1.0)
-        values = np.where(outer, self._outer_value(rho), self._inner_value)
-        scale = self._outer_slope(rho) / rho
-        inner = ~outer
         # one component per row: the (n, dim) result is a transposed view
-        grads = np.empty((self.dim, points.shape[0]))
+        grads = np.zeros((self.dim, points.shape[0]))
+        if not outer.any():
+            return np.full(points.shape[0], self._inner_value), grads.T
+        inner = ~outer
+        mixed = inner.any()
+        r = _offsets(points, self.interface.center)
+        rho = _length(r)
+        if mixed:
+            np.copyto(rho, 1.0, where=inner)
+        values = self._outer_value(rho)
+        if mixed:
+            values = np.where(outer, values, self._inner_value)
+        scale = self._outer_slope(rho) / rho
         for k, component in enumerate(r):
             np.multiply(scale, component, out=grads[k])
-            np.copyto(grads[k], 0.0, where=inner)
+            if mixed:
+                np.copyto(grads[k], 0.0, where=inner)
         return values, grads.T
 
     def values(self, points, side=None) -> np.ndarray:
@@ -226,32 +239,41 @@ def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
     if values.shape != uh.shape or grads.shape != guh.shape:
         raise ValueError(f"exact.evaluate must return shapes {uh.shape} and {guh.shape}, "
                          f"got {values.shape} and {grads.shape}")
-    e0 = values - uh
-    e1 = [grads[:, k] - guh[:, k] for k in range(guh.shape[1])]
-    we0 = w * e0**2
-    # squares summed in axis order, as ``geometry._length`` does
-    we1 = w * sum((e ** 2 for e in e1[1:]), e1[0] ** 2)
-    for a, weight in _distance_weights(interface.distance(pts), alphas):
-        acc[(a, 0)] += float(np.sum(we0 * weight))
-        acc[(a, 1)] += float(np.sum(we1 * weight))
+    # rows w e0^2 and w |e1|^2, the squares summed in axis order, as
+    # ``geometry._length`` does
+    terms = np.empty((2, uh.size))
+    e = np.subtract(values, uh)
+    np.multiply(w, np.multiply(e, e, out=e), out=terms[0])
+    np.subtract(grads[:, 0], guh[:, 0], out=e)
+    np.multiply(e, e, out=terms[1])
+    for k in range(1, guh.shape[1]):
+        np.subtract(grads[:, k], guh[:, k], out=e)
+        terms[1] += np.multiply(e, e, out=e)
+    terms[1] *= w
+    # the sums of every alpha != 0 in one contraction, which numpy forms
+    # itself, not BLAS; at alpha = 0 the plain sums
+    powers = [a for a in alphas if a != 0.0]
+    sums = np.einsum("kn,mn->km", _distance_weights(interface.distance(pts), powers), terms)
+    sums = sums.tolist()
+    if len(powers) < len(alphas):
+        powers.append(0.0)
+        sums.append(terms.sum(axis=1).tolist())
+    for a, (sum0, sum1) in zip(powers, sums):
+        acc[(a, 0)] += sum0
+        acc[(a, 1)] += sum1
 
 
 def _distance_weights(d, alphas):
-    """``(alpha, d^(2 alpha))`` per alpha: 1 at alpha = 0, and 0 where d
-    rounds to zero (only at pieces of rounding size) for every other alpha.
+    """The weights d^(2 alpha), one row per alpha of ``alphas``, none of
+    them 0; 0 where d rounds to zero (only at pieces of rounding size).
 
-    ``d`` is overwritten with log d, taken once per point; every weight is
-    exp(2 alpha log d) in one buffer, overwritten by the next alpha."""
-    zero = np.flatnonzero(d == 0.0)
-    log_d = np.log(d, out=d, where=d > 0.0)
-    weight = np.empty_like(d)
-    for a in alphas:
-        if a == 0.0:
-            yield a, 1.0
-            continue
-        np.exp(np.multiply(log_d, 2.0 * a, out=weight), out=weight)
-        weight[zero] = 0.0
-        yield a, weight
+    ``d`` is overwritten with log d, taken once per point; the weights are
+    exp(2 alpha log d), from one exp over the (len(alphas), n) buffer."""
+    zero = d == 0.0
+    weights = np.multiply.outer(2.0 * np.asarray(alphas), np.log(d, out=d, where=~zero))
+    np.exp(weights, out=weights)
+    weights[:, zero] = 0.0
+    return weights
 
 
 def discrete_norm(space: FeSpace, coeffs, interface, alpha: float) -> float:

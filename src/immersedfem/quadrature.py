@@ -13,12 +13,13 @@ level splits its lines at the roots and grades the Gauss points of a piece
 toward the roots that end it or lie within one piece length beyond it, which
 resolves the weights d^(2 alpha) and the square roots where roots merge.  The
 surface rule takes the sphere's roots on the lines of the same face rule.
-Every level runs in two stages: the pieces of its lines (``_pieces``), then
-the Gauss points of the pieces (``_piece_points``), which also takes any
-slice of them.  The volume rule (``_near_runs``) builds the lines and pieces
-for blocks of height boxes and the points of the height level one run of
-whole lines at a time, so that no per-point array exceeds a given bound.
-Gauss-Legendre nodes are computed once per size.
+Every level runs in two stages: the pieces of its lines (``_pieces``, one
+broadcast over pieces, graded roots and lines), then the Gauss points of the
+pieces (``_piece_points``), which also takes any slice of them.  The volume
+rule (``_near_runs``) builds the lines and pieces for blocks of height boxes
+and the points of the height level one run of whole lines at a time, so
+that no per-point array exceeds a given bound.  Gauss-Legendre nodes are
+computed once per size.
 """
 
 from __future__ import annotations
@@ -136,12 +137,16 @@ def _near_runs(lows, size: float, interface, points: int, batch_points: int):
             last = max(first + 1, np.searchsorted(bounds, bounds[first] + batch_points,
                                                   side="right") - 1)
             run, lines = slice(first_piece[first], first_piece[last]), slice(first, last)
-            line, t, wt, mid = _piece_points(*(p[run] for p in pieces), points, HEIGHT_GRADING)
-            inside = (roots[0][line] < mid) & (mid < roots[1][line])
+            piece_line, start, end, anchor = (p[run] for p in pieces)
+            line, t, wt, _ = _piece_points(piece_line, start, end, anchor, points, HEIGHT_GRADING)
+            # every point takes the side of its piece's midpoint
+            mid = 0.5 * (start + end)
+            inside = (roots[0][piece_line] < mid) & (mid < roots[1][piece_line])
             on = line - first
             t_ref = (t - height_lows[line]) / size
             yield (parent[lines], _unpermute(x[lines], frame[lines], on, t), w[line] * wt,
-                   np.where(inside, -1, 1), (frame[lines], face_ref[lines], on, t_ref))
+                   np.repeat(np.where(inside, -1, 1), points),
+                   (frame[lines], face_ref[lines], on, t_ref))
             first = last
 
 
@@ -264,33 +269,40 @@ def _pieces(lo, hi, roots, graded):
     toward (infinite for an ungraded piece).
     """
     m = lo.shape[0]
-    inner = np.where((roots > lo[:, None]) & (roots < hi[:, None]), roots, hi[:, None])
-    # one row per cut and one per graded root, each over the lines
-    cuts = np.ascontiguousarray(np.sort(np.concatenate([lo[:, None], inner, hi[:, None]],
-                                                       axis=1), axis=1).T)
-    bent_roots = np.ascontiguousarray(roots[:, graded].T)
+    # one row per cut over the lines: a line's inner roots, sorted, between its ends
+    inner = np.where((roots > lo[:, None]) & (roots < hi[:, None]), roots, hi[:, None]).T.copy()
+    _sort_rows(inner)
+    cuts = np.concatenate([lo[None], inner, hi[None]])
+    a, b = cuts[:-1], cuts[1:]  # (piece, line)
+    length = b - a
+    positive = length > 0.0
+    # (graded root, piece, line), reduced over the roots in order
+    bent = roots[:, graded].T[:, None, :]
+    left = np.where((bent <= a) & (bent >= a - length), bent, -np.inf).max(axis=0, initial=-np.inf)
+    right = np.where((bent >= b) & (bent <= b + length), bent, np.inf).min(axis=0, initial=np.inf)
+    has_left, has_right = np.isfinite(left), np.isfinite(right)
+    both = has_left & has_right
+    mid = np.where(both, 0.5 * (a + b), b)
     # row 2j + h: half h of piece j; the first half ends at the midpoint only
     # when both ends are graded, and the second half exists only then
-    starts, ends, anchors = (np.empty((2 * cuts.shape[0] - 2, m)) for _ in range(3))
-    keep = np.empty(starts.shape, dtype=bool)
-    for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        length = b - a
-        left, right = np.full(m, -np.inf), np.full(m, np.inf)
-        for r in bent_roots:
-            left = np.maximum(left, np.where((r <= a) & (r >= a - length), r, -np.inf))
-            right = np.minimum(right, np.where((r >= b) & (r <= b + length), r, np.inf))
-        has_left, has_right = np.isfinite(left), np.isfinite(right)
-        both = has_left & has_right
-        mid = np.where(both, 0.5 * (a + b), b)
-        starts[2 * j], starts[2 * j + 1] = a, mid
-        ends[2 * j], ends[2 * j + 1] = mid, b
-        anchors[2 * j], anchors[2 * j + 1] = np.where(has_left, left, right), right
-        np.greater(length, 0.0, out=keep[2 * j])
-        np.logical_and(both, keep[2 * j], out=keep[2 * j + 1])
+    keep = np.stack([positive, both & positive], axis=1).reshape(2 * a.shape[0], m)
     # the kept halves line by line, then piece by piece
     line, row = np.divmod(np.flatnonzero(keep.T), keep.shape[0])
     at = row * m + line
-    return (line,) + tuple(x.reshape(-1)[at] for x in (starts, ends, anchors))
+    halves = ((a, mid), (mid, b), (np.where(has_left, left, right), right))
+    return (line,) + tuple(np.stack(h, axis=1).reshape(-1)[at] for h in halves)
+
+
+def _sort_rows(x):
+    """Sort every column of ``x`` (k, m) in place by k rounds of odd-even
+    transposition; min and max return one of their arguments, so the
+    values are those of ``np.sort(x, axis=0)``."""
+    k = x.shape[0]
+    for r in range(k):
+        first, second = x[r % 2:k - 1:2], x[r % 2 + 1:k:2]
+        low = np.minimum(first, second)
+        np.maximum(first, second, out=second)
+        first[...] = low
 
 
 def _piece_points(line, start, end, anchor, points, power):

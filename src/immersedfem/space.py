@@ -1,38 +1,62 @@
 """Continuous tensor-product Lagrange elements on uniform grids: shape
 functions, nodal interpolation, and the interpolant that zeroes every degree
 of freedom trapped inside the interface layer.  Every field the library
-evaluates is called once on an (n, dim) point array, by ``_field_values``."""
+evaluates is called once on an (n, dim) point array, by ``_field_values``.
+Points on axis-parallel lines are evaluated by sum factorisation
+(``_line_sum_factorised``): the face axes once per line, with the lines as
+contiguous rows and the orders of a frame made once per frame id, then one
+table of 1D basis values per point."""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .mesh import Mesh, _lattice_index, _ravel_index, classify_cells
 
 
-def _lagrange_1d(degree: int, x: np.ndarray):
-    """Values and derivatives of the 1D Lagrange basis on nodes k/degree, for
-    all basis functions at once; products take their factors x - node_b, and
-    derivatives their terms, in ascending b, as a loop per function would."""
+def _basis_factors(degree: int, x):
+    """The factors of the 1D Lagrange basis on nodes k/degree at ``x``: x -
+    node_b in row b, the other nodes b != a of each basis function a (row j
+    holds the j-th) and the denominators prod_b (node_a - node_b), shaped to
+    broadcast on a row of factors."""
     x = np.asarray(x, dtype=float)
     n = degree + 1
     nodes = np.arange(n) / degree if degree > 0 else np.zeros(1)
-    # row j holds the j-th node b != a of every basis function a
     others = np.array([[b for b in range(n) if b != a] for a in range(n)], dtype=int).T
-    diffs = x - nodes.reshape((n,) + (1,) * x.ndim)  # row b: x - node_b
-
-    def product(rows):
-        # 1 * f == f, so starting from the first factor keeps every bit
-        out = diffs[rows[0]] if len(rows) else np.ones(diffs.shape)
-        for b in rows[1:]:
-            out = out * diffs[b]
-        return out
-
     denom = np.prod(nodes[:, None] - nodes[others.T], axis=1).reshape((n,) + (1,) * x.ndim)
+    return x - nodes.reshape((n,) + (1,) * x.ndim), others, denom
+
+
+def _product(diffs, rows):
+    """The product of the factors ``diffs[b]`` over the rows ``rows``, in
+    ascending b, as a loop per basis function would form it."""
+    # 1 * f == f, so starting from the first factor keeps every bit
+    out = diffs[rows[0]] if len(rows) else np.ones(diffs.shape)
+    for b in rows[1:]:
+        out *= diffs[b]
+    return out
+
+
+def _lagrange_values(degree: int, x) -> np.ndarray:
+    """Values of the 1D Lagrange basis at ``x``, one row per basis function:
+    shape (degree + 1,) + x.shape."""
+    diffs, others, denom = _basis_factors(degree, x)
+    values = _product(diffs, others)
+    values /= denom
+    return values
+
+
+def _lagrange_1d(degree: int, x):
+    """Values and derivatives of the 1D Lagrange basis at ``x``, for all
+    basis functions at once (the last axis); derivatives sum their terms in
+    ascending b, as a loop per function would."""
+    diffs, others, denom = _basis_factors(degree, x)
     derivs = np.zeros(diffs.shape)
-    for j in range(n - 1):
-        derivs = derivs + product(np.delete(others, j, axis=0))
-    return np.moveaxis(product(others) / denom, 0, -1), np.moveaxis(derivs / denom, 0, -1)
+    for j in range(others.shape[0]):
+        derivs = derivs + _product(diffs, np.delete(others, j, axis=0))
+    return np.moveaxis(_product(diffs, others) / denom, 0, -1), np.moveaxis(derivs / denom, 0, -1)
 
 
 def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
@@ -44,41 +68,64 @@ def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
     on line ``line[j]``.  Per line the face axes are contracted with 1D
     tables, first frame axis first, leaving the value and the gradient as
     polynomials along the line (its own component from the value's slope at
-    the nodes); per point one 1D value table evaluates them.
+    the nodes); per point one 1D value table evaluates them.  The orders of
+    the coefficients and gradients are made once per frame id, not per line.
     """
     dim = frame.shape[1]
     p = degree + 1
 
     def contract(coeffs, table):
-        total = coeffs[..., 0] * table[..., 0]
+        # over the axis before the lines, one contiguous row per line
+        total = coeffs[..., 0, :] * table[0]
         for a in range(1, p):
-            total += coeffs[..., a] * table[..., a]
+            total += coeffs[..., a, :] * table[a]
         return total
 
-    # coefficients in frame order; C order puts the first frame axis last
-    index = (p ** frame) @ _lattice_index(np.arange(p ** dim), p, dim).T
-    value = np.take_along_axis(local, index, axis=1).reshape((-1,) + (p,) * dim)
+    index, inverse, slopes = _line_tables(degree, dim)
+    ids = _ravel_index(frame, dim)
+    # (coefficient, line): the lines last throughout, one contiguous row each
+    flat = (index[ids] + p ** dim * np.arange(ids.size)[:, None]).T
+    value = local.reshape(-1)[flat].reshape((p,) * dim + (-1,))
+    # (basis function, face axis, line)
+    vals, ders = (np.moveaxis(t, -1, 0) for t in _lagrange_1d(degree, face_ref.T))
     grads = []
     for k in range(dim - 1):
-        vals, ders = (t.reshape((-1,) + (1,) * (dim - 1 - k) + (p,))
-                      for t in _lagrange_1d(degree, face_ref[:, k]))
-        grads = [contract(g, vals) for g in grads] + [contract(value, ders)]
-        value = contract(value, vals)
-    grads.append(contract(value[:, None, :], _lagrange_1d(degree, np.arange(p) / degree)[1]))
-    # (gradient in physical axes, line, node): physical axis k is frame axis
-    # argsort(frame)[k]
-    grads = np.take_along_axis(np.stack(grads), np.argsort(frame, axis=1).T[:, :, None], axis=0)
-    # (component, node, line): every node's coefficients are one contiguous row
-    polys = np.stack([value, *grads]).transpose(0, 2, 1).copy()
-    vals, _ = _lagrange_1d(degree, t_ref)
+        grads = [contract(g, vals[:, k]) for g in grads] + [contract(value, ders[:, k])]
+        value = contract(value, vals[:, k])
+    grads.append(contract(value, slopes.T[:, :, None]))
+    # (component, node, line), the gradient in physical axes: every node's
+    # coefficients are one contiguous row
+    polys = np.empty((dim + 1, p, ids.size))
+    polys[0] = value
+    # physical axis k of a line is its frame axis inverse[id][k], gathered
+    # from the flat (frame axis, node, line) stack of the gradients
+    rows = inverse[ids].T[:, None, :] * (p * ids.size)
+    polys[1:] = np.stack(grads).reshape(-1)[rows + np.arange(p * ids.size).reshape(p, -1)]
+    vals = _lagrange_values(degree, t_ref)
     # per point, one row per component and one gathered row per node: the
     # (n, dim) gradients are a transposed view
     total = np.empty((dim + 1, line.size))
     for poly, out in zip(polys, total):
-        np.multiply(poly[0][line], vals[:, 0], out=out)
+        np.multiply(poly[0][line], vals[0], out=out)
         for a in range(1, p):
-            out += poly[a][line] * vals[:, a]
+            out += poly[a][line] * vals[a]
     return total[0], total[1:].T
+
+
+@functools.lru_cache(maxsize=None)
+def _line_tables(degree: int, dim: int):
+    """The tables of ``_line_sum_factorised``, read-only and made once per
+    degree and dimension: per frame, by its id among the dim^dim axis tuples,
+    the local dof of each coefficient in frame order (C order puts the first
+    frame axis last) and the frame axis of each physical axis; and the
+    slopes of the 1D basis at its nodes (node, basis function)."""
+    p = degree + 1
+    frames = _lattice_index(np.arange(dim ** dim), dim, dim)
+    tables = ((p ** frames) @ _lattice_index(np.arange(p ** dim), p, dim).T,
+              np.argsort(frames, axis=1), _lagrange_1d(degree, np.arange(p) / degree)[1])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class FeSpace:

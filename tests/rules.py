@@ -3,6 +3,7 @@
 The package makes this rule one run of lines at a time
 (``quadrature._near_runs``); these helpers make every line, piece and point
 in one call from the same stages, so the runs can be checked against them.
+``loop_pieces`` is the loop form of the piece stage.
 """
 
 import numpy as np
@@ -39,3 +40,37 @@ def line_rule(boxes, interface, points):
                                                 quadrature.HEIGHT_GRADING)
     inside = (roots[0][line] < mid) & (mid < roots[1][line])
     return parent, frame, x, line, t, w[line] * wt, np.where(inside, -1, 1)
+
+
+def loop_pieces(lo, hi, roots, graded):
+    """``quadrature._pieces`` one piece column at a time, with each anchor
+    found by a loop over the graded roots and the cuts sorted by ``np.sort``
+    (test oracle)."""
+    m = lo.shape[0]
+    inner = np.where((roots > lo[:, None]) & (roots < hi[:, None]), roots, hi[:, None])
+    # one row per cut and one per graded root, each over the lines
+    cuts = np.ascontiguousarray(np.sort(np.concatenate([lo[:, None], inner, hi[:, None]],
+                                                       axis=1), axis=1).T)
+    bent_roots = np.ascontiguousarray(roots[:, graded].T)
+    # row 2j + h: half h of piece j; the first half ends at the midpoint only
+    # when both ends are graded, and the second half exists only then
+    starts, ends, anchors = (np.empty((2 * cuts.shape[0] - 2, m)) for _ in range(3))
+    keep = np.empty(starts.shape, dtype=bool)
+    for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        length = b - a
+        left, right = np.full(m, -np.inf), np.full(m, np.inf)
+        for r in bent_roots:
+            left = np.maximum(left, np.where((r <= a) & (r >= a - length), r, -np.inf))
+            right = np.minimum(right, np.where((r >= b) & (r <= b + length), r, np.inf))
+        has_left, has_right = np.isfinite(left), np.isfinite(right)
+        both = has_left & has_right
+        mid = np.where(both, 0.5 * (a + b), b)
+        starts[2 * j], starts[2 * j + 1] = a, mid
+        ends[2 * j], ends[2 * j + 1] = mid, b
+        anchors[2 * j], anchors[2 * j + 1] = np.where(has_left, left, right), right
+        np.greater(length, 0.0, out=keep[2 * j])
+        np.logical_and(both, keep[2 * j], out=keep[2 * j + 1])
+    # the kept halves line by line, then piece by piece
+    line, row = np.divmod(np.flatnonzero(keep.T), keep.shape[0])
+    at = row * m + line
+    return (line,) + tuple(x.reshape(-1)[at] for x in (starts, ends, anchors))

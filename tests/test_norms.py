@@ -567,10 +567,12 @@ class TestNearPathWork:
         near = np.nonzero(d_min <= mesh.edge)[0]
         boxes = quadrature._height_boxes(lows[near], mesh.edge, interface)
         rows, _, _, line, _, _, _ = line_rule(boxes, interface, 2 * q)
+        # every 1D table, of values or of values and slopes, takes its
+        # coordinates through ``_basis_factors`` once
         coordinates, kernel_calls = [], []
-        lagrange, kernel = space_module._lagrange_1d, norms._line_sum_factorised
-        monkeypatch.setattr(space_module, "_lagrange_1d",
-                            lambda degree, x: coordinates.append(np.size(x)) or lagrange(degree, x))
+        factors, kernel = space_module._basis_factors, norms._line_sum_factorised
+        monkeypatch.setattr(space_module, "_basis_factors",
+                            lambda degree, x: coordinates.append(np.size(x)) or factors(degree, x))
         monkeypatch.setattr(norms, "_line_sum_factorised",
                             lambda *args: kernel_calls.append(1) or kernel(*args))
         weighted_errors(space, np.zeros(space.n_dofs), reference_solution(interface), interface,
@@ -584,18 +586,22 @@ class TestNearPathWork:
 
 
 def test_distance_weights_match_power():
+    # one row per alpha in the order given, 0 at d = 0
     rng = np.random.default_rng(23)
     d = np.concatenate([np.exp(rng.uniform(math.log(1e-12), math.log(2.0), 2000)),
                         [1e-12, 1.0, 2.0], np.zeros(4)])
-    alphas = [0.0, -0.49, -0.2, 0.1, 0.3, 0.49]
-    got = [(a, np.copy(w)) for a, w in norms._distance_weights(d.copy(), alphas)]
-    assert [a for a, _ in got] == alphas
-    assert got[0][1] == 1.0
+    alphas = [-0.2, -0.49, 0.1, 0.3, 0.49]
+    got = norms._distance_weights(d.copy(), alphas)
+    assert got.shape == (len(alphas), d.size)
     positive = d > 0.0
-    for a, weight in got[1:]:
+    for a, weight in zip(alphas, got):
         assert np.all(weight[~positive] == 0.0)
         np.testing.assert_allclose(weight[positive], np.power(d[positive], 2.0 * a),
                                    rtol=1e-13, atol=0.0)
+    # a subset of the exponents gives the same rows, and none gives no row
+    assert bitwise_equal(norms._distance_weights(d.copy(), alphas[2:]), got[2:])
+    assert bitwise_equal(norms._distance_weights(d.copy(), [0.3]), got[3:4])
+    assert norms._distance_weights(d.copy(), []).shape == (0, d.size)
 
 
 class TestNearBlocks:

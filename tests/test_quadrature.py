@@ -10,7 +10,7 @@ from immersedfem import (SphericalInterface, StudyConfig, build_uniform_mesh, ga
                          immersed_quadrature, run_study)
 from immersedfem import geometry, quadrature
 from immersedfem.quadrature import surface_rule
-from rules import line_rule, split_cut_cell
+from rules import line_rule, loop_pieces, split_cut_cell
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -370,6 +370,33 @@ def broadcast_unpermute(x, frame, line, t):
     pts = faces[line]
     pts[np.arange(line.size), frame[line, -1]] = t
     return pts
+
+
+@st.composite
+def lines_with_roots(draw):
+    """Lines [lo, hi], some of zero length, with up to five candidate roots
+    each: absent (NaN), exactly on lo or hi, repeated, or anywhere within two
+    line lengths; and a mask of graded roots, every root graded as on the
+    height axis or any mask as on the face levels."""
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    lo = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+    length = np.array(draw(st.lists(st.sampled_from([0.0, 1e-12, 0.25, 1.0]) | st.floats(0.0, 2.0),
+                                    min_size=m, max_size=m)))
+    frac = np.array(draw(st.lists(st.sampled_from([np.nan, 0.0, 1.0, -1.0, 0.5, 2.0])
+                                  | st.floats(-2.0, 3.0), min_size=m * k, max_size=m * k)))
+    roots = lo[:, None] + frac.reshape(m, k) * length[:, None]
+    repeat = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    roots[repeat, -1] = roots[repeat, 0]
+    graded = draw(st.just([True] * k) | st.lists(st.booleans(), min_size=k, max_size=k))
+    return lo, lo + length, roots, np.array(graded, dtype=bool)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines_with_roots())
+def test_pieces_bitwise_equal_to_the_loop(lines):
+    # every piece column and graded root at once, against one at a time
+    got, want = quadrature._pieces(*lines), loop_pieces(*lines)
+    assert all(bitwise_equal(g, w) for g, w in zip(got, want))
 
 
 class TestColumnWiseOracle:

@@ -160,17 +160,22 @@ def test_peak_memory_2d_solve():
 
 def test_csv_independent_of_blas_threads(tmp_path):
     # nothing on the grid goes through BLAS, so the thread count of OpenBLAS
-    # moves no bit; the dense solve changed 6 of these 30 rows
+    # moves no bit; the dense solve changed 6 of the 30 rows of the first
+    # study, and the error pass's weighted sums would go through a threaded
+    # ddot if they were dot products, near the surface in 2D Q2 and 3D too
     src = os.path.dirname(os.path.dirname(os.path.abspath(immersedfem.__file__)))
-    tables = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "immersedfem.cli", "--dim", "2", "--max-exp", "7",
-                        "--out", str(out)], env=env, check=True, timeout=300)
-        tables.append(out.read_bytes())
-    assert tables[0] == tables[1]
+    for flags in (["--dim", "2", "--max-exp", "7"], ["--dim", "3", "--max-exp", "3"],
+                  ["--dim", "2", "--degree", "2", "--max-exp", "5"]):
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "immersedfem.cli", *flags, "--out", str(out)],
+                           env=env, check=True, timeout=300)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1], flags
+
 
 def test_rejects_bad_arguments():
     space, load, g = study_problem(2, 1, 4)

@@ -10,7 +10,7 @@ from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
                          build_uniform_mesh, classify_cells, immersed_quadrature, interpolate,
                          interpolate_outside_layer, reference_solution, solve,
                          weighted_errors)
-from immersedfem.space import _lagrange_1d, _line_sum_factorised
+from immersedfem.space import _lagrange_1d, _lagrange_values, _line_sum_factorised
 from potential import jump_check, single_layer
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -125,6 +125,8 @@ class TestLagrange1d:
                 assert table.shape == want.shape
                 # bytes, so that the sign of a zero counts too
                 assert np.ascontiguousarray(table).tobytes() == want.tobytes()
+            # the table of values alone, one row per basis function
+            assert bitwise_equal(_lagrange_values(degree, x), np.moveaxis(got[0], -1, 0))
 
 
 class TestSumFactorisation:

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,30 @@ class TestGoldenCsv:
                     assert text == ""
                 else:
                     assert float(text) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("name, flags", [
+        ("dim2-q1-max-exp6.csv", ["--dim", "2", "--max-exp", "6"]),
+        ("dim2-q2-max-exp5.csv", ["--dim", "2", "--degree", "2", "--max-exp", "5"]),
+        ("dim3-q1-max-exp3.csv", ["--dim", "3", "--max-exp", "3"]),
+    ])
+    def test_matches_frozen_csv(self, tmp_path, name, flags):
+        # whole CSV files frozen from the error pass before its kernels were
+        # vectorised over pieces, frames and exponents: every error and rate
+        # within 1e-10 relative (ROADMAP aim 1), every other field equal
+        out = tmp_path / name
+        assert main(flags + ["--out", str(out)]) == 0
+        with open(Path(__file__).parent / "golden" / name, newline="", encoding="utf-8") as f:
+            want = list(csv.DictReader(f))
+        with open(out, newline="", encoding="utf-8") as f:
+            got = list(csv.DictReader(f))
+        assert len(got) == len(want) and got[0].keys() == want[0].keys()
+        measured = ("err_L2_alpha", "err_H1semi_alpha", "eoc_L2", "eoc_H1")
+        for row, golden in zip(got, want):
+            for key, text in golden.items():
+                if key not in measured or text == "":
+                    assert row[key] == text, key
+                else:
+                    assert float(row[key]) == pytest.approx(float(text), rel=1e-10, abs=0.0), key
 
 
 class TestEmitTable:
