@@ -49,45 +49,45 @@ def _check_alpha(alpha: float) -> None:
 
 
 class RadialSolution:
-    """Piecewise field: constant inside the surface, radial outside.
+    """The reference problem: the harmonic field -log|x - c| (2D) or
+    1/|x - c| (3D) outside the surface and its value on the surface inside,
+    whose flux jump across the surface is the constant layer density
+    1/R^(dim-1).
 
-    ``outer_value``/``outer_slope`` are vectorised functions of the distance
-    to the centre; the gradient is zero inside and radial outside.  Values
-    of the two branches agree on the surface, so the field is continuous.
     ``evaluate`` takes (n, dim) points and optional side tags; without tags,
-    points on the surface take the outside branch.  ``values`` is the field
-    of its values alone.
+    points on the surface take the outside branch.  The gradient is zero
+    inside and radial outside.  ``values`` and ``density`` are fields.
     """
 
-    def __init__(self, interface, outer_value, outer_slope, inner_value: float):
+    def __init__(self, interface):
         self.interface = interface
         self.dim = interface.dim
-        self._outer_value = outer_value
-        self._outer_slope = outer_slope
-        self._inner_value = float(inner_value)
+        radius = interface.radius
+        self._inner_value = -math.log(radius) if self.dim == 2 else 1.0 / radius
 
     def evaluate(self, points, side=None):
         """Values (n,) and gradients (n, dim) at the (n, dim) ``points``,
         from one offset x - c and one distance |x - c| per point; points all
-        on one side skip the selection between the branches."""
+        outside skip the selection between the branches."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if side is None:
             side = self.interface.side(points)
         outer = np.broadcast_to(np.asarray(side), (points.shape[0],)) > 0
-        # one component per row: the (n, dim) result is a transposed view
-        grads = np.zeros((self.dim, points.shape[0]))
-        if not outer.any():
-            return np.full(points.shape[0], self._inner_value), grads.T
         inner = ~outer
         mixed = inner.any()
         r = _offsets(points, self.interface.center)
         rho = _length(r)
         if mixed:
             np.copyto(rho, 1.0, where=inner)
-        values = self._outer_value(rho)
+        if self.dim == 2:
+            values, slope = -np.log(rho), -1.0 / rho
+        else:
+            values, slope = 1.0 / rho, -1.0 / rho**2
         if mixed:
             values = np.where(outer, values, self._inner_value)
-        scale = self._outer_slope(rho) / rho
+        scale = slope / rho
+        # one component per row: the (n, dim) result is a transposed view
+        grads = np.empty((self.dim, points.shape[0]))
         for k, component in enumerate(r):
             np.multiply(scale, component, out=grads[k])
             if mixed:
@@ -97,25 +97,14 @@ class RadialSolution:
     def values(self, points, side=None) -> np.ndarray:
         return self.evaluate(points, side)[0]
 
+    def density(self, points) -> np.ndarray:
+        """The layer density -[grad u . n] at the (n, dim) ``points``."""
+        return np.full(np.shape(points)[0], 1.0 / self.interface.radius ** (self.dim - 1))
+
 
 def reference_solution(interface) -> RadialSolution:
-    """The harmonic validation fields: -log|r| outside a circle (constant
-    -log R inside), 1/|r| outside a sphere (constant 1/R inside)."""
-    radius = interface.radius
-    if interface.dim == 2:
-        return RadialSolution(interface,
-                              outer_value=lambda rho: -np.log(rho),
-                              outer_slope=lambda rho: -1.0 / rho,
-                              inner_value=-math.log(radius))
-    return RadialSolution(interface,
-                          outer_value=lambda rho: 1.0 / rho,
-                          outer_slope=lambda rho: -1.0 / rho**2,
-                          inner_value=1.0 / radius)
-
-
-def layer_source_strength(interface) -> float:
-    """Constant flux-jump density reproducing the reference solution."""
-    return 1.0 / interface.radius ** (interface.dim - 1)
+    """The reference problem on ``interface``."""
+    return RadialSolution(interface)
 
 
 @dataclass

@@ -138,7 +138,7 @@ def _near_runs(lows, size: float, interface, points: int, batch_points: int):
                                                   side="right") - 1)
             run, lines = slice(first_piece[first], first_piece[last]), slice(first, last)
             piece_line, start, end, anchor = (p[run] for p in pieces)
-            line, t, wt, _ = _piece_points(piece_line, start, end, anchor, points, HEIGHT_GRADING)
+            line, t, wt = _piece_points(piece_line, start, end, anchor, points, HEIGHT_GRADING)
             # every point takes the side of its piece's midpoint
             mid = 0.5 * (start + end)
             inside = (roots[0][piece_line] < mid) & (mid < roots[1][piece_line])
@@ -212,8 +212,8 @@ def _face_rules(boxes, interface, points, weighted):
         root = _root(radii[k][box] - squares[:, None])
         if k == dim - 1:
             return parent[box], frame[box], x, w, a, a + sizes[box], ck[:, 0], root[:, 0]
-        line, t, wt, _ = _gauss_pieces(a, a + sizes[box], np.hstack([ck - root, ck + root]),
-                                       np.tile(graded[k], 2), points, FACE_GRADING)
+        line, t, wt = _gauss_pieces(a, a + sizes[box], np.hstack([ck - root, ck + root]),
+                                    np.tile(graded[k], 2), points, FACE_GRADING)
         box, x, w = box[line], np.column_stack([x[line], t]), w[line] * wt
 
 
@@ -309,7 +309,7 @@ def _piece_points(line, start, end, anchor, points, power):
     """``points`` Gauss points on each of the pieces ``(line, start, end,
     anchor)`` of ``_pieces``, or of any slice of them, graded toward the
     anchor with ``power``.  Returns per point, piece by piece: line,
-    coordinate, weight and the midpoint of the point's piece."""
+    coordinate and weight."""
     xi, omega = gauss_points_1d(points)
     n = xi.size
     t, w = np.empty((start.size, n)), np.empty((start.size, n))
@@ -332,8 +332,7 @@ def _piece_points(line, start, end, anchor, points, power):
         tb[q] = ga + span * s ** power
         wb[q] = scale * omega[q] * s ** (power - 1)
     t[bent], w[bent] = tb.T, wb.T
-    return (np.repeat(line, n), t.ravel(), w.ravel(),
-            np.repeat(0.5 * (start + end), n))
+    return np.repeat(line, n), t.ravel(), w.ravel()
 
 
 def _unpermute(x, frame, line, t):

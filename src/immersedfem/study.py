@@ -7,11 +7,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .assembly import assemble_interface_load
 from .geometry import SphericalInterface, immersed_quadrature
 from .mesh import build_uniform_mesh
-from .norms import (ConvergenceRecord, eoc, layer_source_strength, reference_solution,
-                    weighted_errors)
+from .norms import ConvergenceRecord, eoc, reference_solution, weighted_errors
 from .solver import solve
 from .space import FeSpace
 
@@ -56,8 +57,11 @@ class StudyConfig:
     def __post_init__(self):
         for name in ("dim", "min_exp", "max_exp", "degree"):
             value = getattr(self, name)
-            if value is not None and (type(value) is bool or not isinstance(value, int)):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.dim not in (2, 3):
             raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
         if self.min_exp is None:
@@ -106,14 +110,13 @@ def run_study(config: StudyConfig):
     """
     interface = SphericalInterface(config.center, config.radius)
     exact = reference_solution(interface)
-    density = layer_source_strength(interface)
     levels = []
     for exponent in range(config.min_exp, config.max_exp + 1):
         n_c = 2 ** exponent
         mesh = build_uniform_mesh(config.dim, n_c)
         space = FeSpace(mesh, config.degree)
         quad = immersed_quadrature(interface, mesh)
-        load = assemble_interface_load(space, quad, lambda points: density)
+        load = assemble_interface_load(space, quad, exact.density)
         solution, residual = solve(space, load, exact.values)
         if not residual <= MAX_RELATIVE_RESIDUAL:
             raise StudyError(f"solve failed at n_c = {n_c}: relative residual {residual:.3e}")

@@ -36,9 +36,13 @@ def line_rule(boxes, interface, points):
     parent, frame, x, w, a, b, ck, root = quadrature._face_rules(boxes, interface, points,
                                                                  weighted=True)
     roots = np.stack([ck - root, ck + root])
-    line, t, wt, mid = quadrature._gauss_pieces(a, b, roots.T, np.ones(2, dtype=bool), points,
-                                                quadrature.HEIGHT_GRADING)
-    inside = (roots[0][line] < mid) & (mid < roots[1][line])
+    graded = np.ones(2, dtype=bool)
+    line, t, wt = quadrature._gauss_pieces(a, b, roots.T, graded, points,
+                                           quadrature.HEIGHT_GRADING)
+    # every point takes the side of its piece's midpoint
+    piece_line, start, end, _ = quadrature._pieces(a, b, roots.T, graded)
+    mid = 0.5 * (start + end)
+    inside = np.repeat((roots[0][piece_line] < mid) & (mid < roots[1][piece_line]), points)
     return parent, frame, x, line, t, w[line] * wt, np.where(inside, -1, 1)
 
 

@@ -1,0 +1,45 @@
+"""The benchmark's worker runs on this package: every name it calls exists.
+
+``perfbench/worker.py`` is started as the benchmark starts it, in a new
+interpreter with ``src`` on PYTHONPATH, so a package change that removes or
+renames something the benchmark uses fails here and not only in a benchmark
+run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from immersedfem.study import CSV_HEADER
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_worker(task):
+    """The JSON object of the worker's last output line; it must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "worker.py"),
+                           json.dumps(task)], cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                          text=True, timeout=120)
+    lines = proc.stdout.strip().splitlines()
+    assert proc.returncode == 0 and lines
+    return json.loads(lines[-1])
+
+
+def test_setup_builds_the_study_input():
+    # the flags of the study3d workload
+    result = run_worker({"mode": "setup", "flags": ["--dim", "3", "--max-exp", "4"]})
+    assert result["setup_s"] > 0.0
+
+
+def test_study_writes_the_csv(tmp_path):
+    out = tmp_path / "study.csv"
+    result = run_worker({"mode": "study", "flags": ["--dim", "2", "--max-exp", "3"],
+                         "repeats": 1, "csv_path": str(out)})
+    [op] = result["ops"]
+    assert op["code"] == 0
+    assert op["csv"].startswith(CSV_HEADER + "\n")

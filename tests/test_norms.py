@@ -149,6 +149,18 @@ class TestExactSolutions:
         assert np.array_equal(values, [inner])
         assert np.array_equal(grads, np.zeros((1, interface.dim)))
 
+    @pytest.mark.parametrize("interface, n", [(CIRCLE, 16), (SPHERE, 8)], ids=["2d", "3d"])
+    def test_flux_jump_is_the_density(self, interface, n):
+        # -(grad u+ - grad u-) . n at the surface rule's points is the layer
+        # density of the load, a field on the same points
+        exact = reference_solution(interface)
+        pts = immersed_quadrature(interface, build_uniform_mesh(interface.dim, n)).points
+        normal = (pts - interface.center) / interface.radius
+        jump = exact.evaluate(pts, side=1)[1] - exact.evaluate(pts, side=-1)[1]
+        density = exact.density(pts)
+        assert density.shape == (pts.shape[0],)
+        assert np.allclose(-np.sum(jump * normal, axis=1), density, rtol=1e-12, atol=0.0)
+
     def test_outside_gradient_formula(self):
         exact = reference_solution(CIRCLE)
         x = np.array([0.7, 0.3])

@@ -16,8 +16,8 @@ from scipy.sparse.linalg import splu
 from conftest import element_scatter_stiffness, eliminate, stiffness_apply
 import immersedfem
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
-                         build_uniform_mesh, immersed_quadrature, layer_source_strength,
-                         reference_solution, solve, solver)
+                         build_uniform_mesh, immersed_quadrature, reference_solution,
+                         solve, solver)
 
 
 def study_problem(dim, degree, cells):
@@ -26,9 +26,9 @@ def study_problem(dim, degree, cells):
     interface = SphericalInterface((0.3,) * dim, 0.2)
     mesh = build_uniform_mesh(dim, cells)
     space = FeSpace(mesh, degree)
-    load = assemble_interface_load(space, immersed_quadrature(interface, mesh),
-                                   lambda y: layer_source_strength(interface))
-    return space, load, reference_solution(interface).values
+    exact = reference_solution(interface)
+    load = assemble_interface_load(space, immersed_quadrature(interface, mesh), exact.density)
+    return space, load, exact.values
 
 
 def test_identity_system():

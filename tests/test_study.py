@@ -9,7 +9,7 @@ import pytest
 from conftest import element_scatter_stiffness, eliminate
 from immersedfem import (ConfigError, FeSpace, SphericalInterface, StudyConfig,
                          assemble_interface_load, build_uniform_mesh, emit_table,
-                         immersed_quadrature, layer_source_strength, reference_solution,
+                         immersed_quadrature, reference_solution,
                          run_study, solve, study, weighted_errors)
 from immersedfem.cli import build_parser, main
 from immersedfem.study import CSV_HEADER
@@ -91,9 +91,16 @@ class TestConfig:
         # the levels, the degree and the dimension are integers, not floats
         # or booleans that would fail later inside the study
         for bad in (dict(dim=2.0), dict(degree=1.5), dict(min_exp=2.5), dict(max_exp=3.0),
-                    dict(degree=True), dict(dim=3, min_exp=False)):
+                    dict(degree=True), dict(dim=3, min_exp=False), dict(max_exp=np.float64(5.0)),
+                    dict(degree=np.bool_(True))):
             with pytest.raises(ConfigError, match="must be an integer"):
                 StudyConfig(**bad)
+        # numpy integers are integers, as for Mesh and FeSpace, and are
+        # stored as Python ints
+        cfg = StudyConfig(dim=np.int64(3), min_exp=np.int32(2), max_exp=np.int64(5),
+                          degree=np.uint8(2))
+        assert (cfg.dim, cfg.min_exp, cfg.max_exp, cfg.degree) == (3, 2, 5, 2)
+        assert all(type(v) is int for v in (cfg.dim, cfg.min_exp, cfg.max_exp, cfg.degree))
 
     def test_rejects_bad_dim_and_format(self):
         with pytest.raises(ConfigError):
@@ -134,11 +141,10 @@ class TestRunStudy:
         records = run_study(config)
         interface = SphericalInterface(config.center, config.radius)
         exact = reference_solution(interface)
-        density = layer_source_strength(interface)
         for n_c in (8, 16, 32, 64, 128):
             space = FeSpace(build_uniform_mesh(2, n_c), 1)
             load = assemble_interface_load(space, immersed_quadrature(interface, space.mesh),
-                                           lambda points: density)
+                                           exact.density)
             matrix, rhs = eliminate(element_scatter_stiffness(space), load, space,
                                     exact.values)
             lu = splu(matrix.tocsc())
