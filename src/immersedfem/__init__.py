@@ -4,21 +4,20 @@ norms and the convergence-study tooling built on top of them."""
 
 from .assembly import assemble_interface_load
 from .geometry import InterfaceQuadrature, SphericalInterface, immersed_quadrature
-from .mesh import Mesh, build_uniform_mesh, classify_cells
-from .norms import (ConvergenceRecord, RadialSolution, discrete_norm, eoc, reference_solution,
-                    weighted_errors)
+from .mesh import Mesh, build_uniform_mesh
+from .norms import ConvergenceRecord, RadialSolution, eoc, reference_solution, weighted_errors
 from .quadrature import CellQuadrature, gauss_rule
 from .solver import solve
-from .space import FeSpace, interpolate, interpolate_outside_layer
+from .space import FeSpace, interpolate
 from .study import (ConfigError, StudyConfig, StudyError, emit_table, run_study)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "assemble_interface_load", "InterfaceQuadrature", "SphericalInterface",
-    "immersed_quadrature", "Mesh", "build_uniform_mesh", "classify_cells",
-    "ConvergenceRecord", "RadialSolution", "discrete_norm", "eoc", "reference_solution",
+    "immersed_quadrature", "Mesh", "build_uniform_mesh",
+    "ConvergenceRecord", "RadialSolution", "eoc", "reference_solution",
     "weighted_errors", "CellQuadrature", "gauss_rule",
-    "solve", "FeSpace", "interpolate", "interpolate_outside_layer",
+    "solve", "FeSpace", "interpolate",
     "ConfigError", "StudyConfig", "StudyError", "emit_table", "run_study",
 ]

@@ -63,23 +63,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        config = StudyConfig(**{key: val for key, val in vars(args).items()
-                                if val is not None})
-        records = run_study(config)
-        text = emit_table(records, config.fmt)
+        flags = vars(build_parser().parse_args(argv))
+        fmt, out = flags.pop("fmt") or "csv", flags.pop("out")
+        config = StudyConfig(**{key: val for key, val in flags.items() if val is not None})
+        text = emit_table(run_study(config), fmt)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StudyError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    if config.out:
+    if out:
         try:
-            with open(config.out, "w", encoding="utf-8") as handle:
+            with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
             return 1
     else:
         sys.stdout.write(text)

@@ -1,9 +1,10 @@
 """Analytic circle/sphere interfaces immersed in the unit box.
 
-Provides the exact distance-to-surface weight, outward normals, the
-inside/outside sign test, and a surface quadrature rule built cell by cell
-from the height-function rule of ``quadrature``, so that integrals of
-piecewise-polynomial test functions over the surface keep full accuracy.
+Provides the exact distance-to-surface weight, the inside/outside sign
+test, exact distance ranges over boxes, and a surface quadrature rule built
+cell by cell from the height-function rule of ``quadrature``, so that
+integrals of piecewise-polynomial test functions over the surface keep full
+accuracy.
 """
 
 from __future__ import annotations
@@ -77,14 +78,6 @@ class SphericalInterface:
     def distance(self, points) -> np.ndarray | float:
         """Exact distance from ``points`` (shape (..., dim)) to the surface."""
         return np.abs(self._center_distance(points) - self.radius)
-
-    def normal(self, points) -> np.ndarray:
-        """Unit outward normal (pointing away from the enclosed region)."""
-        points = np.asarray(points, dtype=float)
-        rho = _length(_offsets(points, self.center))[..., None]
-        if np.any(rho == 0.0):
-            raise ValueError("normal direction undefined at the centre")
-        return (points - self.center) / rho
 
     def side(self, points) -> np.ndarray:
         """Vectorised sign test: -1 inside, +1 outside (ties count outside)."""

@@ -1,5 +1,5 @@
-"""Uniform axis-aligned grids on the unit square/cube, and the mask of the
-cells in the interface layer."""
+"""Uniform axis-aligned grids on the unit square/cube that compute cell
+corners from cell ids and locate points."""
 
 from __future__ import annotations
 
@@ -64,22 +64,6 @@ class Mesh:
 def build_uniform_mesh(dim: int, cells_per_axis: int) -> Mesh:
     """Uniform grid with (n+1)^dim vertices and n^dim congruent cells."""
     return Mesh(dim, cells_per_axis)
-
-
-def classify_cells(mesh: Mesh, interface, sigma: float) -> np.ndarray:
-    """Boolean mask, shape (n_cells,), of the cells in the interface layer:
-    those whose maximum of dist(x, surface) is at most sigma * h_cell.
-
-    The per-cell maximum is closed-form (box extremisation of |x - c| folded
-    by the radius, ``interface.distance_range_over_box``), so the split is
-    exact.  A sigma that is not positive and finite raises ValueError.
-    """
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    _check_dim(mesh, interface)
-    lows = mesh.cell_lows(np.arange(mesh.n_cells))
-    _, d_max = interface.distance_range_over_box(lows, lows + mesh.edge)
-    return d_max <= sigma * mesh.h_cell
 
 
 def _check_dim(mesh: Mesh, interface) -> None:

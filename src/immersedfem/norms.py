@@ -43,9 +43,18 @@ EXTRA_POINTS = 3
 BATCH_POINTS = 32768
 
 
-def _check_alpha(alpha: float) -> None:
-    if not -0.5 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (-1/2, 1/2), got {alpha}")
+def _check_alphas(alphas) -> list:
+    """The weight exponents ``alphas`` as floats, -0.0 as 0.0; ValueError for
+    an empty or repeated list and for a value outside [0, 1/2), NaN included:
+    the height-function rule is converged only for exponents in that range."""
+    alphas = [float(a) + 0.0 for a in alphas]
+    if not alphas:
+        raise ValueError("need at least one alpha")
+    if not all(0.0 <= a < 0.5 for a in alphas):
+        raise ValueError(f"alphas must lie in [0, 1/2), got {alphas}")
+    if len(set(alphas)) != len(alphas):
+        raise ValueError(f"alphas must be distinct, got {alphas}")
+    return alphas
 
 
 class RadialSolution:
@@ -170,23 +179,18 @@ def _cell_batches(space: FeSpace, interface, rule, cells):
 def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=None) -> dict:
     """Weighted L2 and H1-seminorm errors for several exponents at once.
 
-    Returns {(alpha, m): error} for m in {0, 1}, each alpha in (-1/2, 1/2).
+    Returns {(alpha, m): error} for m in {0, 1}, each alpha in [0, 1/2).
     ``exact.evaluate(points, side=None)`` returns the exact values (n,) and
     gradients (n, dim) at an (n, dim) point array, called once per block or
     run.  The quadrature samples and distances are computed once and reused
     across exponents.  ``cell_ids``, distinct integer ids of cells of the
     mesh, restricts the integration to a subset of cells (broken norms);
     other ids raise ValueError, as do an empty or repeated list of
-    exponents, ``coeffs`` of the wrong shape, an interface of another
-    dimension, exact output of another shape and errors that are not finite.
+    exponents or one outside [0, 1/2), ``coeffs`` of the wrong shape, an
+    interface of another dimension, exact output of another shape and
+    errors that are not finite.
     """
-    alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise ValueError("need at least one alpha")
-    for a in alphas:
-        _check_alpha(a)
-    if len(set(alphas)) != len(alphas):
-        raise ValueError(f"alphas must be distinct, got {alphas}")
+    alphas = _check_alphas(alphas)
     mesh = space.mesh
     _check_dim(mesh, interface)
     coeffs = _coefficients(space, coeffs)
@@ -253,8 +257,9 @@ def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
 
 
 def _distance_weights(d, alphas):
-    """The weights d^(2 alpha), one row per alpha of ``alphas``, none of
-    them 0; 0 where d rounds to zero (only at pieces of rounding size).
+    """The weights d^(2 alpha), one row per alpha of ``alphas``, each in
+    (0, 1/2); 0 where d rounds to zero (only at pieces of rounding size),
+    the limit of d^(2 alpha) at d = 0 for alpha > 0.
 
     ``d`` is overwritten with log d, taken once per point; the weights are
     exp(2 alpha log d), from one exp over the (len(alphas), n) buffer."""
@@ -263,28 +268,6 @@ def _distance_weights(d, alphas):
     np.exp(weights, out=weights)
     weights[:, zero] = 0.0
     return weights
-
-
-def discrete_norm(space: FeSpace, coeffs, interface, alpha: float) -> float:
-    """Cellwise weighted norm: sum over cells of dist_max^(2*alpha) times the
-    squared L2 norm of the FE function on the cell, dist_max being the
-    cell's maximum distance to ``interface``.
-
-    At alpha = 0 this is the plain L2 norm (0^0 counts as 1); cells sitting
-    on the surface contribute nothing when alpha > 0.  ``coeffs`` of the
-    wrong shape and an interface of another dimension raise ValueError."""
-    _check_alpha(alpha)
-    mesh = space.mesh
-    _check_dim(mesh, interface)
-    rule = gauss_rule(mesh.dim, space.degree + 2)
-    values_tab, _ = space.tabulate(rule.points)
-    cells = np.arange(mesh.n_cells)
-    local = _coefficients(space, coeffs)[space.cell_dofs(cells)]
-    uh = local @ values_tab.T  # (n_cells, n_q)
-    cell_sq = mesh.edge ** mesh.dim * (uh**2 @ rule.weights)
-    lows = mesh.cell_lows(cells)
-    _, dist_max = interface.distance_range_over_box(lows, lows + mesh.edge)
-    return math.sqrt(float(np.sum(np.power(dist_max, 2.0 * alpha) * cell_sq)))
 
 
 def eoc(errors) -> list:

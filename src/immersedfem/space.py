@@ -1,6 +1,5 @@
 """Continuous tensor-product Lagrange elements on uniform grids: shape
-functions, nodal interpolation, and the interpolant that zeroes every degree
-of freedom trapped inside the interface layer.  Every field the library
+functions, evaluation at points and nodal interpolation.  Every field the library
 evaluates is called once on an (n, dim) point array, by ``_field_values``.
 Points on axis-parallel lines are evaluated by sum factorisation
 (``_line_sum_factorised``): the face axes once per line, with the lines as
@@ -13,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .mesh import Mesh, _lattice_index, _ravel_index, classify_cells
+from .mesh import Mesh, _lattice_index, _ravel_index
 
 
 def _basis_factors(degree: int, x):
@@ -252,18 +251,3 @@ def _field_values(field, points) -> np.ndarray:
 def interpolate(space: FeSpace, g) -> np.ndarray:
     """Nodal interpolation: coefficient i equals g at dof coordinate i."""
     return _field_values(g, space.dof_coords(np.arange(space.n_dofs)))
-
-
-def interpolate_outside_layer(space: FeSpace, interface, sigma: float, g) -> np.ndarray:
-    """Nodal interpolation with the dofs of the layer
-    ``classify_cells(space.mesh, interface, sigma)`` set to zero.
-
-    A dof survives iff it is a node of at least one cell outside the layer;
-    dofs all of whose adjacent cells sit in the layer are zeroed, and g is
-    called on the surviving dofs only.
-    """
-    keep = np.zeros(space.n_dofs, dtype=bool)
-    keep[space.cell_dofs(np.flatnonzero(~classify_cells(space.mesh, interface, sigma)))] = True
-    coeffs = np.zeros(space.n_dofs)
-    coeffs[keep] = _field_values(g, space.dof_coords(np.flatnonzero(keep)))
-    return coeffs

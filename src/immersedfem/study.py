@@ -12,7 +12,7 @@ import numpy as np
 from .assembly import assemble_interface_load
 from .geometry import SphericalInterface, immersed_quadrature
 from .mesh import build_uniform_mesh
-from .norms import ConvergenceRecord, eoc, reference_solution, weighted_errors
+from .norms import ConvergenceRecord, _check_alphas, eoc, reference_solution, weighted_errors
 from .solver import solve
 from .space import FeSpace
 
@@ -34,14 +34,16 @@ class StudyError(RuntimeError):
 
 @dataclass
 class StudyConfig:
-    """Parameters of a convergence study over meshes n_c = 2^min_exp ... 2^max_exp.
+    """Parameters of a convergence study over meshes n_c = 2^min_exp ... 2^max_exp:
+    what ``run_study`` reads; the table's format and path are the CLI's.
 
     Unset levels fall back to dimension-dependent defaults: 8..256 in 2D and
     4..32 in 3D.  The error quadrature is not configurable: degree + 3
     points per axis, twice that per piece on cells near the interface.
     The linear solve is direct and has nothing to configure.  All numbers
     must be finite, the levels and the degree integers, and the exponents
-    distinct.
+    distinct and in [0, 1/2), as ``weighted_errors`` takes them; they are
+    stored sorted.
     """
 
     dim: int = 2
@@ -51,8 +53,6 @@ class StudyConfig:
     degree: int = 1
     center: tuple | None = None
     radius: float = 0.2
-    fmt: str = "csv"
-    out: str | None = None
 
     def __post_init__(self):
         for name in ("dim", "min_exp", "max_exp", "degree"):
@@ -72,14 +72,10 @@ class StudyConfig:
             raise ConfigError(f"min-exp must be >= 2, got {self.min_exp}")
         if self.max_exp < self.min_exp:
             raise ConfigError("max-exp must not be smaller than min-exp")
-        alphas = tuple(sorted(float(a) for a in self.alphas))
-        if not alphas:
-            raise ConfigError("need at least one alpha")
-        if any(not 0.0 <= a < 0.5 for a in alphas):
-            raise ConfigError(f"alphas must lie in [0, 0.5), got {alphas}")
-        if len(set(alphas)) != len(alphas):
-            raise ConfigError(f"alphas must be distinct, got {alphas}")
-        self.alphas = alphas
+        try:
+            self.alphas = tuple(sorted(_check_alphas(self.alphas)))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.degree < 1:
             raise ConfigError(f"degree must be >= 1, got {self.degree}")
         if self.center is None:
@@ -93,8 +89,6 @@ class StudyConfig:
             raise ConfigError(f"radius must be positive and finite, got {self.radius}")
         if any(c - self.radius <= 0.0 or c + self.radius >= 1.0 for c in self.center):
             raise ConfigError("interface must lie strictly inside the unit box")
-        if self.fmt not in ("csv", "markdown"):
-            raise ConfigError(f"format must be csv or markdown, got {self.fmt!r}")
 
 
 def run_study(config: StudyConfig):

@@ -1,8 +1,9 @@
 """Boundary-integral oracle of the test suite: Green kernels, single layer
-potentials over the interface, and finite-difference checks of the normal
-derivative jump.  The package's solve path never uses it.
-The Green function takes (..., dim) displacement arrays; the density and the
-function whose jump is checked are called once on an (n, dim) point array."""
+potentials over the interface, the interface's outward normal, and
+finite-difference checks of the normal derivative jump.  The package's solve
+path never uses it.  The Green function takes (..., dim) displacement
+arrays; the density and the function whose jump is checked are called once
+on an (n, dim) point array."""
 
 from __future__ import annotations
 
@@ -32,6 +33,16 @@ def green(dim: int, r) -> np.ndarray:
     if dim == 2:
         return -np.log(norm) / (2.0 * math.pi)
     return 1.0 / (4.0 * math.pi * norm)
+
+
+def normal(interface, points) -> np.ndarray:
+    """Unit outward normal of ``interface`` (pointing away from the enclosed
+    region) at ``points`` of shape (..., dim); undefined at the centre."""
+    offsets = np.asarray(points, dtype=float) - interface.center
+    rho = np.linalg.norm(offsets, axis=-1, keepdims=True)
+    if np.any(rho == 0.0):
+        raise ValueError("normal direction undefined at the centre")
+    return offsets / rho
 
 
 def surface_samples(interface, n: int) -> np.ndarray:
@@ -93,7 +104,7 @@ def jump_check(interface, u, f) -> float:
     samples = surface_samples(interface, n_samples)
     # the five stencil points of every sample, offsets 0, h, -h, 2h, -2h
     offsets = fd_step * np.array([0.0, 1.0, -1.0, 2.0, -2.0])
-    stencils = samples + offsets[:, None, None] * interface.normal(samples)
+    stencils = samples + offsets[:, None, None] * normal(interface, samples)
     u0, up1, um1, up2, um2 = _field_values(
         u, stencils.reshape(-1, interface.dim)).reshape(5, n_samples)
     plus = (-3.0 * u0 + 4.0 * up1 - up2) / (2.0 * fd_step)

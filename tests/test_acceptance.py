@@ -13,10 +13,9 @@ import pytest
 
 from conftest import element_scatter_stiffness, eliminate, operator_matrix
 from immersedfem import (FeSpace, SphericalInterface, StudyConfig,
-                         assemble_interface_load, build_uniform_mesh, classify_cells,
-                         discrete_norm, immersed_quadrature, interpolate,
-                         interpolate_outside_layer, reference_solution, run_study, solve,
-                         weighted_errors)
+                         assemble_interface_load, build_uniform_mesh, immersed_quadrature,
+                         interpolate, reference_solution, run_study, solve, weighted_errors)
+from layer import classify_cells, discrete_norm, interpolate_outside_layer
 from potential import jump_check, single_layer
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)

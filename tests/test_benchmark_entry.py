@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from immersedfem.study import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,9 +32,15 @@ def run_worker(task):
     return json.loads(lines[-1])
 
 
-def test_setup_builds_the_study_input():
-    # the flags of the study3d workload
-    result = run_worker({"mode": "setup", "flags": ["--dim", "3", "--max-exp", "4"]})
+@pytest.mark.parametrize("flags", [
+    ["--dim", "2", "--max-exp", "9"], ["--dim", "3", "--max-exp", "4"],
+    ["--dim", "2", "--degree", "2"],
+    ["--dim", "3", "--max-exp", "4", "--center", "0.31,0.295,0.2999"]],
+    ids=["study2d", "study3d", "study2d-q2", "study3d-center"])
+def test_setup_builds_the_study_input(flags):
+    # the flags of each workload, and a centre as a nonzero seed adds it:
+    # the worker hands every parsed flag that is set to StudyConfig
+    result = run_worker({"mode": "setup", "flags": flags})
     assert result["setup_s"] > 0.0
 
 

@@ -7,6 +7,7 @@ from conftest import bitwise_equal
 from immersedfem import SphericalInterface, build_uniform_mesh, immersed_quadrature
 from immersedfem import geometry
 from immersedfem.quadrature import surface_rule
+from potential import normal
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -34,19 +35,19 @@ class TestInterface:
         assert np.array_equal(t_max, np.linalg.norm(farthest, axis=-1))
 
     def test_normal_examples(self):
-        assert np.allclose(CIRCLE.normal([0.5, 0.3]), [1.0, 0.0])
-        assert np.allclose(CIRCLE.normal([0.3, 0.1]), [0.0, -1.0])
+        assert np.allclose(normal(CIRCLE, [0.5, 0.3]), [1.0, 0.0])
+        assert np.allclose(normal(CIRCLE, [0.3, 0.1]), [0.0, -1.0])
         rng = np.random.default_rng(3)
         for theta in rng.uniform(0.0, 2.0 * math.pi, size=5):
             y = CIRCLE.center + 0.2 * np.array([math.cos(theta), math.sin(theta)])
-            nu = CIRCLE.normal(y)
+            nu = normal(CIRCLE, y)
             assert np.linalg.norm(nu) == pytest.approx(1.0, abs=1e-14)
             assert nu @ (y - CIRCLE.center) == pytest.approx(
                 np.linalg.norm(y - CIRCLE.center), abs=1e-14)
 
     def test_normal_rejects_center(self):
         with pytest.raises(ValueError):
-            CIRCLE.normal([0.3, 0.3])
+            normal(CIRCLE, [0.3, 0.3])
 
     def test_side_examples(self):
         # -1 inside, +1 outside; a point on the surface counts outside

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from immersedfem import FeSpace, SphericalInterface, build_uniform_mesh, classify_cells
+from immersedfem import FeSpace, SphericalInterface, build_uniform_mesh
+from layer import classify_cells
 
 FAR_CIRCLE = SphericalInterface((10.0, 10.0), 0.2)
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)

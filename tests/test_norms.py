@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bitwise_equal
-from immersedfem import (FeSpace, SphericalInterface, build_uniform_mesh, discrete_norm, eoc,
-                         gauss_rule, immersed_quadrature, interpolate, reference_solution,
-                         weighted_errors)
+from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
+                         build_uniform_mesh, eoc, gauss_rule, immersed_quadrature, interpolate,
+                         reference_solution, solve, weighted_errors)
 from immersedfem import norms, quadrature, space as space_module
+from layer import discrete_norm
 from rules import line_rule, split_cut_cell
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -46,16 +47,18 @@ def weight_integral(interface, alpha, mesh):
 
 class TestParams:
     def test_alpha_range(self):
-        # both weighted norms accept exactly the exponents in (-1/2, 1/2)
+        # both weighted norms accept exactly the exponents in [0, 1/2), on
+        # which the height-function rule is converged; -0.0 counts as 0.0
         space = FeSpace(build_uniform_mesh(2, 2), 1)
         zero = np.zeros(space.n_dofs)
-        for alpha in (0.49, -0.49):
-            weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [alpha])
+        for alpha in (0.0, -0.0, 0.49):
+            errs = weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [alpha])
+            assert [math.copysign(1.0, a) for a, _ in errs] == [1.0, 1.0]
             discrete_norm(space, zero, CIRCLE, alpha)
-        for alpha in (0.5, -0.5, -0.6):
-            with pytest.raises(ValueError):
+        for alpha in (-0.25, -0.49, 0.5, math.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1/2\)"):
                 weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [0.0, alpha])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"\[0, 1/2\)"):
                 discrete_norm(space, zero, CIRCLE, alpha)
 
     @pytest.mark.parametrize("cell_ids", [[-1], [63, 63], [1.7], [64]],
@@ -237,7 +240,7 @@ class TestExactFieldContract:
         interface = SphericalInterface((0.3,) * dim, 0.2)
         space = FeSpace(build_uniform_mesh(dim, n), degree)
         coeffs = np.random.default_rng(n).standard_normal(space.n_dofs)
-        alphas = [0.0, 0.3, -0.4]
+        alphas = [0.0, 0.3, 0.1]
         field = EvaluateOnly(interface)
         assert not hasattr(field, "values") and not hasattr(field, "gradients")
         got = weighted_errors(space, coeffs, field, interface, alphas)
@@ -307,16 +310,24 @@ class TestWeightedError:
         assert err == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_robustness(self, monkeypatch):
-        # the default 4 points per axis against 8
-        exact = reference_solution(CIRCLE)
-        space = FeSpace(build_uniform_mesh(2, 16), 1)
-        coeffs = interpolate(space, exact.values)
-        for alpha, m in ((0.0, 0), (0.49, 1)):
-            base = weighted_errors(space, coeffs, exact, CIRCLE, [alpha])[(alpha, m)]
+        # every accepted exponent is converged in quadrature: both errors of
+        # the solved FE solution, at the study's exponents and 0.25, move by
+        # at most 1e-6 relative when the points per axis double
+        # (degree + 3 -> 2 (degree + 3), and twice that per near piece)
+        alphas = (0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.49)
+        for dim, degree, n in ((2, 1, 16), (2, 2, 16), (3, 1, 4)):
+            interface = SphericalInterface((0.3,) * dim, 0.2)
+            exact = reference_solution(interface)
+            space = FeSpace(build_uniform_mesh(dim, n), degree)
+            load = assemble_interface_load(space, immersed_quadrature(interface, space.mesh),
+                                           exact.density)
+            solution, _ = solve(space, load, exact.values)
+            base = weighted_errors(space, solution, exact, interface, alphas)
             with monkeypatch.context() as patch:
-                patch.setattr(norms, "EXTRA_POINTS", 7)
-                fine = weighted_errors(space, coeffs, exact, CIRCLE, [alpha])[(alpha, m)]
-            assert abs(fine - base) <= 1e-3 * base
+                patch.setattr(norms, "EXTRA_POINTS", degree + 6)
+                fine = weighted_errors(space, solution, exact, interface, alphas)
+            for key, value in base.items():
+                assert fine[key] == pytest.approx(value, rel=1e-6, abs=0.0), (dim, degree, key)
 
     def test_weight_monotonicity_in_alpha(self):
         # max distance to the circle inside the unit square is < 1, so the
@@ -554,7 +565,7 @@ class TestErrorPassOracle:
         space = FeSpace(build_uniform_mesh(dim, n), degree)
         rng = np.random.default_rng(10 * dim + degree + n)
         coeffs = rng.standard_normal(space.n_dofs)
-        alphas = [0.0, 0.3, -0.4]
+        alphas = [0.0, 0.3, 0.1]
         subset = np.sort(rng.choice(space.mesh.n_cells, size=space.mesh.n_cells // 2,
                                     replace=False))
         for cell_ids in (None, subset):
@@ -602,7 +613,7 @@ def test_distance_weights_match_power():
     rng = np.random.default_rng(23)
     d = np.concatenate([np.exp(rng.uniform(math.log(1e-12), math.log(2.0), 2000)),
                         [1e-12, 1.0, 2.0], np.zeros(4)])
-    alphas = [-0.2, -0.49, 0.1, 0.3, 0.49]
+    alphas = [0.2, 0.01, 0.1, 0.3, 0.49]
     got = norms._distance_weights(d.copy(), alphas)
     assert got.shape == (len(alphas), d.size)
     positive = d > 0.0
@@ -703,10 +714,9 @@ class TestNearBlocks:
         exact = reference_solution(interface)
         space = FeSpace(build_uniform_mesh(dim, n), degree)
         coeffs = interpolate(space, exact.values)
-        alphas = self.ALPHAS + (-0.4,)
-        want = weighted_errors(space, coeffs, exact, interface, alphas)
+        want = weighted_errors(space, coeffs, exact, interface, self.ALPHAS)
         monkeypatch.setattr(norms, "BATCH_POINTS", 2048)
-        got = weighted_errors(space, coeffs, exact, interface, alphas)
+        got = weighted_errors(space, coeffs, exact, interface, self.ALPHAS)
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0), key
 

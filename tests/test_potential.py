@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from immersedfem import SphericalInterface, reference_solution
-from potential import green, jump_check, single_layer, surface_samples
+from potential import green, jump_check, normal, single_layer, surface_samples
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -72,7 +72,7 @@ class TestSingleLayer:
         # the single layer is continuous: values just inside and outside agree
         step = 1e-4
         for y in surface_samples(CIRCLE, 8):
-            nu = CIRCLE.normal(y)
+            nu = normal(CIRCLE, y)
             outer = single_layer(CIRCLE, lambda q: 5.0, y + step * nu)
             inner = single_layer(CIRCLE, lambda q: 5.0, y - step * nu)
             assert abs(outer - inner) <= 50.0 * step

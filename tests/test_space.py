@@ -7,10 +7,10 @@ import pytest
 
 from conftest import bitwise_equal, lattice, lattice_tables
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
-                         build_uniform_mesh, classify_cells, immersed_quadrature, interpolate,
-                         interpolate_outside_layer, reference_solution, solve,
-                         weighted_errors)
+                         build_uniform_mesh, immersed_quadrature, interpolate,
+                         reference_solution, solve, weighted_errors)
 from immersedfem.space import _lagrange_1d, _lagrange_values, _line_sum_factorised
+from layer import classify_cells, interpolate_outside_layer
 from potential import jump_check, single_layer
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)

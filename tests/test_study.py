@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import element_scatter_stiffness, eliminate
-from immersedfem import (ConfigError, FeSpace, SphericalInterface, StudyConfig,
-                         assemble_interface_load, build_uniform_mesh, emit_table,
-                         immersed_quadrature, reference_solution,
-                         run_study, solve, study, weighted_errors)
+from immersedfem import (ConfigError, ConvergenceRecord, FeSpace, SphericalInterface,
+                         StudyConfig, assemble_interface_load, build_uniform_mesh, emit_table,
+                         immersed_quadrature, reference_solution, run_study, solve, study,
+                         weighted_errors)
 from immersedfem.cli import build_parser, main
 from immersedfem.study import CSV_HEADER
 
@@ -102,11 +102,17 @@ class TestConfig:
         assert (cfg.dim, cfg.min_exp, cfg.max_exp, cfg.degree) == (3, 2, 5, 2)
         assert all(type(v) is int for v in (cfg.dim, cfg.min_exp, cfg.max_exp, cfg.degree))
 
-    def test_rejects_bad_dim_and_format(self):
+    def test_rejects_bad_dim_and_format(self, capsys):
         with pytest.raises(ConfigError):
             StudyConfig(dim=4)
-        with pytest.raises(ConfigError):
-            StudyConfig(fmt="yaml")
+        # the format is the table's, not the study's: emit_table and the
+        # CLI's flag check it
+        record = ConvergenceRecord(dim=2, n_cells_per_axis=4, h=math.sqrt(2.0) / 4, n_dofs=25,
+                                   alpha=0.0, err_l2=1.0, err_h1_semi=1.0)
+        with pytest.raises(ValueError, match="format"):
+            emit_table([record], "yaml")
+        assert main(["--format", "yaml"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRunStudy:
@@ -342,6 +348,19 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_parser_dests_are_config_fields(self):
-        # every flag lands in a StudyConfig field of the same name
+        # every flag but the table's format and path lands in a StudyConfig
+        # field of the same name, and every field has its flag
         dests = set(vars(build_parser().parse_args([])))
-        assert dests == {field.name for field in dataclasses.fields(StudyConfig)}
+        assert dests - {"fmt", "out"} == {field.name for field in dataclasses.fields(StudyConfig)}
+
+    def test_negative_zero_exponent_prints_as_zero(self, tmp_path, capsys):
+        # -0 is the exponent 0: no "-0" in the CSV's alpha column or the
+        # markdown heading
+        out = tmp_path / "table.csv"
+        assert main(["--min-exp", "2", "--max-exp", "3", "--alphas=-0", "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["alpha"] for row in rows] == ["0.0000000000000000e+00"] * 2
+        assert main(["--min-exp", "2", "--max-exp", "2", "--alphas=-0",
+                     "--format", "markdown"]) == 0
+        assert capsys.readouterr().out.startswith("## alpha = 0\n")
