@@ -3,7 +3,7 @@ flux jump enters as a surface layer source, plus distance-weighted error
 norms and the convergence-study tooling built on top of them."""
 
 from .assembly import assemble_interface_load
-from .geometry import InterfaceQuadrature, SphericalInterface, immersed_quadrature
+from .geometry import SphericalInterface
 from .mesh import Mesh, build_uniform_mesh
 from .norms import ConvergenceRecord, RadialSolution, eoc, reference_solution, weighted_errors
 from .quadrature import CellQuadrature, gauss_rule
@@ -14,8 +14,7 @@ from .study import (ConfigError, StudyConfig, StudyError, emit_table, run_study)
 __version__ = "0.1.0"
 
 __all__ = [
-    "assemble_interface_load", "InterfaceQuadrature", "SphericalInterface",
-    "immersed_quadrature", "Mesh", "build_uniform_mesh",
+    "assemble_interface_load", "SphericalInterface", "Mesh", "build_uniform_mesh",
     "ConvergenceRecord", "RadialSolution", "eoc", "reference_solution",
     "weighted_errors", "CellQuadrature", "gauss_rule",
     "solve", "FeSpace", "interpolate",

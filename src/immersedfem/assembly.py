@@ -1,5 +1,6 @@
 """Load vector of the Poisson problem: the surface layer source that carries
-the flux-jump data.  The stiffness operator and the Dirichlet data are the
+the flux-jump data, integrated by a surface rule of its own on the cells the
+surface cuts.  The stiffness operator and the Dirichlet data are the
 solver's (``solver.solve``).
 
 The scatter is one ``np.bincount`` over the cells' local vectors in
@@ -10,33 +11,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import InterfaceQuadrature
-from .mesh import BOX_TOL
+from .mesh import _check_dim
+from .quadrature import surface_rule
 from .space import FeSpace, _field_values
 
+#: Gauss points per piece of the surface rule
+SURFACE_ORDER = 8
 
-def assemble_interface_load(space: FeSpace, quadrature: InterfaceQuadrature, f) -> np.ndarray:
-    """Load vector of the surface layer source: entry i = sum over surface
-    quadrature of w * f(y) * phi_i(y), accumulated through owner cells.
 
-    The density ``f`` is called once, on the (n, dim) array of quadrature
-    points (see ``space._field_values``).  Nonzero entries appear only at
-    dofs of cells met by the surface."""
+def assemble_interface_load(space: FeSpace, interface, f) -> np.ndarray:
+    """Load vector of the surface layer source on ``interface``: entry i =
+    integral over the surface of f * phi_i.
+
+    The integral is the surface rule of ``quadrature.surface_rule`` with
+    ``SURFACE_ORDER`` Gauss points per piece on every cell the surface cuts,
+    which owns the points in it; only the cells of the surface's bounding
+    box (``Mesh.cells_meeting``) are tested.  The density ``f`` is called
+    once, on the (n, dim) array of the rule's points (see
+    ``space._field_values``).  Nonzero entries appear only at dofs of cut
+    cells.  Raises ValueError for an interface of another dimension than
+    the mesh, or one that meets no cell."""
     mesh = space.mesh
-    pts, w, owners = quadrature.points, quadrature.weights, quadrature.owner_cell
-    low = mesh.cell_lows(owners)
-    inside = (np.all(pts >= low - BOX_TOL, axis=1)
-              & np.all(pts <= low + mesh.edge + BOX_TOL, axis=1))
-    if not np.all(inside):
-        raise ValueError("surface quadrature point lies outside its owner cell")
-    fvals = _field_values(f, pts)
-    if owners.size == 0:
-        return np.zeros(space.n_dofs)
-    # one tabulation of every point; each cell sums its points, sorted by owner
-    order = np.argsort(owners, kind="stable")
-    cells, starts = np.unique(owners[order], return_index=True)
-    values = space.tabulate((pts[order] - low[order]) / mesh.edge)[0]  # (n, n_loc)
-    values *= (w * fvals)[order, None]
+    _check_dim(mesh, interface)
+    cells = mesh.cells_meeting(interface.center - interface.radius,
+                               interface.center + interface.radius)
+    lows = mesh.cell_lows(cells)
+    cut = interface.cuts_box(lows, lows + mesh.edge)
+    if not np.any(cut):
+        raise ValueError("surface meets no cell of the mesh")
+    cells, lows = cells[cut], lows[cut]
+    parent, pts, w = surface_rule(lows, mesh.edge, interface, SURFACE_ORDER)
+    # one tabulation of every point; parent ascends, so each cell's points
+    # are one run, summed in point order
+    values = space.tabulate((pts - lows[parent]) / mesh.edge)[0]  # (n, n_loc)
+    values *= (w * _field_values(f, pts))[:, None]
+    rows, starts = np.unique(parent, return_index=True)
     local = np.add.reduceat(values, starts, axis=0)
-    return np.bincount(space.cell_dofs(cells).ravel(), weights=local.ravel(),
+    return np.bincount(space.cell_dofs(cells[rows]).ravel(), weights=local.ravel(),
                        minlength=space.n_dofs)

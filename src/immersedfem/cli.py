@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     except StudyError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)

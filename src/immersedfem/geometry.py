@@ -1,24 +1,15 @@
 """Analytic circle/sphere interfaces immersed in the unit box.
 
 Provides the exact distance-to-surface weight, the inside/outside sign
-test, exact distance ranges over boxes, and a surface quadrature rule built
-cell by cell from the height-function rule of ``quadrature``, so that
-integrals of piecewise-polynomial test functions over the surface keep full
-accuracy.
+test, and exact distance ranges over boxes, from which the cut-cell rules of
+``quadrature`` are built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .mesh import _check_dim
-from .quadrature import surface_rule
-
-#: Gauss points per piece of the surface rule
-SURFACE_ORDER = 8
 
 
 def _length(columns) -> np.ndarray:
@@ -116,34 +107,3 @@ class SphericalInterface:
         """True where the closed box [low, high] meets the surface."""
         t_min, t_max = self.center_distance_range_over_box(low, high)
         return (t_min <= self.radius) & (self.radius <= t_max)
-
-
-@dataclass(frozen=True)
-class InterfaceQuadrature:
-    """Surface quadrature with per-point owner cells of a background mesh.
-
-    Weights carry the surface measure: their total equals the length/area of
-    the surface, and every point lies on the surface and inside the closed
-    box of its owner cell.
-    """
-
-    points: np.ndarray      # (n, dim), on the surface
-    weights: np.ndarray     # (n,), positive
-    owner_cell: np.ndarray  # (n,), cell ids of the background mesh
-
-
-def immersed_quadrature(interface: SphericalInterface, mesh) -> InterfaceQuadrature:
-    """Surface rule of ``quadrature.surface_rule`` with ``SURFACE_ORDER`` Gauss
-    points per piece on every cell of ``mesh`` the surface cuts, which owns the
-    points in it.  Only the cells of the surface's bounding box
-    (``Mesh.cells_meeting``) are tested.  Raises ValueError if the surface
-    meets no cell."""
-    _check_dim(mesh, interface)
-    cells = mesh.cells_meeting(interface.center - interface.radius,
-                               interface.center + interface.radius)
-    lows = mesh.cell_lows(cells)
-    cut = interface.cuts_box(lows, lows + mesh.edge)
-    if not np.any(cut):
-        raise ValueError("surface meets no cell of the mesh")
-    parent, points, weights = surface_rule(lows[cut], mesh.edge, interface, SURFACE_ORDER)
-    return InterfaceQuadrature(points=points, weights=weights, owner_cell=cells[cut][parent])

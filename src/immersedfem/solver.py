@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .quadrature import gauss_rule
+from .quadrature import gauss_points_1d
 from .space import FeSpace, _field_values, _lagrange_1d
 
 
@@ -34,13 +34,13 @@ def _elements_1d(space: FeSpace):
     Gauss points, each with its row sums: the integrals against the constant
     1, whose derivative is 0, so the stiffness rows sum to exactly zero.
     Every cell of every axis carries this same pair."""
-    rule = gauss_rule(1, space.degree + 2)
-    values, derivs = _lagrange_1d(space.degree, rule.points[:, 0])  # (n_q, degree + 1)
+    x, weights = gauss_points_1d(space.degree + 2)
+    values, derivs = _lagrange_1d(space.degree, x)  # (n_q, degree + 1)
     elements = []
     for table, constant, scale in ((values, 1.0, space.mesh.edge),
                                    (derivs, 0.0, 1.0 / space.mesh.edge)):
-        element = np.einsum("q,qi,qj->ij", rule.weights, table, table)
-        sums = np.einsum("q,qi->i", rule.weights, table) * constant
+        element = np.einsum("q,qi,qj->ij", weights, table, table)
+        sums = np.einsum("q,qi->i", weights, table) * constant
         elements.append((0.5 * (element + element.T) * scale, sums * scale))
     return elements
 

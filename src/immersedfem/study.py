@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_interface_load
-from .geometry import SphericalInterface, immersed_quadrature
+from .geometry import SphericalInterface
 from .mesh import build_uniform_mesh
 from .norms import ConvergenceRecord, _check_alphas, eoc, reference_solution, weighted_errors
 from .solver import solve
@@ -109,8 +109,7 @@ def run_study(config: StudyConfig):
         n_c = 2 ** exponent
         mesh = build_uniform_mesh(config.dim, n_c)
         space = FeSpace(mesh, config.degree)
-        quad = immersed_quadrature(interface, mesh)
-        load = assemble_interface_load(space, quad, exact.density)
+        load = assemble_interface_load(space, interface, exact.density)
         solution, residual = solve(space, load, exact.values)
         if not residual <= MAX_RELATIVE_RESIDUAL:
             raise StudyError(f"solve failed at n_c = {n_c}: relative residual {residual:.3e}")

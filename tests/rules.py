@@ -3,12 +3,25 @@
 The package makes this rule one run of lines at a time
 (``quadrature._near_runs``); these helpers make every line, piece and point
 in one call from the same stages, so the runs can be checked against them.
-``loop_pieces`` is the loop form of the piece stage.
+``loop_pieces`` is the loop form of the piece stage.  ``surface_quadrature``
+is the surface rule the load builds, on every cell of a mesh the surface
+cuts, so its own properties can be read.
 """
 
 import numpy as np
 
-from immersedfem import quadrature
+from immersedfem import assembly, quadrature
+
+
+def surface_quadrature(interface, mesh):
+    """``quadrature.surface_rule`` with ``assembly.SURFACE_ORDER`` points per
+    piece on the cells of ``mesh`` that ``interface`` cuts: the points, their
+    weights and their owner cells (ascending)."""
+    lows = mesh.cell_lows(np.arange(mesh.n_cells))
+    cut = np.flatnonzero(interface.cuts_box(lows, lows + mesh.edge))
+    parent, points, weights = quadrature.surface_rule(lows[cut], mesh.edge, interface,
+                                                      assembly.SURFACE_ORDER)
+    return points, weights, cut[parent]
 
 
 def split_cut_cell(cell_low, cell_size: float, interface, points: int):

@@ -13,10 +13,11 @@ import pytest
 
 from conftest import element_scatter_stiffness, eliminate, operator_matrix
 from immersedfem import (FeSpace, SphericalInterface, StudyConfig,
-                         assemble_interface_load, build_uniform_mesh, immersed_quadrature,
-                         interpolate, reference_solution, run_study, solve, weighted_errors)
+                         assemble_interface_load, build_uniform_mesh, interpolate,
+                         reference_solution, run_study, solve, weighted_errors)
 from layer import classify_cells, discrete_norm, interpolate_outside_layer
 from potential import jump_check, single_layer
+from rules import surface_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -108,17 +109,17 @@ def test_criterion_4_oracle_consistency():
 
 
 def test_criterion_5_geometry_exactness():
-    q2 = immersed_quadrature(CIRCLE, build_uniform_mesh(2, 8))
-    err_2d = abs(q2.weights.sum() - 2.0 * math.pi * 0.2)
-    q3 = immersed_quadrature(SPHERE, build_uniform_mesh(3, 8))
-    err_3d = abs(q3.weights.sum() - 4.0 * math.pi * 0.04)
+    err_2d = abs(surface_quadrature(CIRCLE, build_uniform_mesh(2, 8))[1].sum()
+                 - 2.0 * math.pi * 0.2)
+    err_3d = abs(surface_quadrature(SPHERE, build_uniform_mesh(3, 8))[1].sum()
+                 - 4.0 * math.pi * 0.04)
     ok = err_2d <= 1e-10 and err_3d <= 1e-6
     bounds = []
     for interface, dim in ((CIRCLE, 2), (SPHERE, 3)):
         for n in (8, 16, 32):
             mesh = build_uniform_mesh(dim, n)
-            q = immersed_quadrature(interface, mesh)
-            per = np.bincount(q.owner_cell, q.weights, minlength=mesh.n_cells)
+            _, weights, owners = surface_quadrature(interface, mesh)
+            per = np.bincount(owners, weights, minlength=mesh.n_cells)
             bounds.append(per.max() / (2.0 * math.sqrt(dim) * mesh.h_cell))
     ok = ok and max(bounds) <= 1.0
     report("5 (geometry exactness)", ok,
@@ -206,8 +207,7 @@ def test_criterion_8_invariant_suites():
     row_sum = float(np.max(np.abs(matrix.sum(axis=1))))
     asym_max = float(np.max(np.abs(matrix - matrix.T)))
 
-    quad = immersed_quadrature(CIRCLE, space.mesh)
-    load = assemble_interface_load(space, quad, lambda y: 5.0)
+    load = assemble_interface_load(space, CIRCLE, lambda y: 5.0)
     pu_err = abs(float(np.sum(load)) - 5.0 * 2.0 * math.pi * 0.2)
 
     # oracle: the element-scatter stiffness, eliminated and solved densely

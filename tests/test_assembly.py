@@ -5,9 +5,9 @@ import pytest
 
 from conftest import (element_scatter_stiffness, eliminate, operator_matrix,
                       stiffness_apply)
-from immersedfem import (FeSpace, InterfaceQuadrature, SphericalInterface,
-                         assemble_interface_load, build_uniform_mesh, gauss_rule,
-                         immersed_quadrature, interpolate, reference_solution, solve)
+from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
+                         build_uniform_mesh, gauss_rule, interpolate, reference_solution, solve)
+from rules import surface_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -85,58 +85,50 @@ class TestStiffness:
 
 class TestInterfaceLoad:
     def test_zero_density(self):
-        mesh = build_uniform_mesh(2, 8)
-        space = FeSpace(mesh, 1)
-        quad = immersed_quadrature(CIRCLE, mesh)
-        load = assemble_interface_load(space, quad, lambda y: 0.0)
+        space = FeSpace(build_uniform_mesh(2, 8), 1)
+        load = assemble_interface_load(space, CIRCLE, lambda y: 0.0)
         assert np.array_equal(load, np.zeros(space.n_dofs))
 
     def test_partition_of_unity_2d(self):
-        mesh = build_uniform_mesh(2, 8)
-        space = FeSpace(mesh, 1)
-        quad = immersed_quadrature(CIRCLE, mesh)
-        load = assemble_interface_load(space, quad, lambda y: 1.0 / 0.2)
+        space = FeSpace(build_uniform_mesh(2, 8), 1)
+        load = assemble_interface_load(space, CIRCLE, lambda y: 1.0 / 0.2)
         assert np.sum(load) == pytest.approx(2.0 * math.pi, abs=1e-8)
 
     def test_partition_of_unity_3d(self):
-        mesh = build_uniform_mesh(3, 4)
-        space = FeSpace(mesh, 1)
-        quad = immersed_quadrature(SPHERE, mesh)
-        load = assemble_interface_load(space, quad, lambda y: 25.0)
+        space = FeSpace(build_uniform_mesh(3, 4), 1)
+        load = assemble_interface_load(space, SPHERE, lambda y: 25.0)
         assert np.sum(load) == pytest.approx(4.0 * math.pi, abs=1e-4)
 
     def test_batched_density_matches_pointwise(self):
         # oracle by linearity in the density: load(x0 + 2) = load(x0) + 2 load(1)
-        mesh = build_uniform_mesh(2, 8)
-        space = FeSpace(mesh, 1)
-        quad = immersed_quadrature(CIRCLE, mesh)
-        batched = assemble_interface_load(space, quad, lambda y: y[:, 0] + 2.0)
-        linear = assemble_interface_load(space, quad, lambda y: y[:, 0])
-        unit = assemble_interface_load(space, quad, lambda y: 1.0)
+        space = FeSpace(build_uniform_mesh(2, 8), 1)
+        batched = assemble_interface_load(space, CIRCLE, lambda y: y[:, 0] + 2.0)
+        linear = assemble_interface_load(space, CIRCLE, lambda y: y[:, 0])
+        unit = assemble_interface_load(space, CIRCLE, lambda y: 1.0)
         assert np.allclose(batched, linear + 2.0 * unit, rtol=0.0, atol=1e-14)
         # a density written for one point at a time is not guessed at
         with pytest.raises(ValueError):
-            assemble_interface_load(space, quad, lambda y: y[0] + 2.0)
+            assemble_interface_load(space, CIRCLE, lambda y: y[0] + 2.0)
 
     def test_rejects_non_finite_density(self):
-        mesh = build_uniform_mesh(2, 8)
-        space = FeSpace(mesh, 1)
-        quad = immersed_quadrature(CIRCLE, mesh)
+        space = FeSpace(build_uniform_mesh(2, 8), 1)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                assemble_interface_load(space, quad,
+                assemble_interface_load(space, CIRCLE,
                                         lambda y: np.where(y[:, 0] > 0.45, bad, 5.0))
 
-    def test_rejects_point_outside_owner_cell(self):
-        mesh = build_uniform_mesh(2, 4)
-        space = FeSpace(mesh, 1)
-        point = np.array([[0.25 + 1e-13, 0.1]])  # within the box slack of cell 0
-        ok = InterfaceQuadrature(points=point, weights=np.ones(1), owner_cell=np.array([0]))
-        assert np.sum(assemble_interface_load(space, ok, lambda y: 1.0)) == pytest.approx(1.0)
-        far = InterfaceQuadrature(points=np.array([[0.6, 0.6]]), weights=np.ones(1),
-                                  owner_cell=np.array([0]))
-        with pytest.raises(ValueError, match="owner cell"):
+    def test_rejects_surface_meeting_no_cell(self):
+        space = FeSpace(build_uniform_mesh(2, 4), 1)
+        far = SphericalInterface((10.0, 10.0), 0.2)
+        with pytest.raises(ValueError, match="meets no cell"):
             assemble_interface_load(space, far, lambda y: 1.0)
+
+    @pytest.mark.parametrize("dim, interface", [(3, CIRCLE), (2, SPHERE)],
+                             ids=["circle-on-3d", "sphere-on-2d"])
+    def test_rejects_interface_of_other_dimension(self, dim, interface):
+        space = FeSpace(build_uniform_mesh(dim, 4), 1)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            assemble_interface_load(space, interface, lambda y: 1.0)
 
     @pytest.mark.parametrize("interface, n, degree", [
         (CIRCLE, 16, 1), (CIRCLE, 8, 3), (SPHERE, 4, 1), (SPHERE, 4, 2)])
@@ -144,32 +136,18 @@ class TestInterfaceLoad:
         # oracle: tabulate each owner cell's points and add its local vector
         mesh = build_uniform_mesh(interface.dim, n)
         space = FeSpace(mesh, degree)
-        quad = immersed_quadrature(interface, mesh)
+        points, weights, owners = surface_quadrature(interface, mesh)
         density = lambda y: 1.0 + y[:, 0] ** 2  # noqa: E731
         want = np.zeros(space.n_dofs)
-        f = density(quad.points)
-        for cell in np.unique(quad.owner_cell):
-            sel = quad.owner_cell == cell
-            values, _ = space.tabulate((quad.points[sel] - mesh.cell_lows(cell)) / mesh.edge)
-            want[space.cell_dofs(cell)] += (quad.weights[sel] * f[sel]) @ values
-        got = assemble_interface_load(space, quad, density)
+        f = density(points)
+        for cell in np.unique(owners):
+            sel = owners == cell
+            values, _ = space.tabulate((points[sel] - mesh.cell_lows(cell)) / mesh.edge)
+            want[space.cell_dofs(cell)] += (weights[sel] * f[sel]) @ values
+        got = assemble_interface_load(space, interface, density)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         # serial runs are deterministic down to the last bit
-        assert got.tobytes() == assemble_interface_load(space, quad, density).tobytes()
-        # points need not come grouped by owner cell
-        shuffle = np.random.default_rng(n + degree).permutation(quad.owner_cell.size)
-        shuffled = InterfaceQuadrature(points=quad.points[shuffle], weights=quad.weights[shuffle],
-                                       owner_cell=quad.owner_cell[shuffle])
-        got = assemble_interface_load(space, shuffled, density)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_empty_quadrature(self):
-        space = FeSpace(build_uniform_mesh(2, 4), 1)
-        empty = InterfaceQuadrature(points=np.zeros((0, 2)), weights=np.zeros(0),
-                                    owner_cell=np.zeros(0, dtype=int))
-        load = assemble_interface_load(space, empty, lambda y: 1.0)
-        assert load.dtype == np.float64
-        assert np.array_equal(load, np.zeros(space.n_dofs))
+        assert got.tobytes() == assemble_interface_load(space, interface, density).tobytes()
 
     def test_locality(self):
         # nonzeros are exactly the dofs of cells carrying surface quadrature;
@@ -177,9 +155,8 @@ class TestInterfaceLoad:
         # x = 0.5) belong to the box-cut set but receive no load
         mesh = build_uniform_mesh(2, 8)
         space = FeSpace(mesh, 1)
-        quad = immersed_quadrature(CIRCLE, mesh)
-        load = assemble_interface_load(space, quad, lambda y: 5.0)
-        loaded = set(space.cell_dofs(np.unique(quad.owner_cell)).ravel())
+        load = assemble_interface_load(space, CIRCLE, lambda y: 5.0)
+        loaded = set(space.cell_dofs(np.unique(surface_quadrature(CIRCLE, mesh)[2])).ravel())
         assert set(np.nonzero(load)[0]) == loaded
         lows = mesh.cell_lows(np.arange(mesh.n_cells))
         cut = np.flatnonzero(CIRCLE.cuts_box(lows, lows + mesh.edge))
@@ -233,8 +210,7 @@ class TestDirichlet:
         mesh = build_uniform_mesh(2, 64)
         space = FeSpace(mesh, 1)
         exact = reference_solution(CIRCLE)
-        quad = immersed_quadrature(CIRCLE, mesh)
-        load = assemble_interface_load(space, quad, lambda y: 5.0)
+        load = assemble_interface_load(space, CIRCLE, lambda y: 5.0)
         solution, residual = solve(space, load, exact.values)
         assert residual <= 1e-10
         value = space.evaluate(solution, [[1.0, 1.0]])[0]
@@ -245,9 +221,8 @@ class TestDirichlet:
         mesh = build_uniform_mesh(2, 16)
         space = FeSpace(mesh, 1)
         exact = reference_solution(CIRCLE)
-        quad = immersed_quadrature(CIRCLE, mesh)
         stiffness = element_scatter_stiffness(space)
-        load = assemble_interface_load(space, quad, lambda y: 5.0)
+        load = assemble_interface_load(space, CIRCLE, lambda y: 5.0)
         _, rhs = eliminate(stiffness, load, space, exact.values)
         tol = 1e-11
         solution, relative_residual = solve(space, load, exact.values)

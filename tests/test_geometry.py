@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import bitwise_equal
-from immersedfem import SphericalInterface, build_uniform_mesh, immersed_quadrature
-from immersedfem import geometry
+from immersedfem import SphericalInterface, build_uniform_mesh
+from immersedfem import assembly
 from immersedfem.quadrature import surface_rule
 from potential import normal
+from rules import surface_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -145,36 +146,36 @@ class TestColumnWiseOracle:
 class TestImmersedQuadrature:
     def test_circle_total_weight_exact(self):
         mesh = build_uniform_mesh(2, 8)
-        q = immersed_quadrature(CIRCLE, mesh)
-        assert q.weights.sum() == pytest.approx(2.0 * math.pi * 0.2, abs=1e-10)
+        weights = surface_quadrature(CIRCLE, mesh)[1]
+        assert weights.sum() == pytest.approx(2.0 * math.pi * 0.2, abs=1e-10)
 
     def test_sphere_total_weight(self):
         mesh = build_uniform_mesh(3, 8)
-        q = immersed_quadrature(SPHERE, mesh)
-        assert q.weights.sum() == pytest.approx(4.0 * math.pi * 0.04, abs=1e-6)
+        weights = surface_quadrature(SPHERE, mesh)[1]
+        assert weights.sum() == pytest.approx(4.0 * math.pi * 0.04, abs=1e-6)
 
     def test_refinement_independence(self):
         target = 2.0 * math.pi * 0.2
         for n in (4, 8):
             mesh = build_uniform_mesh(2, n)
-            q = immersed_quadrature(CIRCLE, mesh)
-            assert q.weights.sum() == pytest.approx(target, abs=1e-10)
+            weights = surface_quadrature(CIRCLE, mesh)[1]
+            assert weights.sum() == pytest.approx(target, abs=1e-10)
 
     def test_points_on_surface_and_in_owner(self):
         for interface, dim in ((CIRCLE, 2), (SPHERE, 3)):
             mesh = build_uniform_mesh(dim, 8)
-            q = immersed_quadrature(interface, mesh)
-            assert np.max(interface.distance(q.points)) <= 1e-12
-            low = mesh.cell_lows(q.owner_cell)
-            assert np.all(q.points >= low - 1e-12)
-            assert np.all(q.points <= low + mesh.edge + 1e-12)
-            assert np.all(q.weights > 0.0)
+            points, weights, owners = surface_quadrature(interface, mesh)
+            assert np.max(interface.distance(points)) <= 1e-12
+            low = mesh.cell_lows(owners)
+            assert np.all(points >= low - 1e-12)
+            assert np.all(points <= low + mesh.edge + 1e-12)
+            assert np.all(weights > 0.0)
 
     def test_linear_moment(self):
         for interface, dim in ((CIRCLE, 2), (SPHERE, 3)):
             mesh = build_uniform_mesh(dim, 8)
-            q = immersed_quadrature(interface, mesh)
-            moment = float(np.sum(q.weights * q.points[:, 0]))
+            points, weights, _ = surface_quadrature(interface, mesh)
+            moment = float(np.sum(weights * points[:, 0]))
             r = interface.radius
             measure = 2.0 * math.pi * r if dim == 2 else 4.0 * math.pi * r**2
             assert moment == pytest.approx(0.3 * measure, abs=1e-8)
@@ -184,8 +185,8 @@ class TestImmersedQuadrature:
         for interface, dim in ((CIRCLE, 2), (SPHERE, 3)):
             for n in (8, 16, 32):
                 mesh = build_uniform_mesh(dim, n)
-                q = immersed_quadrature(interface, mesh)
-                per_cell = np.bincount(q.owner_cell, q.weights, minlength=mesh.n_cells)
+                _, weights, owners = surface_quadrature(interface, mesh)
+                per_cell = np.bincount(owners, weights, minlength=mesh.n_cells)
                 assert per_cell.max() <= 2.0 * math.sqrt(dim) * mesh.h_cell
 
     def test_order_increase_converges(self, monkeypatch):
@@ -194,10 +195,10 @@ class TestImmersedQuadrature:
         exact = 0.0  # odd function around the centre integrates to zero
         errors = []
         for order in (1, 2, 4):
-            monkeypatch.setattr(geometry, "SURFACE_ORDER", order)
-            q = immersed_quadrature(CIRCLE, mesh)
-            value = float(np.sum(q.weights * np.sin(5.0 * (q.points[:, 0] - 0.3))
-                                 * (q.points[:, 1] - 0.3)))
+            monkeypatch.setattr(assembly, "SURFACE_ORDER", order)
+            points, weights, _ = surface_quadrature(CIRCLE, mesh)
+            value = float(np.sum(weights * np.sin(5.0 * (points[:, 0] - 0.3))
+                                 * (points[:, 1] - 0.3)))
             errors.append(abs(value - exact))
         assert errors[2] < errors[0] / 10.0
         assert errors[2] < 1e-6
@@ -206,14 +207,11 @@ class TestImmersedQuadrature:
         mesh = build_uniform_mesh(2, 4)
         with pytest.raises(ValueError):
             surface_rule(mesh.cell_lows(np.arange(mesh.n_cells)), mesh.edge, CIRCLE, 0)
-        far = SphericalInterface((10.0, 10.0), 0.2)
-        with pytest.raises(ValueError):
-            immersed_quadrature(far, mesh)  # points cannot find owner cells
+        far = SphericalInterface((10.0, 10.0), 0.2)  # cuts no cell: an empty rule
+        assert [a.size for a in surface_quadrature(far, mesh)] == [0, 0, 0]
 
     def test_owner_assignment_deterministic(self):
         mesh = build_uniform_mesh(2, 8)
-        q1 = immersed_quadrature(CIRCLE, mesh)
-        q2 = immersed_quadrature(CIRCLE, mesh)
-        assert np.array_equal(q1.points, q2.points)
-        assert np.array_equal(q1.weights, q2.weights)
-        assert np.array_equal(q1.owner_cell, q2.owner_cell)
+        q1 = surface_quadrature(CIRCLE, mesh)
+        q2 = surface_quadrature(CIRCLE, mesh)
+        assert all(np.array_equal(a, b) for a, b in zip(q1, q2))

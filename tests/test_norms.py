@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import bitwise_equal
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
-                         build_uniform_mesh, eoc, gauss_rule, immersed_quadrature, interpolate,
-                         reference_solution, solve, weighted_errors)
+                         build_uniform_mesh, eoc, gauss_rule, interpolate, reference_solution,
+                         solve, weighted_errors)
 from immersedfem import norms, quadrature, space as space_module
 from layer import discrete_norm
-from rules import line_rule, split_cut_cell
+from rules import line_rule, split_cut_cell, surface_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 FAR = SphericalInterface((10.0, 10.0), 0.2)
@@ -157,7 +157,7 @@ class TestExactSolutions:
         # -(grad u+ - grad u-) . n at the surface rule's points is the layer
         # density of the load, a field on the same points
         exact = reference_solution(interface)
-        pts = immersed_quadrature(interface, build_uniform_mesh(interface.dim, n)).points
+        pts = surface_quadrature(interface, build_uniform_mesh(interface.dim, n))[0]
         normal = (pts - interface.center) / interface.radius
         jump = exact.evaluate(pts, side=1)[1] - exact.evaluate(pts, side=-1)[1]
         density = exact.density(pts)
@@ -319,8 +319,7 @@ class TestWeightedError:
             interface = SphericalInterface((0.3,) * dim, 0.2)
             exact = reference_solution(interface)
             space = FeSpace(build_uniform_mesh(dim, n), degree)
-            load = assemble_interface_load(space, immersed_quadrature(interface, space.mesh),
-                                           exact.density)
+            load = assemble_interface_load(space, interface, exact.density)
             solution, _ = solve(space, load, exact.values)
             base = weighted_errors(space, solution, exact, interface, alphas)
             with monkeypatch.context() as patch:
@@ -761,16 +760,16 @@ class TestNearBlocks:
         return peak
 
     def test_peak_memory_2d_level(self):
-        # the surface rule and the error pass of study2d's finest level peak
-        # at 11.8 MiB; testing every cell and building its corners and dof
-        # rows took 28.7 MiB
+        # the load with its surface rule and the error pass of study2d's
+        # finest level peak at 10.4 MiB; testing every cell and building its
+        # corners and dof rows took 28.7 MiB
         circle = SphericalInterface((0.3, 0.3), 0.2)
         space = FeSpace(build_uniform_mesh(2, 512), 1)
         coeffs = np.random.default_rng(512).standard_normal(space.n_dofs)
         exact = reference_solution(circle)
         tracemalloc.start()
         try:
-            immersed_quadrature(circle, space.mesh)
+            assemble_interface_load(space, circle, exact.density)
             weighted_errors(space, coeffs, exact, circle, self.ALPHAS)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bitwise_equal, lattice
-from immersedfem import (SphericalInterface, StudyConfig, build_uniform_mesh, gauss_rule,
-                         immersed_quadrature, run_study)
-from immersedfem import geometry, quadrature
+from immersedfem import (FeSpace, Mesh, SphericalInterface, StudyConfig,
+                         assemble_interface_load, build_uniform_mesh, gauss_rule, run_study)
+from immersedfem import quadrature
 from immersedfem.quadrature import surface_rule
-from rules import line_rule, loop_pieces, split_cut_cell
+from rules import line_rule, loop_pieces, split_cut_cell, surface_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
 SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
@@ -471,13 +472,13 @@ class TestSurfaceRule:
     @pytest.mark.parametrize("interface, n", [(CIRCLE, 8), (SPHERE, 4)])
     def test_matches_one_cell_at_a_time(self, interface, n):
         mesh = build_uniform_mesh(interface.dim, n)
-        quad = immersed_quadrature(interface, mesh)
-        assert np.all(np.diff(quad.owner_cell) >= 0)
-        for cell in np.unique(quad.owner_cell):
+        points, weights, owners = surface_quadrature(interface, mesh)
+        assert np.all(np.diff(owners) >= 0)
+        for cell in np.unique(owners):
             one = surface_rule(mesh.cell_lows(cell), mesh.edge, interface, 8)
-            mine = quad.owner_cell == cell
-            assert np.array_equal(one[1], quad.points[mine])
-            assert np.array_equal(one[2], quad.weights[mine])
+            mine = owners == cell
+            assert np.array_equal(one[1], points[mine])
+            assert np.array_equal(one[2], weights[mine])
         none = surface_rule(mesh.cell_lows(np.arange(0)), mesh.edge, interface, 8)  # no cells: typed empties
         assert [(a.shape, a.dtype) for a in none] == [((0,) + a.shape[1:], a.dtype) for a in one]
 
@@ -533,7 +534,7 @@ class TestDegenerateGeometry:
         ball = math.pi * r**2 if dim == 2 else 4.0 / 3.0 * math.pi * r**3
         volume = np.sum(w[sides < 0]) + np.count_nonzero(far_inside) * mesh.edge**dim
         assert volume == pytest.approx(ball, rel=1e-8)
-        area = immersed_quadrature(sphere, mesh).weights.sum()
+        area = surface_quadrature(sphere, mesh)[1].sum()
         assert area == pytest.approx(2.0 * math.pi * r if dim == 2 else 4.0 * math.pi * r**2,
                                      rel=1e-8)
 
@@ -555,8 +556,8 @@ class TestDegenerateGeometry:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(grid_spheres())
     def test_bounding_box_holds_every_cut_and_near_cell(self, mesh_sphere):
-        # the surface rule and the error pass test only the cells of the
-        # surface's bounding box, widened by one cell width for the error
+        # the load's surface rule and the error pass test only the cells of
+        # the surface's bounding box, widened by one cell width for the error
         # pass; a sphere tangent to a grid plane puts cut and near cells at
         # the edge of that box
         mesh, sphere = mesh_sphere
@@ -568,9 +569,9 @@ class TestDegenerateGeometry:
         near = cells[d_min <= mesh.edge]
         assert np.all(np.isin(cut, mesh.cells_meeting(c - r, c + r)))
         assert np.all(np.isin(near, mesh.cells_meeting(c - r - mesh.edge, c + r + mesh.edge)))
-        quad = immersed_quadrature(sphere, mesh)
-        parent, points, weights = surface_rule(lows[cut], mesh.edge, sphere,
-                                               geometry.SURFACE_ORDER)
-        assert bitwise_equal(quad.points, points)
-        assert bitwise_equal(quad.weights, weights)
-        assert bitwise_equal(quad.owner_cell, cut[parent])
+        # the load on those cells is the load on every cell, to the last bit
+        space = FeSpace(mesh, 1)
+        density = lambda y: 1.0 + y[:, 0]  # noqa: E731
+        load = assemble_interface_load(space, sphere, density)
+        with mock.patch.object(Mesh, "cells_meeting", lambda self, low, high: cells):
+            assert bitwise_equal(assemble_interface_load(space, sphere, density), load)

@@ -16,8 +16,7 @@ from scipy.sparse.linalg import splu
 from conftest import element_scatter_stiffness, eliminate, stiffness_apply
 import immersedfem
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
-                         build_uniform_mesh, immersed_quadrature, reference_solution,
-                         solve, solver)
+                         build_uniform_mesh, reference_solution, solve, solver)
 
 
 def study_problem(dim, degree, cells):
@@ -27,7 +26,7 @@ def study_problem(dim, degree, cells):
     mesh = build_uniform_mesh(dim, cells)
     space = FeSpace(mesh, degree)
     exact = reference_solution(interface)
-    load = assemble_interface_load(space, immersed_quadrature(interface, mesh), exact.density)
+    load = assemble_interface_load(space, interface, exact.density)
     return space, load, exact.values
 
 
@@ -214,6 +213,22 @@ def test_readme_lists_the_exported_names():
                                  re.S).groups()
     assert int(count) == len(immersedfem.__all__)
     assert sorted(re.findall(r"`(\w+)`", names)) == sorted(immersedfem.__all__)
+
+
+def test_readme_library_example_runs():
+    # the fenced Python block under "## Library example", run as a reader
+    # would run it: in a new interpreter with src on the path
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as readme:
+        section = readme.read().split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    values = [float(word) for word in out.stdout.split()]
+    assert len(values) == 2 and all(np.isfinite(v) and v > 0.0 for v in values)
 
 
 def test_package_modules_use_every_name_they_import():

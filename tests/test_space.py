@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bitwise_equal, lattice, lattice_tables
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
-                         build_uniform_mesh, immersed_quadrature, interpolate,
+                         build_uniform_mesh, interpolate,
                          reference_solution, solve, weighted_errors)
 from immersedfem.space import _lagrange_1d, _lagrange_values, _line_sum_factorised
 from layer import classify_cells, interpolate_outside_layer
@@ -418,13 +418,12 @@ class CountingField:
 def _field_consumers():
     mesh = build_uniform_mesh(2, 8)
     space = FeSpace(mesh, 1)
-    quad = immersed_quadrature(CIRCLE, mesh)
     return {
         "interpolate": lambda g: interpolate(space, g),
         "interpolate_outside_layer": lambda g: interpolate_outside_layer(space, CIRCLE,
                                                                          math.sqrt(2.0), g),
         "solve": lambda g: solve(space, np.zeros(space.n_dofs), g),
-        "assemble_interface_load": lambda g: assemble_interface_load(space, quad, g),
+        "assemble_interface_load": lambda g: assemble_interface_load(space, CIRCLE, g),
         "single_layer": lambda g: single_layer(CIRCLE, g, [0.8, 0.8]),
         "jump_check": lambda g: jump_check(CIRCLE, g, lambda y: 0.0),
     }
