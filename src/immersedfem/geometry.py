@@ -37,16 +37,18 @@ class SphericalInterface:
     """
 
     def __init__(self, center, radius: float):
-        center = np.asarray(center, dtype=float)
-        if center.ndim != 1 or center.shape[0] not in (2, 3):
-            raise ValueError("center must be a point in 2 or 3 dimensions")
-        if not np.all(np.isfinite(center)):
-            raise ValueError(f"center must be finite, got {center}")
-        if not 0.0 < radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {radius}")
-        self.center = center
+        # integers or floats: a bool (dtype kind "b"), a string or an object
+        # is no coordinate or radius
+        point = np.asarray(center)
+        if point.dtype.kind not in "iuf" or point.ndim != 1 or point.shape[0] not in (2, 3):
+            raise ValueError(f"center must be a point in 2 or 3 dimensions, got {center!r}")
+        if not np.all(np.isfinite(point)):
+            raise ValueError(f"center must be finite, got {center!r}")
+        if np.asarray(radius).dtype.kind not in "iuf" or not 0.0 < radius < math.inf:
+            raise ValueError(f"radius must be a positive finite number, got {radius!r}")
+        self.center = point.astype(float)
         self.radius = float(radius)
-        self.dim = center.shape[0]
+        self.dim = point.shape[0]
         gap = self.boundary_gap()
         if gap <= 0.0:
             raise ValueError(

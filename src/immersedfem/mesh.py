@@ -21,13 +21,8 @@ class Mesh:
     """
 
     def __init__(self, dim: int, cells_per_axis: int):
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (2, 3):
-            raise ValueError(f"dim must be the integer 2 or 3, got {dim!r}")
-        if (isinstance(cells_per_axis, bool) or not isinstance(cells_per_axis, (int, np.integer))
-                or cells_per_axis < 1):
-            raise ValueError(f"cells_per_axis must be an integer >= 1, got {cells_per_axis!r}")
-        self.dim = dim
-        self.cells_per_axis = cells_per_axis
+        self.dim = dim = _integer("dim", dim, 2, 3)
+        self.cells_per_axis = cells_per_axis = _integer("cells_per_axis", cells_per_axis, 1)
         self.edge = 1.0 / cells_per_axis
         self.h_cell = math.sqrt(dim) / cells_per_axis
         self.n_cells = cells_per_axis ** dim
@@ -64,6 +59,17 @@ class Mesh:
 def build_uniform_mesh(dim: int, cells_per_axis: int) -> Mesh:
     """Uniform grid with (n+1)^dim vertices and n^dim congruent cells."""
     return Mesh(dim, cells_per_axis)
+
+
+def _integer(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` for a bool, a
+    number that is not an integer (2.0 included) and a value outside [low,
+    high]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value <= high):
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 def _check_dim(mesh: Mesh, interface) -> None:

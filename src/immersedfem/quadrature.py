@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import _lattice_index
+from .mesh import _integer, _lattice_index
 
 #: a cut box's height axis k must keep |n_k| >= HEIGHT_MIN for the sphere
 #: normal n over the whole box, or the box is bisected; below 1/sqrt(3), so
@@ -46,9 +46,7 @@ FACE_GRADING = 2
 def gauss_points_1d(n: int):
     """Gauss-Legendre nodes/weights on [0, 1]; weights sum to one.  Both
     arrays are read-only and computed once per ``n``."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"need an integer number of points >= 1, got {n!r}")
-    return _gauss_legendre(int(n))
+    return _gauss_legendre(_integer("number of points", n, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,8 +88,7 @@ class CellQuadrature:
 
 def gauss_rule(dim: int, points_per_axis: int) -> CellQuadrature:
     """Tensor Gauss-Legendre rule on [0, 1]^dim."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _integer("dim", dim, 1)
     x, w = gauss_points_1d(points_per_axis)
     # first axis varies fastest, matching the local dof ordering
     index = _lattice_index(np.arange(points_per_axis ** dim), points_per_axis, dim)

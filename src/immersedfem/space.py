@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .mesh import Mesh, _lattice_index, _ravel_index
+from .mesh import Mesh, _integer, _lattice_index, _ravel_index
 
 
 def _basis_factors(degree: int, x):
@@ -137,10 +137,8 @@ class FeSpace:
     """
 
     def __init__(self, mesh: Mesh, degree: int = 1):
-        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
-            raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
         self.mesh = mesh
-        self.degree = degree
+        self.degree = degree = _integer("degree", degree, 1)
         n_axis = degree * mesh.cells_per_axis + 1
         self.n_dofs = n_axis ** mesh.dim
         self.boundary_dofs = _boundary_ids(n_axis, mesh.dim)

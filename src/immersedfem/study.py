@@ -4,14 +4,13 @@ the records as CSV or markdown tables."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import assemble_interface_load
 from .geometry import SphericalInterface
-from .mesh import build_uniform_mesh
+from .mesh import _integer, build_uniform_mesh
 from .norms import ConvergenceRecord, _check_alphas, eoc, reference_solution, weighted_errors
 from .solver import solve
 from .space import FeSpace
@@ -40,10 +39,12 @@ class StudyConfig:
     Unset levels fall back to dimension-dependent defaults: 8..256 in 2D and
     4..32 in 3D.  The error quadrature is not configurable: degree + 3
     points per axis, twice that per piece on cells near the interface.
-    The linear solve is direct and has nothing to configure.  All numbers
-    must be finite, the levels and the degree integers, and the exponents
-    distinct and in [0, 1/2), as ``weighted_errors`` takes them; they are
-    stored sorted.
+    The linear solve is direct and has nothing to configure.  Each field
+    is checked by what uses it: the integers by ``mesh._integer``, the
+    exponents by ``norms._check_alphas`` (stored sorted), the centre and
+    radius by ``SphericalInterface``; the config adds the level bounds and
+    strict containment in the unit box, and raises every failure as
+    ConfigError.
     """
 
     dim: int = 2
@@ -55,40 +56,25 @@ class StudyConfig:
     radius: float = 0.2
 
     def __post_init__(self):
-        for name in ("dim", "min_exp", "max_exp", "degree"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        if self.dim not in (2, 3):
-            raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
-        if self.min_exp is None:
-            self.min_exp = 3 if self.dim == 2 else 2
-        if self.max_exp is None:
-            self.max_exp = 8 if self.dim == 2 else 5
-        if self.min_exp < 2:
-            raise ConfigError(f"min-exp must be >= 2, got {self.min_exp}")
-        if self.max_exp < self.min_exp:
-            raise ConfigError("max-exp must not be smaller than min-exp")
         try:
+            self.dim = _integer("dim", self.dim, 2, 3)
+            if self.min_exp is None:
+                self.min_exp = 3 if self.dim == 2 else 2
+            if self.max_exp is None:
+                self.max_exp = 8 if self.dim == 2 else 5
+            self.min_exp = _integer("min_exp", self.min_exp, 2)
+            self.max_exp = _integer("max_exp", self.max_exp, self.min_exp)
+            self.degree = _integer("degree", self.degree, 1)
             self.alphas = tuple(sorted(_check_alphas(self.alphas)))
+            if self.center is None:
+                self.center = (0.3,) * self.dim
+            if np.shape(self.center) != (self.dim,):
+                raise ValueError(f"center must have {self.dim} coordinates")
+            self.center = tuple(SphericalInterface(self.center, self.radius).center.tolist())
+            if any(c - self.radius <= 0.0 or c + self.radius >= 1.0 for c in self.center):
+                raise ValueError("interface must lie strictly inside the unit box")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.degree < 1:
-            raise ConfigError(f"degree must be >= 1, got {self.degree}")
-        if self.center is None:
-            self.center = (0.3,) * self.dim
-        self.center = tuple(float(c) for c in self.center)
-        if len(self.center) != self.dim:
-            raise ConfigError(f"center must have {self.dim} coordinates")
-        if not all(math.isfinite(c) for c in self.center):
-            raise ConfigError(f"center must be finite, got {self.center}")
-        if not 0.0 < self.radius < math.inf:
-            raise ConfigError(f"radius must be positive and finite, got {self.radius}")
-        if any(c - self.radius <= 0.0 or c + self.radius >= 1.0 for c in self.center):
-            raise ConfigError("interface must lie strictly inside the unit box")
 
 
 def run_study(config: StudyConfig):

@@ -66,6 +66,10 @@ class TestInterface:
             SphericalInterface((math.nan, math.nan), 0.2)
         with pytest.raises(ValueError):
             SphericalInterface((0.5, 0.5), math.nan)
+        # True was taken as radius 1.0, a circle around the whole box
+        for radius in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match="radius"):
+                SphericalInterface((0.5, 0.5), radius)
         # far outside is fine: positive gap on the other side
         SphericalInterface((10.0, 10.0), 0.2)
 

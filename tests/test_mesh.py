@@ -16,13 +16,16 @@ def test_smallest_grid():
     assert mesh.n_cells == 1
     assert mesh.cell_lows([0]).tolist() == [[0.0, 0.0]]
     assert (mesh.cell_lows(0) + mesh.edge).tolist() == [1.0, 1.0]
-    assert build_uniform_mesh(np.int64(2), 1).n_cells == 1  # numpy integers count too
+    # numpy integers count too, stored as Python ints
+    mesh = build_uniform_mesh(np.int64(2), 1)
+    assert mesh.n_cells == 1 and type(mesh.dim) is int
 
 
 def test_counts_3d():
     mesh = build_uniform_mesh(3, 2)
     assert mesh.n_cells == 8
-    assert build_uniform_mesh(3, np.int64(2)).n_cells == 8  # numpy integers count too
+    mesh = build_uniform_mesh(3, np.int64(2))  # numpy integers count too
+    assert mesh.n_cells == 8 and type(mesh.cells_per_axis) is int
 
 
 def test_cell_diameter():

@@ -83,7 +83,11 @@ def test_rejects_bad_arguments():
         gauss_rule(0, 2)
     with pytest.raises(ValueError):
         gauss_rule(2, 0)
-    with pytest.raises(ValueError, match="integer number of points"):
+    # 1.5 raised an unrelated lattice message and True a TypeError
+    for dim in (1.5, True):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            gauss_rule(dim, 2)
+    with pytest.raises(ValueError, match="number of points must be an integer"):
         surface_rule((0.25, 0.25), 0.25, CIRCLE, 0)
 
 
@@ -114,7 +118,7 @@ class TestGaussPoints1d:
     @pytest.mark.parametrize("bad", [0, -2, 2.5, 3.0, True, False, "3", None])
     def test_rejects_bad_sizes(self, bad):
         # 2.5 raised numpy's TypeError and True gave the one-point rule
-        with pytest.raises(ValueError, match="integer number of points"):
+        with pytest.raises(ValueError, match="number of points must be an integer"):
             quadrature.gauss_points_1d(bad)
 
 

@@ -291,6 +291,31 @@ def test_package_defines_no_name_it_never_uses():
     assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
 
 
+def test_package_tests_for_bools_in_one_function():
+    # a bool is an int, so an integer argument is checked by one function,
+    # mesh._integer, for every module: a copy of the test would drift from
+    # its message, its range and the Python int it returns
+    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
+    owners = []
+
+    def visit(node, file, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{file} {node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, owner)
+
+    for file in sorted(os.listdir(package)):
+        if file.endswith(".py"):
+            with open(os.path.join(package, file), encoding="utf-8") as source:
+                visit(ast.parse(source.read()), file, f"{file} <module>")
+    assert owners == ["mesh.py _integer"]
+
+
 def test_package_defines_no_method_it_never_uses():
     # a method of a package class is called or read somewhere in the package
     # or the tests outside its own definition; dunders and overrides of a

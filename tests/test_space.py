@@ -213,6 +213,8 @@ class TestFeSpace:
             for n in (2, 4):
                 space = FeSpace(build_uniform_mesh(2, n), degree)
                 assert space.n_dofs == (degree * n + 1) ** 2
+        # a numpy degree is stored as a Python int
+        assert type(FeSpace(build_uniform_mesh(2, 4), np.int64(2)).degree) is int
 
     def test_boundary_dofs(self):
         space = FeSpace(build_uniform_mesh(2, 2), 1)

@@ -43,6 +43,14 @@ class TestConfig:
             StudyConfig(center=(math.nan, math.nan))
         with pytest.raises(ConfigError):
             StudyConfig(radius=math.nan)
+        # the messages name the field; the length is checked before the
+        # interface is built, so a 3D centre in 2D is not a dimension clash
+        for bad, field in ((dict(center=(0.3, "a")), "center"),
+                           (dict(center=(0.3, 0.3, 0.3)), "center must have 2"),
+                           (dict(center=0.3), "center must have 2"),
+                           (dict(radius=True), "radius")):
+            with pytest.raises(ConfigError, match=field):
+                StudyConfig(**bad)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ConfigError):
