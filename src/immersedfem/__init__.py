@@ -6,7 +6,6 @@ from .assembly import assemble_interface_load
 from .geometry import SphericalInterface
 from .mesh import Mesh, build_uniform_mesh
 from .norms import ConvergenceRecord, RadialSolution, eoc, reference_solution, weighted_errors
-from .quadrature import CellQuadrature, gauss_rule
 from .solver import solve
 from .space import FeSpace, interpolate
 from .study import (ConfigError, StudyConfig, StudyError, emit_table, run_study)
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "assemble_interface_load", "SphericalInterface", "Mesh", "build_uniform_mesh",
     "ConvergenceRecord", "RadialSolution", "eoc", "reference_solution",
-    "weighted_errors", "CellQuadrature", "gauss_rule",
-    "solve", "FeSpace", "interpolate",
+    "weighted_errors", "solve", "FeSpace", "interpolate",
     "ConfigError", "StudyConfig", "StudyError", "emit_table", "run_study",
 ]

@@ -44,7 +44,8 @@ class SphericalInterface:
             raise ValueError(f"center must be a point in 2 or 3 dimensions, got {center!r}")
         if not np.all(np.isfinite(point)):
             raise ValueError(f"center must be finite, got {center!r}")
-        if np.asarray(radius).dtype.kind not in "iuf" or not 0.0 < radius < math.inf:
+        if (np.asarray(radius).dtype.kind not in "iuf" or np.ndim(radius) != 0
+                or not 0.0 < radius < math.inf):
             raise ValueError(f"radius must be a positive finite number, got {radius!r}")
         self.center = point.astype(float)
         self.radius = float(radius)

@@ -45,9 +45,14 @@ BATCH_POINTS = 32768
 
 def _check_alphas(alphas) -> list:
     """The weight exponents ``alphas`` as floats, -0.0 as 0.0; ValueError for
-    an empty or repeated list and for a value outside [0, 1/2), NaN included:
-    the height-function rule is converged only for exponents in that range."""
-    alphas = [float(a) + 0.0 for a in alphas]
+    anything but a one-dimensional sequence of numbers (a bool, a string or
+    None is none), an empty or repeated list and a value outside [0, 1/2),
+    NaN included: the height-function rule is converged only for exponents
+    in that range."""
+    values = np.asarray(alphas)
+    if values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise ValueError(f"alphas must be a sequence of numbers, got {alphas!r}")
+    alphas = [float(a) + 0.0 for a in values.tolist()]
     if not alphas:
         raise ValueError("need at least one alpha")
     if not all(0.0 <= a < 0.5 for a in alphas):
@@ -131,20 +136,21 @@ class ConvergenceRecord:
     eoc_h1: float | None = None
 
 
-def _cell_batches(space: FeSpace, interface, rule, cells):
+def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
     """Quadrature blocks ``(dofs, points, weights, sides, lines)`` over ``cells``,
     every cell for None, of which only those of the surface's bounding box
     widened by one cell width (``Mesh.cells_meeting``) are tested.
 
     Cells farther than one cell width from the surface come first, in blocks
-    of at most ``BATCH_POINTS`` points (or one cell) on ``rule`` with the side
-    of their centre; ``dofs`` holds the cells' dof rows and ``lines`` is None.
-    The other cells carry the height-function rule with twice the rule's
-    points per piece, as its grading triples the degree of a polynomial
-    integrand, one run of whole lines of at most ``BATCH_POINTS`` points (or
-    one line) at a time (``quadrature._near_runs``); ``dofs`` holds the dof
-    row of each line's cell and ``lines`` the other ``_line_sum_factorised``
-    arguments.
+    of at most ``BATCH_POINTS`` points (or one cell), on the tensor rule
+    ``points`` (n_q, dim) and ``weights`` (n_q,) of ``n`` points per axis on
+    [0, 1]^dim scaled to each cell, with the side of their centre; ``dofs``
+    holds the cells' dof rows and ``lines`` is None.  The other cells carry
+    the height-function rule with ``2 * n`` points per piece, as its grading
+    triples the degree of a polynomial integrand, one run of whole lines of
+    at most ``BATCH_POINTS`` points (or one line) at a time
+    (``quadrature._near_runs``); ``dofs`` holds the dof row of each line's
+    cell and ``lines`` the other ``_line_sum_factorised`` arguments.
     """
     mesh = space.mesh
     if cells is None:
@@ -160,19 +166,24 @@ def _cell_batches(space: FeSpace, interface, rule, cells):
     # p-th follows each near cell with at most p plain cells before it
     skip = (near if cells is None else np.flatnonzero(is_near)) - np.arange(near.size)
     n_plain = (mesh.n_cells if cells is None else cells.size) - near.size
-    step = max(1, BATCH_POINTS // rule.n_points)
+    n_q, dim = points.shape
+    step = max(1, BATCH_POINTS // n_q)
     for start in range(0, n_plain, step):
         block = np.arange(start, min(start + step, n_plain))
         block += np.searchsorted(skip, block, side="right")
         if cells is not None:
             block = cells[block]
         block_lows = mesh.cell_lows(block)
-        pts, w = rule.on_boxes(block_lows, mesh.edge)
-        sides = np.repeat(interface.side(block_lows + 0.5 * mesh.edge), rule.n_points)
-        yield space.cell_dofs(block), pts, w, sides, None
+        # one coordinate per row: the (n, dim) points are a transposed view
+        pts = np.empty((dim, block.size, n_q))
+        for k in range(dim):
+            np.add(block_lows[:, k, None], mesh.edge * points[:, k], out=pts[k])
+        w = np.tile(weights * mesh.edge ** dim, block.size)
+        sides = np.repeat(interface.side(block_lows + 0.5 * mesh.edge), n_q)
+        yield space.cell_dofs(block), pts.reshape(dim, -1).T, w, sides, None
     dofs = space.cell_dofs(near)
     for rows, pts, w, sides, lines in _near_runs(lows[is_near], mesh.edge, interface,
-                                                 2 * rule.points_per_axis, BATCH_POINTS):
+                                                 2 * n, BATCH_POINTS):
         yield dofs[rows], pts, w, sides, lines
 
 
@@ -194,13 +205,15 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     mesh = space.mesh
     _check_dim(mesh, interface)
     coeffs = _coefficients(space, coeffs)
-    rule = gauss_rule(mesh.dim, space.degree + EXTRA_POINTS)
-    values, grads = space.tabulate(rule.points)
+    n = space.degree + EXTRA_POINTS
+    points, weights = gauss_rule(mesh.dim, n)
+    values, grads = space.tabulate(points)
     # (n_loc, n_q * dim): one product gives every reference gradient of a cell
     grads = grads.transpose(1, 0, 2).reshape(grads.shape[1], -1)
     cells = _cell_ids(cell_ids, mesh.n_cells)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
-    for dofs, pts, w, sides, lines in _cell_batches(space, interface, rule, cells):
+    for dofs, pts, w, sides, lines in _cell_batches(space, interface, points, weights, n,
+                                                    cells):
         local = coeffs[dofs]
         if lines is None:
             uh = (local @ values.T).ravel()

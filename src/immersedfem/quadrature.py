@@ -25,7 +25,6 @@ computed once per size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,42 +57,15 @@ def _gauss_legendre(n: int):
     return rule
 
 
-@dataclass(frozen=True)
-class CellQuadrature:
-    """Tensor rule on the reference cell [0, 1]^dim.
-
-    Exact for tensor-product polynomials of degree 2*points_per_axis - 1 per
-    axis; weights sum to one (the reference cell volume).
-    """
-
-    dim: int
-    points_per_axis: int
-    points: np.ndarray   # (n_q, dim)
-    weights: np.ndarray  # (n_q,)
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-    def on_boxes(self, lows, size: float):
-        """The rule scaled to cubes ``low + size * [0, 1]^dim``: points
-        (n_box * n_q, dim), box by box, and weights (n_box * n_q,)."""
-        # one coordinate per row: the (n, dim) points are a transposed view
-        pts = np.empty((self.dim, lows.shape[0], self.n_points))
-        for k in range(self.dim):
-            np.add(lows[:, k, None], size * self.points[:, k], out=pts[k])
-        w = np.tile(self.weights * size ** self.dim, lows.shape[0])
-        return pts.reshape(self.dim, -1).T, w
-
-
-def gauss_rule(dim: int, points_per_axis: int) -> CellQuadrature:
-    """Tensor Gauss-Legendre rule on [0, 1]^dim."""
+def gauss_rule(dim: int, points_per_axis: int):
+    """Tensor Gauss-Legendre rule on the reference cell [0, 1]^dim: points
+    (n_q, dim) and weights (n_q,), which sum to one.  Exact for
+    tensor-product polynomials of degree 2 * points_per_axis - 1 per axis."""
     dim = _integer("dim", dim, 1)
     x, w = gauss_points_1d(points_per_axis)
     # first axis varies fastest, matching the local dof ordering
-    index = _lattice_index(np.arange(points_per_axis ** dim), points_per_axis, dim)
-    return CellQuadrature(dim=dim, points_per_axis=points_per_axis,
-                          points=x[index], weights=np.prod(w[index], axis=1))
+    index = _lattice_index(np.arange(x.size ** dim), x.size, dim)
+    return x[index], np.prod(w[index], axis=1)
 
 
 def _near_runs(lows, size: float, interface, points: int, batch_points: int):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from immersedfem import gauss_rule, solver
+from immersedfem import solver
 from immersedfem.mesh import _ravel_index
+from immersedfem.quadrature import gauss_rule
 
 
 def lattice(n_per_axis, dim):
@@ -44,9 +45,9 @@ def element_scatter_stiffness(space):
     gradients, scattered per cell (test oracle for the solver's Kronecker-sum
     operator)."""
     mesh = space.mesh
-    rule = gauss_rule(mesh.dim, space.degree + 2)
-    _, grads = space.tabulate(rule.points)  # (n_q, n_loc, dim)
-    element = np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)
+    points, weights = gauss_rule(mesh.dim, space.degree + 2)
+    _, grads = space.tabulate(points)  # (n_q, n_loc, dim)
+    element = np.einsum("q,qid,qjd->ij", weights, grads, grads)
     element = 0.5 * (element + element.T) * mesh.edge ** (mesh.dim - 2)
     n_loc = element.shape[0]
     cell_dofs = space.cell_dofs(np.arange(mesh.n_cells))

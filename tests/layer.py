@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from immersedfem import gauss_rule
+from immersedfem.quadrature import gauss_rule
 from immersedfem.mesh import _check_dim
 from immersedfem.norms import _check_alphas
 from immersedfem.space import _coefficients, _field_values
@@ -60,12 +60,12 @@ def discrete_norm(space, coeffs, interface, alpha: float) -> float:
     [alpha] = _check_alphas([alpha])
     mesh = space.mesh
     _check_dim(mesh, interface)
-    rule = gauss_rule(mesh.dim, space.degree + 2)
-    values_tab, _ = space.tabulate(rule.points)
+    points, weights = gauss_rule(mesh.dim, space.degree + 2)
+    values_tab, _ = space.tabulate(points)
     cells = np.arange(mesh.n_cells)
     local = _coefficients(space, coeffs)[space.cell_dofs(cells)]
     uh = local @ values_tab.T  # (n_cells, n_q)
-    cell_sq = mesh.edge ** mesh.dim * (uh**2 @ rule.weights)
+    cell_sq = mesh.edge ** mesh.dim * (uh**2 @ weights)
     lows = mesh.cell_lows(cells)
     _, dist_max = interface.distance_range_over_box(lows, lows + mesh.edge)
     return math.sqrt(float(np.sum(np.power(dist_max, 2.0 * alpha) * cell_sq)))

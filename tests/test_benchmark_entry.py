@@ -6,6 +6,7 @@ renames something the benchmark uses fails here and not only in a benchmark
 run.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -51,3 +52,28 @@ def test_study_writes_the_csv(tmp_path):
     [op] = result["ops"]
     assert op["code"] == 0
     assert op["csv"].startswith(CSV_HEADER + "\n")
+
+
+def test_tracer_finds_every_traced_name_but_the_known_absent():
+    # the tracer wraps names of the package at run time and reports those it
+    # cannot find as absent; a change that drops or renames one of the
+    # others would silently leave its span empty in every benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    owners = []
+    for _, module, path, _ in tracer_module.TARGETS:
+        owner = importlib.import_module(module)
+        *parents, attr = path.split(".")
+        for name in parents:
+            owner = getattr(owner, name, None)
+        if owner is not None:
+            owners.append((owner, attr, vars(owner).get(attr)))
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        assert set(tracer.absent) <= {
+            "immersedfem.study.immersed_quadrature", "immersedfem.study.assemble_stiffness",
+            "immersedfem.study.apply_dirichlet", "immersedfem.study.cg_solve",
+            "immersedfem.norms.split_cut_cell", "immersedfem.norms.RadialSolution.gradients"}
+    # every name is put back as it was
+    assert all(vars(owner).get(attr) is original for owner, attr, original in owners)

@@ -70,6 +70,10 @@ class TestInterface:
         for radius in (True, np.bool_(True)):
             with pytest.raises(ValueError, match="radius"):
                 SphericalInterface((0.5, 0.5), radius)
+        # a radius of one entry raised TypeError
+        for radius in (np.array([0.2]), [0.2]):
+            with pytest.raises(ValueError, match="radius"):
+                SphericalInterface((0.3, 0.3), radius)
         # far outside is fine: positive gap on the other side
         SphericalInterface((10.0, 10.0), 0.2)
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import bitwise_equal
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
-                         build_uniform_mesh, eoc, gauss_rule, interpolate, reference_solution,
-                         solve, weighted_errors)
+                         build_uniform_mesh, eoc, interpolate, reference_solution, solve,
+                         weighted_errors)
 from immersedfem import norms, quadrature, space as space_module
+from immersedfem.quadrature import gauss_rule
 from layer import discrete_norm
 from rules import line_rule, split_cut_cell, surface_quadrature
 
@@ -60,6 +61,11 @@ class TestParams:
                 weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [0.0, alpha])
             with pytest.raises(ValueError, match=r"\[0, 1/2\)"):
                 discrete_norm(space, zero, CIRCLE, alpha)
+        # a number, a nested list, None, a string and bools are no list of
+        # exponents: "0" was taken as (0.0,) and the others raised TypeError
+        for alphas in (0.3, [[0.1, 0.2]], None, "0", [False]):
+            with pytest.raises(ValueError, match="sequence of numbers"):
+                weighted_errors(space, zero, ConstantField(0.0), CIRCLE, alphas)
 
     @pytest.mark.parametrize("cell_ids", [[-1], [63, 63], [1.7], [64]],
                              ids=["negative", "repeated", "fractional", "past-the-end"])
@@ -244,8 +250,9 @@ class TestExactFieldContract:
         field = EvaluateOnly(interface)
         assert not hasattr(field, "values") and not hasattr(field, "gradients")
         got = weighted_errors(space, coeffs, field, interface, alphas)
-        rule = gauss_rule(dim, degree + norms.EXTRA_POINTS)
-        assert field.calls == len(list(norms._cell_batches(space, interface, rule, None))) > 2
+        n = degree + norms.EXTRA_POINTS
+        blocks = norms._cell_batches(space, interface, *gauss_rule(dim, n), n, None)
+        assert field.calls == len(list(blocks)) > 2
         assert got == weighted_errors(space, coeffs, reference_solution(interface), interface,
                                       alphas)
 
@@ -520,7 +527,7 @@ def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
     height-function rule, the FE function from ``FeSpace.evaluate`` and
     ``evaluate_gradient`` at physical points (test oracle)."""
     mesh = space.mesh
-    rule = gauss_rule(mesh.dim, q)
+    points, weights = gauss_rule(mesh.dim, q)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
     for cell in cells:
         low = mesh.cell_lows(cell)
@@ -528,9 +535,9 @@ def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
         if d_min <= mesh.edge:
             _, pts, w, side = split_cut_cell(low, mesh.edge, interface, 2 * q)
         else:
-            pts = low + mesh.edge * rule.points
-            w = rule.weights * mesh.edge ** mesh.dim
-            side = np.repeat(interface.side(low + 0.5 * mesh.edge), rule.n_points)
+            pts = low + mesh.edge * points
+            w = weights * mesh.edge ** mesh.dim
+            side = np.repeat(interface.side(low + 0.5 * mesh.edge), weights.size)
         values, grads = exact.evaluate(pts, side=side)
         e0 = values - space.evaluate(coeffs, pts)
         e1 = grads - space.evaluate_gradient(coeffs, pts)
@@ -694,15 +701,16 @@ class TestNearBlocks:
         interface = SphericalInterface((0.3,) * dim, 0.2)
         space = FeSpace(build_uniform_mesh(dim, n), 1)
         mesh = space.mesh
-        rule = gauss_rule(dim, space.degree + norms.EXTRA_POINTS)
-        near_runs = [run for run in norms._cell_batches(space, interface, rule, None)
+        n = space.degree + norms.EXTRA_POINTS
+        near_runs = [run for run in norms._cell_batches(space, interface, *gauss_rule(dim, n),
+                                                        n, None)
                      if run[4] is not None]
         assert len(near_runs) > 1
         pts, w, sides = (np.concatenate(column) for column in list(zip(*near_runs))[1:4])
         lows = mesh.cell_lows(np.arange(mesh.n_cells))
         d_min, _ = interface.distance_range_over_box(lows, lows + mesh.edge)
         _, want_pts, want_w, want_sides = split_cut_cell(lows[d_min <= mesh.edge], mesh.edge,
-                                                         interface, 2 * rule.points_per_axis)
+                                                         interface, 2 * n)
         assert bitwise_equal(pts, want_pts)
         assert bitwise_equal(w, want_w)
         assert np.array_equal(sides, want_sides)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import bitwise_equal, lattice
 from immersedfem import (FeSpace, Mesh, SphericalInterface, StudyConfig,
-                         assemble_interface_load, build_uniform_mesh, gauss_rule, run_study)
-from immersedfem import quadrature
-from immersedfem.quadrature import surface_rule
+                         assemble_interface_load, build_uniform_mesh, run_study)
+from immersedfem import norms, quadrature
+from immersedfem.quadrature import gauss_rule, surface_rule
 from rules import line_rule, loop_pieces, split_cut_cell, surface_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -18,22 +19,23 @@ SPHERE = SphericalInterface((0.3, 0.3, 0.3), 0.2)
 
 
 def integrate(rule, fn):
-    return float(np.sum(rule.weights * fn(rule.points)))
+    points, weights = rule
+    return float(np.sum(weights * fn(points)))
 
 
 def test_one_point_rule_is_midpoint():
-    rule = gauss_rule(1, 1)
-    assert rule.points.shape == (1, 1)
-    assert rule.points[0, 0] == pytest.approx(0.5, abs=1e-15)
-    assert rule.weights[0] == pytest.approx(1.0, abs=1e-15)
+    points, weights = gauss_rule(1, 1)
+    assert points.shape == (1, 1) and weights.shape == (1,)
+    assert points[0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert weights[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_weights_sum_to_one():
     for dim in (1, 2, 3):
         for n in (1, 2, 4):
-            rule = gauss_rule(dim, n)
-            assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-14)
-            assert np.all(rule.weights > 0.0)
+            _, weights = gauss_rule(dim, n)
+            assert np.sum(weights) == pytest.approx(1.0, abs=1e-14)
+            assert np.all(weights > 0.0)
 
 
 def test_exactness_x2y2():
@@ -68,14 +70,16 @@ def test_tensor_order_matches_meshgrid():
     # axis order, bitwise as products over meshgrids
     for dim in (1, 2, 3):
         for n in range(1, 11):
-            rule = gauss_rule(dim, n)
+            points, weights = gauss_rule(dim, n)
             x, w = quadrature.gauss_points_1d(n)
             index = lattice(n, dim).astype(int)
-            weights = w[index[:, 0]]
+            want = w[index[:, 0]]
             for axis in range(1, dim):
-                weights = weights * w[index[:, axis]]
-            assert bitwise_equal(rule.points, x[index])
-            assert bitwise_equal(rule.weights, weights)
+                want = want * w[index[:, axis]]
+            assert bitwise_equal(points, x[index])
+            assert bitwise_equal(weights, want)
+    # a numpy integer is the same size as a Python int
+    assert all(map(bitwise_equal, gauss_rule(2, np.int64(3)), gauss_rule(2, 3)))
 
 
 def test_rejects_bad_arguments():
@@ -459,17 +463,30 @@ class TestColumnWiseOracle:
         assert bitwise_equal(quadrature._unpermute(in_layout(x), in_layout(frame), line, t),
                              want)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_on_boxes(self, dim, in_layout):
-        rng = np.random.default_rng(23 * dim)
-        lows = np.vstack([rng.uniform(0.0, 1.0, size=(50, dim)), np.zeros((1, dim))])
+    @pytest.mark.parametrize("dim, n_c", [(2, 8), (2, 12), (2, 16), (3, 4), (3, 6), (3, 8)])
+    def test_on_boxes(self, dim, n_c, monkeypatch):
+        # the plain blocks of the error pass: the tensor rule scaled to every
+        # cell farther than one cell width from the surface, in id order,
+        # bitwise as the rule broadcast over the cells' corners
+        monkeypatch.setattr(norms, "BATCH_POINTS", 20)
+        interface = SphericalInterface((0.3,) * dim, 0.2)
+        space = FeSpace(build_uniform_mesh(dim, n_c), 1)
+        mesh = space.mesh
+        lows = mesh.cell_lows(np.arange(mesh.n_cells))
+        d_min, _ = interface.distance_range_over_box(lows, lows + mesh.edge)
+        plain = np.flatnonzero(d_min > mesh.edge)
         for q in (1, 3):
-            rule = gauss_rule(dim, q)
-            for size in (0.125, 1.0 / 3.0):
-                pts, w = rule.on_boxes(in_layout(lows), size)
-                want = lows[:, None, :] + size * rule.points[None, :, :]
-                assert bitwise_equal(pts, want.reshape(-1, dim))
-                assert bitwise_equal(w, np.tile(rule.weights * size ** dim, lows.shape[0]))
+            points, weights = gauss_rule(dim, q)
+            # the plain blocks come first
+            blocks = [block[:3] for block in itertools.takewhile(
+                lambda block: block[4] is None,
+                norms._cell_batches(space, interface, points, weights, q, None))]
+            assert len(blocks) > 1
+            dofs, pts, w = (np.concatenate(column) for column in zip(*blocks))
+            assert np.array_equal(dofs, space.cell_dofs(plain))
+            want = lows[plain][:, None, :] + mesh.edge * points
+            assert bitwise_equal(pts, want.reshape(-1, dim))
+            assert bitwise_equal(w, np.tile(weights * mesh.edge ** dim, plain.size))
 
 
 class TestSurfaceRule:
@@ -542,8 +559,9 @@ class TestDegenerateGeometry:
         assert area == pytest.approx(2.0 * math.pi * r if dim == 2 else 4.0 * math.pi * r**2,
                                      rel=1e-8)
 
-        rule = gauss_rule(dim, 8)
-        far_pts, far_w = rule.on_boxes(lows[far_inside], mesh.edge)
+        points, weights = gauss_rule(dim, 8)
+        far_pts = (lows[far_inside][:, None, :] + mesh.edge * points).reshape(-1, dim)
+        far_w = np.tile(weights * mesh.edge ** dim, np.count_nonzero(far_inside))
         for alpha in (0.1, 0.49):
             # (R - rho)^(2 alpha) rho^4: the rho^4 smooths the cone of rho at
             # the centre (rho^2 leaves a rho^3 term, which Gauss points resolve

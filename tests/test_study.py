@@ -33,6 +33,10 @@ class TestConfig:
             StudyConfig(alphas=(-0.1,))
         with pytest.raises(ConfigError):
             StudyConfig(alphas=(0.1, 0.1))
+        # these raised TypeError, or for "0" were taken as (0.0,)
+        for alphas in (0.3, None, "0", [[0.1, 0.2]]):
+            with pytest.raises(ConfigError, match="alphas"):
+                StudyConfig(alphas=alphas)
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigError):
@@ -48,7 +52,8 @@ class TestConfig:
         for bad, field in ((dict(center=(0.3, "a")), "center"),
                            (dict(center=(0.3, 0.3, 0.3)), "center must have 2"),
                            (dict(center=0.3), "center must have 2"),
-                           (dict(radius=True), "radius")):
+                           (dict(radius=True), "radius"),
+                           (dict(radius=np.array([0.2])), "radius")):
             with pytest.raises(ConfigError, match=field):
                 StudyConfig(**bad)
 
