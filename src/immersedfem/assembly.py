@@ -13,7 +13,7 @@ import numpy as np
 
 from .mesh import _check_dim
 from .quadrature import surface_rule
-from .space import FeSpace, _field_values
+from .space import FeSpace, _field_values, _lagrange_values, _tensor_values
 
 #: Gauss points per piece of the surface rule
 SURFACE_ORDER = 8
@@ -41,9 +41,10 @@ def assemble_interface_load(space: FeSpace, interface, f) -> np.ndarray:
         raise ValueError("surface meets no cell of the mesh")
     cells, lows = cells[cut], lows[cut]
     parent, pts, w = surface_rule(lows, mesh.edge, interface, SURFACE_ORDER)
-    # one tabulation of every point; parent ascends, so each cell's points
-    # are one run, summed in point order
-    values = space.tabulate((pts - lows[parent]) / mesh.edge)[0]  # (n, n_loc)
+    # the basis values of every point, without gradients; parent ascends, so
+    # each cell's points are one run, summed in point order
+    ref = (pts - lows[parent]) / mesh.edge
+    values = _tensor_values([_lagrange_values(space.degree, x).T for x in ref.T])  # (n, n_loc)
     values *= (w * _field_values(f, pts))[:, None]
     rows, starts = np.unique(parent, return_index=True)
     local = np.add.reduceat(values, starts, axis=0)

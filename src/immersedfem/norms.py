@@ -49,8 +49,11 @@ def _check_alphas(alphas) -> list:
     None is none), an empty or repeated list and a value outside [0, 1/2),
     NaN included: the height-function rule is converged only for exponents
     in that range."""
-    values = np.asarray(alphas)
-    if values.ndim != 1 or values.dtype.kind not in "iuf":
+    try:
+        values = np.asarray(alphas)
+    except ValueError:  # a ragged list such as [0.1, [0.2]]
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
         raise ValueError(f"alphas must be a sequence of numbers, got {alphas!r}")
     alphas = [float(a) + 0.0 for a in values.tolist()]
     if not alphas:

@@ -47,6 +47,24 @@ def _lagrange_values(degree: int, x) -> np.ndarray:
     return values
 
 
+def _local_lattice(p: int, dim: int) -> np.ndarray:
+    """Lattice index (n_loc, dim) of each local dof of a cell with p nodes
+    per axis, first axis fastest."""
+    return _lattice_index(np.arange(p ** dim), p, dim)
+
+
+def _tensor_values(tables) -> np.ndarray:
+    """Values (..., n_loc) of the tensor-product basis from the 1D tables
+    (..., degree + 1) of each axis: gathered per local dof and multiplied
+    in ascending axis order."""
+    local = _local_lattice(tables[0].shape[-1], len(tables))
+    # C order: the layout decides how BLAS sums the products callers form
+    values = np.ones(tables[0].shape[:-1] + (local.shape[0],))
+    for k, table in enumerate(tables):
+        values *= table[..., local[:, k]]
+    return values
+
+
 def _lagrange_1d(degree: int, x):
     """Values and derivatives of the 1D Lagrange basis at ``x``, for all
     basis functions at once (the last axis); derivatives sum their terms in
@@ -120,7 +138,7 @@ def _line_tables(degree: int, dim: int):
     slopes of the 1D basis at its nodes (node, basis function)."""
     p = degree + 1
     frames = _lattice_index(np.arange(dim ** dim), dim, dim)
-    tables = ((p ** frames) @ _lattice_index(np.arange(p ** dim), p, dim).T,
+    tables = ((p ** frames) @ _local_lattice(p, dim).T,
               np.argsort(frames, axis=1), _lagrange_1d(degree, np.arange(p) / degree)[1])
     for table in tables:
         table.flags.writeable = False
@@ -149,7 +167,7 @@ class FeSpace:
         n_axis = self.degree * self.mesh.cells_per_axis + 1
         p, dim = self.degree + 1, self.mesh.dim
         corner = self.degree * _lattice_index(cells, self.mesh.cells_per_axis, dim)
-        local = _ravel_index(_lattice_index(np.arange(p ** dim), p, dim), n_axis)
+        local = _ravel_index(_local_lattice(p, dim), n_axis)
         return _ravel_index(corner, n_axis)[..., None] + local
 
     def dof_coords(self, dofs) -> np.ndarray:
@@ -175,20 +193,15 @@ class FeSpace:
         dim = self.mesh.dim
         if ref_points.shape[-1] != dim:
             raise ValueError(f"points must have {dim} coordinates, got shape {ref_points.shape}")
-        p = self.degree + 1
-        local = _lattice_index(np.arange(p ** dim), p, dim)  # (n_loc, dim), first axis fastest
+        local = _local_lattice(self.degree + 1, dim)
         vals, ders = zip(*(_lagrange_1d(self.degree, ref_points[..., k]) for k in range(dim)))
-        tables = [vals[k][..., local[:, k]] for k in range(dim)]
-        # C order: the layout decides how BLAS sums the products callers form
-        values = np.ones(ref_points.shape[:-1] + (local.shape[0],))
-        for table in tables:
-            values *= table
+        values = _tensor_values(vals)
         grads = np.empty(values.shape + (dim,))
         for k in range(dim):
             g = ders[k][..., local[:, k]]
             for other in range(dim):
                 if other != k:
-                    g = g * tables[other]
+                    g = g * vals[other][..., local[:, other]]
             grads[..., k] = g
         return values, grads
 

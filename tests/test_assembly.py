@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from conftest import (element_scatter_stiffness, eliminate, operator_matrix,
                       stiffness_apply)
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
                          build_uniform_mesh, interpolate, reference_solution, solve)
-from immersedfem.quadrature import gauss_rule
+from immersedfem.assembly import SURFACE_ORDER
+from immersedfem.quadrature import gauss_rule, surface_rule
 from rules import surface_quadrature
 
 CIRCLE = SphericalInterface((0.3, 0.3), 0.2)
@@ -149,6 +151,44 @@ class TestInterfaceLoad:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         # serial runs are deterministic down to the last bit
         assert got.tobytes() == assemble_interface_load(space, interface, density).tobytes()
+
+    @pytest.mark.parametrize("dim, degree, n", [(2, 1, 512), (2, 2, 256), (3, 1, 16),
+                                                (3, 2, 8)])
+    def test_values_only_bitwise_equal_to_tabulate(self, dim, degree, n):
+        # oracle: the same rule, cells and scatter, with the values of the
+        # full FeSpace.tabulate tables, which build the gradients too
+        interface = CIRCLE if dim == 2 else SPHERE
+        mesh = build_uniform_mesh(dim, n)
+        space = FeSpace(mesh, degree)
+        density = reference_solution(interface).density
+        cells = mesh.cells_meeting(interface.center - interface.radius,
+                                   interface.center + interface.radius)
+        lows = mesh.cell_lows(cells)
+        cut = interface.cuts_box(lows, lows + mesh.edge)
+        cells, lows = cells[cut], lows[cut]
+        parent, pts, w = surface_rule(lows, mesh.edge, interface, SURFACE_ORDER)
+        values = space.tabulate((pts - lows[parent]) / mesh.edge)[0]
+        values *= (w * density(pts))[:, None]
+        rows, starts = np.unique(parent, return_index=True)
+        local = np.add.reduceat(values, starts, axis=0)
+        want = np.bincount(space.cell_dofs(cells[rows]).ravel(), weights=local.ravel(),
+                           minlength=space.n_dofs)
+        got = assemble_interface_load(space, interface, density)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_3d(self):
+        # the load of a 3D Q1 n_c = 32 level; tabulating values and
+        # gradients of every surface point peaked at 56.2 MiB, the values
+        # alone at 23.8 MiB
+        space = FeSpace(build_uniform_mesh(3, 32), 1)
+        density = reference_solution(SPHERE).density
+        tracemalloc.start()
+        try:
+            assemble_interface_load(space, SPHERE, density)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_locality(self):
         # nonzeros are exactly the dofs of cells carrying surface quadrature;

@@ -61,9 +61,10 @@ class TestParams:
                 weighted_errors(space, zero, ConstantField(0.0), CIRCLE, [0.0, alpha])
             with pytest.raises(ValueError, match=r"\[0, 1/2\)"):
                 discrete_norm(space, zero, CIRCLE, alpha)
-        # a number, a nested list, None, a string and bools are no list of
-        # exponents: "0" was taken as (0.0,) and the others raised TypeError
-        for alphas in (0.3, [[0.1, 0.2]], None, "0", [False]):
+        # a number, a nested or ragged list, None, a string and bools are no
+        # list of exponents: "0" was taken as (0.0,), the ragged list raised
+        # numpy's "inhomogeneous shape" and the others TypeError
+        for alphas in (0.3, [[0.1, 0.2]], [0.1, [0.2]], None, "0", [False]):
             with pytest.raises(ValueError, match="sequence of numbers"):
                 weighted_errors(space, zero, ConstantField(0.0), CIRCLE, alphas)
 

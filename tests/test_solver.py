@@ -349,3 +349,29 @@ def test_package_defines_no_method_it_never_uses():
     counts = collections.Counter(refs)
     counts.subtract(own)
     assert [m for m in methods if counts[m.rsplit(".", 1)[1]] <= 0] == []
+
+
+def test_allocator_setting_stays_in_the_cli():
+    # the malloc thresholds belong to the process that owns the study, so
+    # ctypes and mallopt appear in cli.py only, off the library's import path
+    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
+    found = set()
+    for file in sorted(os.listdir(package)):
+        if not file.endswith(".py"):
+            continue
+        with open(os.path.join(package, file), encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found |= {(file, name.split(".")[0]) for name in names
+                      if name.split(".")[0] in ("ctypes", "mallopt")}
+    assert found == {("cli.py", "ctypes"), ("cli.py", "mallopt")}
