@@ -36,10 +36,14 @@ class Mesh:
         """Ascending ids of the cells whose index box, grown by one cell per
         side, meets the box [low, high] (each of shape (dim,)): every cell
         that meets the box, with one cell to spare against rounding at grid
-        lines.  A box outside the unit box still gives cells at its side."""
+        lines.  A box outside the unit box, infinite bounds included, still
+        gives cells at its side; NaN bounds or another shape raise ValueError."""
         n = self.cells_per_axis
-        first = np.clip(np.floor(np.asarray(low) * n) - 1, 0, n - 1).astype(int)
-        last = np.clip(np.floor(np.asarray(high) * n) + 1, 0, n - 1).astype(int)
+        box = [np.asarray(bound, dtype=float) for bound in (low, high)]
+        if any(bound.shape != (self.dim,) or np.isnan(bound).any() for bound in box):
+            raise ValueError(f"low and high must be {self.dim} numbers, got {low!r} and {high!r}")
+        first = np.clip(np.floor(box[0] * n) - 1, 0, n - 1).astype(int)
+        last = np.clip(np.floor(box[1] * n) + 1, 0, n - 1).astype(int)
         ids = np.zeros(1, dtype=int)
         for axis in range(self.dim - 1, -1, -1):  # the last axis varies slowest
             ids = (ids[:, None] * n + np.arange(first[axis], last[axis] + 1)).ravel()

@@ -13,8 +13,8 @@ evaluated on the face axes once per line, on the height axis per point.
 The exact solution's batched ``evaluate(points, side)`` is called once per
 block or run on its (n, dim) point array and returns the values and the
 gradients together; the per-point arithmetic works on one contiguous column
-per coordinate or component.  The weights of every exponent but 0 come from
-one log per point and one exp over an (exponent, point) buffer, and all the
+per coordinate or component.  The weights of every exponent come from one
+log per point and one exp over an (exponent, point) buffer, and all the
 weighted sums of a block or run from one ``np.einsum`` contraction, which
 numpy forms itself: through BLAS, a dot product of more than 10,000 points
 is threaded and its bits depend on the thread count.
@@ -84,31 +84,26 @@ class RadialSolution:
 
     def evaluate(self, points, side=None):
         """Values (n,) and gradients (n, dim) at the (n, dim) ``points``,
-        from one offset x - c and one distance |x - c| per point; points all
-        outside skip the selection between the branches."""
+        from one offset x - c and one distance |x - c| per point, which also
+        gives the side of untagged points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if side is None:
-            side = self.interface.side(points)
-        outer = np.broadcast_to(np.asarray(side), (points.shape[0],)) > 0
-        inner = ~outer
-        mixed = inner.any()
         r = _offsets(points, self.interface.center)
         rho = _length(r)
-        if mixed:
-            np.copyto(rho, 1.0, where=inner)
+        # untagged points decide as ``SphericalInterface.side`` does
+        inner = (rho < self.interface.radius if side is None
+                 else ~(np.broadcast_to(np.asarray(side), rho.shape) > 0))
+        np.copyto(rho, 1.0, where=inner)
         if self.dim == 2:
             values, slope = -np.log(rho), -1.0 / rho
         else:
             values, slope = 1.0 / rho, -1.0 / rho**2
-        if mixed:
-            values = np.where(outer, values, self._inner_value)
+        np.copyto(values, self._inner_value, where=inner)
         scale = slope / rho
         # one component per row: the (n, dim) result is a transposed view
         grads = np.empty((self.dim, points.shape[0]))
         for k, component in enumerate(r):
             np.multiply(scale, component, out=grads[k])
-            if mixed:
-                np.copyto(grads[k], 0.0, where=inner)
+            np.copyto(grads[k], 0.0, where=inner)
         return values, grads.T
 
     def values(self, points, side=None) -> np.ndarray:
@@ -259,30 +254,26 @@ def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
         np.subtract(grads[:, k], guh[:, k], out=e)
         terms[1] += np.multiply(e, e, out=e)
     terms[1] *= w
-    # the sums of every alpha != 0 in one contraction, which numpy forms
-    # itself, not BLAS; at alpha = 0 the plain sums
-    powers = [a for a in alphas if a != 0.0]
-    sums = np.einsum("kn,mn->km", _distance_weights(interface.distance(pts), powers), terms)
-    sums = sums.tolist()
-    if len(powers) < len(alphas):
-        powers.append(0.0)
-        sums.append(terms.sum(axis=1).tolist())
-    for a, (sum0, sum1) in zip(powers, sums):
+    # the sums of every alpha in one contraction, which numpy forms itself, not BLAS
+    sums = np.einsum("kn,mn->km", _distance_weights(interface.distance(pts), alphas), terms)
+    for a, (sum0, sum1) in zip(alphas, sums.tolist()):
         acc[(a, 0)] += sum0
         acc[(a, 1)] += sum1
 
 
 def _distance_weights(d, alphas):
     """The weights d^(2 alpha), one row per alpha of ``alphas``, each in
-    (0, 1/2); 0 where d rounds to zero (only at pieces of rounding size),
-    the limit of d^(2 alpha) at d = 0 for alpha > 0.
+    [0, 1/2): 1 for alpha = 0, d = 0 included; for alpha > 0, 0 where d
+    rounds to zero (only at pieces of rounding size), the limit of
+    d^(2 alpha) at d = 0.
 
     ``d`` is overwritten with log d, taken once per point; the weights are
     exp(2 alpha log d), from one exp over the (len(alphas), n) buffer."""
     zero = d == 0.0
-    weights = np.multiply.outer(2.0 * np.asarray(alphas), np.log(d, out=d, where=~zero))
+    powers = 2.0 * np.asarray(alphas, dtype=float)
+    weights = np.multiply.outer(powers, np.log(d, out=d, where=~zero))
     np.exp(weights, out=weights)
-    weights[:, zero] = 0.0
+    weights[np.ix_(powers > 0.0, zero)] = 0.0
     return weights
 
 

@@ -22,7 +22,7 @@ def _basis_factors(degree: int, x):
     broadcast on a row of factors."""
     x = np.asarray(x, dtype=float)
     n = degree + 1
-    nodes = np.arange(n) / degree if degree > 0 else np.zeros(1)
+    nodes = np.arange(n) / degree
     others = np.array([[b for b in range(n) if b != a] for a in range(n)], dtype=int).T
     denom = np.prod(nodes[:, None] - nodes[others.T], axis=1).reshape((n,) + (1,) * x.ndim)
     return x - nodes.reshape((n,) + (1,) * x.ndim), others, denom
@@ -54,9 +54,10 @@ def _local_lattice(p: int, dim: int) -> np.ndarray:
 
 
 def _tensor_values(tables) -> np.ndarray:
-    """Values (..., n_loc) of the tensor-product basis from the 1D tables
-    (..., degree + 1) of each axis: gathered per local dof and multiplied
-    in ascending axis order."""
+    """Values (..., n_loc) of the tensor-product basis, or of one gradient
+    component with a derivative table at its axis, from the 1D tables (...,
+    degree + 1) of each axis, gathered per local dof and multiplied in
+    ascending axis order."""
     local = _local_lattice(tables[0].shape[-1], len(tables))
     # C order: the layout decides how BLAS sums the products callers form
     values = np.ones(tables[0].shape[:-1] + (local.shape[0],))
@@ -183,43 +184,31 @@ class FeSpace:
         The basis is the tensor product of 1D Lagrange polynomials on
         equispaced nodes, ordered lexicographically with the first axis
         fastest; values sum to one and gradients sum to zero at every point.
-        Both are products of 1D tables gathered per local dof: values
-        multiply the axes in ascending order, and the gradient along axis k
-        takes the derivative factor first, then the other axes in ascending
-        order.  Points whose last axis is not the mesh's dimension raise
-        ValueError.
+        Both are products of 1D tables gathered per local dof, the axes
+        multiplied in ascending order (``_tensor_values``); the gradient
+        along axis k takes the derivative table at axis k.  Points whose
+        last axis is not the mesh's dimension raise ValueError.
         """
         ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
         dim = self.mesh.dim
         if ref_points.shape[-1] != dim:
             raise ValueError(f"points must have {dim} coordinates, got shape {ref_points.shape}")
-        local = _local_lattice(self.degree + 1, dim)
         vals, ders = zip(*(_lagrange_1d(self.degree, ref_points[..., k]) for k in range(dim)))
-        values = _tensor_values(vals)
-        grads = np.empty(values.shape + (dim,))
-        for k in range(dim):
-            g = ders[k][..., local[:, k]]
-            for other in range(dim):
-                if other != k:
-                    g = g * vals[other][..., local[:, other]]
-            grads[..., k] = g
-        return values, grads
+        grads = [_tensor_values(vals[:k] + (ders[k],) + vals[k + 1:]) for k in range(dim)]
+        return _tensor_values(vals), np.stack(grads, axis=-1)
 
-    def evaluate(self, coeffs, points) -> np.ndarray:
-        """FE function values at arbitrary points of the unit box."""
-        return self._at_points(coeffs, points)[0]
-
-    def evaluate_gradient(self, coeffs, points) -> np.ndarray:
-        return self._at_points(coeffs, points)[1] / self.mesh.edge
-
-    def _at_points(self, coeffs, points):
+    def evaluate(self, coeffs, points):
+        """Values (n,) and gradients (n, dim) of the FE function with
+        coefficients ``coeffs`` at the (n, dim) ``points`` of the unit box,
+        each point one line of ``_line_sum_factorised``."""
         coeffs = _coefficients(self, coeffs)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.mesh.locate(points)
         ref = (points - self.mesh.cell_lows(cells)) / self.mesh.edge
         frame = np.broadcast_to(np.arange(ref.shape[1]), ref.shape)
-        return _line_sum_factorised(self.degree, coeffs[self.cell_dofs(cells)],
-                                    frame, ref[:, :-1], np.arange(ref.shape[0]), ref[:, -1])
+        values, grads = _line_sum_factorised(self.degree, coeffs[self.cell_dofs(cells)], frame,
+                                             ref[:, :-1], np.arange(ref.shape[0]), ref[:, -1])
+        return values, grads / self.mesh.edge
 
 
 def _boundary_ids(n_per_axis: int, dim: int) -> np.ndarray:

@@ -223,3 +223,64 @@ def test_criterion_8_invariant_suites():
            f"row sum {row_sum:.1e}<=1e-12, asymmetry {asym_max:.1e}<=1e-12, "
            f"interface load sum err {pu_err:.1e}<=1e-8, solve vs direct "
            f"{solve_err:.1e}<=1e-8")
+
+
+def _solved(interface, degree, n):
+    """The space of ``degree`` on the grid of ``n`` cells per axis and the FE
+    solution of the reference problem on ``interface``."""
+    space = FeSpace(build_uniform_mesh(interface.dim, n), degree)
+    exact = reference_solution(interface)
+    load = assemble_interface_load(space, interface, exact.density)
+    return space, solve(space, load, exact.values)[0]
+
+
+def _fitted_rate(levels, errors) -> float:
+    """The least-squares slope of log2 error against log2 h."""
+    return -float(np.polyfit(np.log2(levels), np.log2(errors), 1)[0])
+
+
+def test_criterion_11_nodal_errors_local():
+    # Interior maximum-norm estimates give h^(degree + 1) at a fixed distance
+    # from the surface, while the kink across it caps the largest nodal
+    # error at O(h) (Schatz & Wahlbin, Math. Comp. 31, 1977).
+    ok, detail = True, []
+    for interface, degree, levels in ((CIRCLE, 1, (64, 128, 256, 512, 1024)),
+                                      (CIRCLE, 2, (32, 64, 128, 256, 512)),
+                                      (SPHERE, 1, (16, 32, 64))):
+        exact, worst, far = reference_solution(interface), [], []
+        for n in levels:
+            space, solution = _solved(interface, degree, n)
+            x = space.dof_coords(np.arange(space.n_dofs))
+            error = np.abs(solution - exact.values(x))
+            worst.append(error.max())
+            far.append(error[interface.distance(x) >= 0.05].max())
+        far_rate = _fitted_rate(levels, far)
+        ok = ok and far_rate >= degree + 1 - 0.15
+        text = f"{interface.dim}D Q{degree}: d>=0.05 rate {far_rate:.2f}>={degree + 0.85:.2f}"
+        if interface.dim == 2:
+            rate = _fitted_rate(levels, worst)
+            ok = ok and abs(rate - 1.0) <= 0.2
+            text += f", all-dof rate {rate:.2f} in 1+-0.2"
+        detail.append(text)
+    report("11 (nodal errors local in the maximum norm)", ok, "; ".join(detail))
+
+
+def test_criterion_12_weighted_quasi_optimality():
+    # A Cea-type bound in weighted norms: the Galerkin error is within a
+    # constant of the nodal interpolation error, level by level.
+    alphas = (0.0, 0.25, 0.49)
+    ratios = []
+    for interface, degree, levels in ((CIRCLE, 1, (32, 64, 128, 256, 512)),
+                                      (CIRCLE, 2, (16, 32, 64, 128)),
+                                      (SPHERE, 1, (8, 16))):
+        exact = reference_solution(interface)
+        for n in levels:
+            space, solution = _solved(interface, degree, n)
+            galerkin = weighted_errors(space, solution, exact, interface, alphas)
+            nodal = weighted_errors(space, interpolate(space, exact.values), exact, interface,
+                                    alphas)
+            ratios += [galerkin[key] / nodal[key] for key in galerkin]
+    ok = 0.7 <= min(ratios) and max(ratios) <= 1.1
+    report("12 (weighted quasi-optimality)", ok,
+           f"{len(ratios)} ratios of FE to nodal interpolation errors in "
+           f"[{min(ratios):.3f}, {max(ratios):.3f}] within [0.7, 1.1]")

@@ -254,7 +254,7 @@ class TestDirichlet:
         load = assemble_interface_load(space, CIRCLE, lambda y: 5.0)
         solution, residual = solve(space, load, exact.values)
         assert residual <= 1e-10
-        value = space.evaluate(solution, [[1.0, 1.0]])[0]
+        value = space.evaluate(solution, [[1.0, 1.0]])[0][0]
         assert value == pytest.approx(-math.log(math.hypot(0.7, 0.7)), abs=5e-3)
 
     def test_galerkin_orthogonality_proxy(self):

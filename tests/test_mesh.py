@@ -71,9 +71,26 @@ def test_cells_meeting():
                           np.arange(mesh.n_cells))
     assert mesh.cells_meeting(np.array([2.0, 0.0]), np.array([3.0, 1.0])).tolist() == [
         7 + 8 * j for j in range(8)]
+    # and so do infinite bounds
+    assert np.array_equal(mesh.cells_meeting([-np.inf, -np.inf], [np.inf, np.inf]),
+                          np.arange(mesh.n_cells))
+    assert mesh.cells_meeting([np.inf, 0.0], [np.inf, 1.0]).tolist() == [
+        7 + 8 * j for j in range(8)]
     mesh = build_uniform_mesh(3, 4)
     ids = mesh.cells_meeting(np.full(3, 0.5), np.full(3, 0.5))
     assert np.all(np.diff(ids) > 0) and ids.size == 27
+
+
+@pytest.mark.parametrize("low, high", [
+    ([np.nan, 0.2], [0.4, 0.4]), ([0.2, 0.2], [0.4, np.nan]),
+    ([0.2, 0.2, 0.2], [0.4, 0.4, 0.4]), ([0.2], [0.4]), ([0.2, 0.2], [0.4, 0.4, 0.4]),
+    (0.2, 0.4), ([[0.2, 0.2]], [[0.4, 0.4]])],
+    ids=["nan-low", "nan-high", "3d-box", "1d-box", "ragged", "scalars", "two-dimensional"])
+def test_cells_meeting_rejects_bad_box(low, high):
+    # NaN once gave an empty id array after an invalid cast, and a 3D box
+    # on a 2D mesh silently used its first two coordinates
+    with pytest.raises(ValueError, match="low and high"):
+        build_uniform_mesh(2, 8).cells_meeting(low, high)
 
 
 def test_rejects_bad_arguments():

@@ -204,7 +204,8 @@ class TestRadialColumnWise:
                              ids=["2d", "3d"])
     def test_bitwise_equal_to_broadcast_formula(self, interface, in_layout):
         # points on both sides, at the centre, on the surface and on the
-        # planes through the centre; tags from the points, given and flipped
+        # planes through the centre; tags from the points, given and flipped,
+        # and a block wholly outside, which takes the same path
         rng = np.random.default_rng(17 * interface.dim)
         dim, c = interface.dim, interface.center
         direction = rng.standard_normal((60, dim))
@@ -525,8 +526,8 @@ class TestEoc:
 def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
     """Weighted errors summed point by point: cells farther than one cell
     width from the surface on the tensor rule, every other cell on its own
-    height-function rule, the FE function from ``FeSpace.evaluate`` and
-    ``evaluate_gradient`` at physical points (test oracle)."""
+    height-function rule, the FE function from ``FeSpace.evaluate`` at
+    physical points (test oracle)."""
     mesh = space.mesh
     points, weights = gauss_rule(mesh.dim, q)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
@@ -540,8 +541,8 @@ def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
             w = weights * mesh.edge ** mesh.dim
             side = np.repeat(interface.side(low + 0.5 * mesh.edge), weights.size)
         values, grads = exact.evaluate(pts, side=side)
-        e0 = values - space.evaluate(coeffs, pts)
-        e1 = grads - space.evaluate_gradient(coeffs, pts)
+        uh, guh = space.evaluate(coeffs, pts)
+        e0, e1 = values - uh, grads - guh
         # for alpha != 0 a point whose distance rounds to zero carries no
         # weight: only a piece of rounding size, as at a tangent grid line,
         # puts one there
@@ -616,21 +617,25 @@ class TestNearPathWork:
 
 
 def test_distance_weights_match_power():
-    # one row per alpha in the order given, 0 at d = 0
+    # one row per alpha in the order given, 0 at d = 0 for alpha > 0; the
+    # row of alpha = 0 is 1 everywhere, d = 0 included
     rng = np.random.default_rng(23)
     d = np.concatenate([np.exp(rng.uniform(math.log(1e-12), math.log(2.0), 2000)),
                         [1e-12, 1.0, 2.0], np.zeros(4)])
-    alphas = [0.2, 0.01, 0.1, 0.3, 0.49]
+    alphas = [0.2, 0.01, 0.0, 0.1, 0.3, 0.49]
     got = norms._distance_weights(d.copy(), alphas)
     assert got.shape == (len(alphas), d.size)
     positive = d > 0.0
+    assert np.all(got[2] == 1.0)
     for a, weight in zip(alphas, got):
-        assert np.all(weight[~positive] == 0.0)
+        if a != 0.0:
+            assert np.all(weight[~positive] == 0.0)
         np.testing.assert_allclose(weight[positive], np.power(d[positive], 2.0 * a),
                                    rtol=1e-13, atol=0.0)
     # a subset of the exponents gives the same rows, and none gives no row
     assert bitwise_equal(norms._distance_weights(d.copy(), alphas[2:]), got[2:])
-    assert bitwise_equal(norms._distance_weights(d.copy(), [0.3]), got[3:4])
+    assert bitwise_equal(norms._distance_weights(d.copy(), [0.3]), got[4:5])
+    assert bitwise_equal(norms._distance_weights(d.copy(), [0.0]), got[2:3])
     assert norms._distance_weights(d.copy(), []).shape == (0, d.size)
 
 

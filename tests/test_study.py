@@ -3,6 +3,8 @@ import ctypes
 import dataclasses
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +282,27 @@ class TestCli:
             code = main(["--min-exp", "4", "--max-exp", "4", "--alphas", "0"])
             assert code == 2
             assert "solver failure" in capsys.readouterr().err
+
+    def test_readme_cli_examples_parse(self, tmp_path, monkeypatch):
+        # the fenced sh blocks under "## CLI": the flags file of a heredoc is
+        # written, and every ifem-study line is parsed, not run, so a renamed
+        # or deleted flag fails here instead of leaving the README stale
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        blocks = re.findall(r"```sh\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+        monkeypatch.chdir(tmp_path)
+        for name, text in re.findall(r"cat > (\S+) <<'EOF'\n(.*?)^EOF$", "".join(blocks),
+                                     re.S | re.M):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("ifem-study ")]
+        assert lines and (tmp_path / "study.args").exists()
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        # the flags named in the comments too
+        known = set(parser._option_string_actions)
+        assert set(re.findall(r"--[a-z][a-z-]*", "".join(blocks))) <= known
 
     def test_flags_file_and_override(self, tmp_path, capsys):
         flags = tmp_path / "study.args"
