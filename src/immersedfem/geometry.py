@@ -24,7 +24,10 @@ def _length(columns) -> np.ndarray:
 
 def _offsets(points, center) -> list:
     """The components of ``points - center`` (points of shape (..., dim)), one
-    array per axis, so that each subtraction runs along the points."""
+    array per axis, so that each subtraction runs along the points; points
+    of another number of coordinates raise ValueError."""
+    if points.shape[-1:] != center.shape:
+        raise ValueError(f"points must have {center.size} coordinates, got shape {points.shape}")
     return [points[..., k] - c for k, c in enumerate(center.tolist())]
 
 
@@ -81,26 +84,18 @@ class SphericalInterface:
         """|x - c| at ``points`` (shape (..., dim)), one axis at a time."""
         return _length(_offsets(np.asarray(points, dtype=float), self.center))
 
-    def center_distance_range_over_box(self, low, high):
-        """Range of |x - c| over axis-aligned boxes [low, high].
-
-        ``low``/``high`` may be (dim,) or (n, dim); degenerate boxes (faces,
-        points) are allowed.  Returns (t_min, t_max).
-        """
-        low = np.asarray(low, dtype=float)
-        high = np.asarray(high, dtype=float)
-        lows, highs = _offsets(low, self.center), _offsets(high, self.center)
-        t_min = _length([np.clip(0.0, lo, hi) for lo, hi in zip(lows, highs)])
-        t_max = _length([np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in zip(lows, highs)])
-        return t_min, t_max
-
     def distance_range_over_box(self, low, high):
         """Exact (min, max) of dist(x, surface) over boxes [low, high].
 
-        dist = | |x-c| - R | is piecewise monotone in |x-c|, so extremising
-        |x-c| over the box and folding by the radius gives closed forms.
+        ``low``/``high`` may be (dim,) or (n, dim); degenerate boxes (faces,
+        points) are allowed.  dist = | |x-c| - R | is piecewise monotone in
+        |x-c|, so extremising |x-c| over the box and folding by the radius
+        gives closed forms.
         """
-        t_min, t_max = self.center_distance_range_over_box(low, high)
+        lows = _offsets(np.asarray(low, dtype=float), self.center)
+        highs = _offsets(np.asarray(high, dtype=float), self.center)
+        t_min = _length([np.clip(0.0, lo, hi) for lo, hi in zip(lows, highs)])
+        t_max = _length([np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in zip(lows, highs)])
         r = self.radius
         d_min = np.maximum(0.0, np.maximum(t_min - r, r - t_max))
         d_max = np.maximum(r - t_min, t_max - r)
@@ -108,5 +103,4 @@ class SphericalInterface:
 
     def cuts_box(self, low, high) -> np.ndarray:
         """True where the closed box [low, high] meets the surface."""
-        t_min, t_max = self.center_distance_range_over_box(low, high)
-        return (t_min <= self.radius) & (self.radius <= t_max)
+        return self.distance_range_over_box(low, high)[0] == 0.0

@@ -50,9 +50,12 @@ class Mesh:
         return ids
 
     def locate(self, points) -> np.ndarray:
-        """Cell ids containing ``points``; raises if a point leaves the box or
-        is not finite."""
+        """Cell ids containing ``points`` (shape (..., dim)); raises
+        ValueError if a point has another number of coordinates, leaves the
+        box or is not finite."""
         points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (self.dim,):
+            raise ValueError(f"points must have {self.dim} coordinates, got shape {points.shape}")
         if not np.all((points >= -BOX_TOL) & (points <= 1.0 + BOX_TOL)):
             raise ValueError("point outside the unit box cannot be located")
         n = self.cells_per_axis

@@ -3,7 +3,8 @@
 The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
 to the interface.  Cells farther than one cell width from the interface carry
 one tensor rule of degree + EXTRA_POINTS points per axis, on which the shape
-functions are tabulated once.  Every other cell carries the height-function
+functions are tabulated once; its points are untagged, as each lies on
+the side of its cell's centre.  Every other cell carries the height-function
 rule line by line, one run of whole lines of at most ``BATCH_POINTS`` points
 at a time (``quadrature._near_runs``): its pieces never cross the surface
 and carry a side tag, so the piecewise exact solution is always evaluated
@@ -142,8 +143,9 @@ def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
     Cells farther than one cell width from the surface come first, in blocks
     of at most ``BATCH_POINTS`` points (or one cell), on the tensor rule
     ``points`` (n_q, dim) and ``weights`` (n_q,) of ``n`` points per axis on
-    [0, 1]^dim scaled to each cell, with the side of their centre; ``dofs``
-    holds the cells' dof rows and ``lines`` is None.  The other cells carry
+    [0, 1]^dim scaled to each cell, untagged: a point this far from the
+    surface is on the side of its cell's centre; ``dofs`` holds the cells'
+    dof rows and ``sides`` and ``lines`` are None.  The other cells carry
     the height-function rule with ``2 * n`` points per piece, as its grading
     triples the degree of a polynomial integrand, one run of whole lines of
     at most ``BATCH_POINTS`` points (or one line) at a time
@@ -177,8 +179,7 @@ def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
         for k in range(dim):
             np.add(block_lows[:, k, None], mesh.edge * points[:, k], out=pts[k])
         w = np.tile(weights * mesh.edge ** dim, block.size)
-        sides = np.repeat(interface.side(block_lows + 0.5 * mesh.edge), n_q)
-        yield space.cell_dofs(block), pts.reshape(dim, -1).T, w, sides, None
+        yield space.cell_dofs(block), pts.reshape(dim, -1).T, w, None, None
     dofs = space.cell_dofs(near)
     for rows, pts, w, sides, lines in _near_runs(lows[is_near], mesh.edge, interface,
                                                  2 * n, BATCH_POINTS):

@@ -160,7 +160,10 @@ class FeSpace:
         self.degree = degree = _integer("degree", degree, 1)
         n_axis = degree * mesh.cells_per_axis + 1
         self.n_dofs = n_axis ** mesh.dim
-        self.boundary_dofs = _boundary_ids(n_axis, mesh.dim)
+        # the dof lattice less its interior, one byte per dof
+        on_boundary = np.ones((n_axis,) * mesh.dim, dtype=bool)
+        on_boundary[(slice(1, -1),) * mesh.dim] = False
+        self.boundary_dofs = np.flatnonzero(on_boundary)
 
     def cell_dofs(self, cells) -> np.ndarray:
         """Global dofs, shape ``np.shape(cells) + ((degree+1)^dim,)``, of the
@@ -209,19 +212,6 @@ class FeSpace:
         values, grads = _line_sum_factorised(self.degree, coeffs[self.cell_dofs(cells)], frame,
                                              ref[:, :-1], np.arange(ref.shape[0]), ref[:, -1])
         return values, grads / self.mesh.edge
-
-
-def _boundary_ids(n_per_axis: int, dim: int) -> np.ndarray:
-    """Ascending lexicographic ids of the points on the boundary of the
-    lattice {0, ..., n_per_axis - 1}^dim, n_per_axis >= 2: the first and last
-    slab along the slowest axis whole, the slabs between by their own
-    boundary."""
-    if dim == 1:
-        return np.array([0, n_per_axis - 1])
-    slab = n_per_axis ** (dim - 1)
-    between = np.arange(1, n_per_axis - 1)[:, None] * slab + _boundary_ids(n_per_axis, dim - 1)
-    return np.concatenate([np.arange(slab), between.ravel(),
-                           np.arange((n_per_axis - 1) * slab, n_per_axis * slab)])
 
 
 def _coefficients(space: FeSpace, coeffs) -> np.ndarray:

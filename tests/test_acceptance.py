@@ -242,7 +242,9 @@ def _fitted_rate(levels, errors) -> float:
 def test_criterion_11_nodal_errors_local():
     # Interior maximum-norm estimates give h^(degree + 1) at a fixed distance
     # from the surface, while the kink across it caps the largest nodal
-    # error at O(h) (Schatz & Wahlbin, Math. Comp. 31, 1977).
+    # error at O(h) (Schatz & Wahlbin, Math. Comp. 31, 1977).  A wrong
+    # problem shows only in the 2D runs: with 1e-3 added to the Dirichlet
+    # data on x = 0 the 3D Q1 far rate is 1.85, at its bound of degree + 0.85.
     ok, detail = True, []
     for interface, degree, levels in ((CIRCLE, 1, (64, 128, 256, 512, 1024)),
                                       (CIRCLE, 2, (32, 64, 128, 256, 512)),
@@ -267,7 +269,9 @@ def test_criterion_11_nodal_errors_local():
 
 def test_criterion_12_weighted_quasi_optimality():
     # A Cea-type bound in weighted norms: the Galerkin error is within a
-    # constant of the nodal interpolation error, level by level.
+    # constant of the nodal interpolation error, level by level.  A wrong
+    # problem shows only in the 2D runs: with the density scaled by 1.01 the
+    # 3D Q1 ratios are 0.725-1.057, inside [0.7, 1.1].
     alphas = (0.0, 0.25, 0.49)
     ratios = []
     for interface, degree, levels in ((CIRCLE, 1, (32, 64, 128, 256, 512)),

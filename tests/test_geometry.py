@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import bitwise_equal
-from immersedfem import SphericalInterface, build_uniform_mesh
+from immersedfem import FeSpace, SphericalInterface, build_uniform_mesh, reference_solution
 from immersedfem import assembly
 from immersedfem.quadrature import surface_rule
 from potential import normal
@@ -29,11 +31,14 @@ class TestInterface:
         assert np.array_equal(interface.distance(pts), np.abs(rho - interface.radius))
         assert np.array_equal(interface.side(pts), np.where(rho < interface.radius, -1, 1))
         low, high = pts, pts + rng.uniform(0.0, 0.1, size=pts.shape)
-        t_min, t_max = interface.center_distance_range_over_box(low, high)
+        d_min, d_max = interface.distance_range_over_box(low, high)
         nearest = np.clip(interface.center, low, high)
         farthest = np.maximum(np.abs(low - interface.center), np.abs(high - interface.center))
-        assert np.array_equal(t_min, np.linalg.norm(nearest - interface.center, axis=-1))
-        assert np.array_equal(t_max, np.linalg.norm(farthest, axis=-1))
+        t_min = np.linalg.norm(nearest - interface.center, axis=-1)
+        t_max = np.linalg.norm(farthest, axis=-1)
+        r = interface.radius
+        assert np.array_equal(d_min, np.maximum(0.0, np.maximum(t_min - r, r - t_max)))
+        assert np.array_equal(d_max, np.maximum(r - t_min, t_max - r))
 
     def test_normal_examples(self):
         assert np.allclose(normal(CIRCLE, [0.5, 0.3]), [1.0, 0.0])
@@ -142,13 +147,100 @@ class TestColumnWiseOracle:
         nearest = np.clip(c, low, high)
         t_min = broadcast_length(nearest - c)
         t_max = broadcast_length(np.maximum(np.abs(low - c), np.abs(high - c)))
-        got = interface.center_distance_range_over_box(in_layout(low), in_layout(high))
-        assert bitwise_equal(got[0], t_min) and bitwise_equal(got[1], t_max)
+        d_min = np.maximum(0.0, np.maximum(t_min - r, r - t_max))
+        d_max = np.maximum(r - t_min, t_max - r)
         got = interface.distance_range_over_box(in_layout(low), in_layout(high))
-        assert bitwise_equal(got[0], np.maximum(0.0, np.maximum(t_min - r, r - t_max)))
-        assert bitwise_equal(got[1], np.maximum(r - t_min, t_max - r))
-        single = interface.center_distance_range_over_box(low[3], high[3])
-        assert bitwise_equal(single[0], t_min[3]) and bitwise_equal(single[1], t_max[3])
+        assert bitwise_equal(got[0], d_min) and bitwise_equal(got[1], d_max)
+        single = interface.distance_range_over_box(low[3], high[3])
+        assert bitwise_equal(single[0], d_min[3]) and bitwise_equal(single[1], d_max[3])
+
+
+def center_distance_range(interface, low, high):
+    """Range (t_min, t_max) of |x - c| over boxes [low, high] of shape (n,
+    dim), one coordinate column at a time (test oracle: the formula that
+    ``distance_range_over_box`` folds by the radius)."""
+    lows = [low[:, k] - c for k, c in enumerate(interface.center.tolist())]
+    highs = [high[:, k] - c for k, c in enumerate(interface.center.tolist())]
+    t_min = broadcast_length(np.stack([np.clip(0.0, lo, hi) for lo, hi in zip(lows, highs)], -1))
+    t_max = broadcast_length(np.stack([np.maximum(np.abs(lo), np.abs(hi))
+                                       for lo, hi in zip(lows, highs)], -1))
+    return t_min, t_max
+
+
+@st.composite
+def boxes_around_surfaces(draw):
+    """A circle or sphere and boxes against it: every cell of a grid with n
+    in {4, 8, 16}, a face of each cell and its lower corner, and random
+    boxes of mixed sizes.  The surface is generic, tangent to the grid plane
+    nearest its centre or through the grid vertex nearest its centre."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([4, 8, 16]))
+    center = np.array([draw(st.floats(0.25, 0.75)) for _ in range(dim)])
+    kind = draw(st.sampled_from(["generic", "tangent", "vertex"]))
+    if kind == "generic":
+        radius = draw(st.floats(0.01, 0.2))
+    elif kind == "tangent":
+        axis = draw(st.integers(0, dim - 1))
+        radius = abs(round(center[axis] * n) / n - center[axis])
+    else:
+        radius = float(np.linalg.norm(np.round(center * n) / n - center))
+    assume(radius > 1e-9)
+    interface = SphericalInterface(center, radius)
+    mesh = build_uniform_mesh(dim, n)
+    rows = np.arange(mesh.n_cells)
+    cells = mesh.cell_lows(rows)
+    # the highs of one face per cell, its normal axis cycling over the cells
+    faces = cells + mesh.edge
+    faces[rows, rows % dim] = cells[rows, rows % dim]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = rng.uniform(-0.2, 1.2, size=(200, dim))
+    size = rng.choice([0.0, 1e-12, 1e-3, 0.05, 0.5], size=low.shape)
+    lows = np.vstack([cells, cells, cells, low])
+    highs = np.vstack([cells + mesh.edge, faces, cells, low + size])
+    return interface, lows, highs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(boxes_around_surfaces())
+def test_box_classification_folds_the_center_distance_range(case):
+    # the one box classification is the range of |x - c| folded by the
+    # radius, bitwise, and a box is cut exactly when t_min <= R <= t_max
+    interface, low, high = case
+    t_min, t_max = center_distance_range(interface, low, high)
+    r = interface.radius
+    d_min, d_max = interface.distance_range_over_box(low, high)
+    assert bitwise_equal(d_min, np.maximum(0.0, np.maximum(t_min - r, r - t_max)))
+    assert bitwise_equal(d_max, np.maximum(r - t_min, t_max - r))
+    assert np.array_equal(interface.cuts_box(low, high), (t_min <= r) & (r <= t_max))
+
+
+def interface_of(dim):
+    return CIRCLE if dim == 2 else SPHERE
+
+
+WRONG_DIMENSION_CALLS = {
+    "Mesh.locate": lambda dim, pts: build_uniform_mesh(dim, 4).locate(pts),
+    "FeSpace.evaluate": lambda dim, pts: FeSpace(build_uniform_mesh(dim, 4), 1).evaluate(
+        np.zeros(5 ** dim), pts),
+    "distance": lambda dim, pts: interface_of(dim).distance(pts),
+    "side": lambda dim, pts: interface_of(dim).side(pts),
+    "distance_range_over_box": lambda dim, pts: interface_of(dim).distance_range_over_box(
+        pts, pts + 0.1),
+    "cuts_box": lambda dim, pts: interface_of(dim).cuts_box(pts, pts + 0.1),
+    "RadialSolution.evaluate": lambda dim, pts: reference_solution(
+        interface_of(dim)).evaluate(pts),
+    "RadialSolution.values": lambda dim, pts: reference_solution(interface_of(dim)).values(pts),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_DIMENSION_CALLS)
+@pytest.mark.parametrize("dim, n_coords", [(2, 1), (2, 3), (3, 2), (3, 4)])
+def test_points_of_the_wrong_dimension_raise(call, dim, n_coords):
+    # a point of one coordinate raised IndexError, one of dim + 1 was read
+    # through its first dim coordinates
+    points = np.full((2, n_coords), 0.3)
+    with pytest.raises(ValueError, match=f"{dim} coordinates"):
+        WRONG_DIMENSION_CALLS[call](dim, points)
 
 
 class TestImmersedQuadrature:

@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bitwise_equal, lattice
-from immersedfem import (FeSpace, Mesh, SphericalInterface, StudyConfig,
+from immersedfem import (FeSpace, SphericalInterface, StudyConfig,
                          assemble_interface_load, build_uniform_mesh, run_study)
 from immersedfem import norms, quadrature
+from immersedfem.mesh import Mesh
 from immersedfem.quadrature import gauss_rule, surface_rule
 from rules import line_rule, loop_pieces, split_cut_cell, surface_quadrature
 
@@ -467,7 +468,7 @@ class TestColumnWiseOracle:
     def test_on_boxes(self, dim, n_c, monkeypatch):
         # the plain blocks of the error pass: the tensor rule scaled to every
         # cell farther than one cell width from the surface, in id order,
-        # bitwise as the rule broadcast over the cells' corners
+        # bitwise as the rule broadcast over the cells' corners, untagged
         monkeypatch.setattr(norms, "BATCH_POINTS", 20)
         interface = SphericalInterface((0.3,) * dim, 0.2)
         space = FeSpace(build_uniform_mesh(dim, n_c), 1)
@@ -478,10 +479,12 @@ class TestColumnWiseOracle:
         for q in (1, 3):
             points, weights = gauss_rule(dim, q)
             # the plain blocks come first
-            blocks = [block[:3] for block in itertools.takewhile(
+            blocks = list(itertools.takewhile(
                 lambda block: block[4] is None,
-                norms._cell_batches(space, interface, points, weights, q, None))]
+                norms._cell_batches(space, interface, points, weights, q, None)))
             assert len(blocks) > 1
+            assert all(block[3] is None for block in blocks)
+            blocks = [block[:3] for block in blocks]
             dofs, pts, w = (np.concatenate(column) for column in zip(*blocks))
             assert np.array_equal(dofs, space.cell_dofs(plain))
             want = lows[plain][:, None, :] + mesh.edge * points
