@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .mesh import _check_box
+
 
 def _length(columns) -> np.ndarray:
     """Euclidean length of vectors given one component array per axis:
@@ -90,10 +92,12 @@ class SphericalInterface:
         ``low``/``high`` may be (dim,) or (n, dim); degenerate boxes (faces,
         points) are allowed.  dist = | |x-c| - R | is piecewise monotone in
         |x-c|, so extremising |x-c| over the box and folding by the radius
-        gives closed forms.
+        gives closed forms.  A box with some ``low > high`` raises
+        ValueError (``mesh._check_box``).
         """
-        lows = _offsets(np.asarray(low, dtype=float), self.center)
-        highs = _offsets(np.asarray(high, dtype=float), self.center)
+        low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+        _check_box(low, high)
+        lows, highs = _offsets(low, self.center), _offsets(high, self.center)
         t_min = _length([np.clip(0.0, lo, hi) for lo, hi in zip(lows, highs)])
         t_max = _length([np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in zip(lows, highs)])
         r = self.radius

@@ -37,11 +37,13 @@ class Mesh:
         side, meets the box [low, high] (each of shape (dim,)): every cell
         that meets the box, with one cell to spare against rounding at grid
         lines.  A box outside the unit box, infinite bounds included, still
-        gives cells at its side; NaN bounds or another shape raise ValueError."""
+        gives cells at its side; NaN bounds, another shape or an inverted box
+        (``_check_box``) raise ValueError."""
         n = self.cells_per_axis
         box = [np.asarray(bound, dtype=float) for bound in (low, high)]
         if any(bound.shape != (self.dim,) or np.isnan(bound).any() for bound in box):
             raise ValueError(f"low and high must be {self.dim} numbers, got {low!r} and {high!r}")
+        _check_box(*box)
         first = np.clip(np.floor(box[0] * n) - 1, 0, n - 1).astype(int)
         last = np.clip(np.floor(box[1] * n) + 1, 0, n - 1).astype(int)
         ids = np.zeros(1, dtype=int)
@@ -77,6 +79,14 @@ def _integer(name: str, value, low: int, high: float = math.inf) -> int:
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def _check_box(low: np.ndarray, high: np.ndarray) -> None:
+    """ValueError where some ``low`` exceeds its ``high``: such a box is
+    empty, and clipping to it gives the high bound.  Equal bounds (faces,
+    points) make a box; NaN bounds are left to the caller."""
+    if np.any(low > high):
+        raise ValueError(f"low and high must bound a box (low <= high), got {low!r} and {high!r}")
 
 
 def _check_dim(mesh: Mesh, interface) -> None:

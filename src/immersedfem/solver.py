@@ -16,7 +16,16 @@ over the cells, as in FFT Poisson solvers (Swarztrauber, SIAM Rev. 19, 1977):
 one ``degree × degree`` eigenproblem per frequency (``_modes_1d``), and the
 transforms are real FFTs of the odd extension (``_analyse``, ``_synthesise``;
 for Q1 the DST-I).  No grid-sized array reaches BLAS or LAPACK, so the result
-does not depend on the BLAS library's thread count."""
+does not depend on the BLAS library's thread count.
+
+A solve holds at most four grid-sized arrays at once: ``u``, the interior
+residual, and the input and output of one transform; while the operator is
+applied, its total and two work arrays take the place of the last three.
+Everything else works on slabs of at most ``norms.BATCH_POINTS`` entries
+(or one row): the odd extension, spectrum and mixing of the transforms, the
+fluxes of the banded applies and the eigenvalue sums of the division.  The
+first residual, of the boundary data alone, is formed on strips at the
+faces (``_lifted_residual``)."""
 
 from __future__ import annotations
 
@@ -24,6 +33,7 @@ import math
 
 import numpy as np
 
+from . import norms
 from .quadrature import gauss_points_1d
 from .space import FeSpace, _field_values, _lagrange_1d
 
@@ -65,37 +75,89 @@ def _bands(element, cells: int):
     return sums, bands
 
 
-def _apply_1d(matrix, u, axis: int):
-    """``B u`` along ``axis`` of the grid array ``u``, for the symmetric
+def _apply_1d(matrix, u, axis: int, out) -> None:
+    """``out = B u`` along ``axis`` of the grid array ``u``, for the symmetric
     banded 1D matrix ``B = (row sums, upper bands)`` of ``_bands``.  Row
     ``m`` is its row sum times ``u_m`` plus each band entry times the
     difference of ``u`` from ``u_m``.  Differences of a smooth ``u`` are
     small, and exact where neighbours lie within a factor of two, so the
     stiffness, whose rows sum to zero, is applied without the cancellation
-    of ``O(|u| / h)`` products."""
+    of ``O(|u| / h)`` products.  The bands act by slices along ``axis`` on
+    chunks of at most ``norms.BATCH_POINTS`` entries (or one row) taken
+    along another axis, each flux formed in place in one work array; every
+    entry sees the same operations as in one whole-grid pass."""
     sums, bands = matrix
-    u = np.moveaxis(u, axis, -1)
-    out = sums * u
-    for s, band in enumerate(bands, 1):
-        flux = band * (u[..., s:] - u[..., :-s])
-        out[..., :-s] += flux
-        out[..., s:] -= flux
-    return np.moveaxis(out, -1, axis)
+    along = (-1,) + (1,) * (u.ndim - 1 - axis)  # a 1D factor broadcast along axis
+    across = 1 if axis == 0 else 0
+    row = u.size // u.shape[across] if u.shape[across] else 0
+    step = max(1, min(u.shape[across], norms.BATCH_POINTS // max(row, 1)))
+    work = np.empty(step * row)
+    for start in range(0, u.shape[across], step):
+        chunk = (slice(None),) * across + (slice(start, start + step),)
+        x, y = u[chunk], out[chunk]
+        np.multiply(sums.reshape(along), x, out=y)
+        for s, band in enumerate(bands, 1):
+            upper = (slice(None),) * axis + (slice(s, None),)
+            lower = (slice(None),) * axis + (slice(None, -s),)
+            shape = x[lower].shape
+            flux = work[:math.prod(shape)].reshape(shape)
+            np.subtract(x[upper], x[lower], out=flux)
+            flux *= band.reshape(along)
+            y[lower] += flux
+            y[upper] -= flux
 
 
-def _kronecker_sum(mass, stiffness, u):
-    """``A u`` for the stiffness ``A = Σ_d M⊗…⊗K⊗…⊗M``, with ``M`` and ``K``
-    as ``_bands`` gives them, and a grid array ``u`` of shape ``(n,) * dim``
-    (dof order).  Each term applies ``K`` first, to ``u`` itself.  ``A`` is
-    symmetric positive semidefinite with the constants in its kernel."""
-    total = 0.0
-    for axis in range(u.ndim):
-        term = _apply_1d(stiffness, u, axis)
-        for other in range(u.ndim):
+def _kronecker_sum(factors, u):
+    """``A u`` for the stiffness ``A = Σ_d M⊗…⊗K⊗…⊗M`` and a grid array
+    ``u`` (dof order), with the ``(M, K)`` of each axis in ``factors``, as
+    ``_bands`` gives them.  Each term applies ``K`` first, to ``u`` itself,
+    then ``M`` along the other axes in order, between two work arrays, and
+    is added into one total.  ``A`` is symmetric positive semidefinite with
+    the constants in its kernel."""
+    total = np.zeros(u.shape)
+    term, work = np.empty(u.shape), np.empty(u.shape)
+    for axis, (_, stiffness) in enumerate(factors):
+        _apply_1d(stiffness, u, axis, term)
+        for other, (mass, _) in enumerate(factors):
             if other != axis:
-                term = _apply_1d(mass, term, other)
-        total = total + term
+                _apply_1d(mass, term, other, work)
+                term, work = work, term
+        total += term
     return total
+
+
+def _rows(matrix, start: int, stop: int):
+    """The block of rows and columns ``start … stop − 1`` of the banded 1D
+    matrix ``matrix``, in the layout of ``_bands``."""
+    sums, bands = matrix
+    return sums[start:stop], [band[start:stop - s] for s, band in enumerate(bands, 1)]
+
+
+def _lifted_residual(mass, stiffness, u, load):
+    """``load − (A u)_I`` for a grid array ``u`` that is zero on every
+    interior dof and ``load`` on the interior dofs.  ``(A u)_I`` is zero
+    beyond ``degree`` rows from the faces, where the rows are ``load``
+    itself.  The rows next to a face come from the operator on a strip of
+    ``2 degree + 1`` grid rows at that face, which holds their whole
+    stencil, with the bands of the strip along its axis: the same
+    operations as on the whole grid, so the same bits."""
+    dim, n = u.ndim, u.shape[0]
+    degree, inner = len(mass[1]), n - 2
+    width = min(2 * degree + 1, n)
+    lifted = load.copy()
+    for axis in range(dim):
+        for start, low, high in ((0, 0, min(degree, inner)),
+                                 (n - width, max(inner - degree, 0), inner)):
+            strip = (slice(None),) * axis + (slice(start, start + width),)
+            factors = [(mass, stiffness)] * dim
+            factors[axis] = tuple(_rows(matrix, start, start + width)
+                                  for matrix in (mass, stiffness))
+            total = _kronecker_sum(factors, u[strip])
+            rows = (slice(None),) * axis + (slice(low, high),)
+            near = ((slice(1, -1),) * axis + (slice(low + 1 - start, high + 1 - start),)
+                    + (slice(1, -1),) * (dim - 1 - axis))
+            lifted[rows] = load[rows] - total[near]
+    return lifted
 
 
 def _modes_1d(mass, stiffness, cells: int):
@@ -161,36 +223,59 @@ def _modes_1d(mass, stiffness, cells: int):
 
 def _analyse(x, analysis, cells: int):
     """Mode coefficients ``Vᵀ x`` along the last axis of ``x``, which holds
-    the ``degree · cells − 1`` interior dofs; returns ``degree · (cells + 1)``
-    coefficients in the order of ``_modes_1d``."""
+    the ``degree · cells − 1`` interior dofs, as a new array with that axis
+    first: ``degree · (cells + 1)`` coefficients in the order of
+    ``_modes_1d``, then the other axes of ``x``.  The rows of ``x`` go
+    through the odd extension, the FFT and the mixing in slabs whose odd
+    extension holds at most ``norms.BATCH_POINTS`` entries (or one row), in
+    work arrays made once."""
     real, imag = analysis
     degree = real.shape[0]
     n = degree * cells
-    odd = np.zeros(x.shape[:-1] + (2 * n,))
-    odd[..., 1:n] = x
-    odd[..., n + 1:] = -x[..., ::-1]
-    # one FFT over the cells per dof a of a period, into contiguous rows
-    spectrum = np.empty(x.shape[:-1] + (degree, cells + 1), dtype=complex)
-    np.fft.rfft(odd.reshape(x.shape[:-1] + (2 * cells, degree)).swapaxes(-1, -2), out=spectrum)
-    # Im(P F) = Re P Im F + Im P Re F, summed over a
-    out = (np.einsum("...aj,kaj->...kj", spectrum.imag, real)
-           + np.einsum("...aj,kaj->...kj", spectrum.real, imag))
-    return out.reshape(x.shape[:-1] + (degree * (cells + 1),))
+    count = math.prod(x.shape[:-1])
+    rows = x.reshape(count, n - 1)
+    out = np.empty((degree * (cells + 1), count))
+    step = max(1, min(count, norms.BATCH_POINTS // (2 * n)))
+    odd = np.zeros((step, 2 * n))
+    spectrum = np.empty((step, degree, cells + 1), dtype=complex)
+    mixed = np.empty((2, step, degree, cells + 1))
+    for start in range(0, count, step):
+        block = rows[start:start + step]
+        k = block.shape[0]
+        odd[:k, 1:n] = block
+        np.negative(block[:, ::-1], out=odd[:k, n + 1:])
+        # one FFT over the cells per dof a of a period, into contiguous rows
+        np.fft.rfft(odd[:k].reshape(k, 2 * cells, degree).swapaxes(-1, -2), out=spectrum[:k])
+        # Im(P F) = Re P Im F + Im P Re F, summed over a
+        np.einsum("...aj,kaj->...kj", spectrum[:k].imag, real, out=mixed[0, :k])
+        np.einsum("...aj,kaj->...kj", spectrum[:k].real, imag, out=mixed[1, :k])
+        np.add(mixed[0, :k].reshape(k, -1), mixed[1, :k].reshape(k, -1),
+               out=out[:, start:start + k].T)
+    return out.reshape(out.shape[:1] + x.shape[:-1])
 
 
 def _synthesise(coefficients, synthesis, cells: int):
     """Interior dof values ``V c`` along the last axis of the mode
-    coefficients ``c`` (the inverse layout of ``_analyse``)."""
+    coefficients ``c`` (the layout of ``_analyse``), as a new array with that
+    axis first, in slabs as ``_analyse`` makes them."""
     real, imag = synthesis
     degree = real.shape[0]
-    c = coefficients.reshape(coefficients.shape[:-1] + (degree, cells + 1))
-    spectrum = np.empty(c.shape, dtype=complex)
-    np.einsum("...kj,akj->...aj", c, real, out=spectrum.real)
-    np.einsum("...kj,akj->...aj", c, imag, out=spectrum.imag)
-    # the FFT over the cells per dof a of a period, back into dof order
-    values = np.empty(c.shape[:-2] + (2 * cells, degree))
-    np.fft.irfft(spectrum, n=2 * cells, out=values.swapaxes(-1, -2))
-    return values.reshape(c.shape[:-2] + (2 * degree * cells,))[..., 1:degree * cells]
+    n = degree * cells
+    count = math.prod(coefficients.shape[:-1])
+    rows = coefficients.reshape(count, degree, cells + 1)
+    out = np.empty((n - 1, count))
+    step = max(1, min(count, norms.BATCH_POINTS // (2 * n)))
+    spectrum = np.empty((step, degree, cells + 1), dtype=complex)
+    values = np.empty((step, 2 * cells, degree))
+    for start in range(0, count, step):
+        c = rows[start:start + step]
+        k = c.shape[0]
+        np.einsum("...kj,akj->...aj", c, real, out=spectrum[:k].real)
+        np.einsum("...kj,akj->...aj", c, imag, out=spectrum[:k].imag)
+        # the FFT over the cells per dof a of a period, back into dof order
+        np.fft.irfft(spectrum[:k], n=2 * cells, out=values[:k].swapaxes(-1, -2))
+        out[:, start:start + k] = values[:k].reshape(k, 2 * n)[:, 1:n].T
+    return out.reshape(out.shape[:1] + coefficients.shape[:-1])
 
 
 def _norm(x) -> float:
@@ -229,26 +314,29 @@ def solve(space: FeSpace, load, g):
     boundary = _field_values(g, space.dof_coords(space.boundary_dofs))
     u.reshape(-1)[space.boundary_dofs] = boundary
     load = load.reshape(u.shape)[interior]
-
-    def residual():
-        return load - _kronecker_sum(mass, stiffness, u)[interior]
-
-    lifted = residual()
+    lifted = _lifted_residual(mass, stiffness, u, load)
     scale = math.hypot(_norm(lifted), _norm(boundary))
     if scale == 0.0:
         return np.zeros(space.n_dofs), 0.0
     values, analysis, synthesis = _modes_1d(*(matrix for matrix, _ in elements), cells)
     values = values.ravel()
-    total = sum(values.reshape((-1,) + (1,) * (dim - 1 - axis)) for axis in range(dim))
+    step = max(1, norms.BATCH_POINTS // values.size ** (dim - 1))
+
+    def residual():
+        return load - _kronecker_sum([(mass, stiffness)] * dim, u)[interior]
 
     def apply_inverse(r):
-        for _ in range(dim):  # one axis at a time, last first; dim moves cycle the axes back
-            r = np.moveaxis(_analyse(r, analysis, cells), -1, 0)
-        r = r / total
+        for _ in range(dim):  # one axis at a time, last first; each moves its axis to the front
+            r = _analyse(r, analysis, cells)
+        for start in range(0, len(r), step):  # over Σ_d λ_d, slab by slab along the first axis
+            r[start:start + step] /= sum(
+                (values[start:start + step] if axis == 0 else values).reshape(
+                    (-1,) + (1,) * (dim - 1 - axis)) for axis in range(dim))
         for _ in range(dim):
-            r = np.moveaxis(_synthesise(r, synthesis, cells), -1, 0)
+            r = _synthesise(r, synthesis, cells)
         return r
 
     u[interior] = apply_inverse(lifted)
+    del lifted  # the correction's residual takes its place
     u[interior] += apply_inverse(residual())
     return u.reshape(-1), _norm(residual()) / scale

@@ -91,6 +91,14 @@ class TestInterface:
         assert d_max == pytest.approx(max(far_corner, near), abs=1e-14)
         assert CIRCLE.cuts_box([0.25, 0.25], [0.5, 0.5])
         assert not CIRCLE.cuts_box([0.75, 0.75], [1.0, 1.0])
+        # an inverted box is empty: it was classified as cut, with d_min = 0;
+        # faces and points stay boxes
+        for method in (CIRCLE.distance_range_over_box, CIRCLE.cuts_box):
+            with pytest.raises(ValueError, match="low and high"):
+                method([0.5, 0.5], [0.25, 0.25])
+            with pytest.raises(ValueError, match="low and high"):
+                method([[0.1, 0.1], [0.5, 0.5]], [[0.2, 0.2], [0.5, 0.25]])
+        assert CIRCLE.cuts_box([0.1, 0.3], [0.5, 0.3]) and not CIRCLE.cuts_box([0.3, 0.3], [0.3, 0.3])
 
 
 def broadcast_length(vectors):

@@ -84,11 +84,13 @@ def test_cells_meeting():
 @pytest.mark.parametrize("low, high", [
     ([np.nan, 0.2], [0.4, 0.4]), ([0.2, 0.2], [0.4, np.nan]),
     ([0.2, 0.2, 0.2], [0.4, 0.4, 0.4]), ([0.2], [0.4]), ([0.2, 0.2], [0.4, 0.4, 0.4]),
-    (0.2, 0.4), ([[0.2, 0.2]], [[0.4, 0.4]])],
-    ids=["nan-low", "nan-high", "3d-box", "1d-box", "ragged", "scalars", "two-dimensional"])
+    (0.2, 0.4), ([[0.2, 0.2]], [[0.4, 0.4]]), ([0.5, 0.5], [0.25, 0.25])],
+    ids=["nan-low", "nan-high", "3d-box", "1d-box", "ragged", "scalars", "two-dimensional",
+         "inverted"])
 def test_cells_meeting_rejects_bad_box(low, high):
-    # NaN once gave an empty id array after an invalid cast, and a 3D box
-    # on a 2D mesh silently used its first two coordinates
+    # NaN once gave an empty id array after an invalid cast, a 3D box on a
+    # 2D mesh silently used its first two coordinates, and an inverted box,
+    # which is empty, gave cell 27
     with pytest.raises(ValueError, match="low and high"):
         build_uniform_mesh(2, 8).cells_meeting(low, high)
 
