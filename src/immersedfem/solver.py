@@ -89,8 +89,8 @@ def _apply_1d(matrix, u, axis: int, out) -> None:
     sums, bands = matrix
     along = (-1,) + (1,) * (u.ndim - 1 - axis)  # a 1D factor broadcast along axis
     across = 1 if axis == 0 else 0
-    row = u.size // u.shape[across] if u.shape[across] else 0
-    step = max(1, min(u.shape[across], norms.BATCH_POINTS // max(row, 1)))
+    row = u.size // u.shape[across]
+    step = max(1, min(u.shape[across], norms.BATCH_POINTS // row))
     work = np.empty(step * row)
     for start in range(0, u.shape[across], step):
         chunk = (slice(None),) * across + (slice(start, start + step),)
