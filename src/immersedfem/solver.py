@@ -23,9 +23,7 @@ residual, and the input and output of one transform; while the operator is
 applied, its total and two work arrays take the place of the last three.
 Everything else works on slabs of at most ``norms.BATCH_POINTS`` entries
 (or one row): the odd extension, spectrum and mixing of the transforms, the
-fluxes of the banded applies and the eigenvalue sums of the division.  The
-first residual, of the boundary data alone, is formed on strips at the
-faces (``_lifted_residual``)."""
+fluxes of the banded applies and the eigenvalue sums of the division."""
 
 from __future__ import annotations
 
@@ -107,57 +105,23 @@ def _apply_1d(matrix, u, axis: int, out) -> None:
             y[upper] -= flux
 
 
-def _kronecker_sum(factors, u):
+def _kronecker_sum(mass, stiffness, u):
     """``A u`` for the stiffness ``A = Σ_d M⊗…⊗K⊗…⊗M`` and a grid array
-    ``u`` (dof order), with the ``(M, K)`` of each axis in ``factors``, as
-    ``_bands`` gives them.  Each term applies ``K`` first, to ``u`` itself,
-    then ``M`` along the other axes in order, between two work arrays, and
-    is added into one total.  ``A`` is symmetric positive semidefinite with
-    the constants in its kernel."""
+    ``u`` (dof order), with ``M`` and ``K`` as ``_bands`` gives them.  Each
+    term applies ``K`` first, to ``u`` itself, then ``M`` along the other
+    axes in order, between two work arrays, and is added into one total.
+    ``A`` is symmetric positive semidefinite with the constants in its
+    kernel."""
     total = np.zeros(u.shape)
     term, work = np.empty(u.shape), np.empty(u.shape)
-    for axis, (_, stiffness) in enumerate(factors):
+    for axis in range(u.ndim):
         _apply_1d(stiffness, u, axis, term)
-        for other, (mass, _) in enumerate(factors):
+        for other in range(u.ndim):
             if other != axis:
                 _apply_1d(mass, term, other, work)
                 term, work = work, term
         total += term
     return total
-
-
-def _rows(matrix, start: int, stop: int):
-    """The block of rows and columns ``start … stop − 1`` of the banded 1D
-    matrix ``matrix``, in the layout of ``_bands``."""
-    sums, bands = matrix
-    return sums[start:stop], [band[start:stop - s] for s, band in enumerate(bands, 1)]
-
-
-def _lifted_residual(mass, stiffness, u, load):
-    """``load − (A u)_I`` for a grid array ``u`` that is zero on every
-    interior dof and ``load`` on the interior dofs.  ``(A u)_I`` is zero
-    beyond ``degree`` rows from the faces, where the rows are ``load``
-    itself.  The rows next to a face come from the operator on a strip of
-    ``2 degree + 1`` grid rows at that face, which holds their whole
-    stencil, with the bands of the strip along its axis: the same
-    operations as on the whole grid, so the same bits."""
-    dim, n = u.ndim, u.shape[0]
-    degree, inner = len(mass[1]), n - 2
-    width = min(2 * degree + 1, n)
-    lifted = load.copy()
-    for axis in range(dim):
-        for start, low, high in ((0, 0, min(degree, inner)),
-                                 (n - width, max(inner - degree, 0), inner)):
-            strip = (slice(None),) * axis + (slice(start, start + width),)
-            factors = [(mass, stiffness)] * dim
-            factors[axis] = tuple(_rows(matrix, start, start + width)
-                                  for matrix in (mass, stiffness))
-            total = _kronecker_sum(factors, u[strip])
-            rows = (slice(None),) * axis + (slice(low, high),)
-            near = ((slice(1, -1),) * axis + (slice(low + 1 - start, high + 1 - start),)
-                    + (slice(1, -1),) * (dim - 1 - axis))
-            lifted[rows] = load[rows] - total[near]
-    return lifted
 
 
 def _modes_1d(mass, stiffness, cells: int):
@@ -314,16 +278,17 @@ def solve(space: FeSpace, load, g):
     boundary = _field_values(g, space.dof_coords(space.boundary_dofs))
     u.reshape(-1)[space.boundary_dofs] = boundary
     load = load.reshape(u.shape)[interior]
-    lifted = _lifted_residual(mass, stiffness, u, load)
+
+    def residual():
+        return load - _kronecker_sum(mass, stiffness, u)[interior]
+
+    lifted = residual()
     scale = math.hypot(_norm(lifted), _norm(boundary))
     if scale == 0.0:
         return np.zeros(space.n_dofs), 0.0
     values, analysis, synthesis = _modes_1d(*(matrix for matrix, _ in elements), cells)
     values = values.ravel()
     step = max(1, norms.BATCH_POINTS // values.size ** (dim - 1))
-
-    def residual():
-        return load - _kronecker_sum([(mass, stiffness)] * dim, u)[interior]
 
     def apply_inverse(r):
         for _ in range(dim):  # one axis at a time, last first; each moves its axis to the front

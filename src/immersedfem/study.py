@@ -95,7 +95,10 @@ def run_study(config: StudyConfig):
         n_c = 2 ** exponent
         mesh = build_uniform_mesh(config.dim, n_c)
         space = FeSpace(mesh, config.degree)
-        load = assemble_interface_load(space, interface, exact.density)
+        try:
+            load = assemble_interface_load(space, interface, exact.density)
+        except ValueError as exc:  # a surface too small for the load's rule
+            raise ConfigError(str(exc)) from exc
         solution, residual = solve(space, load, exact.values)
         if not residual <= MAX_RELATIVE_RESIDUAL:
             raise StudyError(f"solve failed at n_c = {n_c}: relative residual {residual:.3e}")

@@ -92,8 +92,7 @@ def stiffness_apply(space):
     mass, stiffness = (solver._bands(element, space.mesh.cells_per_axis)
                        for element in solver._elements_1d(space))
     shape = (mass[0].size,) * space.mesh.dim
-    factors = [(mass, stiffness)] * space.mesh.dim
-    return lambda u: solver._kronecker_sum(factors, np.reshape(u, shape)).ravel()
+    return lambda u: solver._kronecker_sum(mass, stiffness, np.reshape(u, shape)).ravel()
 
 
 def operator_matrix(space):

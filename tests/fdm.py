@@ -1,11 +1,10 @@
 """The fast-diagonalisation solve on whole grids (test oracle).
 
 The package applies the stiffness in chunks and transforms in slabs of at
-most ``norms.BATCH_POINTS`` entries, and builds the first residual from
-strips at the faces (``solver._apply_1d``, ``_kronecker_sum``,
-``_analyse``, ``_synthesise``, ``_lifted_residual``); these are the
+most ``norms.BATCH_POINTS`` entries (``solver._apply_1d``,
+``_kronecker_sum``, ``_analyse``, ``_synthesise``); these are the
 whole-grid forms it replaced, each a few grid-sized temporaries, with
-``solve`` on top, so every slab and strip can be checked against them bit
+``solve`` on top, so every chunk and slab can be checked against them bit
 for bit.  The transforms here keep the transformed axis last; the
 package's move it to the front.
 """

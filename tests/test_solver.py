@@ -150,13 +150,6 @@ def test_modes_diagonalise_dense_factors(degree):
 ORACLE_SIZES = [(2, 1, 7), (2, 2, 5), (2, 3, 4), (3, 1, 5), (3, 2, 3), (3, 3, 2)]
 
 
-def banded_factors(dim, degree, cells):
-    """The element matrices and the banded 1D mass and stiffness of the
-    ``Q^degree`` space on ``cells`` cells per axis."""
-    elements = solver._elements_1d(FeSpace(build_uniform_mesh(dim, cells), degree))
-    return elements, [solver._bands(element, cells) for element in elements]
-
-
 @pytest.mark.parametrize("batch", [1, 97])
 def test_slabs_match_whole_grid_oracle(monkeypatch, batch):
     # the chunked applies and the slab-wise transforms are bitwise the
@@ -165,7 +158,8 @@ def test_slabs_match_whole_grid_oracle(monkeypatch, batch):
     monkeypatch.setattr(norms, "BATCH_POINTS", batch)
     rng = np.random.default_rng(batch)
     for dim, degree, cells in ORACLE_SIZES:
-        elements, (mass, stiffness) = banded_factors(dim, degree, cells)
+        elements = solver._elements_1d(FeSpace(build_uniform_mesh(dim, cells), degree))
+        mass, stiffness = (solver._bands(element, cells) for element in elements)
         n = degree * cells + 1
         u = rng.standard_normal((n,) * dim)
         for matrix in (mass, stiffness):
@@ -173,7 +167,7 @@ def test_slabs_match_whole_grid_oracle(monkeypatch, batch):
                 out = np.empty(u.shape)
                 solver._apply_1d(matrix, u, axis, out)
                 assert bitwise_equal(out, fdm.apply_1d(matrix, u, axis))
-        assert bitwise_equal(solver._kronecker_sum([(mass, stiffness)] * dim, u),
+        assert bitwise_equal(solver._kronecker_sum(mass, stiffness, u),
                              fdm.kronecker_sum(mass, stiffness, u))
         _, analysis, synthesis = solver._modes_1d(*(matrix for matrix, _ in elements), cells)
         x = rng.standard_normal((n - 2,) * dim)
@@ -182,28 +176,6 @@ def test_slabs_match_whole_grid_oracle(monkeypatch, batch):
         c = rng.standard_normal((n - 2,) * (dim - 1) + (degree * (cells + 1),))
         assert bitwise_equal(solver._synthesise(c, synthesis, cells),
                              np.moveaxis(fdm.synthesise(c, synthesis, cells), -1, 0))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("degree", [1, 2, 3])
-def test_lifted_residual_matches_full_apply(dim, degree):
-    # load − (A u_B)_I from strips at the faces is bitwise the whole-grid
-    # apply, and beyond degree rows from the faces it is load itself, the
-    # sign of a zero included; one and two cells make strips as wide as the
-    # grid
-    rng = np.random.default_rng(degree)
-    interior = (slice(1, -1),) * dim
-    for cells in (1, 2, 3, 5):
-        _, (mass, stiffness) = banded_factors(dim, degree, cells)
-        n = degree * cells + 1
-        u = rng.standard_normal((n,) * dim)
-        u[interior] = 0.0
-        load = rng.standard_normal((n - 2,) * dim)
-        load[::2] = -0.0
-        lifted = solver._lifted_residual(mass, stiffness, u, load)
-        assert bitwise_equal(lifted, load - fdm.kronecker_sum(mass, stiffness, u)[interior])
-        far = (slice(degree, n - 2 - degree),) * dim
-        assert bitwise_equal(lifted[far], load[far])
 
 
 @pytest.mark.parametrize("batch", [1, 97, norms.BATCH_POINTS])
@@ -219,13 +191,16 @@ def test_solve_matches_whole_grid_oracle(monkeypatch, batch):
         assert bitwise_equal(residual, want_residual), (dim, degree, cells)
 
 
-@pytest.mark.parametrize("degree, cells", [(1, 512), (2, 256)])
-def test_peak_memory_2d_solve(degree, cells):
+@pytest.mark.parametrize("dim, degree, cells", [
+    pytest.param(2, 1, 512, id="1-512"), pytest.param(2, 2, 256, id="2-256"),
+    pytest.param(3, 1, 64, id="3d-1-64")])
+def test_peak_memory_2d_solve(dim, degree, cells):
     # one solve of the finest level of study2d and of study2d-q2; the dense
     # fast diagonalisation peaked at 24.0 MiB (Q1), the per-mode solve with
     # whole-grid transforms at 20.1 and 20.2 MiB, the slab-wise one at
-    # 8.9–9.1 MiB: four grid-sized arrays of 2 MiB and the slabs
-    space, load, g = study_problem(2, degree, cells)
+    # 8.9–9.1 MiB: four grid-sized arrays of 2 MiB and the slabs.  The 3D Q1
+    # solve at n_c = 64 (65³ dofs, 2.1 MiB a grid) peaks at 9.2 MiB
+    space, load, g = study_problem(dim, degree, cells)
     tracemalloc.start()
     try:
         solve(space, load, g)

@@ -259,6 +259,16 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.err.startswith("error: cannot write") and captured.out == ""
 
+    @pytest.mark.parametrize("dim, radius", [("2", "1e-17"), ("3", "1e-200")])
+    def test_surface_too_small_for_its_rule(self, dim, radius, capsys):
+        # no surface point means no source: one error line, no table, no
+        # traceback and no numpy warning (warnings are errors here)
+        assert main(["--dim", dim, "--radius", radius, "--max-exp", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "meets no cell" in captured.err
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value", [("--alphas", "a,b"), ("--center", "0.3,x")])
     def test_bad_number_list_message(self, flag, value, capsys):
         # the message says what the flag takes, not which function parsed it
