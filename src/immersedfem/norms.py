@@ -3,18 +3,17 @@
 The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
 to the interface.  Cells farther than one cell width from the interface carry
 one tensor rule of degree + EXTRA_POINTS points per axis, on which the shape
-functions are tabulated once; its points are untagged, as each lies on
-the side of its cell's centre.  Every other cell carries the height-function
+functions are tabulated once.  Every other cell carries the height-function
 rule line by line, one run of whole lines of at most ``BATCH_POINTS`` points
 at a time (``quadrature._near_runs``): its pieces never cross the surface
-and carry a side tag, so the piecewise exact solution is always evaluated
-on a single branch per quadrature point, and they are graded toward the
-surface, where d^(2*alpha) is singular.  On a run the FE function is
-evaluated on the face axes once per line, on the height axis per point.
-The exact solution's batched ``evaluate(points, side)`` is called once per
-block or run on its (n, dim) point array and returns the values and the
-gradients together; the per-point arithmetic works on one contiguous column
-per coordinate or component.  The weights of every exponent come from one
+and are graded toward it, where d^(2*alpha) is singular.  On a run the FE
+function is evaluated on the face axes once per line, on the height axis
+per point.  The exact solution's batched ``evaluate(points)`` is called
+once per block or run on its (n, dim) point array and returns the values
+and the gradients together; it picks its own branch at each point, which
+matters only within rounding of the surface, as the solution is continuous
+there.  The per-point arithmetic works on one contiguous column per
+coordinate or component.  The weights of every exponent come from one
 log per point and one exp over an (exponent, point) buffer, and all the
 weighted sums of a block or run from one ``np.einsum`` contraction, which
 numpy forms itself: through BLAS, a dot product of more than 10,000 points
@@ -72,9 +71,9 @@ class RadialSolution:
     whose flux jump across the surface is the constant layer density
     1/R^(dim-1).
 
-    ``evaluate`` takes (n, dim) points and optional side tags; without tags,
-    points on the surface take the outside branch.  The gradient is zero
-    inside and radial outside.  ``values`` and ``density`` are fields.
+    ``evaluate`` takes (n, dim) points; points on the surface take the
+    outside branch.  The gradient is zero inside and radial outside.
+    ``values`` and ``density`` are fields.
     """
 
     def __init__(self, interface):
@@ -83,16 +82,15 @@ class RadialSolution:
         radius = interface.radius
         self._inner_value = -math.log(radius) if self.dim == 2 else 1.0 / radius
 
-    def evaluate(self, points, side=None):
+    def evaluate(self, points):
         """Values (n,) and gradients (n, dim) at the (n, dim) ``points``,
         from one offset x - c and one distance |x - c| per point, which also
-        gives the side of untagged points."""
+        gives the side of each point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         r = _offsets(points, self.interface.center)
         rho = _length(r)
-        # untagged points decide as ``SphericalInterface.side`` does
-        inner = (rho < self.interface.radius if side is None
-                 else ~(np.broadcast_to(np.asarray(side), rho.shape) > 0))
+        # the test of ``SphericalInterface.side``
+        inner = rho < self.interface.radius
         np.copyto(rho, 1.0, where=inner)
         if self.dim == 2:
             values, slope = -np.log(rho), -1.0 / rho
@@ -107,8 +105,8 @@ class RadialSolution:
             np.copyto(grads[k], 0.0, where=inner)
         return values, grads.T
 
-    def values(self, points, side=None) -> np.ndarray:
-        return self.evaluate(points, side)[0]
+    def values(self, points) -> np.ndarray:
+        return self.evaluate(points)[0]
 
     def density(self, points) -> np.ndarray:
         """The layer density -[grad u . n] at the (n, dim) ``points``."""
@@ -136,21 +134,20 @@ class ConvergenceRecord:
 
 
 def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
-    """Quadrature blocks ``(dofs, points, weights, sides, lines)`` over ``cells``,
+    """Quadrature blocks ``(dofs, points, weights, lines)`` over ``cells``,
     every cell for None, of which only those of the surface's bounding box
     widened by one cell width (``Mesh.cells_meeting``) are tested.
 
     Cells farther than one cell width from the surface come first, in blocks
     of at most ``BATCH_POINTS`` points (or one cell), on the tensor rule
     ``points`` (n_q, dim) and ``weights`` (n_q,) of ``n`` points per axis on
-    [0, 1]^dim scaled to each cell, untagged: a point this far from the
-    surface is on the side of its cell's centre; ``dofs`` holds the cells'
-    dof rows and ``sides`` and ``lines`` are None.  The other cells carry
-    the height-function rule with ``2 * n`` points per piece, as its grading
-    triples the degree of a polynomial integrand, one run of whole lines of
-    at most ``BATCH_POINTS`` points (or one line) at a time
-    (``quadrature._near_runs``); ``dofs`` holds the dof row of each line's
-    cell and ``lines`` the other ``_line_sum_factorised`` arguments.
+    [0, 1]^dim scaled to each cell; ``dofs`` holds the cells' dof rows and
+    ``lines`` is None.  The other cells carry the height-function rule with
+    ``2 * n`` points per piece, as its grading triples the degree of a
+    polynomial integrand, one run of whole lines of at most ``BATCH_POINTS``
+    points (or one line) at a time (``quadrature._near_runs``); ``dofs``
+    holds the dof row of each line's cell and ``lines`` the other
+    ``_line_sum_factorised`` arguments.
     """
     mesh = space.mesh
     if cells is None:
@@ -179,26 +176,26 @@ def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
         for k in range(dim):
             np.add(block_lows[:, k, None], mesh.edge * points[:, k], out=pts[k])
         w = np.tile(weights * mesh.edge ** dim, block.size)
-        yield space.cell_dofs(block), pts.reshape(dim, -1).T, w, None, None
+        yield space.cell_dofs(block), pts.reshape(dim, -1).T, w, None
     dofs = space.cell_dofs(near)
-    for rows, pts, w, sides, lines in _near_runs(lows[is_near], mesh.edge, interface,
-                                                 2 * n, BATCH_POINTS):
-        yield dofs[rows], pts, w, sides, lines
+    for rows, pts, w, lines in _near_runs(lows[is_near], mesh.edge, interface, 2 * n,
+                                          BATCH_POINTS):
+        yield dofs[rows], pts, w, lines
 
 
 def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=None) -> dict:
     """Weighted L2 and H1-seminorm errors for several exponents at once.
 
     Returns {(alpha, m): error} for m in {0, 1}, each alpha in [0, 1/2).
-    ``exact.evaluate(points, side=None)`` returns the exact values (n,) and
-    gradients (n, dim) at an (n, dim) point array, called once per block or
-    run.  The quadrature samples and distances are computed once and reused
-    across exponents.  ``cell_ids``, distinct integer ids of cells of the
-    mesh, restricts the integration to a subset of cells (broken norms);
-    other ids raise ValueError, as do an empty or repeated list of
-    exponents or one outside [0, 1/2), ``coeffs`` of the wrong shape, an
-    interface of another dimension, exact output of another shape and
-    errors that are not finite.
+    ``exact.evaluate(points)`` returns the exact values (n,) and gradients
+    (n, dim) at an (n, dim) point array, called once per block or run, with
+    no side tags.  The quadrature samples and distances are computed once
+    and reused across exponents.  ``cell_ids``, distinct integer ids of
+    cells of the mesh, restricts the integration to a subset of cells
+    (broken norms); other ids raise ValueError, as do an empty or repeated
+    list of exponents or one outside [0, 1/2), ``coeffs`` of the wrong
+    shape, an interface of another dimension, exact output of another shape
+    and errors that are not finite.
     """
     alphas = _check_alphas(alphas)
     mesh = space.mesh
@@ -211,8 +208,7 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     grads = grads.transpose(1, 0, 2).reshape(grads.shape[1], -1)
     cells = _cell_ids(cell_ids, mesh.n_cells)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
-    for dofs, pts, w, sides, lines in _cell_batches(space, interface, points, weights, n,
-                                                    cells):
+    for dofs, pts, w, lines in _cell_batches(space, interface, points, weights, n, cells):
         local = coeffs[dofs]
         if lines is None:
             uh = (local @ values.T).ravel()
@@ -220,7 +216,7 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
         else:
             uh, guh = _line_sum_factorised(space.degree, local, *lines)
             guh = guh / mesh.edge
-        _accumulate(acc, alphas, interface, exact, pts, w, sides, uh, guh)
+        _accumulate(acc, alphas, interface, exact, pts, w, uh, guh)
     if not all(map(math.isfinite, acc.values())):
         raise ValueError("weighted errors are not finite: check exact.evaluate and coeffs")
     return {key: math.sqrt(value) for key, value in acc.items()}
@@ -239,8 +235,8 @@ def _cell_ids(cell_ids, n_cells: int) -> np.ndarray:
     return cells.reshape(-1).astype(int)
 
 
-def _accumulate(acc, alphas, interface, exact, pts, w, side, uh, guh):
-    values, grads = (np.asarray(out, dtype=float) for out in exact.evaluate(pts, side=side))
+def _accumulate(acc, alphas, interface, exact, pts, w, uh, guh):
+    values, grads = (np.asarray(out, dtype=float) for out in exact.evaluate(pts))
     if values.shape != uh.shape or grads.shape != guh.shape:
         raise ValueError(f"exact.evaluate must return shapes {uh.shape} and {guh.shape}, "
                          f"got {values.shape} and {grads.shape}")

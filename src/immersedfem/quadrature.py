@@ -79,21 +79,19 @@ def _near_runs(lows, size: float, interface, points: int, batch_points: int):
     into two blocks; the points only for each run of whole lines of at most
     ``batch_points`` points (or one line).  No piece crosses the surface, and
     the weights of a cell add up to its volume from two points on.  Yields
-    per run ``(rows, pts, weights, sides, lines)``: the row of ``lows`` of
-    each line's cell; per point, line by line, the point, its weight and its
-    side (-1 inside, +1 outside); and ``lines = (frame, face_ref, line,
-    t_ref)``: per line the frame (the physical axis of each frame axis,
-    height last) and the reference coordinates of its face axes, per point
-    its line in the run and its reference height.
+    per run ``(rows, pts, weights, lines)``: the row of ``lows`` of each
+    line's cell; per point, line by line, the point and its weight; and
+    ``lines = (frame, face_ref, line, t_ref)``: per line the frame (the
+    physical axis of each frame axis, height last) and the reference
+    coordinates of its face axes, per point its line in the run and its
+    reference height.
     """
     boxes = _height_boxes(lows, size, interface)
     step = max(1, batch_points // points ** lows.shape[1])
     for start in range(0, boxes[0].size, step):
         parent, frame, x, w, a, b, ck, root = _face_rules(
             tuple(f[start:start + step] for f in boxes), interface, points, weighted=True)
-        # one contiguous row per root
-        roots = np.stack([ck - root, ck + root])
-        pieces = _pieces(a, b, roots.T, np.ones(2, dtype=bool))
+        pieces = _pieces(a, b, np.column_stack([ck - root, ck + root]), np.ones(2, dtype=bool))
         line_lows = np.take_along_axis(lows[parent], frame, axis=1)
         face_ref = (x - line_lows[:, :-1]) / size
         height_lows = np.ascontiguousarray(line_lows[:, -1])
@@ -108,13 +106,9 @@ def _near_runs(lows, size: float, interface, points: int, batch_points: int):
             run, lines = slice(first_piece[first], first_piece[last]), slice(first, last)
             piece_line, start, end, anchor = (p[run] for p in pieces)
             line, t, wt = _piece_points(piece_line, start, end, anchor, points, HEIGHT_GRADING)
-            # every point takes the side of its piece's midpoint
-            mid = 0.5 * (start + end)
-            inside = (roots[0][piece_line] < mid) & (mid < roots[1][piece_line])
             on = line - first
             t_ref = (t - height_lows[line]) / size
             yield (parent[lines], _unpermute(x[lines], frame[lines], on, t), w[line] * wt,
-                   np.repeat(np.where(inside, -1, 1), points),
                    (frame[lines], face_ref[lines], on, t_ref))
             first = last
 
@@ -247,7 +241,6 @@ def _pieces(lo, hi, roots, graded):
     cuts = np.concatenate([lo[None], inner, hi[None]])
     a, b = cuts[:-1], cuts[1:]  # (piece, line)
     length = b - a
-    positive = length > 0.0
     # (graded root, piece, line), reduced over the roots in order
     bent = roots[:, graded].T[:, None, :]
     left = np.where((bent <= a) & (bent >= a - length), bent, -np.inf).max(axis=0, initial=-np.inf)
@@ -256,8 +249,10 @@ def _pieces(lo, hi, roots, graded):
     both = has_left & has_right
     mid = np.where(both, 0.5 * (a + b), b)
     # row 2j + h: half h of piece j; the first half ends at the midpoint only
-    # when both ends are graded, and the second half exists only then
-    keep = np.stack([positive, both & positive], axis=1).reshape(2 * a.shape[0], m)
+    # when both ends are graded, and the second half exists only then; a
+    # half is kept if it has positive length, as the midpoint of a piece one
+    # ulp long rounds to one of its ends
+    keep = np.stack([mid > a, both & (b > mid)], axis=1).reshape(2 * a.shape[0], m)
     # the kept halves line by line, then piece by piece
     line, row = np.divmod(np.flatnonzero(keep.T), keep.shape[0])
     at = row * m + line

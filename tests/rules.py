@@ -70,7 +70,8 @@ def loop_pieces(lo, hi, roots, graded):
                                                        axis=1), axis=1).T)
     bent_roots = np.ascontiguousarray(roots[:, graded].T)
     # row 2j + h: half h of piece j; the first half ends at the midpoint only
-    # when both ends are graded, and the second half exists only then
+    # when both ends are graded, and the second half exists only then; each
+    # half is kept if it has positive length
     starts, ends, anchors = (np.empty((2 * cuts.shape[0] - 2, m)) for _ in range(3))
     keep = np.empty(starts.shape, dtype=bool)
     for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
@@ -85,8 +86,8 @@ def loop_pieces(lo, hi, roots, graded):
         starts[2 * j], starts[2 * j + 1] = a, mid
         ends[2 * j], ends[2 * j + 1] = mid, b
         anchors[2 * j], anchors[2 * j + 1] = np.where(has_left, left, right), right
-        np.greater(length, 0.0, out=keep[2 * j])
-        np.logical_and(both, keep[2 * j], out=keep[2 * j + 1])
+        np.greater(mid, a, out=keep[2 * j])
+        np.logical_and(both, b > mid, out=keep[2 * j + 1])
     # the kept halves line by line, then piece by piece
     line, row = np.divmod(np.flatnonzero(keep.T), keep.shape[0])
     at = row * m + line

@@ -147,7 +147,7 @@ def test_criterion_6_norm_equivalence():
 
 
 class _ZeroField:
-    def evaluate(self, points, side=None):
+    def evaluate(self, points):
         points = np.atleast_2d(points)
         return np.zeros(points.shape[0]), np.zeros_like(points)
 

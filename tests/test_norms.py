@@ -26,13 +26,13 @@ class ConstantField:
     def __init__(self, value):
         self._value = value
 
-    def evaluate(self, points, side=None):
+    def evaluate(self, points):
         points = np.atleast_2d(points)
         return np.full(points.shape[0], self._value), np.zeros_like(points)
 
 
 class BilinearField:
-    def evaluate(self, points, side=None):
+    def evaluate(self, points):
         points = np.atleast_2d(points)
         return points[:, 0] * points[:, 1], np.column_stack([points[:, 1], points[:, 0]])
 
@@ -133,6 +133,8 @@ class TestExactSolutions:
         assert values == pytest.approx([5.0, 2.0], abs=1e-12)
 
     def test_continuity_across_surface(self):
+        # points 1e-13 of the radius inside and outside the surface take
+        # the two branches, whose values agree there
         rng = np.random.default_rng(2)
         for interface in (CIRCLE, SphericalInterface((0.3, 0.3, 0.3), 0.2)):
             exact = reference_solution(interface)
@@ -143,8 +145,13 @@ class TestExactSolutions:
             else:
                 from potential import surface_samples
                 on_surface = surface_samples(interface, 100)
-            inner, _ = exact.evaluate(on_surface, side=np.full(100, -1))
-            outer, _ = exact.evaluate(on_surface, side=np.full(100, 1))
+            offsets = on_surface - interface.center
+            inside = interface.center + (1.0 - 1e-13) * offsets
+            outside = interface.center + (1.0 + 1e-13) * offsets
+            assert np.all(interface.side(inside) < 0) and np.all(interface.side(outside) > 0)
+            inner, inner_grads = exact.evaluate(inside)
+            outer, _ = exact.evaluate(outside)
+            assert np.all(inner == inner[0]) and np.all(inner_grads == 0.0)
             assert np.max(np.abs(inner - outer)) <= 1e-12
 
     @pytest.mark.parametrize("interface, inner", [
@@ -155,18 +162,21 @@ class TestExactSolutions:
         exact = reference_solution(interface)
         centre = interface.center[None, :]
         with np.errstate(all="raise"):
-            values, grads = exact.evaluate(centre, side=-1)
+            values, grads = exact.evaluate(centre)
         assert np.array_equal(values, [inner])
         assert np.array_equal(grads, np.zeros((1, interface.dim)))
 
     @pytest.mark.parametrize("interface, n", [(CIRCLE, 16), (SPHERE, 8)], ids=["2d", "3d"])
     def test_flux_jump_is_the_density(self, interface, n):
-        # -(grad u+ - grad u-) . n at the surface rule's points is the layer
-        # density of the load, a field on the same points
+        # -(grad u+ - grad u-) . n at the surface rule's points, moved 1e-13
+        # of the radius outside and inside, is the layer density of the
+        # load, a field on the same points
         exact = reference_solution(interface)
         pts = surface_quadrature(interface, build_uniform_mesh(interface.dim, n))[0]
         normal = (pts - interface.center) / interface.radius
-        jump = exact.evaluate(pts, side=1)[1] - exact.evaluate(pts, side=-1)[1]
+        outside, inside = (pts + scale * interface.radius * normal for scale in (1e-13, -1e-13))
+        assert np.all(interface.side(outside) > 0) and np.all(interface.side(inside) < 0)
+        jump = exact.evaluate(outside)[1] - exact.evaluate(inside)[1]
         density = exact.density(pts)
         assert density.shape == (pts.shape[0],)
         assert np.allclose(-np.sum(jump * normal, axis=1), density, rtol=1e-12, atol=0.0)
@@ -180,11 +190,10 @@ class TestExactSolutions:
 
 def broadcast_radial(interface, points, side):
     """Values and gradients of the reference solution from the broadcast
-    formulas over (n, dim) arrays (test oracle for the column-wise ones)."""
+    formulas over (n, dim) arrays, on the branch of each point's ``side``
+    (-1 inside, +1 outside; test oracle for the column-wise ones)."""
     c, radius = interface.center, interface.radius
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if side is None:
-        side = np.where(np.sqrt(np.sum((points - c) ** 2, axis=-1)) < radius, -1, 1)
     outer = np.broadcast_to(np.asarray(side), (points.shape[0],)) > 0
     r = points - c
     squares = r[:, 0] ** 2
@@ -204,8 +213,8 @@ class TestRadialColumnWise:
                              ids=["2d", "3d"])
     def test_bitwise_equal_to_broadcast_formula(self, interface, in_layout):
         # points on both sides, at the centre, on the surface and on the
-        # planes through the centre; tags from the points, given and flipped,
-        # and a block wholly outside, which takes the same path
+        # planes through the centre, each on the branch of the interface's
+        # side test; and a block wholly outside, which takes the same path
         rng = np.random.default_rng(17 * interface.dim)
         dim, c = interface.dim, interface.center
         direction = rng.standard_normal((60, dim))
@@ -214,16 +223,15 @@ class TestRadialColumnWise:
         planes[np.arange(60), np.arange(60) % dim] = c[np.arange(60) % dim]
         points = np.vstack([rng.uniform(0.0, 1.0, size=(400, dim)), on_surface, planes])
         exact = reference_solution(interface)
-        tags = interface.side(points)
+        # the outer branch is singular at the centre, which is inside
         with_centre = np.vstack([points, c])
-        # the outer branch is singular at the centre, so it is tagged inside
-        for points, side in ((with_centre, None), (with_centre, -1), (points, tags),
-                             (points, -tags), (points, 1)):
-            want_values, want_grads = broadcast_radial(interface, points, side)
-            values, grads = exact.evaluate(in_layout(points), side=side)
+        for points in (with_centre, points[interface.side(points) > 0]):
+            want_values, want_grads = broadcast_radial(interface, points,
+                                                       interface.side(points))
+            values, grads = exact.evaluate(in_layout(points))
             assert bitwise_equal(values, want_values)
             assert bitwise_equal(grads, want_grads)
-            assert bitwise_equal(exact.values(in_layout(points), side=side), want_values)
+            assert bitwise_equal(exact.values(in_layout(points)), want_values)
 
 
 class EvaluateOnly:
@@ -235,9 +243,9 @@ class EvaluateOnly:
         self._change = change
         self.calls = 0
 
-    def evaluate(self, points, side=None):
+    def evaluate(self, points):
         self.calls += 1
-        return self._change(*self._exact.evaluate(points, side=side))
+        return self._change(*self._exact.evaluate(points))
 
 
 class TestExactFieldContract:
@@ -523,11 +531,13 @@ class TestEoc:
         assert eoc([(0.5, 0.4), (0.25, 0.0)]) == [None]
 
 
-def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
-    """Weighted errors summed point by point: cells farther than one cell
-    width from the surface on the tensor rule, every other cell on its own
-    height-function rule, the FE function from ``FeSpace.evaluate`` at
-    physical points (test oracle)."""
+def brute_force_errors(space, coeffs, interface, alphas, q, cells):
+    """Weighted errors of the reference solution summed point by point:
+    cells farther than one cell width from the surface on the tensor rule,
+    with the side of the cell's centre, every other cell on its own
+    height-function rule, with the side of each piece, the exact field from
+    ``broadcast_radial`` on those sides and the FE function from
+    ``FeSpace.evaluate`` at physical points (test oracle)."""
     mesh = space.mesh
     points, weights = gauss_rule(mesh.dim, q)
     acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
@@ -540,7 +550,7 @@ def brute_force_errors(space, coeffs, exact, interface, alphas, q, cells):
             pts = low + mesh.edge * points
             w = weights * mesh.edge ** mesh.dim
             side = np.repeat(interface.side(low + 0.5 * mesh.edge), weights.size)
-        values, grads = exact.evaluate(pts, side=side)
+        values, grads = broadcast_radial(interface, pts, side)
         uh, guh = space.evaluate(coeffs, pts)
         e0, e1 = values - uh, grads - guh
         # for alpha != 0 a point whose distance rounds to zero carries no
@@ -562,13 +572,27 @@ class TestErrorPassOracle:
     sum factorisation along the lines of the height-function rule near it,
     against point-by-point evaluation of the FE function."""
 
-    @pytest.mark.parametrize("dim, degree, n, q", [
-        (2, 1, 8, 6), (2, 2, 8, 6), (2, 3, 8, 6), (2, 1, 6, 6), (2, 2, 6, 5),
-        (3, 1, 4, 3), (3, 2, 4, 3), (3, 1, 6, 3),
+    @pytest.mark.parametrize("dim, degree, n, q, center, radius", [
+        pytest.param(*case, 0.3, 0.2, id="-".join(map(str, case))) for case in (
+            (2, 1, 8, 6), (2, 2, 8, 6), (2, 3, 8, 6), (2, 1, 6, 6), (2, 2, 6, 5),
+            (3, 1, 4, 3), (3, 2, 4, 3), (3, 1, 6, 3))
+    ] + [
+        # tangent to the grid lines x_k = 0.25 and 0.75
+        pytest.param(2, 1, 4, 6, 0.5, 0.25, id="tangent-2-1-4-6"),
+        pytest.param(2, 2, 8, 6, 0.5, 0.25, id="tangent-2-2-8-6"),
+        pytest.param(3, 1, 4, 3, 0.5, 0.25, id="tangent-3-1-4-3"),
+        pytest.param(3, 2, 8, 3, 0.5, 0.25, id="tangent-3-2-8-3"),
+        # through the grid vertices 0.5 +- 1/8 per axis
+        pytest.param(2, 1, 8, 6, 0.5, math.sqrt(2.0) / 8, id="vertex-2-1-8-6"),
+        pytest.param(2, 2, 8, 6, 0.5, math.sqrt(2.0) / 8, id="vertex-2-2-8-6"),
+        pytest.param(3, 1, 8, 3, 0.5, math.sqrt(3.0) / 8, id="vertex-3-1-8-3"),
     ])
-    def test_matches_pointwise_evaluation(self, dim, degree, n, q, monkeypatch):
+    def test_matches_pointwise_evaluation(self, dim, degree, n, q, center, radius,
+                                          monkeypatch):
+        # the pass evaluates the exact field with no side tags; the oracle
+        # takes each point's branch from the side of its piece
         monkeypatch.setattr(norms, "EXTRA_POINTS", q - degree)
-        interface = SphericalInterface((0.3,) * dim, 0.2)
+        interface = SphericalInterface((center,) * dim, radius)
         exact = reference_solution(interface)
         space = FeSpace(build_uniform_mesh(dim, n), degree)
         rng = np.random.default_rng(10 * dim + degree + n)
@@ -579,7 +603,7 @@ class TestErrorPassOracle:
         for cell_ids in (None, subset):
             cells = np.arange(space.mesh.n_cells) if cell_ids is None else subset
             got = weighted_errors(space, coeffs, exact, interface, alphas, cell_ids=cell_ids)
-            want = brute_force_errors(space, coeffs, exact, interface, alphas, q, cells)
+            want = brute_force_errors(space, coeffs, interface, alphas, q, cells)
             for key in want:
                 assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
 
@@ -700,8 +724,8 @@ class TestNearBlocks:
     @pytest.mark.parametrize("dim, n, batch", [(2, 128, None), (2, 16, 512), (3, 4, None),
                                                (3, 6, 4096)])
     def test_runs_are_the_line_rule(self, dim, n, batch, monkeypatch):
-        # the near points, weights and sides of every run, concatenated, are
-        # those of the height-function rule built on all near cells at once
+        # the near points and weights of every run, concatenated, are those
+        # of the height-function rule built on all near cells at once
         if batch is not None:
             monkeypatch.setattr(norms, "BATCH_POINTS", batch)
         interface = SphericalInterface((0.3,) * dim, 0.2)
@@ -710,16 +734,15 @@ class TestNearBlocks:
         n = space.degree + norms.EXTRA_POINTS
         near_runs = [run for run in norms._cell_batches(space, interface, *gauss_rule(dim, n),
                                                         n, None)
-                     if run[4] is not None]
+                     if run[3] is not None]
         assert len(near_runs) > 1
-        pts, w, sides = (np.concatenate(column) for column in list(zip(*near_runs))[1:4])
+        pts, w = (np.concatenate(column) for column in list(zip(*near_runs))[1:3])
         lows = mesh.cell_lows(np.arange(mesh.n_cells))
         d_min, _ = interface.distance_range_over_box(lows, lows + mesh.edge)
-        _, want_pts, want_w, want_sides = split_cut_cell(lows[d_min <= mesh.edge], mesh.edge,
-                                                         interface, 2 * n)
+        _, want_pts, want_w, _ = split_cut_cell(lows[d_min <= mesh.edge], mesh.edge, interface,
+                                                2 * n)
         assert bitwise_equal(pts, want_pts)
         assert bitwise_equal(w, want_w)
-        assert np.array_equal(sides, want_sides)
 
     @pytest.mark.parametrize("dim, degree, n", [(3, 1, 4), (2, 2, 16)])
     def test_errors_do_not_depend_on_the_batch_bound(self, dim, degree, n, monkeypatch):
@@ -745,7 +768,7 @@ class TestNearBlocks:
         far = np.flatnonzero(d_min > mesh.edge)
         assert far.size
         got = weighted_errors(space, coeffs, exact, self.SPHERE, self.ALPHAS, cell_ids=far)
-        want = brute_force_errors(space, coeffs, exact, self.SPHERE, self.ALPHAS,
+        want = brute_force_errors(space, coeffs, self.SPHERE, self.ALPHAS,
                                   space.degree + norms.EXTRA_POINTS, far)
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key

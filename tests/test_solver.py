@@ -369,6 +369,27 @@ def test_package_tests_for_bools_in_one_function():
     assert owners == ["mesh.py _integer"]
 
 
+def test_package_takes_no_side_parameter():
+    # the exact field picks its own branch by the interface's one
+    # inside/outside test, so no function, method or lambda of the package
+    # takes side tags
+    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
+    found = []
+    for file in sorted(os.listdir(package)):
+        if not file.endswith(".py"):
+            continue
+        with open(os.path.join(package, file), encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+                         + [args.vararg, args.kwarg] if arg is not None]
+                if "side" in names:
+                    found.append(f"{file}:{node.lineno} {getattr(node, 'name', 'lambda')}")
+    assert found == []
+
+
 def test_package_defines_no_method_it_never_uses():
     # a method of a package class is called or read somewhere in the package
     # or the tests outside its own definition; dunders and overrides of a

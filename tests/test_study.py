@@ -269,6 +269,19 @@ class TestCli:
         assert captured.err.startswith("error: ") and "meets no cell" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("dim, max_exp", [("2", "4"), ("3", "3")])
+    def test_surface_a_few_ulps_across(self, dim, max_exp, tmp_path):
+        # the roots of a height line lie a few ulps apart, and a graded half
+        # of zero length once made 0/0 points: the study ends with finite
+        # errors and no numpy warning (warnings are errors here)
+        out = tmp_path / "tiny.csv"
+        assert main(["--dim", dim, "--radius", "1e-16", "--max-exp", max_exp,
+                     "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(math.isfinite(float(row[key])) for row in rows
+                            for key in ("err_L2_alpha", "err_H1semi_alpha"))
+
     @pytest.mark.parametrize("flag, value", [("--alphas", "a,b"), ("--center", "0.3,x")])
     def test_bad_number_list_message(self, flag, value, capsys):
         # the message says what the flag takes, not which function parsed it
