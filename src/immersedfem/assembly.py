@@ -30,8 +30,7 @@ def assemble_interface_load(space: FeSpace, interface, f) -> np.ndarray:
     once, on the (n, dim) array of the rule's points (see
     ``space._field_values``).  Nonzero entries appear only at dofs of cut
     cells.  Raises ValueError for an interface of another dimension than
-    the mesh, or one whose rule has no point in a cell: one that meets no
-    cell, or one too small for the rule to resolve."""
+    the mesh, or one that meets no cell of it."""
     mesh = space.mesh
     _check_dim(mesh, interface)
     cells = mesh.cells_meeting(interface.center - interface.radius,
@@ -41,8 +40,7 @@ def assemble_interface_load(space: FeSpace, interface, f) -> np.ndarray:
     cells, lows = cells[cut], lows[cut]
     parent, pts, w = surface_rule(lows, mesh.edge, interface, SURFACE_ORDER)
     if not parent.size:
-        raise ValueError("surface meets no cell of the mesh at a point of its rule "
-                         f"(radius {interface.radius:.3e})")
+        raise ValueError("surface meets no cell of the mesh")
     # the basis values of every point, without gradients; parent ascends, so
     # each cell's points are one run, summed in point order
     ref = (pts - lows[parent]) / mesh.edge

@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convergence study for the immersed layer-source Poisson "
                     "problem with errors in distance-weighted norms.",
     )
-    parser.add_argument("--dim", type=int, choices=(2, 3), help="space dimension")
+    parser.add_argument("--dim", type=int, help="space dimension, 2 or 3 (default 2)")
     parser.add_argument("--min-exp", type=int, dest="min_exp",
                         help="coarsest level: n_c = 2^min_exp (default 3 in 2D, 2 in 3D)")
     parser.add_argument("--max-exp", type=int, dest="max_exp",

@@ -13,6 +13,9 @@ import numpy as np
 
 from .mesh import _check_box
 
+#: the smallest radius per unit of max(1, max_k |c_k|), where the load's sum is off 5e-9
+RADIUS_FLOOR = 1e-8
+
 
 def _length(columns) -> np.ndarray:
     """Euclidean length of vectors given one component array per axis:
@@ -38,7 +41,8 @@ class SphericalInterface:
 
     The surface must have positive distance to the boundary of the unit box
     [0,1]^dim: it may lie entirely inside or entirely outside the box, but
-    must not touch or cross its boundary.
+    must not touch or cross its boundary, and its radius must be at least
+    ``RADIUS_FLOOR * max(1, max_k |c_k|)``, the smallest the rules resolve.
     """
 
     def __init__(self, center, radius: float):
@@ -49,9 +53,10 @@ class SphericalInterface:
             raise ValueError(f"center must be a point in 2 or 3 dimensions, got {center!r}")
         if not np.all(np.isfinite(point)):
             raise ValueError(f"center must be finite, got {center!r}")
+        floor = RADIUS_FLOOR * max(1.0, *np.abs(point).tolist())
         if (np.asarray(radius).dtype.kind not in "iuf" or np.ndim(radius) != 0
-                or not 0.0 < radius < math.inf):
-            raise ValueError(f"radius must be a positive finite number, got {radius!r}")
+                or not floor <= radius < math.inf):
+            raise ValueError(f"radius must be finite and at least {floor:.3e}, got {radius!r}")
         self.center = point.astype(float)
         self.radius = float(radius)
         self.dim = point.shape[0]

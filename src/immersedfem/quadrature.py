@@ -203,9 +203,7 @@ def _height_boxes(cell_low, cell_size, interface):
         near = np.abs(np.clip(c, lows, high) - c)
         far = np.maximum(np.abs(lows - c), np.abs(high - c)) ** 2
         span = np.sqrt(near ** 2 + far.sum(axis=1, keepdims=True) - far)
-        # span is 0 only on a box shrunk onto the centre in every coordinate,
-        # which bounds no normal: bound 0, so it is bisected if it is cut
-        bound = np.divide(near, span, out=np.zeros_like(near), where=span > 0.0)
+        bound = near / span
         axis = np.argmax(bound, axis=1)
         ok = (bound.max(axis=1) >= HEIGHT_MIN) | ~interface.cuts_box(lows, high)
         done.append((parent[ok], lows[ok], sizes[ok], axis[ok]))

@@ -16,16 +16,20 @@ from .mesh import Mesh, _integer, _lattice_index, _ravel_index
 
 
 def _basis_factors(degree: int, x):
-    """The factors of the 1D Lagrange basis on nodes k/degree at ``x``: x -
-    node_b in row b, the other nodes b != a of each basis function a (row j
-    holds the j-th) and the denominators prod_b (node_a - node_b), shaped to
-    broadcast on a row of factors."""
+    """The values of the 1D Lagrange basis on nodes k/degree at ``x``, one
+    row per basis function, and their factors: x - node_b in row b, the
+    other nodes b != a of each basis function a (row j holds the j-th) and
+    the denominators prod_b (node_a - node_b), shaped to broadcast on a row
+    of factors."""
     x = np.asarray(x, dtype=float)
     n = degree + 1
     nodes = np.arange(n) / degree
     others = np.array([[b for b in range(n) if b != a] for a in range(n)], dtype=int).T
     denom = np.prod(nodes[:, None] - nodes[others.T], axis=1).reshape((n,) + (1,) * x.ndim)
-    return x - nodes.reshape((n,) + (1,) * x.ndim), others, denom
+    diffs = x - nodes.reshape((n,) + (1,) * x.ndim)
+    values = _product(diffs, others)
+    values /= denom
+    return values, diffs, others, denom
 
 
 def _product(diffs, rows):
@@ -41,10 +45,7 @@ def _product(diffs, rows):
 def _lagrange_values(degree: int, x) -> np.ndarray:
     """Values of the 1D Lagrange basis at ``x``, one row per basis function:
     shape (degree + 1,) + x.shape."""
-    diffs, others, denom = _basis_factors(degree, x)
-    values = _product(diffs, others)
-    values /= denom
-    return values
+    return _basis_factors(degree, x)[0]
 
 
 def _local_lattice(p: int, dim: int) -> np.ndarray:
@@ -70,11 +71,11 @@ def _lagrange_1d(degree: int, x):
     """Values and derivatives of the 1D Lagrange basis at ``x``, for all
     basis functions at once (the last axis); derivatives sum their terms in
     ascending b, as a loop per function would."""
-    diffs, others, denom = _basis_factors(degree, x)
+    values, diffs, others, denom = _basis_factors(degree, x)
     derivs = np.zeros(diffs.shape)
     for j in range(others.shape[0]):
         derivs = derivs + _product(diffs, np.delete(others, j, axis=0))
-    return np.moveaxis(_product(diffs, others) / denom, 0, -1), np.moveaxis(derivs / denom, 0, -1)
+    return np.moveaxis(values, 0, -1), np.moveaxis(derivs / denom, 0, -1)
 
 
 def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):

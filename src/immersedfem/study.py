@@ -42,9 +42,9 @@ class StudyConfig:
     The linear solve is direct and has nothing to configure.  Each field
     is checked by what uses it: the integers by ``mesh._integer``, the
     exponents by ``norms._check_alphas`` (stored sorted), the centre and
-    radius by ``SphericalInterface``; the config adds the level bounds and
-    strict containment in the unit box, and raises every failure as
-    ConfigError.
+    radius, down to its floor, by ``SphericalInterface``; the config adds the
+    level bounds and strict containment in the unit box, and raises every
+    failure as ConfigError.
     """
 
     dim: int = 2
@@ -84,9 +84,9 @@ def run_study(config: StudyConfig):
     the reference solution, solves the Poisson problem with the reference
     solution's trace as Dirichlet data directly (``solver.solve``, on the
     stiffness operator, which is never assembled), and evaluates both
-    weighted error norms for every exponent.  Raises StudyError if a solve
-    leaves a relative residual that is not finite or exceeds
-    ``MAX_RELATIVE_RESIDUAL``.
+    weighted error norms for every exponent; the config's surface has points
+    in every level's load.  Raises StudyError if a solve leaves a relative
+    residual that is not finite or exceeds ``MAX_RELATIVE_RESIDUAL``.
     """
     interface = SphericalInterface(config.center, config.radius)
     exact = reference_solution(interface)
@@ -95,10 +95,7 @@ def run_study(config: StudyConfig):
         n_c = 2 ** exponent
         mesh = build_uniform_mesh(config.dim, n_c)
         space = FeSpace(mesh, config.degree)
-        try:
-            load = assemble_interface_load(space, interface, exact.density)
-        except ValueError as exc:  # a surface too small for the load's rule
-            raise ConfigError(str(exc)) from exc
+        load = assemble_interface_load(space, interface, exact.density)
         solution, residual = solve(space, load, exact.values)
         if not residual <= MAX_RELATIVE_RESIDUAL:
             raise StudyError(f"solve failed at n_c = {n_c}: relative residual {residual:.3e}")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import bitwise_equal
 from immersedfem import FeSpace, SphericalInterface, build_uniform_mesh, reference_solution
-from immersedfem import assembly
+from immersedfem import assembly, geometry
 from immersedfem.quadrature import surface_rule
 from potential import normal
 from rules import surface_quadrature
@@ -81,6 +81,26 @@ class TestInterface:
                 SphericalInterface((0.3, 0.3), radius)
         # far outside is fine: positive gap on the other side
         SphericalInterface((10.0, 10.0), 0.2)
+
+    @pytest.mark.parametrize("center", [(0.3, 0.3), (0.3, 0.3, 0.3)], ids=["2d", "3d"])
+    def test_radius_floor(self, center):
+        # the smallest surface the rules resolve: at the floor, not below it,
+        # down to a subnormal radius
+        floor = geometry.RADIUS_FLOOR
+        assert SphericalInterface(center, floor).radius == floor
+        for radius in (math.nextafter(floor, 0.0), 5e-324):
+            with pytest.raises(ValueError, match="radius must be finite and at least"):
+                SphericalInterface(center, radius)
+
+    def test_radius_floor_scales_with_center(self):
+        # the roots are rounded at the ulp of the coordinates, so a centre
+        # at (10, 10) needs ten times the radius of one inside the box
+        floor = 10.0 * geometry.RADIUS_FLOOR
+        assert SphericalInterface((10.0, 10.0), floor).radius == floor
+        assert SphericalInterface((-10.0, 0.5), floor).radius == floor
+        for radius in (math.nextafter(floor, 0.0), geometry.RADIUS_FLOOR):
+            with pytest.raises(ValueError, match="radius must be finite and at least"):
+                SphericalInterface((10.0, 10.0), radius)
 
     def test_distance_range_over_box(self):
         # box straddling the surface

@@ -369,6 +369,28 @@ def test_package_tests_for_bools_in_one_function():
     assert owners == ["mesh.py _integer"]
 
 
+def test_config_error_raised_in_two_places():
+    # a bad configuration is found by the config's checks or by the CLI's
+    # flag parser; the study itself turns no other error into ConfigError
+    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
+    owners = []
+
+    def visit(node, file, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}".lstrip(".")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "ConfigError"):
+            owners.append(f"{file} {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, file, owner)
+
+    for file in sorted(os.listdir(package)):
+        if file.endswith(".py"):
+            with open(os.path.join(package, file), encoding="utf-8") as source:
+                visit(ast.parse(source.read()), file, "")
+    assert sorted(owners) == ["cli.py _Parser.error", "study.py StudyConfig.__post_init__"]
+
+
 def test_package_takes_no_side_parameter():
     # the exact field picks its own branch by the interface's one
     # inside/outside test, so no function, method or lambda of the package

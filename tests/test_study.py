@@ -86,6 +86,9 @@ class TestConfig:
     def test_rejects_bad_dim_and_format(self, capsys):
         with pytest.raises(ConfigError):
             StudyConfig(dim=4)
+        # the CLI leaves the range to the config and reports its message
+        assert main(["--dim", "4"]) == 1
+        assert capsys.readouterr().err == "error: dim must be an integer in [2, 3], got 4\n"
         # the format is the table's, not the study's: emit_table and the
         # CLI's flag check it
         record = ConvergenceRecord(dim=2, n_cells_per_axis=4, h=math.sqrt(2.0) / 4, n_dofs=25,
@@ -261,21 +264,29 @@ class TestCli:
 
     @pytest.mark.parametrize("dim, radius", [("2", "1e-17"), ("3", "1e-200")])
     def test_surface_too_small_for_its_rule(self, dim, radius, capsys):
-        # no surface point means no source: one error line, no table, no
-        # traceback and no numpy warning (warnings are errors here)
+        # the interface refuses a radius below its floor: one error line, no
+        # table, no traceback and no numpy warning (warnings are errors here)
         assert main(["--dim", dim, "--radius", radius, "--max-exp", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "meets no cell" in captured.err
+        assert captured.err.startswith("error: radius must be finite and at least")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("dim, max_exp", [("2", "4"), ("3", "3")])
-    def test_surface_a_few_ulps_across(self, dim, max_exp, tmp_path):
-        # the roots of a height line lie a few ulps apart, and a graded half
-        # of zero length once made 0/0 points: the study ends with finite
-        # errors and no numpy warning (warnings are errors here)
+    def test_surface_a_few_ulps_across(self, dim, max_exp, tmp_path, capsys):
+        # a surface a few ulps of its centre across (1e-16) or some ten
+        # thousand (1e-12) once ran with a load 21-25% low or up to 2.6e-5
+        # off; it is refused, and at the floor the study ends with finite
+        # errors
         out = tmp_path / "tiny.csv"
-        assert main(["--dim", dim, "--radius", "1e-16", "--max-exp", max_exp,
+        for radius in ("1e-16", "1e-12"):
+            assert main(["--dim", dim, "--radius", radius, "--max-exp", max_exp,
+                         "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: radius must be finite and at least")
+            assert err.count("\n") == 1
+            assert not out.exists()
+        assert main(["--dim", dim, "--radius", "1e-8", "--max-exp", max_exp,
                      "--out", str(out)]) == 0
         with open(out, encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
