@@ -60,24 +60,15 @@ class SphericalInterface:
         self.center = point.astype(float)
         self.radius = float(radius)
         self.dim = point.shape[0]
-        gap = self.boundary_gap()
+        # the faces x_k = 0 and x_k = 1 of the unit box, one box per row
+        axis = np.repeat(np.eye(self.dim, dtype=bool), 2, axis=0)
+        low = axis * np.tile([[0.0], [1.0]], (self.dim, 1))
+        gap = float(self.distance_range_over_box(low, low + ~axis)[0].min())
         if gap <= 0.0:
             raise ValueError(
                 "surface touches or crosses the boundary of the unit box "
                 f"(distance {gap:.3e})"
             )
-
-    def boundary_gap(self) -> float:
-        """Distance between the surface and the boundary of the unit box."""
-        gap = math.inf
-        for axis in range(self.dim):
-            for value in (0.0, 1.0):
-                low = np.zeros(self.dim)
-                high = np.ones(self.dim)
-                low[axis] = high[axis] = value
-                dmin, _ = self.distance_range_over_box(low, high)
-                gap = min(gap, float(dmin))
-        return gap
 
     def distance(self, points) -> np.ndarray | float:
         """Exact distance from ``points`` (shape (..., dim)) to the surface."""

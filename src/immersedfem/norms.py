@@ -4,20 +4,21 @@ The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
 to the interface.  Cells farther than one cell width from the interface carry
 one tensor rule of degree + EXTRA_POINTS points per axis, on which the shape
 functions are tabulated once.  Every other cell carries the height-function
-rule line by line, one run of whole lines of at most ``BATCH_POINTS`` points
-at a time (``quadrature._near_runs``): its pieces never cross the surface
-and are graded toward it, where d^(2*alpha) is singular.  On a run the FE
-function is evaluated on the face axes once per line, on the height axis
-per point.  The exact solution's batched ``evaluate(points)`` is called
-once per block or run on its (n, dim) point array and returns the values
-and the gradients together; it picks its own branch at each point, which
-matters only within rounding of the surface, as the solution is continuous
-there.  The per-point arithmetic works on one contiguous column per
-coordinate or component.  The weights of every exponent come from one
-log per point and one exp over an (exponent, point) buffer, and all the
-weighted sums of a block or run from one ``np.einsum`` contraction, which
-numpy forms itself: through BLAS, a dot product of more than 10,000 points
-is threaded and its bits depend on the thread count.
+rule line by line, one run of whole lines of at most
+``quadrature.BATCH_POINTS`` points at a time (``quadrature._near_runs``):
+its pieces never cross the surface and are graded toward it, where
+d^(2*alpha) is singular.  On a run the FE function is evaluated on the face
+axes once per line, on the height axis per point.  The exact solution's
+batched ``evaluate(points)`` is called once per block or run on its (n, dim)
+point array and returns the values and the gradients together; it picks its
+own branch at each point, which matters only within rounding of the
+surface, as the solution is continuous there.  The per-point arithmetic
+works on one contiguous column per coordinate or component.  The weights of
+every exponent come from one log per point and one exp over an (exponent,
+point) buffer, and all the weighted sums of a block or run from one
+``np.einsum`` contraction, which numpy forms itself: through BLAS, a dot
+product of more than 10,000 points is threaded and its bits depend on the
+thread count.  They add up in one (exponent, 2) array.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .geometry import _length, _offsets
 from .mesh import _check_dim
+from . import quadrature
 from .quadrature import gauss_rule, _near_runs
 from .space import FeSpace, _coefficients, _line_sum_factorised
 
@@ -36,11 +38,6 @@ from .space import FeSpace, _coefficients, _line_sum_factorised
 #: Gauss points per axis of the error pass's tensor rule beyond the degree;
 #: cells near the surface take twice degree + EXTRA_POINTS per piece
 EXTRA_POINTS = 3
-#: points per block of the error pass away from the surface and per run of
-#: whole lines near it (or one line), which bounds every per-point array of
-#: the pass; near it the lines and pieces of the height-function rule are
-#: built for BATCH_POINTS // (points per piece)^dim height boxes at a time
-BATCH_POINTS = 32768
 
 
 def _check_alphas(alphas) -> list:
@@ -139,12 +136,12 @@ def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
     widened by one cell width (``Mesh.cells_meeting``) are tested.
 
     Cells farther than one cell width from the surface come first, in blocks
-    of at most ``BATCH_POINTS`` points (or one cell), on the tensor rule
-    ``points`` (n_q, dim) and ``weights`` (n_q,) of ``n`` points per axis on
-    [0, 1]^dim scaled to each cell; ``dofs`` holds the cells' dof rows and
-    ``lines`` is None.  The other cells carry the height-function rule with
-    ``2 * n`` points per piece, as its grading triples the degree of a
-    polynomial integrand, one run of whole lines of at most ``BATCH_POINTS``
+    of at most ``quadrature.BATCH_POINTS`` points (or one cell), on the
+    tensor rule ``points`` (n_q, dim) and ``weights`` (n_q,) of ``n`` points
+    per axis on [0, 1]^dim scaled to each cell; ``dofs`` holds the cells' dof
+    rows and ``lines`` is None.  The other cells carry the height-function
+    rule with ``2 * n`` points per piece, as its grading triples the degree
+    of a polynomial integrand, one run of whole lines of at most that many
     points (or one line) at a time (``quadrature._near_runs``); ``dofs``
     holds the dof row of each line's cell and ``lines`` the other
     ``_line_sum_factorised`` arguments.
@@ -164,7 +161,7 @@ def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
     skip = (near if cells is None else np.flatnonzero(is_near)) - np.arange(near.size)
     n_plain = (mesh.n_cells if cells is None else cells.size) - near.size
     n_q, dim = points.shape
-    step = max(1, BATCH_POINTS // n_q)
+    step = max(1, quadrature.BATCH_POINTS // n_q)
     for start in range(0, n_plain, step):
         block = np.arange(start, min(start + step, n_plain))
         block += np.searchsorted(skip, block, side="right")
@@ -178,8 +175,7 @@ def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
         w = np.tile(weights * mesh.edge ** dim, block.size)
         yield space.cell_dofs(block), pts.reshape(dim, -1).T, w, None
     dofs = space.cell_dofs(near)
-    for rows, pts, w, lines in _near_runs(lows[is_near], mesh.edge, interface, 2 * n,
-                                          BATCH_POINTS):
+    for rows, pts, w, lines in _near_runs(lows[is_near], mesh.edge, interface, 2 * n):
         yield dofs[rows], pts, w, lines
 
 
@@ -207,19 +203,18 @@ def weighted_errors(space: FeSpace, coeffs, exact, interface, alphas, cell_ids=N
     # (n_loc, n_q * dim): one product gives every reference gradient of a cell
     grads = grads.transpose(1, 0, 2).reshape(grads.shape[1], -1)
     cells = _cell_ids(cell_ids, mesh.n_cells)
-    acc = {(a, m): 0.0 for a in alphas for m in (0, 1)}
+    sums = np.zeros((len(alphas), 2))
     for dofs, pts, w, lines in _cell_batches(space, interface, points, weights, n, cells):
         local = coeffs[dofs]
         if lines is None:
             uh = (local @ values.T).ravel()
-            guh = ((local @ grads) / mesh.edge).reshape(-1, mesh.dim)
+            guh = (local @ grads).reshape(-1, mesh.dim)
         else:
             uh, guh = _line_sum_factorised(space.degree, local, *lines)
-            guh = guh / mesh.edge
-        _accumulate(acc, alphas, interface, exact, pts, w, uh, guh)
-    if not all(map(math.isfinite, acc.values())):
+        sums += _weighted_sums(alphas, interface, exact, pts, w, uh, guh / mesh.edge)
+    if not np.all(np.isfinite(sums)):
         raise ValueError("weighted errors are not finite: check exact.evaluate and coeffs")
-    return {key: math.sqrt(value) for key, value in acc.items()}
+    return {(a, m): math.sqrt(sums[i, m]) for i, a in enumerate(alphas) for m in (0, 1)}
 
 
 def _cell_ids(cell_ids, n_cells: int) -> np.ndarray:
@@ -235,7 +230,8 @@ def _cell_ids(cell_ids, n_cells: int) -> np.ndarray:
     return cells.reshape(-1).astype(int)
 
 
-def _accumulate(acc, alphas, interface, exact, pts, w, uh, guh):
+def _weighted_sums(alphas, interface, exact, pts, w, uh, guh):
+    """Per alpha, the sums of d^(2 alpha) w e0^2 and d^(2 alpha) w |e1|^2."""
     values, grads = (np.asarray(out, dtype=float) for out in exact.evaluate(pts))
     if values.shape != uh.shape or grads.shape != guh.shape:
         raise ValueError(f"exact.evaluate must return shapes {uh.shape} and {guh.shape}, "
@@ -252,10 +248,7 @@ def _accumulate(acc, alphas, interface, exact, pts, w, uh, guh):
         terms[1] += np.multiply(e, e, out=e)
     terms[1] *= w
     # the sums of every alpha in one contraction, which numpy forms itself, not BLAS
-    sums = np.einsum("kn,mn->km", _distance_weights(interface.distance(pts), alphas), terms)
-    for a, (sum0, sum1) in zip(alphas, sums.tolist()):
-        acc[(a, 0)] += sum0
-        acc[(a, 1)] += sum1
+    return np.einsum("kn,mn->km", _distance_weights(interface.distance(pts), alphas), terms)
 
 
 def _distance_weights(d, alphas):

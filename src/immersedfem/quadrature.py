@@ -18,7 +18,7 @@ broadcast over pieces, graded roots and lines), then the Gauss points of the
 pieces (``_piece_points``), which also takes any slice of them.  The volume
 rule (``_near_runs``) builds the lines and pieces for blocks of height boxes
 and the points of the height level one run of whole lines at a time, so
-that no per-point array exceeds a given bound.  Gauss-Legendre nodes are
+that no per-point array exceeds ``BATCH_POINTS``.  Gauss-Legendre nodes are
 computed once per size.
 """
 
@@ -40,6 +40,11 @@ HEIGHT_MIN = 0.4
 #: outline into a polynomial and leaves (t* - low)^(1 + 2 alpha) smooth enough
 HEIGHT_GRADING = 3
 FACE_GRADING = 2
+#: points per run of whole lines of the volume rule (or one line), per block
+#: of the error pass and per slab of the solve, which bounds every per-point
+#: array of both; the volume rule builds its lines and pieces for
+#: BATCH_POINTS // (points per piece)^dim height boxes at a time
+BATCH_POINTS = 32768
 
 
 def gauss_points_1d(n: int):
@@ -68,16 +73,16 @@ def gauss_rule(dim: int, points_per_axis: int):
     return x[index], np.prod(w[index], axis=1)
 
 
-def _near_runs(lows, size: float, interface, points: int, batch_points: int):
+def _near_runs(lows, size: float, interface, points: int):
     """The volume rule with ``points`` Gauss points per piece on the cells
     ``low + size [0, 1]^dim`` of ``lows`` (m, dim), one run of whole lines at
     a time.
 
     The height boxes of the cells are found once.  The lines and pieces are
     built for as many consecutive boxes at a time as a plain rule with
-    ``points`` per axis fits in ``batch_points``, so a cell's boxes may fall
+    ``points`` per axis fits in ``BATCH_POINTS``, so a cell's boxes may fall
     into two blocks; the points only for each run of whole lines of at most
-    ``batch_points`` points (or one line).  No piece crosses the surface, and
+    ``BATCH_POINTS`` points (or one line).  No piece crosses the surface, and
     the weights of a cell add up to its volume from two points on.  Yields
     per run ``(rows, pts, weights, lines)``: the row of ``lows`` of each
     line's cell; per point, line by line, the point and its weight; and
@@ -87,7 +92,7 @@ def _near_runs(lows, size: float, interface, points: int, batch_points: int):
     reference height.
     """
     boxes = _height_boxes(lows, size, interface)
-    step = max(1, batch_points // points ** lows.shape[1])
+    step = max(1, BATCH_POINTS // points ** lows.shape[1])
     for start in range(0, boxes[0].size, step):
         parent, frame, x, w, a, b, ck, root = _face_rules(
             tuple(f[start:start + step] for f in boxes), interface, points, weighted=True)
@@ -101,7 +106,7 @@ def _near_runs(lows, size: float, interface, points: int, batch_points: int):
         bounds = points * first_piece
         first = 0
         while first < parent.size:
-            last = max(first + 1, np.searchsorted(bounds, bounds[first] + batch_points,
+            last = max(first + 1, np.searchsorted(bounds, bounds[first] + BATCH_POINTS,
                                                   side="right") - 1)
             run, lines = slice(first_piece[first], first_piece[last]), slice(first, last)
             piece_line, start, end, anchor = (p[run] for p in pieces)

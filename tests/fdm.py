@@ -1,11 +1,11 @@
 """The fast-diagonalisation solve on whole grids (test oracle).
 
 The package applies the stiffness in chunks and transforms in slabs of at
-most ``norms.BATCH_POINTS`` entries (``solver._apply_1d``,
-``_kronecker_sum``, ``_analyse``, ``_synthesise``); these are the
-whole-grid forms it replaced, each a few grid-sized temporaries, with
-``solve`` on top, so every chunk and slab can be checked against them bit
-for bit.  The transforms here keep the transformed axis last; the
+most ``quadrature.BATCH_POINTS`` entries, read at call time
+(``solver._apply_1d``, ``_kronecker_sum``, ``_analyse``, ``_synthesise``);
+these are the whole-grid forms it replaced, each a few grid-sized
+temporaries, with ``solve`` on top, so every chunk and slab can be checked
+against them bit for bit.  The transforms here keep the transformed axis last; the
 package's move it to the front.
 """
 

@@ -82,6 +82,29 @@ class TestInterface:
         # far outside is fine: positive gap on the other side
         SphericalInterface((10.0, 10.0), 0.2)
 
+    @pytest.mark.parametrize("dim, axis, value", [(dim, axis, value) for dim in (2, 3)
+                                                  for axis in range(dim) for value in (0, 1)])
+    def test_unit_box_gap_face_by_face(self, dim, axis, value):
+        # radius 1/4 and dyadic centres, so that tangency is exact: a surface
+        # tangent to the face x_axis = value from inside or from outside the
+        # box is rejected at distance 0, as is one moved 1/64 across the
+        # face; moved 1/64 away from it, it is accepted
+        out = 1.0 if value else -1.0  # the face's outward normal along ``axis``
+        for side in (-1.0, 1.0):  # centre inside, then outside the box
+            center = np.full(dim, 0.5)
+            for shift, accepted in ((0.0, False), (side * out / 64, True),
+                                    (-side * out / 64, False)):
+                center[axis] = value + side * out / 4 + shift
+                if accepted:
+                    assert SphericalInterface(center, 0.25).radius == 0.25
+                else:
+                    with pytest.raises(ValueError, match=r"distance 0\.000e\+00"):
+                        SphericalInterface(center, 0.25)
+        # a sphere around the whole box, centred on the face
+        center = np.full(dim, 0.5)
+        center[axis] = value
+        assert SphericalInterface(center, 1.5).radius == 1.5
+
     @pytest.mark.parametrize("center", [(0.3, 0.3), (0.3, 0.3, 0.3)], ids=["2d", "3d"])
     def test_radius_floor(self, center):
         # the smallest surface the rules resolve: at the floor, not below it,

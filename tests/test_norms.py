@@ -252,7 +252,7 @@ class TestExactFieldContract:
     @pytest.mark.parametrize("dim, degree, n, batch", [(2, 1, 16, 512), (2, 2, 8, 1024),
                                                        (3, 1, 4, 4096)])
     def test_one_call_per_batch_bitwise_equal(self, dim, degree, n, batch, monkeypatch):
-        monkeypatch.setattr(norms, "BATCH_POINTS", batch)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", batch)
         interface = SphericalInterface((0.3,) * dim, 0.2)
         space = FeSpace(build_uniform_mesh(dim, n), degree)
         coeffs = np.random.default_rng(n).standard_normal(space.n_dofs)
@@ -406,7 +406,7 @@ class TestCellBatches:
         rng = np.random.default_rng(9)
         cells = np.sort(rng.choice(mesh.n_cells, size=12000, replace=False))
         space = FeSpace(mesh, 1)
-        assert cells.size > 2 * norms.BATCH_POINTS // (space.degree + norms.EXTRA_POINTS) ** 2
+        assert cells.size > 2 * quadrature.BATCH_POINTS // (space.degree + norms.EXTRA_POINTS) ** 2
         errs = weighted_errors(space, np.zeros(space.n_dofs), ConstantField(1.0), CIRCLE,
                                [0.0], cell_ids=cells)
         assert errs[(0.0, 0)] == pytest.approx(math.sqrt(cells.size * mesh.edge ** 2),
@@ -703,7 +703,7 @@ class TestNearBlocks:
         weighted_errors(space, np.zeros(space.n_dofs), reference_solution(self.SPHERE),
                         self.SPHERE, self.ALPHAS)
         points = 2 * (space.degree + norms.EXTRA_POINTS)
-        step = norms.BATCH_POINTS // points ** 3
+        step = quadrature.BATCH_POINTS // points ** 3
         assert len(built) == 1
         assert len(blocks) > 1 and all(block[0].size <= step for block in blocks)
         for whole, parts in zip(built[0], zip(*blocks)):
@@ -712,7 +712,7 @@ class TestNearBlocks:
         for block, table in enumerate(tables, start=1):
             mine = [run for at, run in runs if at == block]
             for line, *_ in mine:
-                assert line.size * points <= norms.BATCH_POINTS or np.unique(line).size == 1
+                assert line.size * points <= quadrature.BATCH_POINTS or np.unique(line).size == 1
             for column, parts in zip(table, zip(*mine)):
                 assert np.array_equal(column, np.concatenate(parts))
         # the blocks' pieces in order are those of the level at once
@@ -727,7 +727,7 @@ class TestNearBlocks:
         # the near points and weights of every run, concatenated, are those
         # of the height-function rule built on all near cells at once
         if batch is not None:
-            monkeypatch.setattr(norms, "BATCH_POINTS", batch)
+            monkeypatch.setattr(quadrature, "BATCH_POINTS", batch)
         interface = SphericalInterface((0.3,) * dim, 0.2)
         space = FeSpace(build_uniform_mesh(dim, n), 1)
         mesh = space.mesh
@@ -751,7 +751,7 @@ class TestNearBlocks:
         space = FeSpace(build_uniform_mesh(dim, n), degree)
         coeffs = interpolate(space, exact.values)
         want = weighted_errors(space, coeffs, exact, interface, self.ALPHAS)
-        monkeypatch.setattr(norms, "BATCH_POINTS", 2048)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 2048)
         got = weighted_errors(space, coeffs, exact, interface, self.ALPHAS)
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0), key

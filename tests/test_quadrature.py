@@ -491,7 +491,7 @@ class TestColumnWiseOracle:
         # the plain blocks of the error pass: the tensor rule scaled to every
         # cell farther than one cell width from the surface, in id order,
         # bitwise as the rule broadcast over the cells' corners
-        monkeypatch.setattr(norms, "BATCH_POINTS", 20)
+        monkeypatch.setattr(quadrature, "BATCH_POINTS", 20)
         interface = SphericalInterface((0.3,) * dim, 0.2)
         space = FeSpace(build_uniform_mesh(dim, n_c), 1)
         mesh = space.mesh

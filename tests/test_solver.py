@@ -17,7 +17,7 @@ from conftest import bitwise_equal, element_scatter_stiffness, eliminate, stiffn
 import fdm
 import immersedfem
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
-                         build_uniform_mesh, norms, reference_solution, solve, solver)
+                         build_uniform_mesh, quadrature, reference_solution, solve, solver)
 
 
 def study_problem(dim, degree, cells):
@@ -146,7 +146,8 @@ def test_modes_diagonalise_dense_factors(degree):
 
 
 #: odd and tiny grids of every degree, 2D and 3D; with a small
-#: ``norms.BATCH_POINTS`` their slabs and chunks are many and ragged
+#: ``quadrature.BATCH_POINTS`` (read by the solver at call time) their slabs
+#: and chunks are many and ragged
 ORACLE_SIZES = [(2, 1, 7), (2, 2, 5), (2, 3, 4), (3, 1, 5), (3, 2, 3), (3, 3, 2)]
 
 
@@ -155,7 +156,7 @@ def test_slabs_match_whole_grid_oracle(monkeypatch, batch):
     # the chunked applies and the slab-wise transforms are bitwise the
     # whole-grid forms they replaced (tests/fdm.py), whose transforms keep
     # the transformed axis last
-    monkeypatch.setattr(norms, "BATCH_POINTS", batch)
+    monkeypatch.setattr(quadrature, "BATCH_POINTS", batch)
     rng = np.random.default_rng(batch)
     for dim, degree, cells in ORACLE_SIZES:
         elements = solver._elements_1d(FeSpace(build_uniform_mesh(dim, cells), degree))
@@ -178,10 +179,10 @@ def test_slabs_match_whole_grid_oracle(monkeypatch, batch):
                              np.moveaxis(fdm.synthesise(c, synthesis, cells), -1, 0))
 
 
-@pytest.mark.parametrize("batch", [1, 97, norms.BATCH_POINTS])
+@pytest.mark.parametrize("batch", [1, 97, quadrature.BATCH_POINTS])
 def test_solve_matches_whole_grid_oracle(monkeypatch, batch):
     # the bounded-memory solve returns the bits of the whole-grid one
-    monkeypatch.setattr(norms, "BATCH_POINTS", batch)
+    monkeypatch.setattr(quadrature, "BATCH_POINTS", batch)
     for dim, degree, cells in ((2, 1, 33), (2, 2, 17), (2, 3, 9), (3, 1, 7), (3, 2, 5),
                                (3, 3, 3), (2, 1, 1), (2, 2, 1), (3, 2, 1)):
         space, load, g = study_problem(dim, degree, cells)
@@ -308,6 +309,31 @@ def test_package_modules_use_every_name_they_import():
         unused += [f"{file}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+#: the package's layers: a module imports only from strictly lower layers
+LAYERS = {"mesh": 0, "geometry": 1, "quadrature": 1, "space": 1,
+          "assembly": 2, "solver": 2, "norms": 2, "study": 3, "cli": 4}
+
+
+def test_package_modules_import_only_from_lower_layers():
+    # every relative import of a module, ``__init__`` excepted, goes to a
+    # strictly lower layer of LAYERS: none reaches sideways or up
+    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
+    files = sorted(f for f in os.listdir(package) if f.endswith(".py") and f != "__init__.py")
+    assert sorted(file[:-3] for file in files) == sorted(LAYERS)
+    wrong = []
+    for file in files:
+        with open(os.path.join(package, file), encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        layer = LAYERS[file[:-3]]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = ([node.module.split(".")[0]] if node.module
+                           else [alias.name for alias in node.names])
+                wrong += [f"{file[:-3]} -> {target}" for target in targets
+                          if LAYERS.get(target, layer) >= layer]
+    assert wrong == []
 
 
 def test_package_defines_no_name_it_never_uses():
