@@ -20,10 +20,13 @@ RADIUS_FLOOR = 1e-8
 def _length(columns) -> np.ndarray:
     """Euclidean length of vectors given one component array per axis:
     squares summed in axis order, then the root; bitwise equal to
-    ``np.linalg.norm(v, axis=-1)`` of the stacked vectors ``v``."""
-    squares = columns[0] ** 2
+    ``np.linalg.norm(v, axis=-1)`` of the stacked vectors ``v``.  Each square
+    is ``np.square``, the correctly rounded product ``x * x`` for one point as
+    for an array (a numpy scalar's ``** 2`` calls libm ``pow``, which is not;
+    ``column * column`` gives the same bits but is slower on arrays)."""
+    squares = np.square(columns[0])
     for column in columns[1:]:
-        squares = squares + column ** 2
+        squares = squares + np.square(column)
     return np.sqrt(squares)
 
 

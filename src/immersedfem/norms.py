@@ -3,20 +3,20 @@
 The L2 and H1 errors are weighted by d(x)^(2*alpha) with d the exact distance
 to the interface.  Cells farther than one cell width from the interface carry
 one tensor rule of degree + EXTRA_POINTS points per axis, on which the shape
-functions are tabulated once.  Every other cell carries the height-function
-rule line by line, one run of whole lines of at most
-``quadrature.BATCH_POINTS`` points at a time (``quadrature._near_runs``):
-its pieces never cross the surface and are graded toward it, where
-d^(2*alpha) is singular.  On a run the FE function is evaluated on the face
-axes once per line, on the height axis per point.  The exact solution's
-batched ``evaluate(points)`` is called once per block or run on its (n, dim)
-point array and returns the values and the gradients together; it picks its
-own branch at each point, which matters only within rounding of the
-surface, as the solution is continuous there.  The per-point arithmetic
-works on one contiguous column per coordinate or component.  The weights of
-every exponent come from one log per point and one exp over an (exponent,
-point) buffer, and all the weighted sums of a block or run from one
-``np.einsum`` contraction, which numpy forms itself: through BLAS, a dot
+functions are tabulated once, in blocks sized by ``quadrature._batch``.
+Every other cell carries the height-function rule line by line, one run of
+whole lines of at most ``quadrature.BATCH_POINTS`` points at a time
+(``quadrature._near_runs``): its pieces never cross the surface and are
+graded toward it, where d^(2*alpha) is singular.  On a run the FE function is
+evaluated on the face axes once per line, on the height axis per point.  The
+exact solution's batched ``evaluate(points)`` is called once per block or run
+on its (n, dim) point array and returns the values and the gradients
+together; it picks its own branch at each point, which matters only within
+rounding of the surface, as the solution is continuous there.  The per-point
+arithmetic works on one contiguous column per coordinate or component.  The
+weights of every exponent come from one log per point and one exp over an
+(exponent, point) buffer, and all the weighted sums of a block or run from
+one ``np.einsum`` contraction, which numpy forms itself: through BLAS, a dot
 product of more than 10,000 points is threaded and its bits depend on the
 thread count.  They add up in one (exponent, 2) array.
 """
@@ -30,8 +30,7 @@ import numpy as np
 
 from .geometry import _length, _offsets
 from .mesh import _check_dim
-from . import quadrature
-from .quadrature import gauss_rule, _near_runs
+from .quadrature import _batch, gauss_rule, _near_runs
 from .space import FeSpace, _coefficients, _line_sum_factorised
 
 
@@ -136,15 +135,15 @@ def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
     widened by one cell width (``Mesh.cells_meeting``) are tested.
 
     Cells farther than one cell width from the surface come first, in blocks
-    of at most ``quadrature.BATCH_POINTS`` points (or one cell), on the
-    tensor rule ``points`` (n_q, dim) and ``weights`` (n_q,) of ``n`` points
-    per axis on [0, 1]^dim scaled to each cell; ``dofs`` holds the cells' dof
-    rows and ``lines`` is None.  The other cells carry the height-function
-    rule with ``2 * n`` points per piece, as its grading triples the degree
-    of a polynomial integrand, one run of whole lines of at most that many
-    points (or one line) at a time (``quadrature._near_runs``); ``dofs``
-    holds the dof row of each line's cell and ``lines`` the other
-    ``_line_sum_factorised`` arguments.
+    of cells sized by ``quadrature._batch``, on the tensor rule ``points``
+    (n_q, dim) and ``weights`` (n_q,) of ``n`` points per axis on [0, 1]^dim
+    scaled to each cell; ``dofs`` holds the cells' dof rows and ``lines`` is
+    None.  The other cells carry the height-function rule with ``2 * n``
+    points per piece, as its grading triples the degree of a polynomial
+    integrand, one run of whole lines of at most that many points (or one
+    line) at a time (``quadrature._near_runs``); ``dofs`` holds the dof row
+    of each line's cell and ``lines`` the other ``_line_sum_factorised``
+    arguments.
     """
     mesh = space.mesh
     if cells is None:
@@ -161,7 +160,7 @@ def _cell_batches(space: FeSpace, interface, points, weights, n: int, cells):
     skip = (near if cells is None else np.flatnonzero(is_near)) - np.arange(near.size)
     n_plain = (mesh.n_cells if cells is None else cells.size) - near.size
     n_q, dim = points.shape
-    step = max(1, quadrature.BATCH_POINTS // n_q)
+    step = _batch(n_plain, n_q)
     for start in range(0, n_plain, step):
         block = np.arange(start, min(start + step, n_plain))
         block += np.searchsorted(skip, block, side="right")

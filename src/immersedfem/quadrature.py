@@ -18,8 +18,9 @@ broadcast over pieces, graded roots and lines), then the Gauss points of the
 pieces (``_piece_points``), which also takes any slice of them.  The volume
 rule (``_near_runs``) builds the lines and pieces for blocks of height boxes
 and the points of the height level one run of whole lines at a time, so
-that no per-point array exceeds ``BATCH_POINTS``.  Gauss-Legendre nodes are
-computed once per size.
+that no per-point array exceeds ``BATCH_POINTS``; ``_batch`` sizes its blocks
+of boxes and the blocks and slabs of the error pass and the solve from that
+one bound.  Gauss-Legendre nodes are computed once per size.
 """
 
 from __future__ import annotations
@@ -42,9 +43,15 @@ HEIGHT_GRADING = 3
 FACE_GRADING = 2
 #: points per run of whole lines of the volume rule (or one line), per block
 #: of the error pass and per slab of the solve, which bounds every per-point
-#: array of both; the volume rule builds its lines and pieces for
-#: BATCH_POINTS // (points per piece)^dim height boxes at a time
+#: array of both; their blocks and slabs take a ``_batch`` of it
 BATCH_POINTS = 32768
+
+
+def _batch(items: int, size: int) -> int:
+    """How many of ``items`` entries of ``size`` points each one batch takes:
+    as many as fit in ``BATCH_POINTS`` (read at call time), at least one and
+    at most all."""
+    return max(1, min(items, BATCH_POINTS // size))
 
 
 def gauss_points_1d(n: int):
@@ -79,9 +86,9 @@ def _near_runs(lows, size: float, interface, points: int):
     a time.
 
     The height boxes of the cells are found once.  The lines and pieces are
-    built for as many consecutive boxes at a time as a plain rule with
-    ``points`` per axis fits in ``BATCH_POINTS``, so a cell's boxes may fall
-    into two blocks; the points only for each run of whole lines of at most
+    built for a ``_batch`` of consecutive boxes at a time, each counted as a
+    plain rule with ``points`` per axis, so a cell's boxes may fall into two
+    blocks; the points only for each run of whole lines of at most
     ``BATCH_POINTS`` points (or one line).  No piece crosses the surface, and
     the weights of a cell add up to its volume from two points on.  Yields
     per run ``(rows, pts, weights, lines)``: the row of ``lows`` of each
@@ -92,7 +99,7 @@ def _near_runs(lows, size: float, interface, points: int):
     reference height.
     """
     boxes = _height_boxes(lows, size, interface)
-    step = max(1, BATCH_POINTS // points ** lows.shape[1])
+    step = _batch(boxes[0].size, points ** lows.shape[1])
     for start in range(0, boxes[0].size, step):
         parent, frame, x, w, a, b, ck, root = _face_rules(
             tuple(f[start:start + step] for f in boxes), interface, points, weighted=True)
@@ -162,7 +169,7 @@ def _face_rules(boxes, interface, points, weighted):
     lows = np.take_along_axis(lows, frame, axis=1)
     centers = interface.center[frame]
     # squared radii (boxes, circles) per level and which circles grade
-    radii = [None] * (dim - 1) + [np.full((lows.shape[0], 1), interface.radius ** 2)]
+    radii = [None] * (dim - 1) + [np.full((lows.shape[0], 1), interface.radius * interface.radius)]
     graded = [None] * (dim - 1) + [np.ones(1, dtype=bool)]
     for k in range(dim - 1, 0, -1):
         below = (lows[:, k] - centers[:, k])[:, None] ** 2

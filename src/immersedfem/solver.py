@@ -21,10 +21,9 @@ does not depend on the BLAS library's thread count.
 A solve holds at most four grid-sized arrays at once: ``u``, the interior
 residual, and the input and output of one transform; while the operator is
 applied, its total and two work arrays take the place of the last three.
-Everything else works on slabs of at most ``quadrature.BATCH_POINTS``
-entries (or one row): the odd extension, spectrum and mixing of the
-transforms, the fluxes of the banded applies and the eigenvalue sums of the
-division."""
+Everything else works on slabs sized by ``quadrature._batch``: the odd
+extension, spectrum and mixing of the transforms, the fluxes of the banded
+applies and the eigenvalue sums of the division."""
 
 from __future__ import annotations
 
@@ -32,8 +31,7 @@ import math
 
 import numpy as np
 
-from . import quadrature
-from .quadrature import gauss_points_1d
+from .quadrature import _batch, gauss_points_1d
 from .space import FeSpace, _field_values, _lagrange_1d
 
 
@@ -82,14 +80,14 @@ def _apply_1d(matrix, u, axis: int, out) -> None:
     small, and exact where neighbours lie within a factor of two, so the
     stiffness, whose rows sum to zero, is applied without the cancellation
     of ``O(|u| / h)`` products.  The bands act by slices along ``axis`` on
-    chunks of at most ``quadrature.BATCH_POINTS`` entries (or one row) taken
-    along another axis, each flux formed in place in one work array; every
-    entry sees the same operations as in one whole-grid pass."""
+    chunks of rows taken along another axis (``_batch``), each flux formed
+    in place in one work array; every entry sees the same operations as in
+    one whole-grid pass."""
     sums, bands = matrix
     along = (-1,) + (1,) * (u.ndim - 1 - axis)  # a 1D factor broadcast along axis
     across = 1 if axis == 0 else 0
     row = u.size // u.shape[across]
-    step = max(1, min(u.shape[across], quadrature.BATCH_POINTS // row))
+    step = _batch(u.shape[across], row)
     work = np.empty(step * row)
     for start in range(0, u.shape[across], step):
         chunk = (slice(None),) * across + (slice(start, start + step),)
@@ -191,16 +189,15 @@ def _analyse(x, analysis, cells: int):
     the ``degree · cells − 1`` interior dofs, as a new array with that axis
     first: ``degree · (cells + 1)`` coefficients in the order of
     ``_modes_1d``, then the other axes of ``x``.  The rows of ``x`` go
-    through the odd extension, the FFT and the mixing in slabs whose odd
-    extension holds at most ``quadrature.BATCH_POINTS`` entries (or one
-    row), in work arrays made once."""
+    through the odd extension, the FFT and the mixing in slabs sized by
+    their odd extension (``_batch``), in work arrays made once."""
     real, imag = analysis
     degree = real.shape[0]
     n = degree * cells
     count = math.prod(x.shape[:-1])
     rows = x.reshape(count, n - 1)
     out = np.empty((degree * (cells + 1), count))
-    step = max(1, min(count, quadrature.BATCH_POINTS // (2 * n)))
+    step = _batch(count, 2 * n)
     odd = np.zeros((step, 2 * n))
     spectrum = np.empty((step, degree, cells + 1), dtype=complex)
     mixed = np.empty((2, step, degree, cells + 1))
@@ -229,7 +226,7 @@ def _synthesise(coefficients, synthesis, cells: int):
     count = math.prod(coefficients.shape[:-1])
     rows = coefficients.reshape(count, degree, cells + 1)
     out = np.empty((n - 1, count))
-    step = max(1, min(count, quadrature.BATCH_POINTS // (2 * n)))
+    step = _batch(count, 2 * n)
     spectrum = np.empty((step, degree, cells + 1), dtype=complex)
     values = np.empty((step, 2 * cells, degree))
     for start in range(0, count, step):
@@ -289,7 +286,7 @@ def solve(space: FeSpace, load, g):
         return np.zeros(space.n_dofs), 0.0
     values, analysis, synthesis = _modes_1d(*(matrix for matrix, _ in elements), cells)
     values = values.ravel()
-    step = max(1, quadrature.BATCH_POINTS // values.size ** (dim - 1))
+    step = _batch(values.size, values.size ** (dim - 1))
 
     def apply_inverse(r):
         for _ in range(dim):  # one axis at a time, last first; each moves its axis to the front

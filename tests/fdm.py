@@ -1,7 +1,7 @@
 """The fast-diagonalisation solve on whole grids (test oracle).
 
-The package applies the stiffness in chunks and transforms in slabs of at
-most ``quadrature.BATCH_POINTS`` entries, read at call time
+The package applies the stiffness in chunks and transforms in slabs sized by
+``quadrature._batch``, which reads ``quadrature.BATCH_POINTS`` at call time
 (``solver._apply_1d``, ``_kronecker_sum``, ``_analyse``, ``_synthesise``);
 these are the whole-grid forms it replaced, each a few grid-sized
 temporaries, with ``solve`` on top, so every chunk and slab can be checked

@@ -205,6 +205,26 @@ class TestColumnWiseOracle:
         single = interface.distance_range_over_box(low[3], high[3])
         assert bitwise_equal(single[0], d_min[3]) and bitwise_equal(single[1], d_max[3])
 
+    @pytest.mark.parametrize("interface", [CIRCLE, SPHERE], ids=["2d", "3d"])
+    def test_one_point_or_many(self, interface):
+        # one (dim,) point or box gives the bits of its row of one (n, dim)
+        # call; a numpy scalar's ** 2 calls libm pow, which squares the
+        # offset 0.7097135065511773 half an ulp off where x * x does not
+        rng = np.random.default_rng(17 * interface.dim)
+        offset = interface.center + 0.7097135065511773
+        points = np.vstack([rng.uniform(0.0, 1.0, size=(2000, interface.dim)), offset])
+        high = points + rng.choice([0.0, 1e-3, 0.05, 0.2], size=points.shape)
+        high[-1] = points[-1]
+        distance, side = interface.distance(points), interface.side(points)
+        d_min, d_max = interface.distance_range_over_box(points, high)
+        cuts = interface.cuts_box(points, high)
+        for i, (point, top) in enumerate(zip(points, high)):
+            assert bitwise_equal(interface.distance(point), distance[i])
+            assert bitwise_equal(interface.side(point), side[i])
+            single = interface.distance_range_over_box(point, top)
+            assert bitwise_equal(single[0], d_min[i]) and bitwise_equal(single[1], d_max[i])
+            assert bitwise_equal(interface.cuts_box(point, top), cuts[i])
+
 
 def center_distance_range(interface, low, high):
     """Range (t_min, t_max) of |x - c| over boxes [low, high] of shape (n,

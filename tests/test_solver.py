@@ -1,8 +1,4 @@
-import ast
-import collections
-import importlib
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -146,8 +142,8 @@ def test_modes_diagonalise_dense_factors(degree):
 
 
 #: odd and tiny grids of every degree, 2D and 3D; with a small
-#: ``quadrature.BATCH_POINTS`` (read by the solver at call time) their slabs
-#: and chunks are many and ragged
+#: ``quadrature.BATCH_POINTS`` (read by ``quadrature._batch`` at call time)
+#: their slabs and chunks are many and ragged
 ORACLE_SIZES = [(2, 1, 7), (2, 2, 5), (2, 3, 4), (3, 1, 5), (3, 2, 3), (3, 3, 2)]
 
 
@@ -243,257 +239,3 @@ def test_rejects_bad_arguments():
     for shape in ((space.n_dofs, 1), (space.n_dofs - 1,), (space.n_dofs + 1,), ()):
         with pytest.raises(ValueError, match="load must have shape"):
             solve(space, np.ones(shape), g)
-
-
-def test_import_loads_no_scipy():
-    # the library and its command line run on numpy alone; scipy serves only
-    # the tests' direct-solve oracles, and the boundary-integral oracle lives
-    # with the tests, so the import loads the package's 10 modules and no more
-    code = ("import sys, immersedfem, immersedfem.cli; print(*sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'immersedfem')))")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(immersedfem.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    modules = "assembly cli geometry mesh norms quadrature solver space study".split()
-    assert out.stdout.split() == ["immersedfem"] + [f"immersedfem.{m}" for m in modules]
-
-
-def test_readme_lists_the_exported_names():
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as readme:
-        count, names = re.search(r"The package exports (\d+) names(.*?)\n\n", readme.read(),
-                                 re.S).groups()
-    assert int(count) == len(immersedfem.__all__)
-    assert sorted(re.findall(r"`(\w+)`", names)) == sorted(immersedfem.__all__)
-
-
-def test_readme_library_example_runs():
-    # the fenced Python block under "## Library example", run as a reader
-    # would run it: in a new interpreter with src on the path
-    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as readme:
-        section = readme.read().split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    values = [float(word) for word in out.stdout.split()]
-    assert len(values) == 2 and all(np.isfinite(v) and v > 0.0 for v in values)
-
-
-def test_package_modules_use_every_name_they_import():
-    # stands in for a linter's unused-import rule: a deletion must take its
-    # imports with it; a name in ``__all__`` counts as used
-    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
-    unused = []
-    for file in sorted(os.listdir(package)):
-        if not file.endswith(".py"):
-            continue
-        with open(os.path.join(package, file), encoding="utf-8") as source:
-            tree = ast.parse(source.read())
-        imported, used = {}, set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Assign) and any(
-                    getattr(t, "id", None) == "__all__" for t in node.targets):
-                used.update(ast.literal_eval(node.value))
-            elif (isinstance(node, (ast.Import, ast.ImportFrom))
-                  and getattr(node, "module", None) != "__future__"):
-                for alias in node.names:
-                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        unused += [f"{file}:{line} {name}" for name, line in imported.items()
-                   if name not in used]
-    assert unused == []
-
-
-#: the package's layers: a module imports only from strictly lower layers
-LAYERS = {"mesh": 0, "geometry": 1, "quadrature": 1, "space": 1,
-          "assembly": 2, "solver": 2, "norms": 2, "study": 3, "cli": 4}
-
-
-def test_package_modules_import_only_from_lower_layers():
-    # every relative import of a module, ``__init__`` excepted, goes to a
-    # strictly lower layer of LAYERS: none reaches sideways or up
-    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
-    files = sorted(f for f in os.listdir(package) if f.endswith(".py") and f != "__init__.py")
-    assert sorted(file[:-3] for file in files) == sorted(LAYERS)
-    wrong = []
-    for file in files:
-        with open(os.path.join(package, file), encoding="utf-8") as source:
-            tree = ast.parse(source.read())
-        layer = LAYERS[file[:-3]]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                targets = ([node.module.split(".")[0]] if node.module
-                           else [alias.name for alias in node.names])
-                wrong += [f"{file[:-3]} -> {target}" for target in targets
-                          if LAYERS.get(target, layer) >= layer]
-    assert wrong == []
-
-
-def test_package_defines_no_name_it_never_uses():
-    # a module-level function, class or constant is called or read somewhere
-    # in the package outside its own definition, or exported in ``__all__``:
-    # test oracles and helpers live with the tests
-    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
-    defined, used = {}, set(immersedfem.__all__)
-    for file in sorted(os.listdir(package)):
-        if not file.endswith(".py"):
-            continue
-        with open(os.path.join(package, file), encoding="utf-8") as source:
-            tree = ast.parse(source.read())
-        for statement in tree.body:
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-                names = [statement.name]
-            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
-                targets = (statement.targets if isinstance(statement, ast.Assign)
-                           else [statement.target])
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                names = []
-            for name in names:
-                if not name.startswith("__"):
-                    defined[name] = f"{file}:{statement.lineno}"
-            refs = set()
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Name):
-                    refs.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    refs.add(node.attr)
-            # references inside a definition do not keep its own name alive
-            used |= refs - set(names)
-    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
-
-
-def test_package_tests_for_bools_in_one_function():
-    # a bool is an int, so an integer argument is checked by one function,
-    # mesh._integer, for every module: a copy of the test would drift from
-    # its message, its range and the Python int it returns
-    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
-    owners = []
-
-    def visit(node, file, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = f"{file} {node.name}"
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2):
-            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
-                owners.append(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, file, owner)
-
-    for file in sorted(os.listdir(package)):
-        if file.endswith(".py"):
-            with open(os.path.join(package, file), encoding="utf-8") as source:
-                visit(ast.parse(source.read()), file, f"{file} <module>")
-    assert owners == ["mesh.py _integer"]
-
-
-def test_config_error_raised_in_two_places():
-    # a bad configuration is found by the config's checks or by the CLI's
-    # flag parser; the study itself turns no other error into ConfigError
-    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
-    owners = []
-
-    def visit(node, file, owner):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = f"{owner}.{node.name}".lstrip(".")
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "ConfigError"):
-            owners.append(f"{file} {owner}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, file, owner)
-
-    for file in sorted(os.listdir(package)):
-        if file.endswith(".py"):
-            with open(os.path.join(package, file), encoding="utf-8") as source:
-                visit(ast.parse(source.read()), file, "")
-    assert sorted(owners) == ["cli.py _Parser.error", "study.py StudyConfig.__post_init__"]
-
-
-def test_package_takes_no_side_parameter():
-    # the exact field picks its own branch by the interface's one
-    # inside/outside test, so no function, method or lambda of the package
-    # takes side tags
-    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
-    found = []
-    for file in sorted(os.listdir(package)):
-        if not file.endswith(".py"):
-            continue
-        with open(os.path.join(package, file), encoding="utf-8") as source:
-            tree = ast.parse(source.read())
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                args = node.args
-                names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
-                         + [args.vararg, args.kwarg] if arg is not None]
-                if "side" in names:
-                    found.append(f"{file}:{node.lineno} {getattr(node, 'name', 'lambda')}")
-    assert found == []
-
-
-def test_package_defines_no_method_it_never_uses():
-    # a method of a package class is called or read somewhere in the package
-    # or the tests outside its own definition; dunders and overrides of a
-    # base class from outside the package (the argparse hooks of
-    # ``cli._Parser``) are called by that base
-    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
-    tests = os.path.dirname(os.path.abspath(__file__))
-    files = [os.path.join(folder, file) for folder in (package, tests)
-             for file in sorted(os.listdir(folder)) if file.endswith(".py")]
-    methods, refs, own = [], [], []
-    for path in files:
-        with open(path, encoding="utf-8") as source:
-            tree = ast.parse(source.read())
-        refs += [node.attr if isinstance(node, ast.Attribute) else node.id
-                 for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))]
-        if os.path.dirname(path) != package:
-            continue
-        module = importlib.import_module(f"immersedfem.{os.path.basename(path)[:-3]}")
-        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-            outside = [base for base in getattr(module, cls.name).__mro__[1:]
-                       if not base.__module__.startswith("immersedfem")]
-            for method in cls.body:
-                if (not isinstance(method, ast.FunctionDef) or method.name.startswith("__")
-                        or any(hasattr(base, method.name) for base in outside)):
-                    continue
-                methods.append(f"{os.path.basename(path)}:{method.lineno} "
-                               f"{cls.name}.{method.name}")
-                # references inside a method do not keep it alive
-                own += [node.attr for node in ast.walk(method)
-                        if isinstance(node, ast.Attribute) and node.attr == method.name]
-    counts = collections.Counter(refs)
-    counts.subtract(own)
-    assert [m for m in methods if counts[m.rsplit(".", 1)[1]] <= 0] == []
-
-
-def test_allocator_setting_stays_in_the_cli():
-    # the malloc thresholds belong to the process that owns the study, so
-    # ctypes and mallopt appear in cli.py only, off the library's import path
-    package = os.path.dirname(os.path.abspath(immersedfem.__file__))
-    found = set()
-    for file in sorted(os.listdir(package)):
-        if not file.endswith(".py"):
-            continue
-        with open(os.path.join(package, file), encoding="utf-8") as source:
-            tree = ast.parse(source.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [alias.name for alias in node.names]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            else:
-                continue
-            found |= {(file, name.split(".")[0]) for name in names
-                      if name.split(".")[0] in ("ctypes", "mallopt")}
-    assert found == {("cli.py", "ctypes"), ("cli.py", "mallopt")}
