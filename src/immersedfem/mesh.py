@@ -46,10 +46,9 @@ class Mesh:
         _check_box(*box)
         first = np.clip(np.floor(box[0] * n) - 1, 0, n - 1).astype(int)
         last = np.clip(np.floor(box[1] * n) + 1, 0, n - 1).astype(int)
-        ids = np.zeros(1, dtype=int)
-        for axis in range(self.dim - 1, -1, -1):  # the last axis varies slowest
-            ids = (ids[:, None] * n + np.arange(first[axis], last[axis] + 1)).ravel()
-        return ids
+        ranges = np.ix_(*(np.arange(a, b + 1) for a, b in zip(first, last)))
+        # Fortran order: the first axis varies fastest, so the ids ascend
+        return np.ravel_multi_index(ranges, (n,) * self.dim, order="F").ravel(order="F")
 
     def locate(self, points) -> np.ndarray:
         """Cell ids containing ``points`` (shape (..., dim)); raises
@@ -102,16 +101,17 @@ def _lattice_index(ids, n_per_axis: int, dim: int) -> np.ndarray:
     if ids.size and (not np.issubdtype(ids.dtype, np.integer) or ids.min() < 0
                      or ids.max() >= n_per_axis ** dim):
         raise ValueError(f"ids must be integers in [0, {n_per_axis ** dim})")
-    idx = np.empty(ids.shape + (dim,), dtype=int)
-    rest = ids.astype(int)
-    for axis in range(dim):
-        rest, idx[..., axis] = np.divmod(rest, n_per_axis)
-    return idx
+    index = np.unravel_index(ids.astype(int, copy=False), (n_per_axis,) * dim, order="F")
+    return np.stack(index, axis=-1)
 
 
 def _ravel_index(idx: np.ndarray, n_per_axis: int) -> np.ndarray:
     """Lexicographic id with the first axis varying fastest."""
-    out = idx[..., -1].copy()
-    for axis in range(idx.shape[-1] - 2, -1, -1):
-        out = out * n_per_axis + idx[..., axis]
-    return out
+    return np.ravel_multi_index(np.moveaxis(idx, -1, 0), (n_per_axis,) * idx.shape[-1],
+                                order="F")
+
+
+def _frames(dim: int) -> np.ndarray:
+    """The frame of a line along each axis k, row k: the physical axis of
+    each frame axis, the other axes ascending, then k."""
+    return np.array([[j for j in range(dim) if j != k] + [k] for k in range(dim)])

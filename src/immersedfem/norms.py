@@ -106,7 +106,8 @@ class RadialSolution:
 
     def density(self, points) -> np.ndarray:
         """The layer density -[grad u . n] at the (n, dim) ``points``."""
-        return np.full(np.shape(points)[0], 1.0 / self.interface.radius ** (self.dim - 1))
+        radius = self.interface.radius  # R² by multiplication: a float's ** calls libm pow
+        return np.full(np.shape(points)[0], 1.0 / (radius if self.dim == 2 else radius * radius))
 
 
 def reference_solution(interface) -> RadialSolution:

@@ -3,24 +3,24 @@ cells near a circle or sphere.
 
 The height-function rule is Saye's dimension reduction (R. I. Saye, SIAM J.
 Sci. Comput. 37(2), A993-A1019, 2015) for concentric spheres.  Each box takes
-a height axis k on which the sphere normal stays bounded away from zero; cut
-boxes with no such axis are bisected.  Along a line in direction k the sphere
-has at most two roots, in closed form, and the integral over the line is
-smooth in the other coordinates except where a root crosses a face x_k =
-const or two roots merge: on circles concentric with the sphere, so the face
-integral recurses on the same kind of roots, down to one dimension.  Every
-level splits its lines at the roots and grades the Gauss points of a piece
-toward the roots that end it or lie within one piece length beyond it, which
-resolves the weights d^(2 alpha) and the square roots where roots merge.  The
-surface rule takes the sphere's roots on the lines of the same face rule.
-Every level runs in two stages: the pieces of its lines (``_pieces``, one
-broadcast over pieces, graded roots and lines), then the Gauss points of the
-pieces (``_piece_points``), which also takes any slice of them.  The volume
-rule (``_near_runs``) builds the lines and pieces for blocks of height boxes
-and the points of the height level one run of whole lines at a time, so
-that no per-point array exceeds ``BATCH_POINTS``; ``_batch`` sizes its blocks
-of boxes and the blocks and slabs of the error pass and the solve from that
-one bound.  Gauss-Legendre nodes are computed once per size.
+a height axis k on which the sphere normal stays bounded away from zero, and
+with it a frame (``mesh._frames``); cut boxes with no such axis are bisected.
+Along a line in direction k the sphere has at most two roots, in closed form,
+and the integral over the line is smooth in the other coordinates except where
+a root crosses a face x_k = const or two roots merge: on circles concentric
+with the sphere, so the face integral recurses on the same kind of roots, down
+to one dimension.  Every level splits its lines at the roots and grades the
+Gauss points of a piece toward the roots that end it or lie within one piece
+length beyond it, which resolves the weights d^(2 alpha) and the square roots
+where roots merge.  The surface rule takes the sphere's roots on the lines of
+the same face rule.  Every level runs in two stages: the pieces of its lines
+(``_pieces``, one broadcast over pieces, graded roots and lines), then the
+Gauss points of the pieces (``_piece_points``), which also takes any slice of
+them.  The volume rule (``_near_runs``) builds the lines and pieces for blocks
+of height boxes and the points of the height level one run of whole lines at a
+time, so that no per-point array exceeds ``BATCH_POINTS``; ``_batch`` sizes
+its blocks of boxes and the blocks and slabs of the error pass and the solve
+from that one bound.  Gauss-Legendre nodes are computed once per size.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import functools
 
 import numpy as np
 
-from .mesh import _integer, _lattice_index
+from .mesh import _frames, _integer, _lattice_index
 
 #: a cut box's height axis k must keep |n_k| >= HEIGHT_MIN for the sphere
 #: normal n over the whole box, or the box is bisected; below 1/sqrt(3), so
@@ -93,18 +93,18 @@ def _near_runs(lows, size: float, interface, points: int):
     the weights of a cell add up to its volume from two points on.  Yields
     per run ``(rows, pts, weights, lines)``: the row of ``lows`` of each
     line's cell; per point, line by line, the point and its weight; and
-    ``lines = (frame, face_ref, line, t_ref)``: per line the frame (the
-    physical axis of each frame axis, height last) and the reference
-    coordinates of its face axes, per point its line in the run and its
-    reference height.
+    ``lines = (axis, face_ref, line, t_ref)``: per line its height axis and
+    the reference coordinates of its face axes in the order of its frame
+    (``mesh._frames``), per point its line in the run and its reference
+    height.
     """
     boxes = _height_boxes(lows, size, interface)
     step = _batch(boxes[0].size, points ** lows.shape[1])
     for start in range(0, boxes[0].size, step):
-        parent, frame, x, w, a, b, ck, root = _face_rules(
+        parent, axis, x, w, a, b, ck, root = _face_rules(
             tuple(f[start:start + step] for f in boxes), interface, points, weighted=True)
         pieces = _pieces(a, b, np.column_stack([ck - root, ck + root]), np.ones(2, dtype=bool))
-        line_lows = np.take_along_axis(lows[parent], frame, axis=1)
+        line_lows = np.take_along_axis(lows[parent], _frames(lows.shape[1])[axis], axis=1)
         face_ref = (x - line_lows[:, :-1]) / size
         height_lows = np.ascontiguousarray(line_lows[:, -1])
         # the first piece of every line, and one past the last; the points
@@ -120,8 +120,8 @@ def _near_runs(lows, size: float, interface, points: int):
             line, t, wt = _piece_points(piece_line, start, end, anchor, points, HEIGHT_GRADING)
             on = line - first
             t_ref = (t - height_lows[line]) / size
-            yield (parent[lines], _unpermute(x[lines], frame[lines], on, t), w[line] * wt,
-                   (frame[lines], face_ref[lines], on, t_ref))
+            yield (parent[lines], _unpermute(x[lines], axis[lines], on, t), w[line] * wt,
+                   (axis[lines], face_ref[lines], on, t_ref))
             first = last
 
 
@@ -136,11 +136,11 @@ def surface_rule(cell_low, cell_size: float, interface, points: int):
     Gauss points per piece, weighted by the surface Jacobian R / |t* - c_k|.
     """
     boxes = _height_boxes(cell_low, cell_size, interface)
-    parent, frame, x, w, a, b, ck, root = _face_rules(boxes, interface, points, weighted=False)
+    parent, axis, x, w, a, b, ck, root = _face_rules(boxes, interface, points, weighted=False)
     roots = np.column_stack([ck - root, ck + root])
     line, which = np.nonzero((roots >= a[:, None]) & (roots < b[:, None])
                              & (root > 0.0)[:, None])
-    pts = _unpermute(x, frame, line, roots[line, which])
+    pts = _unpermute(x, axis, line, roots[line, which])
     return parent[line], pts, w[line] * interface.radius / root[line]
 
 
@@ -152,20 +152,19 @@ def _root(disc):
 def _face_rules(boxes, interface, points, weighted):
     """The rule on the faces of the height boxes ``boxes`` of ``_height_boxes``.
 
-    Every box is put in a frame whose last axis is its height axis.  Face
-    level k is cut at the circles of level k + 1 on the faces x_k = low and
-    high (sections) and at their outlines, where two roots merge.  Pieces
-    are graded toward outlines, and toward the sphere's own sections when
-    ``weighted``: there the integral of d^(2 alpha) goes like (t* - low)^(1 +
-    2 alpha), while deeper sections only leave kinks.  Returns per face
-    point: its box's cell row, the frame (the physical axis of each frame
-    axis), the face coordinates x and weight, the height range [a, b], the
+    Every box is put in the frame of its height axis (``mesh._frames``), the
+    height axis last.  Face level k is cut at the circles of level k + 1 on
+    the faces x_k = low and high (sections) and at their outlines, where two
+    roots merge.  Pieces are graded toward outlines, and toward the sphere's
+    own sections when ``weighted``: there the integral of d^(2 alpha) goes
+    like (t* - low)^(1 + 2 alpha), while deeper sections only leave kinks.
+    Returns per face point: its box's cell row and height axis, the face
+    coordinates x (in frame order) and weight, the height range [a, b], the
     centre's height coordinate c_k and the sphere's half chord |t* - c_k|.
     """
     parent, lows, sizes, axis = boxes
     dim = lows.shape[1]
-    others = np.array([[j for j in range(dim) if j != k] for k in range(dim)], dtype=int)
-    frame = np.column_stack([others[axis], axis])
+    frame = _frames(dim)[axis]
     lows = np.take_along_axis(lows, frame, axis=1)
     centers = interface.center[frame]
     # squared radii (boxes, circles) per level and which circles grade
@@ -186,7 +185,7 @@ def _face_rules(boxes, interface, points, weighted):
         squares = sum(((x[:, j] - centers[box, j]) ** 2 for j in range(k)), np.zeros(box.size))
         root = _root(radii[k][box] - squares[:, None])
         if k == dim - 1:
-            return parent[box], frame[box], x, w, a, a + sizes[box], ck[:, 0], root[:, 0]
+            return parent[box], axis[box], x, w, a, a + sizes[box], ck[:, 0], root[:, 0]
         line, t, wt = _gauss_pieces(a, a + sizes[box], np.hstack([ck - root, ck + root]),
                                     np.tile(graded[k], 2), points, FACE_GRADING)
         box, x, w = box[line], np.column_stack([x[line], t]), w[line] * wt
@@ -312,15 +311,16 @@ def _piece_points(line, start, end, anchor, points, power):
     return np.repeat(line, n), t.ravel(), w.ravel()
 
 
-def _unpermute(x, frame, line, t):
+def _unpermute(x, axis, line, t):
     """Points at height ``t`` on the face lines ``line``, in physical axes; the
-    face coordinates ``x`` go back through each frame once per line."""
-    dim = frame.shape[1]
+    face coordinates ``x`` of a line along ``axis`` go back through its frame
+    (``mesh._frames``) once per line."""
+    dim = x.shape[1] + 1
     # one coordinate per row: the (n, dim) points are a transposed view
     faces = np.empty((dim, x.shape[0]))
-    np.put_along_axis(faces, frame[:, :-1].T, x.T, axis=0)
+    np.put_along_axis(faces, _frames(dim)[axis, :-1].T, x.T, axis=0)
     pts = np.empty((dim, line.size))
     for k in range(dim):
         pts[k] = faces[k][line]
-    pts.reshape(-1)[frame[:, -1][line] * line.size + np.arange(line.size)] = t
+    pts[axis[line], np.arange(line.size)] = t
     return pts.T

@@ -60,16 +60,11 @@ def _bands(element, cells: int):
     element, element_sums = element
     degree = element.shape[0] - 1
     n = degree * cells + 1
-    sums = np.zeros(n)
-    for a in range(degree + 1):
-        sums[a:a + degree * cells:degree] += element_sums[a]
-    bands = []
-    for s in range(1, degree + 1):
-        band = np.zeros(n - s)
-        for a in range(degree + 1 - s):  # dofs a and a + s of every cell
-            band[a:a + degree * cells:degree] += element[a, a + s]
-        bands.append(band)
-    return sums, bands
+    # (cell c, local dof a): the row degree c + a of the dof
+    rows = degree * np.arange(cells)[:, None] + np.arange(degree + 1)
+    bands = [np.bincount(rows[:, :-s].ravel(), np.tile(np.diagonal(element, s), cells), n - s)
+             for s in range(1, degree + 1)]
+    return np.bincount(rows.ravel(), np.tile(element_sums, cells), n), bands
 
 
 def _apply_1d(matrix, u, axis: int, out) -> None:

@@ -3,8 +3,8 @@ functions, evaluation at points and nodal interpolation.  Every field the librar
 evaluates is called once on an (n, dim) point array, by ``_field_values``.
 Points on axis-parallel lines are evaluated by sum factorisation
 (``_line_sum_factorised``): the face axes once per line, with the lines as
-contiguous rows and the orders of a frame made once per frame id, then one
-table of 1D basis values per point."""
+contiguous rows and the orders of a frame made once per height axis (the
+frames of ``mesh._frames``), then one table of 1D basis values per point."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .mesh import Mesh, _integer, _lattice_index, _ravel_index
+from .mesh import Mesh, _frames, _integer, _lattice_index, _ravel_index
 
 
 def _basis_factors(degree: int, x):
@@ -78,19 +78,19 @@ def _lagrange_1d(degree: int, x):
     return np.moveaxis(values, 0, -1), np.moveaxis(derivs / denom, 0, -1)
 
 
-def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
+def _line_sum_factorised(degree: int, local, axis, face_ref, line, t_ref):
     """Values and reference gradients of FE functions at points on lines.
 
-    Line i has the coefficients ``local[i]`` of its cell, the physical axis
-    of each frame axis ``frame[i]`` (its direction last) and the reference
-    coordinates ``face_ref[i]`` of the others; point j sits at ``t_ref[j]``
-    on line ``line[j]``.  Per line the face axes are contracted with 1D
-    tables, first frame axis first, leaving the value and the gradient as
-    polynomials along the line (its own component from the value's slope at
-    the nodes); per point one 1D value table evaluates them.  The orders of
-    the coefficients and gradients are made once per frame id, not per line.
+    Line i has the coefficients ``local[i]`` of its cell, its direction
+    ``axis[i]`` and the reference coordinates ``face_ref[i]`` of the other
+    axes in frame order (``mesh._frames``); point j sits at ``t_ref[j]`` on
+    line ``line[j]``.  Per line the face axes are contracted with 1D tables,
+    first frame axis first, leaving the value and the gradient as polynomials
+    along the line (its own component from the value's slope at the nodes);
+    per point one 1D value table evaluates them.  The orders of the
+    coefficients and gradients are made once per height axis, not per line.
     """
-    dim = frame.shape[1]
+    dim = face_ref.shape[1] + 1
     p = degree + 1
 
     def contract(coeffs, table):
@@ -101,9 +101,8 @@ def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
         return total
 
     index, inverse, slopes = _line_tables(degree, dim)
-    ids = _ravel_index(frame, dim)
     # (coefficient, line): the lines last throughout, one contiguous row each
-    flat = (index[ids] + p ** dim * np.arange(ids.size)[:, None]).T
+    flat = (index[axis] + p ** dim * np.arange(axis.size)[:, None]).T
     value = local.reshape(-1)[flat].reshape((p,) * dim + (-1,))
     # (basis function, face axis, line)
     vals, ders = (np.moveaxis(t, -1, 0) for t in _lagrange_1d(degree, face_ref.T))
@@ -114,12 +113,12 @@ def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
     grads.append(contract(value, slopes.T[:, :, None]))
     # (component, node, line), the gradient in physical axes: every node's
     # coefficients are one contiguous row
-    polys = np.empty((dim + 1, p, ids.size))
+    polys = np.empty((dim + 1, p, axis.size))
     polys[0] = value
-    # physical axis k of a line is its frame axis inverse[id][k], gathered
+    # physical axis k of a line is its frame axis inverse[axis][k], gathered
     # from the flat (frame axis, node, line) stack of the gradients
-    rows = inverse[ids].T[:, None, :] * (p * ids.size)
-    polys[1:] = np.stack(grads).reshape(-1)[rows + np.arange(p * ids.size).reshape(p, -1)]
+    rows = inverse[axis].T[:, None, :] * (p * axis.size)
+    polys[1:] = np.stack(grads).reshape(-1)[rows + np.arange(p * axis.size).reshape(p, -1)]
     vals = _lagrange_values(degree, t_ref)
     # per point, one row per component and one gathered row per node: the
     # (n, dim) gradients are a transposed view
@@ -134,12 +133,12 @@ def _line_sum_factorised(degree: int, local, frame, face_ref, line, t_ref):
 @functools.lru_cache(maxsize=None)
 def _line_tables(degree: int, dim: int):
     """The tables of ``_line_sum_factorised``, read-only and made once per
-    degree and dimension: per frame, by its id among the dim^dim axis tuples,
-    the local dof of each coefficient in frame order (C order puts the first
-    frame axis last) and the frame axis of each physical axis; and the
-    slopes of the 1D basis at its nodes (node, basis function)."""
+    degree and dimension: per height axis, the local dof of each coefficient
+    in the order of its frame (``mesh._frames``; C order puts the first frame
+    axis last) and the frame axis of each physical axis; and the slopes of
+    the 1D basis at its nodes (node, basis function)."""
     p = degree + 1
-    frames = _lattice_index(np.arange(dim ** dim), dim, dim)
+    frames = _frames(dim)
     tables = ((p ** frames) @ _local_lattice(p, dim).T,
               np.argsort(frames, axis=1), _lagrange_1d(degree, np.arange(p) / degree)[1])
     for table in tables:
@@ -204,13 +203,13 @@ class FeSpace:
     def evaluate(self, coeffs, points):
         """Values (n,) and gradients (n, dim) of the FE function with
         coefficients ``coeffs`` at the (n, dim) ``points`` of the unit box,
-        each point one line of ``_line_sum_factorised``."""
+        each point one line of ``_line_sum_factorised`` along the last axis."""
         coeffs = _coefficients(self, coeffs)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.mesh.locate(points)
         ref = (points - self.mesh.cell_lows(cells)) / self.mesh.edge
-        frame = np.broadcast_to(np.arange(ref.shape[1]), ref.shape)
-        values, grads = _line_sum_factorised(self.degree, coeffs[self.cell_dofs(cells)], frame,
+        axis = np.full(ref.shape[0], ref.shape[1] - 1)
+        values, grads = _line_sum_factorised(self.degree, coeffs[self.cell_dofs(cells)], axis,
                                              ref[:, :-1], np.arange(ref.shape[0]), ref[:, -1])
         return values, grads / self.mesh.edge
 

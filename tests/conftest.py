@@ -15,6 +15,14 @@ def lattice(n_per_axis, dim):
     return np.column_stack([g.ravel(order="F") for g in grids])
 
 
+def frames_of(axis, dim):
+    """The frame of a line along each of the axes ``axis``: the other axes
+    ascending, then its own, one comprehension per line (test oracle of the
+    package's ``mesh._frames``)."""
+    return np.array([[j for j in range(dim) if j != k] + [k] for k in axis],
+                    dtype=int).reshape(-1, dim)
+
+
 @pytest.fixture(params=["C", "F", "strided"])
 def in_layout(request):
     """Copy a 2D array into C order, Fortran order, or a strided slice of a

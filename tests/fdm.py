@@ -6,7 +6,8 @@ The package applies the stiffness in chunks and transforms in slabs sized by
 these are the whole-grid forms it replaced, each a few grid-sized
 temporaries, with ``solve`` on top, so every chunk and slab can be checked
 against them bit for bit.  The transforms here keep the transformed axis last; the
-package's move it to the front.
+package's move it to the front.  ``loop_bands`` is the loop form of the
+banded scatter (``solver._bands``).
 """
 
 import math
@@ -15,6 +16,24 @@ import numpy as np
 
 from immersedfem import solver
 from immersedfem.space import _field_values
+
+
+def loop_bands(element, cells):
+    """``solver._bands`` by strided slices, one local dof at a time: the row
+    sums and the upper bands of the 1D matrix scattered from ``element``."""
+    element, element_sums = element
+    degree = element.shape[0] - 1
+    n = degree * cells + 1
+    sums = np.zeros(n)
+    for a in range(degree + 1):
+        sums[a:a + degree * cells:degree] += element_sums[a]
+    bands = []
+    for s in range(1, degree + 1):
+        band = np.zeros(n - s)
+        for a in range(degree + 1 - s):  # dofs a and a + s of every cell
+            band[a:a + degree * cells:degree] += element[a, a + s]
+        bands.append(band)
+    return sums, bands
 
 
 def apply_1d(matrix, u, axis):

@@ -36,18 +36,18 @@ def split_cut_cell(cell_low, cell_size: float, interface, points: int):
     volume.
     """
     boxes = quadrature._height_boxes(cell_low, cell_size, interface)
-    parent, frame, x, line, t, w, sides = line_rule(boxes, interface, points)
-    return parent[line], quadrature._unpermute(x, frame, line, t), w, sides
+    parent, axis, x, line, t, w, sides = line_rule(boxes, interface, points)
+    return parent[line], quadrature._unpermute(x, axis, line, t), w, sides
 
 
 def line_rule(boxes, interface, points):
     """``split_cut_cell`` per line on the height boxes ``boxes`` of
-    ``quadrature._height_boxes``: per line the cell row of its box, the
-    frame (the physical axis of each frame axis, height last) and the face
-    coordinates in frame order; and per point, by line: line, height t,
-    weight, side."""
-    parent, frame, x, w, a, b, ck, root = quadrature._face_rules(boxes, interface, points,
-                                                                 weighted=True)
+    ``quadrature._height_boxes``: per line the cell row of its box, its
+    height axis and the face coordinates in the order of its frame
+    (``mesh._frames``); and per point, by line: line, height t, weight,
+    side."""
+    parent, axis, x, w, a, b, ck, root = quadrature._face_rules(boxes, interface, points,
+                                                                weighted=True)
     roots = np.stack([ck - root, ck + root])
     graded = np.ones(2, dtype=bool)
     line, t, wt = quadrature._gauss_pieces(a, b, roots.T, graded, points,
@@ -56,7 +56,7 @@ def line_rule(boxes, interface, points):
     piece_line, start, end, _ = quadrature._pieces(a, b, roots.T, graded)
     mid = 0.5 * (start + end)
     inside = np.repeat((roots[0][piece_line] < mid) & (mid < roots[1][piece_line]), points)
-    return parent, frame, x, line, t, w[line] * wt, np.where(inside, -1, 1)
+    return parent, axis, x, line, t, w[line] * wt, np.where(inside, -1, 1)
 
 
 def loop_pieces(lo, hi, roots, graded):

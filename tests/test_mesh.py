@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import frames_of, lattice
 from immersedfem import FeSpace, SphericalInterface, build_uniform_mesh
+from immersedfem.mesh import _frames, _lattice_index, _ravel_index
 from layer import classify_cells
 
 FAR_CIRCLE = SphericalInterface((10.0, 10.0), 0.2)
@@ -93,6 +95,60 @@ def test_cells_meeting_rejects_bad_box(low, high):
     # which is empty, gave cell 27
     with pytest.raises(ValueError, match="low and high"):
         build_uniform_mesh(2, 8).cells_meeting(low, high)
+
+
+class TestIndexArithmetic:
+    """numpy's index calls against lattices and filters built one cell at a
+    time."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lattice_index_is_the_lattice(self, dim):
+        for n in (1, 2, 3, 5):
+            idx = _lattice_index(np.arange(n ** dim), n, dim)
+            assert idx.dtype == int and np.array_equal(idx, lattice(n, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_ravel_index_inverts_it(self, dim):
+        n = 8
+        rng = np.random.default_rng(dim)
+        for ids in (7, np.array([5]), rng.integers(0, n ** dim, size=(3, 5)),
+                    [], np.zeros(0, dtype=int), np.zeros((2, 0), dtype=int)):
+            idx = _lattice_index(ids, n, dim)
+            assert idx.shape == np.shape(ids) + (dim,)
+            back = _ravel_index(idx, n)
+            assert np.shape(back) == np.shape(ids) and np.array_equal(back, ids)
+
+    @pytest.mark.parametrize("ids", [[True], [1.0], np.array([0.5]), [-1], [27], 27,
+                                     [[0, 1], [2, 30]]])
+    def test_lattice_index_rejects_ids(self, ids):
+        with pytest.raises(ValueError, match=r"^ids must be integers in \[0, 27\)$"):
+            _lattice_index(ids, 3, 3)
+
+    def test_frames(self):
+        for dim in (1, 2, 3):
+            assert np.array_equal(_frames(dim), frames_of(range(dim), dim))
+
+    @pytest.mark.parametrize("dim, n", [(2, 1), (2, 7), (2, 16), (3, 1), (3, 5), (3, 8)])
+    def test_cells_meeting_is_a_filter_over_every_cell(self, dim, n):
+        # every cell's lattice index against the clipped index range of the
+        # box widened by one cell, for boxes inside, across and outside the
+        # unit box, flat ones and ones with infinite bounds
+        mesh = build_uniform_mesh(dim, n)
+        idx = lattice(n, dim)
+        rng = np.random.default_rng(10 * dim + n)
+        for _ in range(60):
+            low = rng.uniform(-0.6, 1.6, dim)
+            high = low + rng.choice([0.0, 0.01, 0.3, 1.0, 3.0], dim)
+            low[rng.uniform(size=dim) < 0.15] = -np.inf
+            high[rng.uniform(size=dim) < 0.15] = np.inf
+            edge = rng.uniform(size=dim) < 0.05
+            low[edge] = high[edge] = rng.choice([-np.inf, np.inf])
+            first = np.clip(np.floor(low * n) - 1, 0, n - 1)
+            last = np.clip(np.floor(high * n) + 1, 0, n - 1)
+            want = np.flatnonzero(np.all((idx >= first) & (idx <= last), axis=1))
+            got = mesh.cells_meeting(low, high)
+            assert got.dtype == int and np.array_equal(got, want)
+            assert np.all(np.diff(got) > 0)
 
 
 def test_rejects_bad_arguments():

@@ -181,6 +181,17 @@ class TestExactSolutions:
         assert density.shape == (pts.shape[0],)
         assert np.allclose(-np.sum(jump * normal, axis=1), density, rtol=1e-12, atol=0.0)
 
+    def test_density_squares_by_multiplication(self):
+        # R ** 2 of a Python float goes through libm pow, which is not always
+        # correctly rounded: at this radius it gives 33.70713811996188, one
+        # ulp from 1 / (R * R)
+        radius = 0.172242
+        assert 1.0 / radius ** 2 != 1.0 / (radius * radius)
+        density = reference_solution(SphericalInterface((0.5, 0.5, 0.5), radius)).density
+        assert bitwise_equal(density(np.zeros((3, 3))), np.full(3, 1.0 / (radius * radius)))
+        density = reference_solution(SphericalInterface((0.5, 0.5), radius)).density
+        assert bitwise_equal(density(np.zeros((3, 2))), np.full(3, 1.0 / radius))
+
     def test_outside_gradient_formula(self):
         exact = reference_solution(CIRCLE)
         x = np.array([0.7, 0.3])

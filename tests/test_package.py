@@ -125,6 +125,34 @@ def test_batch_bound_named_in_quadrature_only():
     assert found == {"quadrature.py"}
 
 
+def test_index_arithmetic_and_frames_owned_by_mesh():
+    # numpy's index calls are named in mesh.py only, and ``mesh._frames`` is
+    # the one frame table: quadrature and space import it and build no axis
+    # table of their own, neither the other axes of each axis (a
+    # comprehension over ``range(dim)`` with a ``!=`` filter) nor a lattice
+    # of axis tuples (``_lattice_index`` with ``dim`` points per axis)
+    calls, tables, imports = set(), set(), set()
+    for file, tree in _modules().items():
+        for owner in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(owner):
+                if isinstance(node, ast.Attribute) and node.attr in ("unravel_index",
+                                                                     "ravel_multi_index"):
+                    calls.add(f"{file} {node.attr}")
+                elif isinstance(node, (ast.ListComp, ast.GeneratorExp)) and any(
+                        ast.unparse(gen.iter) == "range(dim)" and any(
+                            isinstance(cond, ast.Compare) and isinstance(cond.ops[0], ast.NotEq)
+                            for cond in gen.ifs) for gen in node.generators):
+                    tables.add(f"{file} {owner.name}")
+                elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "_lattice_index"
+                      and "dim" in [ast.unparse(arg) for arg in node.args[1:2]]):
+                    tables.add(f"{file} {owner.name}")
+        imports |= {file for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module == "mesh" and "_frames" in [a.name for a in node.names]}
+    assert calls == {"mesh.py unravel_index", "mesh.py ravel_multi_index"}
+    assert tables == {"mesh.py _frames"}
+    assert imports == {"quadrature.py", "space.py"}
+
+
 def test_package_defines_no_name_it_never_uses():
     # a module-level function, class or constant is called or read somewhere
     # in the package outside its own definition, or exported in ``__all__``:

@@ -141,6 +141,26 @@ def test_modes_diagonalise_dense_factors(degree):
         assert np.max(np.abs(solver._analyse(np.eye(n), analysis, cells).T[:, modes] - v)) <= 1e-14
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_bands_match_the_loop_oracle(degree):
+    # the one scatter per row sum and band against the strided loop it
+    # replaced (tests/fdm.py), on the study's element pairs and on a random
+    # symmetric element whose entries include both zeros
+    rng = np.random.default_rng(degree)
+    random = rng.standard_normal((degree + 1,) * 2)
+    random = random + random.T
+    random[0, -1] = random[-1, 0] = -0.0
+    sums = rng.standard_normal(degree + 1)
+    sums[:2] = -0.0, 0.0
+    for cells in range(1, 8):
+        elements = solver._elements_1d(FeSpace(build_uniform_mesh(2, cells), degree))
+        for element in (*elements, (random, sums)):
+            got, want = solver._bands(element, cells), fdm.loop_bands(element, cells)
+            assert bitwise_equal(got[0], want[0])
+            assert len(got[1]) == len(want[1]) == degree
+            assert all(bitwise_equal(g, w) for g, w in zip(got[1], want[1]))
+
+
 #: odd and tiny grids of every degree, 2D and 3D; with a small
 #: ``quadrature.BATCH_POINTS`` (read by ``quadrature._batch`` at call time)
 #: their slabs and chunks are many and ragged

@@ -1,11 +1,10 @@
-import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import bitwise_equal, lattice, lattice_tables
+from conftest import bitwise_equal, frames_of, lattice, lattice_tables
 from immersedfem import (FeSpace, SphericalInterface, assemble_interface_load,
                          build_uniform_mesh, interpolate,
                          reference_solution, solve, weighted_errors)
@@ -142,7 +141,7 @@ class TestSumFactorisation:
                               rng.uniform(0.0, 1.0, size=(8, dim - 1))])
         face_ref = np.tile(face_ref, (dim, 1))
         height = np.repeat(np.arange(dim), face_ref.shape[0] // dim)
-        frame = np.array([[j for j in range(dim) if j != k] + [k] for k in height])
+        frame = frames_of(height, dim)
         per_line = np.concatenate([ticks, rng.uniform(0.0, 1.0, size=3)])
         line = np.repeat(np.arange(frame.shape[0]), per_line.size)
         t_ref = np.tile(per_line, frame.shape[0])
@@ -151,17 +150,19 @@ class TestSumFactorisation:
         np.put_along_axis(ref, frame[line, :-1], face_ref[line], axis=1)
         ref[np.arange(line.size), frame[line, -1]] = t_ref
         values, grads = FeSpace(build_uniform_mesh(dim, 1), degree).tabulate(ref)
-        got_values, got_grads = _line_sum_factorised(degree, local, frame, face_ref, line,
+        got_values, got_grads = _line_sum_factorised(degree, local, height, face_ref, line,
                                                      t_ref)
         assert np.max(np.abs(got_values - np.einsum("pj,pj->p", values, local[line]))) <= 1e-14
         assert np.max(np.abs(got_grads - np.einsum("pj,pjk->pk", local[line], grads))) <= 1e-14
 
 
-def broadcast_line_kernel(degree, local, frame, face_ref, line, t_ref):
+def broadcast_line_kernel(degree, local, axis, face_ref, line, t_ref):
     """``_line_sum_factorised`` as it was before its per-point stage worked
     one component and node at a time: the (line, node, component) table
-    gathered per point and contracted over the node axis (test oracle)."""
-    dim = frame.shape[1]
+    gathered per point and contracted over the node axis, with each line's
+    frame built from its axis (test oracle)."""
+    dim = face_ref.shape[1] + 1
+    frame = frames_of(axis, dim)
     p = degree + 1
 
     def contract(coeffs, table):
@@ -191,19 +192,18 @@ class TestLineKernelColumnWise:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_bitwise_equal_to_broadcast_formula(self, dim, degree, in_layout):
-        # every frame, lines visited in any order, points at the nodes
+        # lines along every axis, visited in any order, points at the nodes
         rng = np.random.default_rng(29 * dim + degree)
-        frames = np.array([list(f) for f in itertools.permutations(range(dim))])
-        frame = frames[rng.integers(0, len(frames), size=40)]
+        axis = rng.integers(0, dim, size=40)
         face_ref = rng.uniform(0.0, 1.0, size=(40, dim - 1))
         face_ref[::3] = np.arange(dim - 1) % 2
         local = rng.uniform(-1.0, 1.0, size=(40, (degree + 1) ** dim))
         line = rng.integers(0, 40, size=500)
         t_ref = rng.uniform(0.0, 1.0, size=500)
         t_ref[::5] = (np.arange(100) % (degree + 1)) / degree
-        want = broadcast_line_kernel(degree, local, frame, face_ref, line, t_ref)
-        got = _line_sum_factorised(degree, in_layout(local), in_layout(frame),
-                                   in_layout(face_ref), line, t_ref)
+        want = broadcast_line_kernel(degree, local, axis, face_ref, line, t_ref)
+        got = _line_sum_factorised(degree, in_layout(local), axis, in_layout(face_ref), line,
+                                   t_ref)
         assert bitwise_equal(got[0], want[0]) and bitwise_equal(got[1], want[1])
 
 
